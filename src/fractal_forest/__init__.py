@@ -13,7 +13,7 @@ from .algebra import (
     poly_eval,
     poly_log_eval,
 )
-from .errors import CapabilityError, DecimationSingularError, VerificationMismatch
+from .errors import CapabilityError, DecimationSingularError
 from .graphs import (
     LabelledEdge,
     LabelledGraph,

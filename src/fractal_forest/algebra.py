@@ -428,6 +428,12 @@ def random_weights(rng: random.Random, distinct: bool = True) -> Weights:
             return w
 
 
+def positive_weights(rng: random.Random) -> Weights:
+    """Random weights with every entry made positive."""
+    w = random_weights(rng)
+    return Weights(abs(w.a), abs(w.b), abs(w.c))
+
+
 def poly_equal_by_sampling(p, q, trials: int = 20, seed: int = DEFAULT_SEED) -> bool:
     """Probabilistic identity test at random rational points.
 

@@ -18,39 +18,21 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
-from . import hanoi as hgf
-from . import sierpinski as sgf
 from . import stats as stat_mod
-from .algebra import DEFAULT_SEED, Weights, poly_equal_by_sampling, random_weights
+from .algebra import DEFAULT_SEED, Weights, poly_equal_by_sampling
 from .errors import CapabilityError, DecimationSingularError
-from .graphs import build_hanoi, build_sierpinski, export_dot, graph_census
-from .kirchhoff import (
-    SchurState,
-    lambda_matrix,
-    schur_denominator,
-    schur_map,
-    schur_map_divergence,
-    schur_pipeline,
-    tree_gf_cofactor,
-)
+from .families import FAMILIES, ONES, ROTATIONAL, Level, lookup, run_checks
+from .graphs import export_dot, graph_census
+from .kirchhoff import schur_pipeline, tree_gf_cofactor
 from .oracle import EDGE_CAP, ForestSpec, enumerate_gf
+from .sierpinski import check_level
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 EXIT_SINGULAR = 4
-
-FAMILIES = {
-    "hanoi": "hanoi",
-    "sierpinski-rot": "sierpinski-rotational",
-    "sierpinski-rotational": "sierpinski-rotational",
-    "sierpinski-dir": "sierpinski-directional",
-    "sierpinski-directional": "sierpinski-directional",
-    "sierpinski-schreier": "sierpinski-schreier",
-}
 
 COFACTOR_VERTEX_CAP = 130
 ORACLE_AUTO_EDGE_CAP = 12  # method=all only runs the oracle on tiny graphs
@@ -70,23 +52,10 @@ def _default_seed() -> int:
     return DEFAULT_SEED
 
 
-def _family(name: str) -> str:
-    try:
-        return FAMILIES[name]
-    except KeyError:
-        raise UsageError(f"unknown family {name!r}") from None
-
-
 def _level(n: int) -> int:
     if n < 1:
         raise UsageError("level must be >= 1")
     return n
-
-
-def _build(family: str, level: int, loops: bool = False):
-    if family == "hanoi":
-        return build_hanoi(level, include_loops=loops)
-    return build_sierpinski(level, family.split("-", 1)[1])
 
 
 def _parse_levels(text: str):
@@ -103,17 +72,12 @@ def _parse_levels(text: str):
     return range(lo, hi + 1)
 
 
-def _positive_weights(rng: random.Random) -> Weights:
-    w = random_weights(rng)
-    return Weights(abs(w.a), abs(w.b), abs(w.c))
-
-
 # -- generate -----------------------------------------------------------------
 
 
 def run_generate(args) -> tuple[int, str]:
-    family = _family(args.family)
-    g = _build(family, _level(args.level), loops=args.loops)
+    family = lookup(args.family)
+    g = family.graph(_level(args.level), args.loops)
     if args.format == "dot":
         return EXIT_OK, export_dot(g)
     census = graph_census(g)
@@ -128,145 +92,98 @@ def run_generate(args) -> tuple[int, str]:
 # -- gf -----------------------------------------------------------------------
 
 
-def _bundle(family: str, n: int, w: Weights | None):
-    if family == "hanoi":
-        return hgf.hanoi_bundle(n, w)
-    if family == "sierpinski-rotational":
-        return sgf.rot_bundle(n, w)
-    if family == "sierpinski-directional":
-        return sgf.dir_bundle(n, w)
-    return sgf.schreier_bundle(n, w)
-
-
-def _components(bundle) -> dict:
-    if hasattr(bundle, "U"):
-        return {"T": bundle.T, "U": bundle.U, "R": bundle.R, "L": bundle.L, "Q": bundle.Q}
-    return {"T": bundle.T, "S": bundle.S, "Q": bundle.Q}
-
-
-def _closed_value(family: str, n: int, w: Weights) -> Fraction:
-    if family == "sierpinski-rotational":
-        return sgf.rot_closed(n).T.evaluate(w)
-    if family == "sierpinski-directional":
-        return sgf.dir_closed_value(n, w).T
-    if family == "sierpinski-schreier":
-        return sgf.schreier_closed_value(n, w).T
-    if w != Weights.ones():
-        raise UsageError("hanoi closed form counts trees at weights 1 1 1 only")
-    return Fraction(hgf.hanoi_counts_closed(n).tau)
-
-
-def _gf_methods(family: str, n: int, w: Weights, requested: str):
-    """Resolve the requested method set to the applicable ones."""
-    g = None
-
-    def graph():
-        nonlocal g
-        if g is None:
-            g = _build(family, n)
-        return g
-
-    methods = {}
+def _gf_methods(family, n: int, w: Weights, requested: str):
+    """The requested routes that apply, and why each route that
+    ``--method all`` leaves out is skipped.  Sizes come from the family's
+    vertex and edge counts, so no graph is built to decide."""
+    run_all = requested == "all"
+    if not run_all and requested not in family.routes:
+        raise UsageError(f"the {requested} method does not apply to the {family.name} family")
+    methods = []
     skipped = {}
-    wanted = (
-        ["recursion", "closed", "cofactor", "schur", "oracle"]
-        if requested == "all"
-        else [requested]
-    )
-    for name in wanted:
-        if name == "schur" and family != "hanoi":
-            if requested == "all":
-                continue
-            raise UsageError("the decimation method applies to the hanoi family only")
-        if name == "closed" and family == "hanoi" and w != Weights.ones():
-            if requested == "all":
-                skipped[name] = "hanoi closed form is unweighted"
-                continue
-        if name == "cofactor" and len(graph().vertices) > COFACTOR_VERTEX_CAP:
+    for name in family.routes if run_all else [requested]:
+        if name == "closed" and not family.closed_weighted and w != ONES:
+            if not run_all:
+                raise UsageError(f"{family.name} closed form counts trees at weights 1 1 1 only")
+            skipped[name] = f"{family.name} closed form is unweighted"
+        elif name == "cofactor" and family.vertices(n) > COFACTOR_VERTEX_CAP:
             msg = f"cofactor capped at {COFACTOR_VERTEX_CAP} vertices"
-            if requested == "all":
-                skipped[name] = msg
-                continue
-            raise CapabilityError(msg)
-        if name == "oracle":
-            edges = len(graph().nonloop_edges())
-            cap = ORACLE_AUTO_EDGE_CAP if requested == "all" else EDGE_CAP
-            if edges > cap:
-                msg = f"oracle skipped at {edges} edges"
-                if requested == "all":
-                    skipped[name] = msg
-                    continue
+            if not run_all:
+                raise CapabilityError(msg)
+            skipped[name] = msg
+        elif name == "oracle" and family.edges(n) > (ORACLE_AUTO_EDGE_CAP if run_all else EDGE_CAP):
+            if not run_all:
                 raise CapabilityError(f"oracle capped at {EDGE_CAP} edges")
-        methods[name] = None
-    return methods, skipped, graph
+            skipped[name] = f"oracle skipped at {family.edges(n)} edges"
+        else:
+            methods.append(name)
+    return methods, skipped
 
 
 def run_gf(args) -> tuple[int, str]:
-    family = _family(args.family)
+    family = lookup(args.family)
     n = _level(args.level)
     seed = args.seed if args.seed is not None else _default_seed()
     report = {
-        "family": family,
+        "family": family.name,
         "level": n,
         "mode": args.mode,
         "method": args.method,
         "seed": seed,
     }
     if args.mode == "symbolic":
-        bundle = _bundle(family, n, None)
-        comps = {k: v.text() for k, v in _components(bundle).items()}
-        report["components"] = comps
-        report["value"] = comps["T"]
-        if family != "hanoi":
-            closed = (
-                sgf.rot_closed(n)
-                if family == "sierpinski-rotational"
-                else sgf.dir_closed(n)
-                if family == "sierpinski-directional"
-                else sgf.schreier_closed(n)
+        bundle = family.parts(family.bundle(n, None))
+        report["components"] = {k: v.text() for k, v in bundle.items()}
+        report["value"] = report["components"]["T"]
+        if family.closed is not None:
+            closed = family.parts(family.closed(n))
+            report["closed"] = {k: v.text() for k, v in closed.items()}
+            report["agreement"] = all(
+                poly_equal_by_sampling(closed[k], bundle[k], trials=20, seed=seed)
+                for k in family.components
             )
-            report["closed"] = {k: v.text() for k, v in _components(closed).items()}
-            agree = all(
-                poly_equal_by_sampling(cv, rv, trials=20, seed=seed)
-                for cv, rv in zip(_components(closed).values(), _components(bundle).values())
-            )
-            report["agreement"] = agree
         return EXIT_OK, _emit(report, args.format)
 
     w = Weights.parse(*args.weights)
     report["weights"] = [str(x) for x in w.as_tuple()]
-    methods, skipped, graph = _gf_methods(family, n, w, args.method)
+    methods, skipped = _gf_methods(family, n, w, args.method)
+    # before any route runs, because the decimation and the rotational
+    # closed form have no level cap of their own
+    check_level(n, w)
+    level = Level(family, n)
+    values = {}
     fallbacks = []
-    for name in list(methods):
+    for name in methods:
         if name == "recursion":
-            bundle = _bundle(family, n, w)
-            report["components"] = {
-                k: str(v) for k, v in _components(bundle).items()
-            }
-            methods[name] = bundle.T
+            bundle = level.bundle(w)
+            report["components"] = {k: str(v) for k, v in family.parts(bundle).items()}
+            values[name] = bundle.T
         elif name == "closed":
-            methods[name] = _closed_value(family, n, w)
+            values[name] = family.closed_value(n, w, ("T",))[0]
         elif name == "cofactor":
-            methods[name] = tree_gf_cofactor(graph(), w)
+            values[name] = tree_gf_cofactor(level.graph, w)
         elif name == "oracle":
-            methods[name] = enumerate_gf(graph(), ForestSpec("tree")).evaluate(w)
+            values[name] = enumerate_gf(level.graph, ForestSpec("tree")).evaluate(w)
         elif name == "schur":
             try:
                 value, orbit = schur_pipeline(n, w)
             except DecimationSingularError as exc:
-                if len(graph().vertices) <= COFACTOR_VERTEX_CAP:
-                    fallbacks.append(f"schur failed ({exc}); used cofactor")
-                    value, orbit = tree_gf_cofactor(graph(), w), []
-                else:
+                # under --method all a fallback would report the cofactor
+                # route a second time and count it twice towards agreement
+                if args.method == "all":
+                    skipped[name] = f"decimation singular: {exc}"
+                    continue
+                if family.vertices(n) > COFACTOR_VERTEX_CAP:
                     raise
-            methods[name] = value
+                fallbacks.append(f"schur failed ({exc}); used cofactor")
+                value, orbit = tree_gf_cofactor(level.graph, w), []
+            values[name] = value
             report["D_orbit"] = [str(d) for d in orbit]
-    values = {k: str(v) for k, v in methods.items()}
+    values = {k: str(v) for k, v in values.items()}
     report["methods"] = values
     report["skipped"] = skipped
     report["fallbacks"] = fallbacks
-    distinct = set(values.values())
-    report["agreement"] = len(distinct) == 1
+    report["agreement"] = len(set(values.values())) == 1
     report["value"] = next(iter(values.values())) if values else None
     code = EXIT_OK if report["agreement"] else EXIT_MISMATCH
     return code, _emit(report, args.format)
@@ -275,153 +192,22 @@ def run_gf(args) -> tuple[int, str]:
 # -- verify ---------------------------------------------------------------------
 
 
-def _check(checks, mismatches, name, level, ok, detail=None):
-    entry = {"check": name, "level": level, "status": "ok" if ok else "mismatch"}
-    if detail is not None:
-        entry["detail"] = detail
-    checks.append(entry)
-    if not ok:
-        mismatches.append(entry)
-
-
-def _verify_hanoi(levels, trials, rng, checks, mismatches):
-    for n in levels:
-        rec = hgf.hanoi_counts_recursive(n)
-        clo = hgf.hanoi_counts_closed(n)
-        _check(
-            checks,
-            mismatches,
-            "hanoi counts recursive=closed",
-            n,
-            rec == clo,
-            None if rec == clo else {"recursive": str(rec), "closed": str(clo)},
-        )
-        bundle = hgf.hanoi_bundle(n, Weights.ones())
-        ok = (
-            bundle.T == rec.tau
-            and bundle.U == bundle.R == bundle.L == rec.s
-            and bundle.Q == rec.q
-        )
-        _check(checks, mismatches, "hanoi bundle at ones = counts", n, ok)
-        if n <= 2:
-            g = build_hanoi(n)
-            tree = enumerate_gf(g, ForestSpec("tree")).evaluate(Weights.ones())
-            _check(checks, mismatches, "hanoi oracle tree count", n, tree == rec.tau)
-        g = build_hanoi(n) if n <= 4 else None
-        for _ in range(trials):
-            w = _positive_weights(rng)
-            t_rec = hgf.hanoi_bundle(n, w).T
-            t_schur = schur_pipeline(n, w)[0]
-            ok = t_rec == t_schur
-            detail = None if ok else {"weights": str(w), "recursion": str(t_rec), "schur": str(t_schur)}
-            _check(checks, mismatches, "hanoi recursion=schur", n, ok, detail)
-            if g is not None:
-                t_cof = tree_gf_cofactor(g, w)
-                ok = t_rec == t_cof
-                detail = None if ok else {"weights": str(w), "recursion": str(t_rec), "cofactor": str(t_cof)}
-                _check(checks, mismatches, "hanoi recursion=cofactor", n, ok, detail)
-    # map-level guards, independent of level range
-    done = 0
-    while done < trials:
-        state = SchurState.of(
-            [Fraction(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(9)]
-        )
-        if schur_denominator(state) == 0:
-            continue
-        div = schur_map_divergence(state)
-        _check(checks, mismatches, "schur map = rederived", None, not div, div or None)
-        done += 1
-    if max(levels) >= 3:
-        for _ in range(2):
-            state = SchurState.of(
-                [Fraction(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(9)]
-            )
-            if schur_denominator(state) == 0:
-                continue
-            lhs = lambda_matrix(3, state).det()
-            rhs = schur_denominator(state) ** 3 * lambda_matrix(2, schur_map(state)).det()
-            _check(checks, mismatches, "decimation identity k=3", None, lhs == rhs)
-
-
-def _verify_rotational(levels, trials, rng, checks, mismatches):
-    for n in levels:
-        counts = sgf.rot_counts(n)
-        closed = sgf.rot_closed(n)
-        ones = Weights.ones()
-        ok = (
-            closed.T.evaluate(ones) == counts.tau
-            and closed.S.evaluate(ones) == counts.s
-            and closed.Q.evaluate(ones) == counts.q
-        )
-        _check(checks, mismatches, "rotational closed at ones = counts", n, ok)
-        for _ in range(trials):
-            w = _positive_weights(rng)
-            b = sgf.rot_bundle(n, w)
-            ok = (
-                closed.T.evaluate(w) == b.T
-                and closed.S.evaluate(w) == b.S
-                and closed.Q.evaluate(w) == b.Q
-            )
-            _check(checks, mismatches, "rotational closed = recursion", n, ok,
-                   None if ok else {"weights": str(w)})
-        if n <= 3:
-            g = build_sierpinski(n, "rotational")
-            w = _positive_weights(rng)
-            ok = tree_gf_cofactor(g, w) == sgf.rot_bundle(n, w).T
-            _check(checks, mismatches, "rotational cofactor = recursion", n, ok)
-        if n == 1:
-            g = build_sierpinski(1, "rotational")
-            ok = enumerate_gf(g, ForestSpec("tree")).evaluate(Weights.ones()) == counts.tau
-            _check(checks, mismatches, "rotational oracle tree count", n, ok)
-
-
-def _verify_directional_like(family, levels, trials, rng, checks, mismatches):
-    bundle_of = sgf.dir_bundle if family == "sierpinski-directional" else sgf.schreier_bundle
-    closed_of = (
-        sgf.dir_closed_value
-        if family == "sierpinski-directional"
-        else sgf.schreier_closed_value
-    )
-    label = family.split("-", 1)[1]
-    for n in levels:
-        for _ in range(trials):
-            w = _positive_weights(rng)
-            b = bundle_of(n, w)
-            c = closed_of(n, w)
-            ok = (b.T, b.U, b.R, b.L, b.Q) == (c.T, c.U, c.R, c.L, c.Q)
-            _check(checks, mismatches, f"{label} closed = recursion", n, ok,
-                   None if ok else {"weights": str(w)})
-        if n >= 2:
-            ones = Weights.ones()
-            ok = bundle_of(n, ones).T == sgf.rot_bundle(n - 1, ones).T
-            _check(checks, mismatches, f"{label} T at ones = rotational shift", n, ok)
-        if n <= 3:
-            g = build_sierpinski(n, label)
-            w = _positive_weights(rng)
-            ok = tree_gf_cofactor(g, w) == bundle_of(n, w).T
-            _check(checks, mismatches, f"{label} cofactor = recursion", n, ok)
-
-
 def run_verify(args) -> tuple[int, str]:
-    families = (
-        list(dict.fromkeys(FAMILIES.values()))
-        if args.family == "all"
-        else [_family(args.family)]
-    )
+    families = list(FAMILIES.values()) if args.family == "all" else [lookup(args.family)]
     levels = _parse_levels(args.levels)
+    check_level(levels[-1], ONES)  # before any check runs
     seed = args.seed if args.seed is not None else _default_seed()
     rng = random.Random(seed)
-    checks: list = []
-    mismatches: list = []
+    checks = []
     for family in families:
-        if family == "hanoi":
-            _verify_hanoi(levels, args.trials, rng, checks, mismatches)
-        elif family == "sierpinski-rotational":
-            _verify_rotational(levels, args.trials, rng, checks, mismatches)
-        else:
-            _verify_directional_like(family, levels, args.trials, rng, checks, mismatches)
+        for name, level, ok, detail in run_checks(family, levels, args.trials, rng):
+            entry = {"check": name, "level": level, "status": "ok" if ok else "mismatch"}
+            if detail is not None:
+                entry["detail"] = detail
+            checks.append(entry)
+    mismatches = [c for c in checks if c["status"] != "ok"]
     report = {
-        "families": families,
+        "families": [f.name for f in families],
         "levels": [levels[0], levels[-1]],
         "trials": args.trials,
         "seed": seed,
@@ -437,18 +223,18 @@ def run_verify(args) -> tuple[int, str]:
 
 
 def run_stats(args) -> tuple[int, str]:
-    model = _family(args.model)
+    family = lookup(args.model)
     n = _level(args.level)
-    mean = stat_mod.label_mean_gf(model, n, args.label)
-    variance = stat_mod.label_variance_gf(model, n, args.label)
+    mean = stat_mod.label_mean_gf(family.name, n, args.label)
+    variance = stat_mod.label_variance_gf(family.name, n, args.label)
     report = {
-        "model": model,
+        "model": family.name,
         "n": n,
         "label": args.label,
         "mean": str(mean),
         "variance": str(variance),
     }
-    if model == "sierpinski-rotational":
+    if family is ROTATIONAL:
         closed = stat_mod.label_stat_closed(n, args.label)
         report["matches_closed_form"] = (
             closed.mean == mean and closed.variance == variance
@@ -554,9 +340,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         code, output = _RUNNERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

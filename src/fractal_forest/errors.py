@@ -8,10 +8,3 @@ class CapabilityError(Exception):
 class DecimationSingularError(Exception):
     """The decimation denominator vanished; the rational map is undefined here."""
 
-
-class VerificationMismatch(Exception):
-    """Two methods that must agree exactly produced different values."""
-
-    def __init__(self, message, payload=None):
-        super().__init__(message)
-        self.payload = payload or {}

@@ -33,13 +33,6 @@ from itertools import product
 
 LABELS = ("a", "b", "c")
 
-FAMILIES = (
-    "hanoi",
-    "sierpinski-rotational",
-    "sierpinski-directional",
-    "sierpinski-schreier",
-)
-
 # wreath recursion of the three generators: each swaps two first letters
 # and recurses past its fixed letter
 _SWAP = {

@@ -12,15 +12,14 @@ from __future__ import annotations
 import mpmath
 
 from .algebra import LOG_DPS, Weights
-from .errors import CapabilityError
 from .sierpinski import (
-    EVALUATED_LEVEL_CAP,
-    SYMBOLIC_LEVEL_CAP,
     CountsTriple,
     FiveBundle,
     _abc,
     _exact_div,
     _five_initial,
+    check_level,
+    iterate,
 )
 
 
@@ -29,10 +28,7 @@ def hanoi_initial(w: Weights | None = None) -> FiveBundle:
 
 
 def hanoi_step(bundle: FiveBundle) -> FiveBundle:
-    cap = EVALUATED_LEVEL_CAP if bundle.weights is not None else SYMBOLIC_LEVEL_CAP
-    if bundle.level + 1 > cap:
-        mode = "evaluated" if bundle.weights is not None else "symbolic"
-        raise CapabilityError(f"{mode} hanoi bundles are capped at level {cap}")
+    check_level(bundle.level + 1, bundle.weights)
     a, b, c = _abc(bundle.weights)
     e = a * b + a * c + b * c
     abc = a * b * c
@@ -80,12 +76,7 @@ def hanoi_step(bundle: FiveBundle) -> FiveBundle:
 
 
 def hanoi_bundle(n: int, w: Weights | None = None) -> FiveBundle:
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    bundle = hanoi_initial(w)
-    for _ in range(n - 1):
-        bundle = hanoi_step(bundle)
-    return bundle
+    return iterate(hanoi_step, hanoi_initial(w), n)
 
 
 def hanoi_counts_recursive(n: int) -> CountsTriple:

@@ -65,11 +65,28 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _check_step(level: int, weights) -> None:
+def check_level(n: int, weights) -> None:
+    """The level cap of bundles and evaluated closed forms; None weights
+    mean symbolic components."""
     cap = EVALUATED_LEVEL_CAP if weights is not None else SYMBOLIC_LEVEL_CAP
-    if level + 1 > cap:
+    if n > cap:
         mode = "evaluated" if weights is not None else "symbolic"
         raise CapabilityError(f"{mode} bundles are capped at level {cap}")
+
+
+def iterate(step, initial, n: int):
+    """The level-n bundle of a recursion, from its level-1 bundle.
+
+    The level cap is checked before the first step, so a request past it
+    fails before any work is done.
+    """
+    if n < 1:
+        raise ValueError("level must be >= 1")
+    check_level(n, initial.weights)
+    bundle = initial
+    for _ in range(n - 1):
+        bundle = step(bundle)
+    return bundle
 
 
 def _abc(w: Weights | None):
@@ -89,7 +106,7 @@ def rot_initial(w: Weights | None = None) -> RotBundle:
 
 
 def rot_step(bundle: RotBundle) -> RotBundle:
-    _check_step(bundle.level, bundle.weights)
+    check_level(bundle.level + 1, bundle.weights)
     T, S, Q = bundle.T, bundle.S, bundle.Q
     return RotBundle(
         bundle.level + 1,
@@ -101,12 +118,7 @@ def rot_step(bundle: RotBundle) -> RotBundle:
 
 
 def rot_bundle(n: int, w: Weights | None = None) -> RotBundle:
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    bundle = rot_initial(w)
-    for _ in range(n - 1):
-        bundle = rot_step(bundle)
-    return bundle
+    return iterate(rot_step, rot_initial(w), n)
 
 
 def _rot_bases():
@@ -196,48 +208,38 @@ def f_of(x, y, z):
     )
 
 
-def g_of(x, y, z):
-    return (
-        3 * x * x * y
-        + 3 * x * y * y
-        + 3 * x * x * z
-        + 3 * x * z * z
-        + 3 * y * y * z
-        + 3 * y * z * z
-        + 7 * x * y * z
-    )
-
-
-def _iterate(mapping, triple, times: int):
+def _iterates(mapping, triple, times: int) -> list:
+    """The triple and its first ``times`` images under the map."""
+    out = [triple]
     for _ in range(times):
-        triple = mapping(*triple)
-    return triple
+        out.append(mapping(*out[-1]))
+    return out
 
 
-def _iterate_symbolic(mapping, times: int):
+def _iterates_symbolic(mapping, times: int) -> list:
     if times > ITERATE_SYMBOLIC_CAP:
         raise CapabilityError(
             f"symbolic map iterates are capped at {ITERATE_SYMBOLIC_CAP}"
         )
-    return _iterate(mapping, TriPoly.variables(), times)
+    return _iterates(mapping, TriPoly.variables(), times)
+
+
+def _factor_poly(mapping, k: int) -> TriPoly:
+    a, b, c = TriPoly.variables()
+    if k == 1:
+        return a * b + a * c + b * c
+    x, y, z = _iterates_symbolic(mapping, k - 2)[-1]
+    return x + y + z
 
 
 def phi_poly(k: int) -> TriPoly:
     """k-th factor polynomial of the directional closed forms."""
-    a, b, c = TriPoly.variables()
-    if k == 1:
-        return a * b + a * c + b * c
-    x, y, z = _iterate_symbolic(F_map, k - 2)
-    return x + y + z
+    return _factor_poly(F_map, k)
 
 
 def psi_poly(k: int) -> TriPoly:
     """k-th factor polynomial of the schreier closed forms."""
-    a, b, c = TriPoly.variables()
-    if k == 1:
-        return a * b + a * c + b * c
-    x, y, z = _iterate_symbolic(G_map, k - 2)
-    return x + y + z
+    return _factor_poly(G_map, k)
 
 
 # -- directional and schreier recursions -------------------------------------
@@ -258,7 +260,7 @@ def schreier_initial(w: Weights | None = None) -> FiveBundle:
 
 
 def dir_step(bundle: FiveBundle) -> FiveBundle:
-    _check_step(bundle.level, bundle.weights)
+    check_level(bundle.level + 1, bundle.weights)
     T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
     return FiveBundle(
         bundle.level + 1,
@@ -275,7 +277,7 @@ def dir_step(bundle: FiveBundle) -> FiveBundle:
 
 
 def schreier_step(bundle: FiveBundle) -> FiveBundle:
-    _check_step(bundle.level, bundle.weights)
+    check_level(bundle.level + 1, bundle.weights)
     T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
     return FiveBundle(
         bundle.level + 1,
@@ -292,33 +294,21 @@ def schreier_step(bundle: FiveBundle) -> FiveBundle:
 
 
 def dir_bundle(n: int, w: Weights | None = None) -> FiveBundle:
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    bundle = dir_initial(w)
-    for _ in range(n - 1):
-        bundle = dir_step(bundle)
-    return bundle
+    return iterate(dir_step, dir_initial(w), n)
 
 
 def schreier_bundle(n: int, w: Weights | None = None) -> FiveBundle:
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    bundle = schreier_initial(w)
-    for _ in range(n - 1):
-        bundle = schreier_step(bundle)
-    return bundle
+    return iterate(schreier_step, schreier_initial(w), n)
 
 
 # -- closed forms for the five-function models --------------------------------
 
-# Each model is described by its factor family, its map, its final-factor
-# component order (U, R, L pick different components of the iterate) and
-# the exponent laws of the prefactor 2^e and of each factor.
+# Each model is described by its map, the cubic that closes Q, and the
+# exponent laws of the prefactor 2^e and of each factor.
 
 
 def _dir_laws():
     return {
-        "factor": phi_poly,
         "map": F_map,
         "tail": f_of,
         "T2": lambda n: _exact_div(3**n + 6 * n - 9, 12),
@@ -332,9 +322,8 @@ def _dir_laws():
 
 def _schreier_laws():
     return {
-        "factor": psi_poly,
         "map": G_map,
-        "tail": g_of,
+        "tail": f_of,  # the same cubic closes both models
         "T2": lambda n: _exact_div(3 ** (n - 1) - 1, 2),
         "Texp": lambda n, k: _exact_div(3 ** (n - k) + 1, 2),
         "U2": lambda n: _exact_div(3 ** (n - 1) - 1, 2),
@@ -347,91 +336,64 @@ def _schreier_laws():
 _MODEL_LAWS = {"directional": _dir_laws, "schreier": _schreier_laws}
 
 
-def _closed_five(model: str, n: int) -> FiveBundle:
+def _closed_five(model: str, n: int, w: Weights | None) -> FiveBundle:
+    """Closed forms as factored polynomials (w None), or evaluated exactly
+    at w by iterating the map on values, which is cheap at any level."""
     if n < 1:
         raise ValueError("level must be >= 1")
     laws = _MODEL_LAWS[model]()
-    a, b, c = TriPoly.variables()
-    factors = [laws["factor"](k) for k in range(1, n + 1)]
-    T = FactoredPoly(
-        {2: laws["T2"](n)},
-        [(factors[k - 1], laws["Texp"](n, k)) for k in range(1, n + 1)],
-    )
-    if n == 1:
-        U, R, L = FactoredPoly.of(b), FactoredPoly.of(a), FactoredPoly.of(c)
+    if w is None:
+        iterates = _iterates_symbolic(laws["map"], n - 1)
+
+        def product(two, pairs):
+            return FactoredPoly({2: two}, pairs)
+
+        def times(p, base):
+            return FactoredPoly(p.primes, p.factors + [(base, 1)])
+
     else:
-        tail = _iterate_symbolic(laws["map"], n - 1)
-        shared = [(factors[k - 1], laws["Uexp"](n, k)) for k in range(1, n)]
-        U = FactoredPoly({2: laws["U2"](n)}, shared + [(tail[1], 1)])
-        R = FactoredPoly({2: laws["U2"](n)}, shared + [(tail[0], 1)])
-        L = FactoredPoly({2: laws["U2"](n)}, shared + [(tail[2], 1)])
+        check_level(n, w)
+        iterates = _iterates(laws["map"], (w.a, w.b, w.c), n - 1)
+
+        def product(two, pairs):
+            value = Fraction(2) ** two
+            for base, exp in pairs:
+                value *= base**exp
+            return value
+
+        def times(p, base):
+            return p * base
+
+    a, b, c = iterates[0]
+    # factor k is a*b + a*c + b*c for k = 1, else the sum of iterate k - 2
+    factors = [a * b + a * c + b * c] + [x + y + z for x, y, z in iterates[: n - 1]]
+
+    def power_product(two, exponent, last):
+        return product(two, [(factors[k - 1], exponent(n, k)) for k in range(1, last + 1)])
+
+    T = power_product(laws["T2"](n), laws["Texp"], n)
     if n == 1:
-        Q = FactoredPoly.one()
-    elif n == 2:
-        Q = FactoredPoly({2: 1}, [(laws["tail"](a, b, c), 1)])
+        U, R, L = (product(0, [(x, 1)]) for x in (b, a, c))
+        Q = product(0, [])
     else:
-        qtail = laws["tail"](*_iterate_symbolic(laws["map"], n - 2))
-        Q = FactoredPoly(
-            {2: laws["Q2"](n)},
-            [(factors[k - 1], laws["Qexp"](n, k)) for k in range(1, n - 1)]
-            + [(qtail, 1)],
-        )
-    return FiveBundle(n, model, T, U, R, L, Q, None)
-
-
-def dir_closed(n: int) -> FiveBundle:
-    return _closed_five("directional", n)
-
-
-def schreier_closed(n: int) -> FiveBundle:
-    return _closed_five("schreier", n)
-
-
-def _closed_five_value(model: str, n: int, w: Weights) -> FiveBundle:
-    """Closed forms evaluated exactly at a point, iterating the map on values."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    if n > EVALUATED_LEVEL_CAP:
-        raise CapabilityError(f"evaluated closed forms capped at {EVALUATED_LEVEL_CAP}")
-    laws = _MODEL_LAWS[model]()
-    mapping = laws["map"]
-    iterates = [(w.a, w.b, w.c)]
-    for _ in range(n - 1):
-        iterates.append(mapping(*iterates[-1]))
-
-    def factor_value(k):
-        if k == 1:
-            return w.a * w.b + w.a * w.c + w.b * w.c
-        x, y, z = iterates[k - 2]
-        return x + y + z
-
-    fvals = [factor_value(k) for k in range(1, n + 1)]
-    T = Fraction(2) ** laws["T2"](n)
-    for k in range(1, n + 1):
-        T *= fvals[k - 1] ** laws["Texp"](n, k)
-    if n == 1:
-        U, R, L = w.b, w.a, w.c
-    else:
-        shared = Fraction(2) ** laws["U2"](n)
-        for k in range(1, n):
-            shared *= fvals[k - 1] ** laws["Uexp"](n, k)
-        tail = iterates[n - 1]
-        U, R, L = shared * tail[1], shared * tail[0], shared * tail[2]
-    if n == 1:
-        Q = Fraction(1)
-    elif n == 2:
-        Q = 2 * laws["tail"](w.a, w.b, w.c)
-    else:
-        Q = Fraction(2) ** laws["Q2"](n)
-        for k in range(1, n - 1):
-            Q *= fvals[k - 1] ** laws["Qexp"](n, k)
-        Q *= laws["tail"](*iterates[n - 2])
+        shared = power_product(laws["U2"](n), laws["Uexp"], n - 1)
+        x, y, z = iterates[n - 1]
+        U, R, L = times(shared, y), times(shared, x), times(shared, z)
+        Q = times(power_product(laws["Q2"](n), laws["Qexp"], n - 2), laws["tail"](*iterates[n - 2]))
     return FiveBundle(n, model, T, U, R, L, Q, w)
 
 
+def dir_closed(n: int) -> FiveBundle:
+    return _closed_five("directional", n, None)
+
+
+def schreier_closed(n: int) -> FiveBundle:
+    return _closed_five("schreier", n, None)
+
+
 def dir_closed_value(n: int, w: Weights) -> FiveBundle:
-    return _closed_five_value("directional", n, w)
+    return _closed_five("directional", n, w)
 
 
 def schreier_closed_value(n: int, w: Weights) -> FiveBundle:
-    return _closed_five_value("schreier", n, w)
+    return _closed_five("schreier", n, w)

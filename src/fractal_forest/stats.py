@@ -24,19 +24,7 @@ from fractions import Fraction
 import mpmath
 
 from .algebra import LOG_DPS, FactoredPoly, TriPoly, Weights
-from .errors import CapabilityError
-from . import hanoi as hanoi_gf
-from . import sierpinski as sgf
-
-ROTATIONAL_CLOSED_CAP = 20
-SYMBOLIC_STAT_CAP = 3
-
-MODELS = (
-    "sierpinski-rotational",
-    "sierpinski-directional",
-    "sierpinski-schreier",
-    "hanoi",
-)
+from .families import lookup
 
 
 @dataclass(frozen=True)
@@ -49,27 +37,6 @@ class LabelStat:
 
 def _ones():
     return Weights.ones()
-
-
-def _tree_gf(model: str, n: int):
-    if model == "sierpinski-rotational":
-        if n > ROTATIONAL_CLOSED_CAP:
-            raise CapabilityError(
-                f"rotational statistics capped at level {ROTATIONAL_CLOSED_CAP}"
-            )
-        return sgf.rot_closed(n).T
-    if n > SYMBOLIC_STAT_CAP:
-        raise CapabilityError(
-            f"{model} statistics need symbolic bundles, capped at level"
-            f" {SYMBOLIC_STAT_CAP}"
-        )
-    if model == "sierpinski-directional":
-        return sgf.dir_bundle(n).T
-    if model == "sierpinski-schreier":
-        return sgf.schreier_bundle(n).T
-    if model == "hanoi":
-        return hanoi_gf.hanoi_bundle(n).T
-    raise ValueError(f"unknown model {model!r}")
 
 
 def _log_derivs(T, label: str):
@@ -95,11 +62,11 @@ def _log_derivs(T, label: str):
 
 def label_mean_gf(model: str, n: int, label: str) -> Fraction:
     """Mean number of label-edges in a random spanning tree, exactly."""
-    return _log_derivs(_tree_gf(model, n), label)[0]
+    return _log_derivs(lookup(model).stat_tree(n), label)[0]
 
 
 def label_variance_gf(model: str, n: int, label: str) -> Fraction:
-    first, second = _log_derivs(_tree_gf(model, n), label)
+    first, second = _log_derivs(lookup(model).stat_tree(n), label)
     return second + first
 
 

@@ -3,13 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fractal_forest.algebra import Weights, random_weights
+from fractal_forest.algebra import positive_weights
 from fractal_forest.kirchhoff import SchurState, schur_denominator
-
-
-def positive_weights(rng: random.Random) -> Weights:
-    w = random_weights(rng)
-    return Weights(abs(w.a), abs(w.b), abs(w.c))
 
 
 def positive_weight_list(seed: int, count: int):

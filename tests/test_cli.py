@@ -1,4 +1,7 @@
 import json
+import sys
+
+import pytest
 
 from fractal_forest import cli
 from fractal_forest import kirchhoff
@@ -161,6 +164,52 @@ def test_gf_schur_fallback_records_cofactor(capsys, monkeypatch):
     assert code == 0
     assert data["methods"]["schur"] == "20503125"
     assert data["fallbacks"] and "cofactor" in data["fallbacks"][0]
+
+
+def test_gf_all_skips_singular_decimation(capsys):
+    # the cofactor runs as its own route; a fallback copy of it must not
+    # count as an independent schur value
+    code, data = run_json(
+        capsys, "gf", "--family", "hanoi", "--level", "3",
+        "--weights", "0", "0", "0", "--method", "all",
+    )
+    assert code == 0
+    assert data["methods"] == {"recursion": "0", "cofactor": "0"}
+    assert "decimation singular" in data["skipped"]["schur"]
+    assert data["fallbacks"] == []
+
+
+@pytest.mark.parametrize(
+    "family, checks_run",
+    [("hanoi", 30), ("sierpinski-rot", 16), ("sierpinski-dir", 14), ("sierpinski-schreier", 14)],
+)
+def test_verify_matrix_size_per_family(capsys, family, checks_run):
+    code, data = run_json(
+        capsys, "verify", "--family", family, "--levels", "1..4", "--trials", "2",
+        "--seed", "9",
+    )
+    assert code == 0
+    assert data["checks_run"] == checks_run
+
+
+def test_level_caps_checked_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expensive work started past the level cap")
+
+    expensive = (
+        "build_hanoi", "build_sierpinski", "hanoi_step", "rot_step", "dir_step",
+        "schreier_step", "rot_closed", "rot_counts", "schur_map",
+    )
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fractal_forest"):
+            for attr in expensive:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert cli.main(["gf", "--family", "hanoi", "--level", "13", "--method", "all"]) == 3
+    assert cli.main(
+        ["verify", "--family", "sierpinski-rot", "--levels", "13..13", "--trials", "1"]
+    ) == 3
+    assert cli.main(["gf", "--family", "hanoi", "--level", "13", "--method", "schur"]) == 3
 
 
 def test_verify_with_corrupted_map_term_fails(capsys, monkeypatch):

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from fractal_forest.families import FAMILIES
 from fractal_forest.graphs import (
     apply_generator,
     build_hanoi,
@@ -140,6 +141,15 @@ def test_vertex_counts():
         assert len(build_sierpinski(n, "directional").vertices) == 3 * (3 ** (n - 1) + 1) // 2
         assert len(build_sierpinski(n, "schreier").vertices) == 3 * (3 ** (n - 1) + 1) // 2
         assert len(build_hanoi(n).vertices) == 3**n
+
+
+def test_family_counts_match_built_graphs():
+    # the CLI checks size caps on these counts without building the graph
+    for family in FAMILIES.values():
+        for n in range(1, 6):
+            g = family.graph(n, False)
+            assert family.vertices(n) == len(g.vertices), (family.name, n)
+            assert family.edges(n) == len(g.nonloop_edges()), (family.name, n)
 
 
 def test_unlabelled_agreement_of_the_three_gaskets():

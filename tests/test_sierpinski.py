@@ -11,7 +11,6 @@ from fractal_forest.sierpinski import (
     dir_initial,
     dir_step,
     f_of,
-    g_of,
     phi_poly,
     psi_poly,
     rot_bundle,
@@ -148,7 +147,7 @@ def test_schreier_proof_identities():
     assert b2.U == 2 * psi_poly(1) * g2
     assert b2.R == 2 * psi_poly(1) * g1
     assert b2.L == 2 * psi_poly(1) * g3
-    assert schreier_bundle(3).Q == 2**4 * psi_poly(1) ** 3 * g_of(g1, g2, g3)
+    assert schreier_bundle(3).Q == 2**4 * psi_poly(1) ** 3 * f_of(g1, g2, g3)
     assert schreier_bundle(2, ONES).T == 54
     assert schreier_bundle(3, ONES).T == 524880
 
@@ -194,7 +193,6 @@ def test_collapsing_corner_forests_recovers_rotational_step():
 
 
 def test_f_equals_g_but_maps_differ():
-    assert f_of(A, B, C) == g_of(A, B, C)
     probe = Weights.of(1, 2, 3)
     fx = tuple(p.evaluate(probe) for p in F_map(A, B, C))
     gx = tuple(p.evaluate(probe) for p in G_map(A, B, C))
