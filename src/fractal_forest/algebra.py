@@ -204,9 +204,6 @@ class TriPoly:
 
     # -- queries --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(e == (0, 0, 0) for e in self.terms)
 
@@ -304,10 +301,6 @@ class FactoredPoly:
             if base.is_constant():
                 raise ValueError("factor bases must be nonconstant")
             self.factors.append((base, int(exp)))
-
-    @classmethod
-    def one(cls) -> "FactoredPoly":
-        return cls()
 
     @classmethod
     def of(cls, base: TriPoly) -> "FactoredPoly":
@@ -410,28 +403,13 @@ def poly_derivative(p: TriPoly, label: str) -> TriPoly:
     return p.derivative(label)
 
 
-def random_rational(rng: random.Random, positive: bool = True) -> Fraction:
-    """Random rational with small numerator/denominator (bounded by 97)."""
-    num = rng.randint(1, SAMPLE_BOUND)
-    den = rng.randint(1, SAMPLE_BOUND)
-    if not positive and rng.random() < 0.5:
-        num = -num
-    return Fraction(num, den)
-
-
-def random_weights(rng: random.Random, distinct: bool = True) -> Weights:
-    while True:
-        w = Weights(
-            random_rational(rng), random_rational(rng), random_rational(rng)
-        )
-        if not distinct or (w.a != w.b and w.b != w.c and w.a != w.c):
-            return w
-
-
 def positive_weights(rng: random.Random) -> Weights:
-    """Random weights with every entry made positive."""
-    w = random_weights(rng)
-    return Weights(abs(w.a), abs(w.b), abs(w.c))
+    """Random positive weights with pairwise distinct entries, each a
+    numerator over a denominator drawn from 1..SAMPLE_BOUND."""
+    while True:
+        a, b, c = (Fraction(rng.randint(1, SAMPLE_BOUND), rng.randint(1, SAMPLE_BOUND)) for _ in VARS)
+        if a != b and b != c and a != c:
+            return Weights(a, b, c)
 
 
 def poly_equal_by_sampling(p, q, trials: int = 20, seed: int = DEFAULT_SEED) -> bool:
@@ -444,7 +422,7 @@ def poly_equal_by_sampling(p, q, trials: int = 20, seed: int = DEFAULT_SEED) -> 
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     for _ in range(trials):
-        w = random_weights(rng)
+        w = positive_weights(rng)
         if p.evaluate(w) != q.evaluate(w):
             return False
     return True

@@ -77,7 +77,9 @@ def _parse_levels(text: str):
 
 def run_generate(args) -> tuple[int, str]:
     family = lookup(args.family)
-    g = family.graph(_level(args.level), args.loops)
+    n = _level(args.level)
+    check_level(n, ONES)  # a level-n graph has up to 3^n vertices
+    g = family.graph(n, args.loops)
     if args.format == "dot":
         return EXIT_OK, export_dot(g)
     census = graph_census(g)
@@ -225,6 +227,8 @@ def run_verify(args) -> tuple[int, str]:
 def run_stats(args) -> tuple[int, str]:
     family = lookup(args.model)
     n = _level(args.level)
+    if args.normality and family is not ROTATIONAL:
+        raise UsageError(f"the normality gap does not apply to the {family.name} family")
     mean = stat_mod.label_mean_gf(family.name, n, args.label)
     variance = stat_mod.label_variance_gf(family.name, n, args.label)
     report = {
@@ -338,6 +342,12 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # exact values below the level caps run to 10^6 digits: lift Python's
+    # limit on int-to-string conversion for this call, and give the caller
+    # back its own setting
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code, output = _RUNNERS[args.command](args)
     except ValueError as exc:
@@ -349,6 +359,9 @@ def main(argv=None) -> int:
     except DecimationSingularError as exc:
         print(f"decimation singular: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     sys.stdout.write(output)
     return code
 

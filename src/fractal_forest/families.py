@@ -23,7 +23,7 @@ from typing import Callable
 from . import graphs, kirchhoff, oracle
 from . import hanoi as hgf
 from . import sierpinski as sgf
-from .algebra import Weights, positive_weights
+from .algebra import FactoredPoly, Weights, positive_weights
 from .errors import CapabilityError
 
 ONES = Weights.ones()
@@ -80,11 +80,13 @@ class Family:
     def parts(self, bundle) -> dict:
         return {c: getattr(bundle, c) for c in self.components}
 
-    def stat_tree(self, n: int):
-        """T in the form whose log-derivatives give the label statistics."""
+    def stat_tree(self, n: int) -> FactoredPoly:
+        """T as a product, whose log-derivatives give the label statistics."""
         if n > self.stat_cap:
             raise CapabilityError(f"{self.name} statistics are capped at level {self.stat_cap}")
-        return (self.closed(n) if self.stats_from_closed else self.bundle(n, None)).T
+        if self.stats_from_closed:
+            return self.closed(n).T
+        return FactoredPoly.of(self.bundle(n, None).T)
 
 
 class Level:

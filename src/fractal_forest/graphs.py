@@ -176,36 +176,48 @@ def build_hanoi(n: int, include_loops: bool = False) -> LabelledGraph:
 # -- triangular-lattice gaskets ----------------------------------------------
 
 
-def _gasket_cells(n: int):
-    """Upward unit cells (r, c) of the gasket with side 2^(n-1).
-
-    A cell (r, c) stands for the small triangle with corners (r, c),
-    (r+1, c), (r+1, c+1).  Level 1 is the single cell; each further level
-    glues three translated copies (top, bottom-left, bottom-right).
-    """
-    cells = [(0, 0)]
-    side = 1
-    for _ in range(n - 1):
-        cells = (
-            cells
-            + [(r + side, c) for r, c in cells]
-            + [(r + side, c + side) for r, c in cells]
-        )
-        side *= 2
-    return cells, side
-
-
 def build_sierpinski(n: int, labelling: str) -> LabelledGraph:
     """Gasket graph at level n under one of the three labellings."""
     if n < 1:
         raise ValueError("level must be >= 1")
     if labelling == "rotational":
-        return _build_rotational(n)
+        return _glue("sierpinski-rotational", n, _ROT_LEVEL1, 2, _TRANSLATE)
     if labelling == "directional":
-        return _build_directional(n)
+        # a translation keeps the direction of an edge, hence its label
+        return _glue("sierpinski-directional", n, _UNIT_TRIANGLE, 1, _TRANSLATE)
     if labelling == "schreier":
         return _build_schreier(n)
     raise ValueError(f"unknown labelling {labelling!r}")
+
+
+def _corners(side: int) -> dict:
+    return {"top": (0, 0), "left": (side, 0), "right": (side, side)}
+
+
+# where the three copies of a gasket of side s go in the gasket of side 2s:
+# the top, bottom-left and bottom-right copy, in that order
+_TRANSLATE = (
+    lambda r, c, s: (r, c),
+    lambda r, c, s: (r + s, c),
+    lambda r, c, s: (r + s, c + s),
+)
+# the same copies, each reflected in the bisectrix of its corner
+_REFLECT = (
+    lambda r, c, s: (r, r - c),
+    lambda r, c, s: (2 * s - c, s - r),
+    lambda r, c, s: (2 * s - r + c, s + c),
+)
+
+
+def _glue(family, n, level1, side, placements) -> LabelledGraph:
+    """The level-n gasket from its level-1 edges on a triangle of the given
+    side: each further level replaces every edge by its images in the
+    three copies, keeping its label.  Copies share corners, not edges."""
+    edges = level1
+    for _ in range(n - 1):
+        edges = [(f(*p, side), f(*q, side), lab) for f in placements for p, q, lab in edges]
+        side *= 2
+    return _make_graph(family, n, edges, _corners(side))
 
 
 # level-1 rotational cell: hexagonal boundary alternating a, b from the
@@ -223,75 +235,27 @@ _ROT_LEVEL1 = (
 )
 
 
-def _build_rotational(n: int) -> LabelledGraph:
-    edges = set(_ROT_LEVEL1)
-    side = 2
-    for _ in range(n - 1):
-        out = set()
-        for (r1, c1), (r2, c2), lab in edges:
-            out.add(((r1, c1), (r2, c2), lab))
-            out.add(((r1 + side, c1), (r2 + side, c2), lab))
-            out.add(((r1 + side, c1 + side), (r2 + side, c2 + side), lab))
-        edges = out
-        side *= 2
-    corners = {"top": (0, 0), "left": (side, 0), "right": (side, side)}
-    return _make_graph("sierpinski-rotational", n, sorted(edges), corners)
-
-
-def _direction_label(p, q) -> str:
-    """a = pointing up, b = horizontal, c = pointing down (left to right)."""
-    (r1, c1), (r2, c2) = sorted((p, q))
-    if r1 == r2:
-        return "b"
-    return "a" if c2 == c1 else "c"
-
-
-def _build_directional(n: int) -> LabelledGraph:
-    cells, side = _gasket_cells(n)
-    named = []
-    for r, c in cells:
-        lo, ll, lr = (r, c), (r + 1, c), (r + 1, c + 1)
-        for p, q in ((ll, lo), (ll, lr), (lo, lr)):
-            named.append((min(p, q), max(p, q), _direction_label(p, q)))
-    corners = {"top": (0, 0), "left": (side, 0), "right": (side, side)}
-    return _make_graph("sierpinski-directional", n, named, corners)
+# the labelled unit triangle of the directional and schreier gaskets:
+# a points up, b is horizontal, c points down
+_UNIT_TRIANGLE = (((1, 0), (0, 0), "a"), ((1, 0), (1, 1), "b"), ((0, 0), (1, 1), "c"))
 
 
 # -- gasket coordinates of hanoi words and the contraction ---------------------
 
 
-def _reflect_top(r, c, s):
-    return (r, r - c)
-
-
-def _reflect_left(r, c, s):
-    return (s - c, s - r)
-
-
-def _reflect_right(r, c, s):
-    return (s - r + c, c)
-
-
 def hanoi_word_coordinates(n: int) -> dict:
     """Gasket coordinate of each length-n word (side 2^(n-1)).
 
-    Each copy of the level-n graph inside level n+1 is reflected with
-    respect to the bisectrix of its corner; the two endpoints of every
-    contracted edge land on the same lattice point.
+    Words ending in 1, 0, 2 go to the top, left and right copy of the
+    level below, reflected with respect to the bisectrix of their corner;
+    the two endpoints of every contracted edge land on the same lattice
+    point.
     """
     coords = {"0": (1, 0), "1": (0, 0), "2": (1, 1)}
-    side = 1
-    for _ in range(n - 1):
-        nxt = {}
-        for w, (r, c) in coords.items():
-            rt, ct = _reflect_top(r, c, side)
-            nxt[w + "1"] = (rt, ct)
-            rl, cl = _reflect_left(r, c, side)
-            nxt[w + "0"] = (rl + side, cl)
-            rr, cr = _reflect_right(r, c, side)
-            nxt[w + "2"] = (rr + side, cr + side)
-        coords = nxt
-        side *= 2
+    for k in range(n - 1):
+        coords = {
+            w + x: f(*p, 2**k) for w, p in coords.items() for x, f in zip("102", _REFLECT)
+        }
     return coords
 
 
@@ -305,9 +269,7 @@ def _build_schreier(n: int) -> LabelledGraph:
         if cu == cv:
             continue  # a contracted edge between two elementary triangles
         named.append((min(cu, cv), max(cu, cv), e.label))
-    side = 2 ** (n - 1)
-    corners = {"top": (0, 0), "left": (side, 0), "right": (side, side)}
-    return _make_graph("sierpinski-schreier", n, named, corners)
+    return _make_graph("sierpinski-schreier", n, named, _corners(2 ** (n - 1)))
 
 
 def schreier_gasket_by_reflection(n: int) -> LabelledGraph:
@@ -317,25 +279,7 @@ def schreier_gasket_by_reflection(n: int) -> LabelledGraph:
         raise ValueError("level must be >= 1")
     if n > 4:
         raise ValueError("reflection oracle is for small levels only")
-    edges = {((1, 0), (0, 0), "a"), ((1, 0), (1, 1), "b"), ((0, 0), (1, 1), "c")}
-    side = 1
-    for _ in range(n - 1):
-        out = set()
-        for p, q, lab in edges:
-            for reflect, dr, dc in (
-                (_reflect_top, 0, 0),
-                (_reflect_left, side, 0),
-                (_reflect_right, side, side),
-            ):
-                rp = reflect(*p, side)
-                rq = reflect(*q, side)
-                np_ = (rp[0] + dr, rp[1] + dc)
-                nq = (rq[0] + dr, rq[1] + dc)
-                out.add((min(np_, nq), max(np_, nq), lab))
-        edges = out
-        side *= 2
-    corners = {"top": (0, 0), "left": (side, 0), "right": (side, side)}
-    return _make_graph("sierpinski-schreier", n, sorted(edges), corners)
+    return _glue("sierpinski-schreier", n, _UNIT_TRIANGLE, 1, _REFLECT)
 
 
 # -- census and export ---------------------------------------------------------

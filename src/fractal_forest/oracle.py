@@ -11,7 +11,6 @@ Desk scale only; graphs beyond 30 edges are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import TriPoly, Weights
 from .errors import CapabilityError
@@ -109,7 +108,3 @@ def count_trees(g: LabelledGraph) -> int:
     value = enumerate_gf(g, ForestSpec("tree")).evaluate(Weights.ones())
     assert value.denominator == 1
     return int(value)
-
-
-def forest_gf_value(g: LabelledGraph, spec: ForestSpec, w: Weights) -> Fraction:
-    return enumerate_gf(g, spec).evaluate(w)

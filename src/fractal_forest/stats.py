@@ -9,8 +9,10 @@ for T = C * prod b_i^(e_i),
     (log T)'' = sum_i e_i * (b_i''(1) b_i(1) - b_i'(1)^2) / b_i(1)^2
     variance = (log T)'' + mean.
 
-The same quantities exist in closed form for the rotational model; both
-routes are exposed and must agree exactly.  The normalized count is
+The other models have no factored closed form here; their symbolic T
+(level 3 at most) is taken as a single factor.  The same quantities
+exist in closed form for the rotational model; both routes are exposed
+and must agree exactly.  The normalized count of the rotational model is
 asymptotically standard normal; its moment generating function is
 evaluated in log space (exponents grow like 3^n) and compared against
 exp(t^2/2) on a fixed grid.
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .algebra import LOG_DPS, FactoredPoly, TriPoly, Weights
+from .algebra import LOG_DPS, FactoredPoly, Weights
 from .families import lookup
 
 
@@ -35,29 +37,18 @@ class LabelStat:
     variance: Fraction
 
 
-def _ones():
-    return Weights.ones()
-
-
-def _log_derivs(T, label: str):
+def _log_derivs(T: FactoredPoly, label: str):
     """(first, second) derivative of log T along one label, at all-ones."""
-    w = _ones()
-    if isinstance(T, FactoredPoly):
-        first = Fraction(0)
-        second = Fraction(0)
-        for base, exp in T.factors:
-            v = base.evaluate(w)
-            d1 = base.derivative(label).evaluate(w)
-            d2 = base.derivative(label).derivative(label).evaluate(w)
-            first += exp * d1 / v
-            second += exp * (d2 * v - d1 * d1) / (v * v)
-        return first, second
-    if isinstance(T, TriPoly):
-        v = T.evaluate(w)
-        d1 = T.derivative(label).evaluate(w)
-        d2 = T.derivative(label).derivative(label).evaluate(w)
-        return d1 / v, (d2 * v - d1 * d1) / (v * v)
-    raise TypeError("expected a TriPoly or FactoredPoly")
+    w = Weights.ones()
+    first = Fraction(0)
+    second = Fraction(0)
+    for base, exp in T.factors:
+        v = base.evaluate(w)
+        d1 = base.derivative(label).evaluate(w)
+        d2 = base.derivative(label).derivative(label).evaluate(w)
+        first += exp * d1 / v
+        second += exp * (d2 * v - d1 * d1) / (v * v)
+    return first, second
 
 
 def label_mean_gf(model: str, n: int, label: str) -> Fraction:

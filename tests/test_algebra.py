@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from fractal_forest.algebra import (
     poly_equal_by_sampling,
     poly_eval,
     poly_log_eval,
+    positive_weights,
 )
 from fractal_forest.errors import CapabilityError
 from fractal_forest.sierpinski import rot_closed
@@ -67,6 +69,16 @@ def test_sampling_equality():
     assert poly_equal_by_sampling(p, p, trials=5)
     assert poly_equal_by_sampling(p, q, trials=20)
     assert not poly_equal_by_sampling(p, r, trials=20)
+
+
+def test_positive_weights_draw_sequence_pinned():
+    # verify and the sampling identity test replay these draws by seed
+    rng = random.Random(1729)
+    assert positive_weights(rng) == Weights.of(14, Fraction(53, 65), Fraction(59, 22))
+    draws = " ".join(str(positive_weights(rng)) for _ in range(1999))
+    assert hashlib.sha256(f"(14,53/65,59/22) {draws}".encode()).hexdigest() == (
+        "eaec7e30a5586aac245410e256c786008a3ac317d12c7897e8ed527260f2cc40"
+    )
 
 
 def test_ring_axioms_on_random_polys():

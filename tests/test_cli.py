@@ -5,6 +5,7 @@ import pytest
 
 from fractal_forest import cli
 from fractal_forest import kirchhoff
+from fractal_forest import stats
 from fractal_forest.errors import DecimationSingularError
 
 
@@ -210,6 +211,7 @@ def test_level_caps_checked_before_any_work(capsys, monkeypatch):
         ["verify", "--family", "sierpinski-rot", "--levels", "13..13", "--trials", "1"]
     ) == 3
     assert cli.main(["gf", "--family", "hanoi", "--level", "13", "--method", "schur"]) == 3
+    assert cli.main(["generate", "--family", "hanoi", "--level", "13"]) == 3
 
 
 def test_verify_with_corrupted_map_term_fails(capsys, monkeypatch):
@@ -249,6 +251,29 @@ def test_stats_command(capsys):
         capsys, "stats", "--level", "4", "--label", "c", "--normality"
     )
     assert code == 0 and float(data["normality_gap"]) > 0
+
+
+def test_normality_gap_is_rotational_only(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a statistic was computed")
+
+    monkeypatch.setattr(stats, "label_mean_gf", refuse)
+    for model in ("hanoi", "sierpinski-dir", "sierpinski-schreier"):
+        argv = ["stats", "--model", model, "--level", "2", "--label", "a", "--normality"]
+        assert cli.main(argv) == 2
+    assert "normality gap does not apply" in capsys.readouterr().err
+
+
+def test_gf_past_the_int_string_digit_limit(capsys):
+    # the hanoi level-8 tree count at these weights has more than 4300 digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, data = run_json(
+        capsys, "gf", "--family", "hanoi", "--level", "8", "--weights", "1/3", "2/7", "5",
+        "--method", "all",
+    )
+    assert code == 0 and data["agreement"] is True
+    assert len(data["value"]) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_decimation_singular_exit_code(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -167,6 +168,66 @@ def test_schreier_contraction_matches_reflection_recursion():
         by_reflection = schreier_gasket_by_reflection(n)
         assert by_contraction.vertices == by_reflection.vertices
         assert edge_set(by_contraction) == edge_set(by_reflection)
+
+
+def graph_digest(g):
+    edges = tuple((e.u, e.v, e.label, e.is_loop) for e in g.edges)
+    return hashlib.sha256(repr((g.vertices, edges, sorted(g.corners.items()))).encode()).hexdigest()
+
+
+# sha256 of (vertices, edges, corners) at levels 1, 2, ...: a change of
+# vertex order, edge order, label or corner shows here
+GRAPH_DIGESTS = {
+    "rotational": (
+        "baf4bffd90a80668506de939b2c98ff5236031da82fdb99c4be0443030be3438",
+        "a68d9301b4b16ad8b1a2f62042a0d0486dde0cdb220edb6e56e2a5af9d1b2bb6",
+        "2ab548641c8c731ae27df9104c4ce8e77627b84032271cf03f413327b2ef02f7",
+        "44bd04fc6e7b3eb3a95db432e0c7a3bcb4266417fff194b6e4f638fdac6a79b6",
+        "ded825f38261bfdd2637aa98aa46aa219e423549c4bbded8ce4f1aeaffb819bc",
+        "a733025f42faae8c3e0efaa3737359832256f55041e89e18e403592d878fea1c",
+    ),
+    "directional": (
+        "abc541b197d95f5d6760a0a9aa4f1aa2808b0533732eaca7968197a13f4a45a0",
+        "d431b2e36248359b7a3400d6d8114ab31ad7b9bd118be9263b80551b653b70d3",
+        "f6140aaf2660eebdf530c4db79faa4477eaaa139bfdc754d97e89a2014d81c38",
+        "01e769e80a679b7992c26438cddbe8e1326ab2387c6feac9a3a5b8aed9069a33",
+        "8db76cad3340ea1279a2264ac0ac45b9f6f80386652c6b0f9bea44c65037d4d5",
+        "1fe6ae4f5a8bdbfc40ab592b95c0208fb3b54bbcfcc77f7711a1781ccfeec895",
+    ),
+    "schreier": (
+        "abc541b197d95f5d6760a0a9aa4f1aa2808b0533732eaca7968197a13f4a45a0",
+        "40f60178f2164a369d7e594ce946de9f01d2383b8a231ba92047f28cef440a43",
+        "dc7235cff625c83f7eeac274ca5bfcca2ff89d391d1a6c8590e462e6974fb3da",
+        "93f7fbe2edbdfc54be7b02bfadf60ccc0bdfd2f9215fa3276080a51b7eb69392",
+        "0923b2ce8a0ba71f7c2dff2dd070515eff5ee424eb98ad75054d6fc13212ab8d",
+        "687f26b12a6d13de29570ddc090de5c8e42b54023b06d806089b388421534885",
+    ),
+}
+REFLECTION_DIGESTS = (
+    "abc541b197d95f5d6760a0a9aa4f1aa2808b0533732eaca7968197a13f4a45a0",
+    "40f60178f2164a369d7e594ce946de9f01d2383b8a231ba92047f28cef440a43",
+    "dc7235cff625c83f7eeac274ca5bfcca2ff89d391d1a6c8590e462e6974fb3da",
+    "93f7fbe2edbdfc54be7b02bfadf60ccc0bdfd2f9215fa3276080a51b7eb69392",
+)
+WORD_COORDINATE_DIGESTS = (
+    "e0c762a939a925f0cca8f82906a2af155dd18d72010161ecec5874a82bd405d0",
+    "709a77dc8ada74199b593defe4315adcec8817261d30803c86725adae641a382",
+    "07462e4f8bfcb3e7ad3784c21375d009138f30527afcf4d1ed6621fb6171d252",
+    "030f15ae4216b5eed0f95cf6e0682d42c454d105ec92603b40337e89c6604c98",
+    "2670286973742e764c54f2cfcd85e9f7a3101665acb4578dbaf39a2d5afea1ee",
+    "d7e3ef9fb94dfa0bb186804f8b89e86961014e97b21fcc0bb604e8c9f5a86737",
+)
+
+
+def test_graphs_identical_to_pinned_digests():
+    for labelling, digests in GRAPH_DIGESTS.items():
+        for n, digest in enumerate(digests, start=1):
+            assert graph_digest(build_sierpinski(n, labelling)) == digest, (labelling, n)
+    for n, digest in enumerate(REFLECTION_DIGESTS, start=1):
+        assert graph_digest(schreier_gasket_by_reflection(n)) == digest, n
+    for n, digest in enumerate(WORD_COORDINATE_DIGESTS, start=1):
+        coords = repr(sorted(hanoi_word_coordinates(n).items()))
+        assert hashlib.sha256(coords.encode()).hexdigest() == digest, n
 
 
 def test_word_coordinates_collapse_exactly_the_bridges():
