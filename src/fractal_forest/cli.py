@@ -26,7 +26,7 @@ from .families import FAMILIES, ONES, ROTATIONAL, Level, lookup, run_checks
 from .graphs import export_dot, graph_census
 from .kirchhoff import schur_pipeline, tree_gf_cofactor
 from .oracle import EDGE_CAP, ForestSpec, enumerate_gf
-from .sierpinski import check_level
+from .sierpinski import EVALUATED_LEVEL_CAP, check_level
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -78,7 +78,8 @@ def _parse_levels(text: str):
 def run_generate(args) -> tuple[int, str]:
     family = lookup(args.family)
     n = _level(args.level)
-    check_level(n, ONES)  # a level-n graph has up to 3^n vertices
+    if n > EVALUATED_LEVEL_CAP:  # a level-n graph has up to 3^n vertices
+        raise CapabilityError(f"graphs are capped at level {EVALUATED_LEVEL_CAP}")
     g = family.graph(n, args.loops)
     if args.format == "dot":
         return EXIT_OK, export_dot(g)
@@ -117,6 +118,9 @@ def _gf_methods(family, n: int, w: Weights, requested: str):
             if not run_all:
                 raise CapabilityError(f"oracle capped at {EDGE_CAP} edges")
             skipped[name] = f"oracle skipped at {family.edges(n)} edges"
+        elif name == "schur" and n < 3 and run_all:
+            # below level 3 the decimation is the cofactor route again
+            skipped[name] = "no decimation step below level 3"
         else:
             methods.append(name)
     return methods, skipped
@@ -167,6 +171,8 @@ def run_gf(args) -> tuple[int, str]:
         elif name == "oracle":
             values[name] = enumerate_gf(level.graph, ForestSpec("tree")).evaluate(w)
         elif name == "schur":
+            if n < 3:
+                fallbacks.append("no decimation step below level 3; used cofactor")
             try:
                 value, orbit = schur_pipeline(n, w)
             except DecimationSingularError as exc:

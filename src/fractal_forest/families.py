@@ -15,7 +15,6 @@ traced module function takes effect here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from typing import Callable
@@ -174,17 +173,11 @@ def _oracle(lv, w):
     return oracle.enumerate_gf(lv.graph, oracle.ForestSpec("tree")).evaluate(w)
 
 
-def _random_state(rng):
-    return kirchhoff.SchurState.of(
-        [Fraction(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(9)]
-    )
-
-
 def _schur_map_guards(levels, trials, rng):
     """Map-level guards of the decimation, independent of the level range."""
     done = 0
     while done < trials:
-        state = _random_state(rng)
+        state = kirchhoff.SchurState.random(rng)
         if kirchhoff.schur_denominator(state) == 0:
             continue
         div = kirchhoff.schur_map_divergence(state)
@@ -192,7 +185,7 @@ def _schur_map_guards(levels, trials, rng):
         done += 1
     if max(levels) >= 3:
         for _ in range(2):
-            state = _random_state(rng)
+            state = kirchhoff.SchurState.random(rng)
             d = kirchhoff.schur_denominator(state)
             if d == 0:
                 continue

@@ -24,7 +24,7 @@ from .sierpinski import (
 
 
 def hanoi_initial(w: Weights | None = None) -> FiveBundle:
-    return _five_initial("hanoi", w)
+    return _five_initial(w)
 
 
 def hanoi_step(bundle: FiveBundle) -> FiveBundle:
@@ -70,9 +70,7 @@ def hanoi_step(bundle: FiveBundle) -> FiveBundle:
             + c * L**2 * (a + b)
         )
     )
-    return FiveBundle(
-        bundle.level + 1, "hanoi", new_T, new_U, new_R, new_L, new_Q, bundle.weights
-    )
+    return FiveBundle(bundle.level + 1, new_T, new_U, new_R, new_L, new_Q, bundle.weights)
 
 
 def hanoi_bundle(n: int, w: Weights | None = None) -> FiveBundle:

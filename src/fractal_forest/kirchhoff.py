@@ -12,8 +12,8 @@ for one round of block elimination of the masked Laplacian, whose
 determinant picks up the factor D(state)^(3^(k-2)) in the process.
 
 The map is given in closed form by the term tables below.
-``schur_map_rederived`` recomputes the same map from scratch by explicit
-block elimination of the two-level expansion; the two routes must agree
+``schur_map_rederived`` recomputes the same map from scratch by eliminating
+the six non-corner words of the level-2 network; the two routes must agree
 exactly on random states, and the determinant identity
 ``det L_k(s) = D(s)^(3^(k-2)) det L_(k-1)(P(s))`` is the final arbiter for
 both.  Beware that the initial state satisfies x1=x4, x2=x5, x3=x6 and
@@ -24,13 +24,13 @@ the guards run on fully generic states.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
-from .algebra import Weights
+from .algebra import SAMPLE_BOUND, Weights
 from .errors import DecimationSingularError
-from .graphs import LabelledGraph, build_hanoi
+from .graphs import LABELS, LabelledGraph, build_hanoi
 
 # -- exact dense matrices ------------------------------------------------------
 
@@ -140,8 +140,7 @@ def tree_gf_cofactor(g: LabelledGraph, w: Weights, index: int = 0) -> Fraction:
 # -- the decimation state and the closed-form rational map ---------------------
 
 
-@dataclass(frozen=True)
-class SchurState:
+class SchurState(NamedTuple):
     x1: Fraction
     x2: Fraction
     x3: Fraction
@@ -161,18 +160,15 @@ class SchurState:
     def of(cls, values) -> "SchurState":
         return cls(*(Fraction(v) for v in values))
 
+    @classmethod
+    def random(cls, rng) -> "SchurState":
+        """A generic state: each coordinate a numerator over a denominator
+        drawn from 1..SAMPLE_BOUND."""
+        bound = SAMPLE_BOUND
+        return cls(*(Fraction(rng.randint(1, bound), rng.randint(1, bound)) for _ in range(9)))
+
     def as_tuple(self):
-        return (
-            self.x1,
-            self.x2,
-            self.x3,
-            self.x4,
-            self.x5,
-            self.x6,
-            self.x7,
-            self.x8,
-            self.x9,
-        )
+        return tuple(self)
 
 
 _TERM_RE = re.compile(r"x(\d)(?:\^(\d+))?")
@@ -375,100 +371,75 @@ def _eval_terms(terms, xs) -> Fraction:
 
 
 def schur_denominator(s: SchurState) -> Fraction:
-    return _eval_terms(D_TERMS, s.as_tuple())
+    return _eval_terms(D_TERMS, s)
 
 
 def schur_map(s: SchurState) -> SchurState:
     """One decimation step; fixes x1..x3, maps the other six rationally."""
-    xs = s.as_tuple()
-    d = _eval_terms(D_TERMS, xs)
+    d = _eval_terms(D_TERMS, s)
     if d == 0:
         raise DecimationSingularError("decimation denominator vanished")
-    heads = {4: 0, 5: 0, 6: 0, 7: xs[6], 8: xs[7], 9: xs[8]}
-    new = [heads[i] + _eval_terms(P_TERMS[i], xs) / d for i in range(4, 10)]
-    return SchurState(xs[0], xs[1], xs[2], *new)
+    heads = {4: 0, 5: 0, 6: 0, 7: s.x7, 8: s.x8, 9: s.x9}
+    new = [heads[i] + _eval_terms(P_TERMS[i], s) / d for i in range(4, 10)]
+    return SchurState(s.x1, s.x2, s.x3, *new)
 
 
-# -- independent rederivation of the map ---------------------------------------
-
-# Expanding the masked matrix two block-levels deep and moving the three
-# structured blocks last (swapping block positions 1<->7 and 5<->8) leaves a
-# 6x6 scalar system to eliminate.  Row/column order below is the block
-# order [7, 2, 3, 4, 8, 6] of that expansion.
+# -- the decimation network and the independent rederivation of the map --------
 
 
-def _elimination_block(xs):
-    x1, x2, x3, x4, x5, x6, x7, x8, x9 = xs
-    zero = Fraction(0)
-    return [
-        [x9, zero, zero, -x6, -x1, zero],
-        [zero, x7, -x3, zero, -x5, zero],
-        [zero, -x3, x7, zero, zero, -x4],
-        [-x6, zero, zero, x8, zero, -x2],
-        [-x1, -x5, zero, zero, x9, zero],
-        [zero, zero, -x4, -x2, zero, x8],
-    ]
+def _state_network(k: int, s: SchurState, loops: bool):
+    """Rows of the level-k hanoi graph weighted by a decimation state.
+
+    An edge inside a first-letter block weighs x1..x3 by its label, an
+    edge between two blocks x4..x6; the diagonal holds x7..x9 by block,
+    less the weight of any loop.
+    """
+    g = build_hanoi(k, include_loops=loops)
+    block = [int(word[0]) for word in g.vertices]
+    rows = [[Fraction(0)] * len(block) for _ in block]
+    for i, b in enumerate(block):
+        rows[i][i] = s[6 + b]
+    for e in g.edges:
+        label = LABELS.index(e.label)
+        if e.is_loop:
+            rows[e.u][e.u] -= s[label]
+        else:
+            weight = s[label if block[e.u] == block[e.v] else 3 + label]
+            rows[e.u][e.v] = rows[e.v][e.u] = -weight
+    return rows
 
 
-def _coupling_vectors(xs):
-    x1, x2, x3, x4, x5, x6, x7, x8, x9 = xs
-    zero = Fraction(0)
-    # columns reaching the retained blocks 1, 5, 9 of the expansion
-    v1 = [-x5, zero, zero, -x4, zero, zero]
-    v5 = [zero, -x4, zero, zero, -x6, zero]
-    v9 = [zero, zero, -x5, zero, zero, -x6]
-    return v1, v5, v9
+# a decimation step keeps the level-2 corners 00, 11, 22 (indices 0, 4, 8)
+# and eliminates the six other words
+_INNER = (1, 2, 3, 5, 6, 7)
 
 
-def _solve_linear(matrix, vectors):
-    """Gaussian elimination over Fractions for several right-hand sides."""
-    n = len(matrix)
-    aug = [list(row) + [vec[i] for vec in vectors] for i, row in enumerate(matrix)]
-    width = n + len(vectors)
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if aug[r][col] != 0), None
-        )
-        if pivot_row is None:
-            raise DecimationSingularError("elimination block is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(n):
-            if r == col or aug[r][col] == 0:
-                continue
-            factor = aug[r][col] / pivot
-            for j in range(col, width):
-                aug[r][j] -= factor * aug[col][j]
-    return [
-        [aug[i][n + k] / aug[i][i] for i in range(n)] for k in range(len(vectors))
-    ]
+def _det(rows, keep_rows, keep_cols) -> Fraction:
+    return RationalMatrix([[rows[i][j] for j in keep_cols] for i in keep_rows]).det()
 
 
 def schur_map_rederived(s: SchurState) -> SchurState:
-    """Recompute one decimation step by explicit block elimination."""
-    xs = s.as_tuple()
-    block = _elimination_block(xs)
-    v1, v5, v9 = _coupling_vectors(xs)
-    y1, y5, y9 = _solve_linear(block, [v1, v5, v9])
+    """Recompute one decimation step by eliminating the six non-corner
+    words of the level-2 network; each new coordinate is an entry of the
+    Schur complement on the corners."""
+    rows = _state_network(2, s, loops=False)
+    inner = _det(rows, _INNER, _INNER)
+    if inner == 0:
+        raise DecimationSingularError("elimination block is singular")
 
-    def corr(v, y):
-        return sum(a * b for a, b in zip(v, y))
+    def entry(p, q):
+        # a bordered determinant over the inner one is a Schur-complement entry
+        return _det(rows, _INNER + (p,), _INNER + (q,)) / inner
 
     return SchurState(
-        xs[0],
-        xs[1],
-        xs[2],
-        corr(v1, y5),
-        corr(v1, y9),
-        corr(v5, y9),
-        xs[6] - corr(v1, y1),
-        xs[7] - corr(v5, y5),
-        xs[8] - corr(v9, y9),
+        s.x1, s.x2, s.x3,
+        -entry(0, 4), -entry(0, 8), -entry(4, 8),
+        entry(0, 0), entry(4, 4), entry(8, 8),
     )
 
 
 def schur_denominator_rederived(s: SchurState) -> Fraction:
-    return RationalMatrix(_elimination_block(s.as_tuple())).det()
+    return _det(_state_network(2, s, loops=False), _INNER, _INNER)
 
 
 def schur_map_divergence(s: SchurState) -> dict:
@@ -483,49 +454,25 @@ def schur_map_divergence(s: SchurState) -> dict:
     d_red = schur_denominator_rederived(s)
     if d_table != d_red:
         out["D"] = (str(d_table), str(d_red))
-    a = schur_map(s).as_tuple()
-    b = schur_map_rederived(s).as_tuple()
+    a = schur_map(s)
+    b = schur_map_rederived(s)
     for i, (x, y) in enumerate(zip(a, b), start=1):
         if x != y:
             out[f"x{i}"] = (str(x), str(y))
     return out
 
 
-# -- recursive generator matrices and the masked matrices ----------------------
+# -- generator matrices and the masked matrices --------------------------------
 
 
 def generator_matrices(k: int, w: Weights):
     """Dense action matrices of the three generators on level k (3^k each)."""
-    if k < 1:
-        raise ValueError("level must be >= 1")
-    zero = Fraction(0)
-    a, b, c = w.a, w.b, w.c
-    A = [[zero, a, zero], [a, zero, zero], [zero, zero, a]]
-    B = [[zero, zero, b], [zero, b, zero], [b, zero, zero]]
-    C = [[c, zero, zero], [zero, zero, c], [zero, c, zero]]
-    size = 3
-    for _ in range(k - 1):
-        n2 = size * 3
-        nA = [[zero] * n2 for _ in range(n2)]
-        nB = [[zero] * n2 for _ in range(n2)]
-        nC = [[zero] * n2 for _ in range(n2)]
-        for i in range(size):
-            # a swaps the 0* and 1* blocks and recurses on 2*
-            nA[i][size + i] = a
-            nA[size + i][i] = a
-            # b swaps 0* and 2*, recurses on 1*
-            nB[i][2 * size + i] = b
-            nB[2 * size + i][i] = b
-            # c swaps 1* and 2*, recurses on 0*
-            nC[size + i][2 * size + i] = c
-            nC[2 * size + i][size + i] = c
-            for j in range(size):
-                nA[2 * size + i][2 * size + j] = A[i][j]
-                nB[size + i][size + j] = B[i][j]
-                nC[i][j] = C[i][j]
-        A, B, C = nA, nB, nC
-        size = n2
-    return A, B, C
+    g = build_hanoi(k, include_loops=True)
+    n = len(g.vertices)
+    mats = {label: [[Fraction(0)] * n for _ in range(n)] for label in LABELS}
+    for e in g.edges:
+        mats[e.label][e.u][e.v] = mats[e.label][e.v][e.u] = w[e.label]
+    return tuple(mats[label] for label in LABELS)
 
 
 def lambda_matrix(k: int, s: SchurState) -> RationalMatrix:
@@ -536,27 +483,11 @@ def lambda_matrix(k: int, s: SchurState) -> RationalMatrix:
     """
     if k < 2:
         raise ValueError("the masked matrix is defined for level >= 2")
-    m = 3 ** (k - 1)
-    A, B, C = generator_matrices(k - 1, Weights(s.x1, s.x2, s.x3))
-    corner = s.x1 + s.x2 + s.x3
-    out = RationalMatrix.zeros(3 * m)
-    rows = out.rows
-    for i in range(m):
-        for j in range(m):
-            if C[i][j]:
-                rows[i][j] -= C[i][j]
-            if B[i][j]:
-                rows[m + i][m + j] -= B[i][j]
-            if A[i][j]:
-                rows[2 * m + i][2 * m + j] -= A[i][j]
-        rows[i][i] += corner if i == 0 else s.x7
-        rows[m + i][m + i] += s.x8
-        rows[2 * m + i][2 * m + i] += s.x9
-        if i != 0:
-            rows[i][m + i] = rows[m + i][i] = -s.x4
-            rows[i][2 * m + i] = rows[2 * m + i][i] = -s.x5
-        rows[m + i][2 * m + i] = rows[2 * m + i][m + i] = -s.x6
-    return out
+    rows = _state_network(k, s, loops=True)
+    for i in range(len(rows)):
+        rows[0][i] = rows[i][0] = Fraction(0)
+    rows[0][0] = s.x1 + s.x2
+    return RationalMatrix(rows)
 
 
 # -- the full pipeline ----------------------------------------------------------

@@ -42,7 +42,6 @@ class RotBundle:
 @dataclass(frozen=True)
 class FiveBundle:
     level: int
-    model: str  # directional | schreier | hanoi
     T: object
     U: object
     R: object
@@ -245,18 +244,18 @@ def psi_poly(k: int) -> TriPoly:
 # -- directional and schreier recursions -------------------------------------
 
 
-def _five_initial(model: str, w: Weights | None) -> FiveBundle:
+def _five_initial(w: Weights | None) -> FiveBundle:
     a, b, c = _abc(w)
     one = Fraction(1) if w is not None else TriPoly.const(1)
-    return FiveBundle(1, model, a * b + a * c + b * c, b, a, c, one, w)
+    return FiveBundle(1, a * b + a * c + b * c, b, a, c, one, w)
 
 
 def dir_initial(w: Weights | None = None) -> FiveBundle:
-    return _five_initial("directional", w)
+    return _five_initial(w)
 
 
 def schreier_initial(w: Weights | None = None) -> FiveBundle:
-    return _five_initial("schreier", w)
+    return _five_initial(w)
 
 
 def dir_step(bundle: FiveBundle) -> FiveBundle:
@@ -264,7 +263,6 @@ def dir_step(bundle: FiveBundle) -> FiveBundle:
     T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
     return FiveBundle(
         bundle.level + 1,
-        bundle.model,
         2 * T**2 * (U + R + L),
         T * U * (2 * R + 2 * L + 3 * U) + T**2 * Q,
         T * R * (2 * L + 2 * U + 3 * R) + T**2 * Q,
@@ -281,7 +279,6 @@ def schreier_step(bundle: FiveBundle) -> FiveBundle:
     T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
     return FiveBundle(
         bundle.level + 1,
-        bundle.model,
         2 * T**2 * (U + R + L),
         T * (3 * L * R + U * R + U * L + 2 * U**2) + T**2 * Q,
         T * (3 * U * L + U * R + R * L + 2 * R**2) + T**2 * Q,
@@ -380,7 +377,7 @@ def _closed_five(model: str, n: int, w: Weights | None) -> FiveBundle:
         x, y, z = iterates[n - 1]
         U, R, L = times(shared, y), times(shared, x), times(shared, z)
         Q = times(power_product(laws["Q2"](n), laws["Qexp"], n - 2), laws["tail"](*iterates[n - 2]))
-    return FiveBundle(n, model, T, U, R, L, Q, w)
+    return FiveBundle(n, T, U, R, L, Q, w)
 
 
 def dir_closed(n: int) -> FiveBundle:

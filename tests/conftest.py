@@ -1,7 +1,4 @@
 import random
-from fractions import Fraction
-
-import pytest
 
 from fractal_forest.algebra import positive_weights
 from fractal_forest.kirchhoff import SchurState, schur_denominator
@@ -17,14 +14,7 @@ def random_states(seed: int, count: int):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        s = SchurState.of(
-            [Fraction(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(9)]
-        )
+        s = SchurState.random(rng)
         if schur_denominator(s) != 0:
             out.append(s)
     return out
-
-
-@pytest.fixture
-def rng():
-    return random.Random(20250809)

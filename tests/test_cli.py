@@ -180,6 +180,28 @@ def test_gf_all_skips_singular_decimation(capsys):
     assert data["fallbacks"] == []
 
 
+def test_gf_all_skips_decimation_below_level_3(capsys):
+    # below level 3 the schur route is the cofactor computed a second time
+    code, data = run_json(
+        capsys, "gf", "--family", "hanoi", "--level", "2",
+        "--weights", "1", "2", "3", "--method", "all",
+    )
+    assert code == 0
+    assert data["methods"] == {"recursion": "23353", "cofactor": "23353", "oracle": "23353"}
+    assert data["skipped"]["schur"] == "no decimation step below level 3"
+    assert "D_orbit" not in data
+
+
+def test_gf_schur_below_level_3_records_cofactor(capsys):
+    code, data = run_json(
+        capsys, "gf", "--family", "hanoi", "--level", "2",
+        "--weights", "1", "2", "3", "--method", "schur",
+    )
+    assert code == 0
+    assert data["methods"] == {"schur": "23353"}
+    assert data["fallbacks"] == ["no decimation step below level 3; used cofactor"]
+
+
 @pytest.mark.parametrize(
     "family, checks_run",
     [("hanoi", 30), ("sierpinski-rot", 16), ("sierpinski-dir", 14), ("sierpinski-schreier", 14)],
@@ -211,7 +233,9 @@ def test_level_caps_checked_before_any_work(capsys, monkeypatch):
         ["verify", "--family", "sierpinski-rot", "--levels", "13..13", "--trials", "1"]
     ) == 3
     assert cli.main(["gf", "--family", "hanoi", "--level", "13", "--method", "schur"]) == 3
+    capsys.readouterr()
     assert cli.main(["generate", "--family", "hanoi", "--level", "13"]) == 3
+    assert "graphs are capped at level 12" in capsys.readouterr().err
 
 
 def test_verify_with_corrupted_map_term_fails(capsys, monkeypatch):

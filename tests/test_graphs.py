@@ -209,6 +209,14 @@ REFLECTION_DIGESTS = (
     "dc7235cff625c83f7eeac274ca5bfcca2ff89d391d1a6c8590e462e6974fb3da",
     "93f7fbe2edbdfc54be7b02bfadf60ccc0bdfd2f9215fa3276080a51b7eb69392",
 )
+HANOI_WITH_LOOPS_DIGESTS = (
+    "6db65ea49163d105112a41bc3acf4142bff4545839f1427fa812bfb26c740730",
+    "593a16e50ec153af75d34e902260dd09622fe55d8bb096c10ac821a564266c88",
+    "9ecaba940e71e4271289b8d3c18f249557cc2525ed8447286d172d088f626bf8",
+    "430d25257f37584abf02466f0bbaa237b7daffeaa4e0836e008a8c3a1e8a6ae9",
+    "8236f897104c51fd792e9c8ee4c50dd78f668ed3dd55021e9549dc44a0215873",
+    "28c0953108b86599d2331f1d881b570a17034fe5a6be79ab08f523e432511b0b",
+)
 WORD_COORDINATE_DIGESTS = (
     "e0c762a939a925f0cca8f82906a2af155dd18d72010161ecec5874a82bd405d0",
     "709a77dc8ada74199b593defe4315adcec8817261d30803c86725adae641a382",
@@ -225,6 +233,9 @@ def test_graphs_identical_to_pinned_digests():
             assert graph_digest(build_sierpinski(n, labelling)) == digest, (labelling, n)
     for n, digest in enumerate(REFLECTION_DIGESTS, start=1):
         assert graph_digest(schreier_gasket_by_reflection(n)) == digest, n
+    # the source of the decimation's matrices
+    for n, digest in enumerate(HANOI_WITH_LOOPS_DIGESTS, start=1):
+        assert graph_digest(build_hanoi(n, include_loops=True)) == digest, n
     for n, digest in enumerate(WORD_COORDINATE_DIGESTS, start=1):
         coords = repr(sorted(hanoi_word_coordinates(n).items()))
         assert hashlib.sha256(coords.encode()).hexdigest() == digest, n

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,47 @@ def test_singular_denominator_raises():
     assert schur_denominator(s) == 0
     with pytest.raises(DecimationSingularError):
         schur_map(s)
+    assert schur_denominator_rederived(s) == 0
+    with pytest.raises(DecimationSingularError):
+        schur_map_rederived(s)
+
+
+def sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# sha256 of lambda_matrix(k, s).rows for k = 2, 3, 4 and of the rederived
+# map at two fixed generic states; the second has negative coordinates
+PINNED_STATES = (
+    (
+        (Fraction(3, 7), Fraction(5, 2), Fraction(11, 13), Fraction(2, 9), Fraction(17, 5),
+         Fraction(4, 3), Fraction(19, 6), Fraction(23, 8), Fraction(29, 10)),
+        (
+            "af9087ee96442d645d915bc8f5b56ab9cdbae50f4365a6b60dcb95d99ce8d122",
+            "47d4d2e0947b9c7818da099457422f15cf9913155503f0d2d9a41092defdaa68",
+            "8aa7f88dc5dc43df72ea39974b5e774fc3f14ac0f1517745432c811e2c163aea",
+        ),
+        "626c0c838b1a93258759e610e4c208d2cab47667b2e9b5855ee80df5ce1e6360",
+    ),
+    (
+        (2, Fraction(1, 3), 5, Fraction(-7, 4), Fraction(6, 11), Fraction(13, 2), 9,
+         Fraction(-1, 5), Fraction(31, 7)),
+        (
+            "d31a73a0011ab8658691b2b0a75a94a0c645e787ef4bb43205047301b8147fef",
+            "0448da311404f85ed3a5ebcecf5b64f2dec9fdc39d1596e2046fee09a804931e",
+            "bbe32eb4b10a2a2f069ba207a57f0c40451c00db02ab6977bd6e5ff91f04ea25",
+        ),
+        "9fde8d98bd8e5a993966bb70a9bea09a01563ef55b570a9aacf7e4f94fcdb94e",
+    ),
+)
+
+
+def test_decimation_matrices_pinned():
+    for values, lambda_digests, map_digest in PINNED_STATES:
+        s = SchurState.of(values)
+        for k, digest in enumerate(lambda_digests, start=2):
+            assert sha256(lambda_matrix(k, s).rows) == digest, (values, k)
+        assert sha256(schur_map_rederived(s).as_tuple()) == map_digest, values
 
 
 def test_lambda_matrix_validates_level():

@@ -185,7 +185,7 @@ def test_collapsing_corner_forests_recovers_rotational_step():
 
     t, s, q = A, B, C  # reuse the three variables as stand-ins
     for step in (dir_step, schreier_step):
-        five = step(FiveBundle(1, "directional", t, s, s, s, q))
+        five = step(FiveBundle(1, t, s, s, s, q))
         rot = rot_step(RotBundle(1, t, s, q))
         assert five.T == rot.T
         assert five.U == five.R == five.L == rot.S
