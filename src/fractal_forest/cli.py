@@ -187,12 +187,11 @@ def run_gf(args) -> tuple[int, str]:
                 value, orbit = tree_gf_cofactor(level.graph, w), []
             values[name] = value
             report["D_orbit"] = [str(d) for d in orbit]
-    values = {k: str(v) for k, v in values.items()}
-    report["methods"] = values
+    report["methods"] = {k: str(v) for k, v in values.items()}
     report["skipped"] = skipped
     report["fallbacks"] = fallbacks
     report["agreement"] = len(set(values.values())) == 1
-    report["value"] = next(iter(values.values())) if values else None
+    report["value"] = next(iter(report["methods"].values()), None)
     code = EXIT_OK if report["agreement"] else EXIT_MISMATCH
     return code, _emit(report, args.format)
 

@@ -1,8 +1,12 @@
 """Weighted matrix-tree machinery: exact Laplacian cofactors and the
 Schur-complement decimation pipeline for the hanoi graphs.
 
-Everything here is exact: determinants go through fraction-free
-integer elimination after clearing denominators, never floating point.
+Everything here is exact, never floating point.  Every determinant goes
+through one sparse elimination kernel over ``Fraction``s: rows hold only
+their nonzero entries, and each step pivots on the shortest remaining
+row, in its column with the fewest remaining entries, preferring the
+diagonal.  A reduced Laplacian has at most five entries per row, and this
+order keeps the fill-in small.
 
 The decimation map P acts on a 9-component state
 ``(x1..x3, x4..x6, x7..x9)`` = (original weights, current off-diagonal
@@ -25,116 +29,134 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from functools import cache
 from typing import NamedTuple
 
 from .algebra import SAMPLE_BOUND, Weights
 from .errors import DecimationSingularError
 from .graphs import LABELS, LabelledGraph, build_hanoi
 
-# -- exact dense matrices ------------------------------------------------------
+# -- the sparse exact elimination kernel -----------------------------------------
+
+
+def _sparse_det(rows: dict) -> Fraction:
+    """Determinant of a square matrix held as ``{row: {column: entry}}``.
+
+    Rows and columns share one set of keys, and each row holds only its
+    nonzero ``Fraction`` entries; the argument is consumed.  Each step
+    pivots on the shortest remaining row, in the column of that row with
+    the fewest remaining entries (the diagonal on a tie), and clears that
+    column from every other row.  Entries that cancel to zero are dropped,
+    so row lengths stay honest and a row that empties out means the
+    determinant is 0.  The determinant is the product of the pivots times
+    the sign of the row -> pivot-column permutation.
+    """
+    holders = {j: set() for j in rows}  # column -> live rows with an entry there
+    for i, row in rows.items():
+        for j in row:
+            holders[j].add(i)
+    live = set(rows)
+    pivot_col = {}
+    det = Fraction(1)
+    while live:
+        p = min(live, key=lambda i: len(rows[i]))
+        row = rows[p]
+        if not row:
+            return Fraction(0)
+        c = min(row, key=lambda j: (len(holders[j]), j != p))
+        live.remove(p)
+        pivot_col[p] = c
+        pivot = row[c]
+        det *= pivot
+        for j in row:
+            holders[j].discard(p)
+        for i in holders[c]:
+            target = rows[i]
+            factor = target.pop(c) / pivot
+            for j, x in row.items():
+                if j == c:
+                    continue
+                y = target.get(j)
+                if y is None:
+                    target[j] = -factor * x
+                    holders[j].add(i)
+                else:
+                    y -= factor * x
+                    if y:
+                        target[j] = y
+                    else:
+                        del target[j]
+                        holders[j].discard(i)
+    # a cycle of length L in the permutation is L - 1 transpositions
+    transpositions = 0
+    while pivot_col:
+        start, j = pivot_col.popitem()
+        while j != start:
+            j = pivot_col.pop(j)
+            transpositions += 1
+    return -det if transpositions % 2 else det
 
 
 class RationalMatrix:
-    """Small dense matrix of exact rationals with a Bareiss determinant."""
+    """Small dense matrix of exact rationals; its determinant goes through
+    the sparse elimination kernel."""
 
     __slots__ = ("rows", "n")
 
     def __init__(self, rows):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
+        # re-wrapping a Fraction costs about a microsecond, and a masked
+        # matrix has 3^(2k) entries
+        self.rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
         self.n = len(self.rows)
         for row in self.rows:
             if len(row) != self.n:
                 raise ValueError("matrix must be square")
 
-    @classmethod
-    def zeros(cls, n: int) -> "RationalMatrix":
-        m = cls.__new__(cls)
-        m.rows = [[Fraction(0)] * n for _ in range(n)]
-        m.n = n
-        return m
-
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
 
-    def minor(self, index: int) -> "RationalMatrix":
-        rows = [
-            [x for j, x in enumerate(row) if j != index]
-            for i, row in enumerate(self.rows)
-            if i != index
-        ]
-        return RationalMatrix(rows)
-
     def det(self) -> Fraction:
-        if self.n == 0:
-            return Fraction(1)
-        scale = 1
-        m = []
-        for row in self.rows:
-            d = 1
-            for x in row:
-                d = lcm(d, x.denominator)
-            scale *= d
-            m.append([int(x * d) for x in row])
-        return Fraction(_int_det_bareiss(m), scale)
+        return _sparse_det(
+            {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(self.rows)}
+        )
 
     def row_sums(self):
         return [sum(row, Fraction(0)) for row in self.rows]
 
 
-def _int_det_bareiss(m) -> int:
-    """Fraction-free elimination; mutates its integer argument."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
-            if head:
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
-                row_i[k] = 0
-            elif prev != pivot:
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
 # -- Laplacians and cofactors --------------------------------------------------
+
+
+def _laplacian(g: LabelledGraph, w: Weights) -> dict:
+    """Loop-stripped weighted Laplacian as ``{row: {column: entry}}`` with
+    only the nonzero entries, in the graph's canonical order."""
+    if not g.is_connected_ignoring_loops():
+        raise ValueError("graph must be connected ignoring loops")
+    rows = {i: {} for i in range(len(g.vertices))}
+    for e in g.nonloop_edges():
+        weight = w[e.label]
+        for u, v in ((e.u, e.v), (e.v, e.u)):
+            row = rows[u]
+            row[u] = row.get(u, 0) + weight
+            row[v] = row.get(v, 0) - weight
+    return {i: {j: x for j, x in row.items() if x} for i, row in rows.items()}
 
 
 def weighted_laplacian(g: LabelledGraph, w: Weights) -> RationalMatrix:
     """Loop-stripped weighted Laplacian in the graph's canonical order."""
-    if not g.is_connected_ignoring_loops():
-        raise ValueError("graph must be connected ignoring loops")
-    n = len(g.vertices)
-    m = RationalMatrix.zeros(n)
-    for e in g.nonloop_edges():
-        weight = w[e.label]
-        m.rows[e.u][e.v] -= weight
-        m.rows[e.v][e.u] -= weight
-        m.rows[e.u][e.u] += weight
-        m.rows[e.v][e.v] += weight
-    return m
+    rows = _laplacian(g, w)
+    return RationalMatrix([[row.get(j, 0) for j in rows] for row in rows.values()])
 
 
 def tree_gf_cofactor(g: LabelledGraph, w: Weights, index: int = 0) -> Fraction:
     """Weighted spanning-tree generating function at w, via one cofactor."""
     if len(g.vertices) == 1:
         return Fraction(1)
-    return weighted_laplacian(g, w).minor(index).det()
+    rows = _laplacian(g, w)
+    del rows[index]
+    for row in rows.values():
+        row.pop(index, None)
+    return _sparse_det(rows)
 
 
 # -- the decimation state and the closed-form rational map ---------------------
@@ -387,6 +409,15 @@ def schur_map(s: SchurState) -> SchurState:
 # -- the decimation network and the independent rederivation of the map --------
 
 
+@cache
+def _network_edges(k: int, loops: bool):
+    """First letters of the level-k hanoi words and the graph's edges as
+    ``(u, v, label index, is_loop)``, built once per level."""
+    g = build_hanoi(k, include_loops=loops)
+    block = tuple(int(word[0]) for word in g.vertices)
+    return block, tuple((e.u, e.v, LABELS.index(e.label), e.is_loop) for e in g.edges)
+
+
 def _state_network(k: int, s: SchurState, loops: bool):
     """Rows of the level-k hanoi graph weighted by a decimation state.
 
@@ -394,18 +425,16 @@ def _state_network(k: int, s: SchurState, loops: bool):
     edge between two blocks x4..x6; the diagonal holds x7..x9 by block,
     less the weight of any loop.
     """
-    g = build_hanoi(k, include_loops=loops)
-    block = [int(word[0]) for word in g.vertices]
+    block, edges = _network_edges(k, loops)
     rows = [[Fraction(0)] * len(block) for _ in block]
     for i, b in enumerate(block):
         rows[i][i] = s[6 + b]
-    for e in g.edges:
-        label = LABELS.index(e.label)
-        if e.is_loop:
-            rows[e.u][e.u] -= s[label]
+    for u, v, label, is_loop in edges:
+        if is_loop:
+            rows[u][u] -= s[label]
         else:
-            weight = s[label if block[e.u] == block[e.v] else 3 + label]
-            rows[e.u][e.v] = rows[e.v][e.u] = -weight
+            weight = s[label if block[u] == block[v] else 3 + label]
+            rows[u][v] = rows[v][u] = -weight
     return rows
 
 

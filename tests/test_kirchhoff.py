@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,63 @@ def test_bareiss_determinant_basics():
     assert permuted.det() == -1
 
 
+def laplace_det(rows) -> Fraction:
+    """Reference determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        ((-1) ** j * x * laplace_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+         for j, x in enumerate(rows[0]) if x),
+        Fraction(0),
+    )
+
+
+def random_sparse_matrices(seed: int, count: int):
+    """Seeded n x n matrices, n = 1..6, with about 40% nonzero entries.
+
+    In turn: as drawn, with a zero diagonal, a permutation matrix, and
+    with one row a combination of two others (a zero row when n < 3)."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(1, 6)
+        rows = [
+            [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+             if rng.random() < 0.4 else Fraction(0) for _ in range(n)]
+            for _ in range(n)
+        ]
+        shape = k % 4
+        if shape == 1:
+            for i in range(n):
+                rows[i][i] = Fraction(0)
+        elif shape == 2:
+            perm = rng.sample(range(n), n)
+            rows = [[Fraction(int(j == perm[i])) for j in range(n)] for i in range(n)]
+        elif shape == 3:
+            i, *others = rng.sample(range(n), n)
+            rows[i] = [Fraction(0)] * n
+            if len(others) >= 2:
+                p, q = Fraction(rng.randint(1, 3), 2), Fraction(-rng.randint(1, 3), 5)
+                rows[i] = [p * x + q * y for x, y in zip(rows[others[0]], rows[others[1]])]
+        yield shape, rows
+
+
+def test_det_matches_laplace_expansion():
+    kinds = ("invertible, zero diagonal", "permutation", "odd permutation", "singular",
+             "other invertible")
+    seen = dict.fromkeys(kinds, 0)
+    for shape, rows in random_sparse_matrices(67, 400):
+        ref = laplace_det(rows)
+        assert RationalMatrix(rows).det() == ref, rows
+        seen["invertible, zero diagonal"] += ref != 0 and not any(
+            rows[i][i] for i in range(len(rows))
+        )
+        seen["permutation"] += shape == 2
+        seen["odd permutation"] += shape == 2 and ref == -1
+        seen["singular"] += ref == 0
+        seen["other invertible"] += shape != 2 and ref != 0
+    assert all(count >= 20 for count in seen.values()), seen
+
+
 def test_laplacian_examples():
     L = weighted_laplacian(build_hanoi(1), ONES)
     assert L.rows == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
@@ -72,6 +130,37 @@ def test_cofactor_invariant_under_index_choice():
             ref = tree_gf_cofactor(g, w, index=0)
             for i in range(1, len(g.vertices)):
                 assert tree_gf_cofactor(g, w, index=i) == ref
+
+
+# tree_gf_cofactor at 0 0 0, 1 -1 1, 0 1 1 and 1 1 -2, which force zero
+# diagonal and off-diagonal pivots, and the sha256 of its value at
+# 13/61 44/17 7/90
+DEGENERATE_WEIGHTS = ("0 0 0", "1 -1 1", "0 1 1", "1 1 -2")
+COFACTOR_PINS = (
+    (build_hanoi, (3,), ("0", "1", "1", "-2539107"),
+     "3269695c45fda2fb7d137adb25b791898795f2a4e1924ff29a845ebc36497b16"),
+    (build_sierpinski, (3, "rotational"), ("0", "0", "134369280", "329054259605667840"),
+     "4e6e5f3a92e8ed1e86ce7c9294648e3932e1116c5b79f2ee604f5c278be286c5"),
+    (build_sierpinski, (4, "directional"), ("0", "8192", "768368640", "0"),
+     "e57e4ba4d86f59b120567e99941dc90160f0432fa504dd3ef85070684ad67ead"),
+    (build_sierpinski, (4, "schreier"), ("0", "-8192", "566231040", "0"),
+     "de8585f0690b245c5323069ce30f963e47cc4200cb83618fe9cb9cc0c8113fa5"),
+)
+
+
+def test_cofactor_pinned_at_degenerate_weights():
+    for build, args, values, digest in COFACTOR_PINS:
+        g = build(*args)
+        for text, value in zip(DEGENERATE_WEIGHTS, values):
+            assert str(tree_gf_cofactor(g, Weights.parse(*text.split()))) == value, (args, text)
+        generic = tree_gf_cofactor(g, Weights.parse("13/61", "44/17", "7/90"))
+        assert hashlib.sha256(str(generic).encode()).hexdigest() == digest, args
+
+
+def test_cofactor_past_the_cli_cap():
+    # hanoi-5 has 243 vertices, past the CLI's cofactor cap of 130
+    w = Weights.of(Fraction(1, 3), Fraction(2, 7), 5)
+    assert tree_gf_cofactor(build_hanoi(5), w) == hanoi_bundle(5, w).T
 
 
 def test_all_ones_cofactor_equals_closed_counts():
