@@ -28,7 +28,6 @@ from .hanoi import (
     hanoi_counts_closed,
     hanoi_counts_recursive,
     hanoi_growth,
-    hanoi_initial,
     hanoi_step,
 )
 from .kirchhoff import (
@@ -54,8 +53,8 @@ from .sierpinski import (
     dir_bundle,
     dir_closed,
     dir_closed_value,
-    dir_initial,
     dir_step,
+    five_initial,
     rot_bundle,
     rot_closed,
     rot_counts,
@@ -65,7 +64,6 @@ from .sierpinski import (
     schreier_bundle,
     schreier_closed,
     schreier_closed_value,
-    schreier_initial,
     schreier_step,
 )
 from .stats import (

@@ -10,7 +10,10 @@ Two representations are used throughout the package:
   functions live here, because their exponents grow like 3^n and an
   expanded form is hopeless past the first few levels.
 
-Rationals are ``fractions.Fraction`` (exact, arbitrary precision).
+Weights are exact: ``fractions.Fraction`` or ``int``.  A polynomial with
+integer coefficients evaluated at integer weights stays an ``int``, so the
+evaluated routes run at the weights times the lcm of their denominators
+(``Weights.clear_denominators``) and never reduce a fraction.
 High-precision real work (logs of astronomically large exact values)
 goes through mpmath.
 """
@@ -18,6 +21,7 @@ goes through mpmath.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,9 +49,9 @@ EXPANSION_DEGREE_CAP = 60
 class Weights:
     """An exact weight assignment to the three edge labels."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a: Fraction | int
+    b: Fraction | int
+    c: Fraction | int
 
     @classmethod
     def of(cls, a, b, c) -> "Weights":
@@ -65,7 +69,14 @@ class Weights:
         """
         return cls(_parse_rational(sa), _parse_rational(sb), _parse_rational(sc))
 
-    def __getitem__(self, label: str) -> Fraction:
+    def clear_denominators(self) -> tuple["Weights", int]:
+        """The weights times the lcm L of their denominators, as integers,
+        and L.  A polynomial homogeneous of degree d takes L^d times its
+        value at w there."""
+        ints, scale = clear_denominators(self.as_tuple())
+        return Weights(*ints), scale
+
+    def __getitem__(self, label: str) -> Fraction | int:
         if label not in VARS:
             raise ValueError(f"unknown label {label!r}")
         return getattr(self, label)
@@ -78,6 +89,13 @@ class Weights:
 
     def __str__(self):
         return f"({self.a},{self.b},{self.c})"
+
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """Exact rationals times the lcm of their denominators, as integers,
+    and that lcm."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def _parse_rational(s: str) -> Fraction:
@@ -212,8 +230,9 @@ class TriPoly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def evaluate(self, w: Weights) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, w: Weights) -> Fraction | int:
+        """Exact value at w; an int at integer weights."""
+        total = 0
         for (i, j, k), c in self.terms.items():
             total += c * w.a**i * w.b**j * w.c**k
         return total
@@ -306,11 +325,10 @@ class FactoredPoly:
     def of(cls, base: TriPoly) -> "FactoredPoly":
         return cls(factors=[(base, 1)])
 
-    def evaluate(self, w: Weights) -> Fraction:
-        """Exact value; never expands.  Beware: the result itself may be huge."""
-        value = Fraction(
-            2 ** self.primes[2] * 3 ** self.primes[3] * 5 ** self.primes[5]
-        )
+    def evaluate(self, w: Weights) -> Fraction | int:
+        """Exact value, an int at integer weights; never expands.  Beware:
+        the result itself may be huge."""
+        value = 2 ** self.primes[2] * 3 ** self.primes[3] * 5 ** self.primes[5]
         for base, exp in self.factors:
             value *= base.evaluate(w) ** exp
         return value
@@ -381,7 +399,7 @@ def _log_fraction(q: Fraction) -> mpmath.mpf:
 # -- module-level operations ------------------------------------------------
 
 
-def poly_eval(p, w: Weights) -> Fraction:
+def poly_eval(p, w: Weights) -> Fraction | int:
     """Exact value of an expanded or factored polynomial at rational weights."""
     return p.evaluate(w)
 

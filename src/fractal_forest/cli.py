@@ -18,6 +18,8 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
+from functools import cache
 
 from . import stats as stat_mod
 from .algebra import DEFAULT_SEED, Weights, poly_equal_by_sampling
@@ -156,25 +158,33 @@ def run_gf(args) -> tuple[int, str]:
     # before any route runs, because the decimation and the rotational
     # closed form have no level cap of their own
     check_level(n, w)
+    # every route runs at integer weights; a value is reduced back to w
+    # only to be printed, once per distinct value
+    iw, scale = w.clear_denominators()
+
+    @cache
+    def show(value, component):
+        return str(family.unscaled(n, value, scale, component))
+
     level = Level(family, n)
     values = {}
     fallbacks = []
     for name in methods:
         if name == "recursion":
-            bundle = level.bundle(w)
-            report["components"] = {k: str(v) for k, v in family.parts(bundle).items()}
+            bundle = level.bundle(iw)
+            report["components"] = {k: show(v, k) for k, v in family.parts(bundle).items()}
             values[name] = bundle.T
         elif name == "closed":
-            values[name] = family.closed_value(n, w, ("T",))[0]
+            values[name] = family.closed_value(n, iw, ("T",))[0]
         elif name == "cofactor":
-            values[name] = tree_gf_cofactor(level.graph, w)
+            values[name] = tree_gf_cofactor(level.graph, iw)
         elif name == "oracle":
-            values[name] = enumerate_gf(level.graph, ForestSpec("tree")).evaluate(w)
+            values[name] = enumerate_gf(level.graph, ForestSpec("tree")).evaluate(iw)
         elif name == "schur":
             if n < 3:
                 fallbacks.append("no decimation step below level 3; used cofactor")
             try:
-                value, orbit = schur_pipeline(n, w)
+                value, orbit = schur_pipeline(n, iw)
             except DecimationSingularError as exc:
                 # under --method all a fallback would report the cofactor
                 # route a second time and count it twice towards agreement
@@ -184,10 +194,11 @@ def run_gf(args) -> tuple[int, str]:
                 if family.vertices(n) > COFACTOR_VERTEX_CAP:
                     raise
                 fallbacks.append(f"schur failed ({exc}); used cofactor")
-                value, orbit = tree_gf_cofactor(level.graph, w), []
+                value, orbit = tree_gf_cofactor(level.graph, iw), []
             values[name] = value
-            report["D_orbit"] = [str(d) for d in orbit]
-    report["methods"] = {k: str(v) for k, v in values.items()}
+            # D is homogeneous of degree 6 in the decimation state
+            report["D_orbit"] = [str(Fraction(d, scale**6)) for d in orbit]
+    report["methods"] = {k: show(v, "T") for k, v in values.items()}
     report["skipped"] = skipped
     report["fallbacks"] = fallbacks
     report["agreement"] = len(set(values.values())) == 1

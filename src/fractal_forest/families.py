@@ -15,6 +15,7 @@ traced module function takes effect here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from typing import Callable
@@ -26,6 +27,10 @@ from .algebra import FactoredPoly, Weights, positive_weights
 from .errors import CapabilityError
 
 ONES = Weights.ones()
+
+# trees in the spanning forests a bundle component counts: T trees, the
+# corner 2-forests S, U, R and L, the corner 3-forests Q
+TREES = {"T": 1, "S": 2, "U": 2, "R": 2, "L": 2, "Q": 3}
 
 # how a check picks its weights: all ones, one draw per trial (consecutive
 # TRIAL checks share each draw), or one draw
@@ -47,8 +52,10 @@ class Check:
     levels: tuple[int, int] = (1, sgf.EVALUATED_LEVEL_CAP)
     detail: tuple[str, ...] = ()
 
-    def mismatch_detail(self, w, left, right):
-        values = iter((str(left), str(right)))
+    def mismatch_detail(self, w, left, right, unscale):
+        """What a mismatch at the drawn weights w reports; ``unscale``
+        takes a tree value from the integer weights back to w."""
+        values = (str(unscale(v)) for v in (left, right))
         return {k: str(w) if k == "weights" else next(values) for k in self.detail} or None
 
 
@@ -75,6 +82,19 @@ class Family:
     stat_cap: int = sgf.SYMBOLIC_LEVEL_CAP
     stats_from_closed: bool = False  # else from the symbolic bundle
     extra_checks: Callable | None = None  # (levels, trials, rng) -> results
+
+    def degree(self, n: int, component: str) -> int:
+        """Total degree of a component at level n: a spanning forest with
+        k trees on |V| vertices has |V| - k edges."""
+        return self.vertices(n) - TREES[component]
+
+    def unscaled(self, n: int, value, scale: int, component: str = "T"):
+        """A component's value at weights w, reduced, from its value at the
+        integer weights ``scale * w`` (see ``Weights.clear_denominators``);
+        at scale 1 the value itself."""
+        if scale == 1:
+            return value
+        return Fraction(value, scale ** self.degree(n, component))
 
     def parts(self, bundle) -> dict:
         return {c: getattr(bundle, c) for c in self.components}
@@ -112,7 +132,12 @@ class Level:
 
 def run_checks(family: Family, levels, trials: int, rng):
     """Run the family's checks at each level, drawing weights from rng;
-    yields (name, level, ok, detail) for each."""
+    yields (name, level, ok, detail) for each.
+
+    The routes run at the drawn weights with their denominators cleared
+    and are compared as integers; a mismatch reports the drawn weights and
+    the values at them.
+    """
     for n in levels:
         lv = Level(family, n)
         for mode, group in groupby(family.checks, key=lambda c: c.weights):
@@ -124,10 +149,12 @@ def run_checks(family: Family, levels, trials: int, rng):
             else:
                 draws = [positive_weights(rng) for _ in range(trials if mode == TRIAL else 1)]
             for w in draws:
+                iw, scale = w.clear_denominators()
                 for check in group:
-                    left, right = check.left(lv, w), check.right(lv, w)
+                    left, right = check.left(lv, iw), check.right(lv, iw)
                     ok = left == right
-                    detail = None if ok else check.mismatch_detail(w, left, right)
+                    detail = None if ok else check.mismatch_detail(
+                        w, left, right, lambda v: family.unscaled(n, v, scale))
                     yield f"{family.label} {check.name}", n, ok, detail
     if family.extra_checks is not None:
         yield from family.extra_checks(levels, trials, rng)
@@ -194,7 +221,6 @@ def _schur_map_guards(levels, trials, rng):
             yield "decimation identity k=3", None, lhs == rhs, None
 
 
-_FIVE = ("T", "U", "R", "L", "Q")
 _COFACTOR_CHECK = Check("cofactor = recursion", _cofactor, _tree, DRAW, levels=(1, 3))
 
 HANOI = Family(
@@ -204,7 +230,7 @@ HANOI = Family(
     graph=lambda n, loops: graphs.build_hanoi(n, include_loops=loops),
     vertices=lambda n: 3**n,
     edges=lambda n: (3 ** (n + 1) - 3) // 2,
-    components=_FIVE,
+    components=sgf.FIVE,
     bundle=lambda n, w: hgf.hanoi_bundle(n, w),
     closed=None,
     closed_value=lambda n, w, names: _count_parts(hgf.hanoi_counts_closed(n), names),
@@ -264,10 +290,10 @@ def _directional_like(label: str, aliases, bundle, closed, closed_value) -> Fami
         graph=lambda n, loops: graphs.build_sierpinski(n, label),
         vertices=lambda n: (3**n + 3) // 2,
         edges=lambda n: 3**n,
-        components=_FIVE,
+        components=sgf.FIVE,
         bundle=bundle,
         closed=closed,
-        closed_value=lambda n, w, names: _pick(closed_value(n, w), names),
+        closed_value=lambda n, w, names: _pick(closed_value(n, w, names), names),
         checks=_DIRECTIONAL_CHECKS,
     )
 
@@ -275,12 +301,12 @@ def _directional_like(label: str, aliases, bundle, closed, closed_value) -> Fami
 DIRECTIONAL = _directional_like(
     "directional", ("sierpinski-dir", "sierpinski-directional"),
     lambda n, w: sgf.dir_bundle(n, w), lambda n: sgf.dir_closed(n),
-    lambda n, w: sgf.dir_closed_value(n, w),
+    lambda n, w, names: sgf.dir_closed_value(n, w, names),
 )
 SCHREIER = _directional_like(
     "schreier", ("sierpinski-schreier",),
     lambda n, w: sgf.schreier_bundle(n, w), lambda n: sgf.schreier_closed(n),
-    lambda n, w: sgf.schreier_closed_value(n, w),
+    lambda n, w, names: sgf.schreier_closed_value(n, w, names),
 )
 
 FAMILIES = {f.name: f for f in (HANOI, ROTATIONAL, DIRECTIONAL, SCHREIER)}

@@ -17,14 +17,10 @@ from .sierpinski import (
     FiveBundle,
     _abc,
     _exact_div,
-    _five_initial,
     check_level,
+    five_initial,
     iterate,
 )
-
-
-def hanoi_initial(w: Weights | None = None) -> FiveBundle:
-    return _five_initial(w)
 
 
 def hanoi_step(bundle: FiveBundle) -> FiveBundle:
@@ -74,7 +70,7 @@ def hanoi_step(bundle: FiveBundle) -> FiveBundle:
 
 
 def hanoi_bundle(n: int, w: Weights | None = None) -> FiveBundle:
-    return iterate(hanoi_step, hanoi_initial(w), n)
+    return iterate(hanoi_step, five_initial(w), n)
 
 
 def hanoi_counts_recursive(n: int) -> CountsTriple:

@@ -2,11 +2,13 @@
 Schur-complement decimation pipeline for the hanoi graphs.
 
 Everything here is exact, never floating point.  Every determinant goes
-through one sparse elimination kernel over ``Fraction``s: rows hold only
-their nonzero entries, and each step pivots on the shortest remaining
-row, in its column with the fewest remaining entries, preferring the
-diagonal.  A reduced Laplacian has at most five entries per row, and this
-order keeps the fill-in small.
+through one sparse elimination kernel, which takes ``int`` or
+``Fraction`` entries and divides as ``Fraction``s: rows hold only their
+nonzero entries, and each step pivots on the shortest remaining row, in
+its column with the fewest remaining entries, preferring the diagonal.
+A reduced Laplacian has at most five entries per row, and this order
+keeps the fill-in small.  At integer weights a cofactor is a ``Fraction``
+with denominator 1, and the decimation pipeline returns an ``int``.
 
 The decimation map P acts on a 9-component state
 ``(x1..x3, x4..x6, x7..x9)`` = (original weights, current off-diagonal
@@ -32,7 +34,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .algebra import SAMPLE_BOUND, Weights
+from .algebra import SAMPLE_BOUND, Weights, clear_denominators
 from .errors import DecimationSingularError
 from .graphs import LABELS, LabelledGraph, build_hanoi
 
@@ -43,13 +45,13 @@ def _sparse_det(rows: dict) -> Fraction:
     """Determinant of a square matrix held as ``{row: {column: entry}}``.
 
     Rows and columns share one set of keys, and each row holds only its
-    nonzero ``Fraction`` entries; the argument is consumed.  Each step
-    pivots on the shortest remaining row, in the column of that row with
-    the fewest remaining entries (the diagonal on a tie), and clears that
-    column from every other row.  Entries that cancel to zero are dropped,
-    so row lengths stay honest and a row that empties out means the
-    determinant is 0.  The determinant is the product of the pivots times
-    the sign of the row -> pivot-column permutation.
+    nonzero ``int`` or ``Fraction`` entries; the argument is consumed.
+    Each step pivots on the shortest remaining row, in the column of that
+    row with the fewest remaining entries (the diagonal on a tie), and
+    clears that column from every other row.  Entries that cancel to zero
+    are dropped, so row lengths stay honest and a row that empties out
+    means the determinant is 0.  The determinant is the product of the
+    pivots times the sign of the row -> pivot-column permutation.
     """
     holders = {j: set() for j in rows}  # column -> live rows with an entry there
     for i, row in rows.items():
@@ -66,7 +68,7 @@ def _sparse_det(rows: dict) -> Fraction:
         c = min(row, key=lambda j: (len(holders[j]), j != p))
         live.remove(p)
         pivot_col[p] = c
-        pivot = row[c]
+        pivot = Fraction(row[c])  # an int pivot would divide into floats
         det *= pivot
         for j in row:
             holders[j].discard(p)
@@ -381,10 +383,10 @@ P_TERMS = {
 }
 
 
-def _eval_terms(terms, xs) -> Fraction:
-    total = Fraction(0)
+def _eval_terms(terms, xs):
+    total = 0
     for coeff, exps in terms:
-        v = Fraction(coeff)
+        v = coeff
         for x, e in zip(xs, exps):
             if e:
                 v *= x**e
@@ -392,17 +394,25 @@ def _eval_terms(terms, xs) -> Fraction:
     return total
 
 
+# The terms are evaluated on integers t = delta * s, where delta is the lcm
+# of the state's denominators.  D is homogeneous of degree 6 and each P
+# numerator of degree 7, so D(s) = D(t) / delta^6, and a new coordinate is
+# an integer over delta * D(t), reduced once.
+
+
 def schur_denominator(s: SchurState) -> Fraction:
-    return _eval_terms(D_TERMS, s)
+    t, delta = clear_denominators(s)
+    return Fraction(_eval_terms(D_TERMS, t), delta**6)
 
 
 def schur_map(s: SchurState) -> SchurState:
     """One decimation step; fixes x1..x3, maps the other six rationally."""
-    d = _eval_terms(D_TERMS, s)
+    t, delta = clear_denominators(s)
+    d = _eval_terms(D_TERMS, t)
     if d == 0:
         raise DecimationSingularError("decimation denominator vanished")
-    heads = {4: 0, 5: 0, 6: 0, 7: s.x7, 8: s.x8, 9: s.x9}
-    new = [heads[i] + _eval_terms(P_TERMS[i], s) / d for i in range(4, 10)]
+    heads = {4: 0, 5: 0, 6: 0, 7: t[6] * d, 8: t[7] * d, 9: t[8] * d}
+    new = [Fraction(heads[i] + _eval_terms(P_TERMS[i], t), delta * d) for i in range(4, 10)]
     return SchurState(s.x1, s.x2, s.x3, *new)
 
 
@@ -524,13 +534,18 @@ def lambda_matrix(k: int, s: SchurState) -> RationalMatrix:
 
 def schur_pipeline(n: int, w: Weights):
     """Spanning-tree generating function of the level-n hanoi graph at w,
-    by repeated decimation; returns (value, denominator orbit)."""
+    by repeated decimation; returns (value, denominator orbit).
+
+    The value is an int at integer weights.  The factor
+    prod_k D_k^(3^(n-k-2)) is built in Horner order, each D_k multiplied
+    in before the cube, so that a denominator cancels while it is small.
+    """
     if n < 1:
         raise ValueError("level must be >= 1")
     if n <= 2:
         return tree_gf_cofactor(build_hanoi(n), w), []
     state = SchurState.initial(w)
-    total = Fraction(1)
+    total = 1
     orbit = []
     for k in range(n - 2):
         d = schur_denominator(state)
@@ -539,11 +554,11 @@ def schur_pipeline(n: int, w: Weights):
                 f"denominator vanished at decimation step {k}"
             )
         orbit.append(d)
-        total *= d ** (3 ** (n - k - 2))
+        total = (total * d) ** 3
         state = schur_map(state)
     value = total * lambda_matrix(2, state).det() / (w.a + w.b)
-    return value, orbit
+    return (value.numerator if value.denominator == 1 else value), orbit
 
 
-def hanoi_tn_schur(n: int, w: Weights) -> Fraction:
+def hanoi_tn_schur(n: int, w: Weights) -> Fraction | int:
     return schur_pipeline(n, w)[0]

@@ -7,18 +7,18 @@ Three labelling models share the same machinery:
 * directional and schreier -- bundle (T, U, R, L, Q) where U, R, L are the
   2-forests isolating the top, right and left corner respectively.
 
-Every bundle runs in one of two modes: symbolic (TriPoly components,
-capped at low levels because expanded sizes explode like 3^n) or
-evaluated (exact rationals at a fixed weight triple).  Closed forms are
-FactoredPoly products; their evaluation at a point iterates the
-polynomial maps on values instead of on symbols, which is exact and
-cheap at any level.
+Every step is a polynomial in the bundle components, so one code path
+runs over any ring: symbolic (TriPoly components, capped at low levels
+because expanded sizes explode like 3^n) or evaluated at a fixed weight
+triple, where integer weights give ``int`` components and rational ones
+``Fraction`` components.  Closed forms are FactoredPoly products; their
+evaluation at a point iterates the polynomial maps on values instead of
+on symbols, which is exact and cheap at any level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
@@ -28,6 +28,8 @@ from .errors import CapabilityError
 SYMBOLIC_LEVEL_CAP = 3
 EVALUATED_LEVEL_CAP = 12
 ITERATE_SYMBOLIC_CAP = 8  # F/G iterates double in degree per step
+
+FIVE = ("T", "U", "R", "L", "Q")  # the components of a FiveBundle
 
 
 @dataclass(frozen=True)
@@ -244,18 +246,11 @@ def psi_poly(k: int) -> TriPoly:
 # -- directional and schreier recursions -------------------------------------
 
 
-def _five_initial(w: Weights | None) -> FiveBundle:
+def five_initial(w: Weights | None = None) -> FiveBundle:
+    """The level-1 bundle of the directional, schreier and hanoi
+    recursions, in the ring of the weights (symbolic when w is None)."""
     a, b, c = _abc(w)
-    one = Fraction(1) if w is not None else TriPoly.const(1)
-    return FiveBundle(1, a * b + a * c + b * c, b, a, c, one, w)
-
-
-def dir_initial(w: Weights | None = None) -> FiveBundle:
-    return _five_initial(w)
-
-
-def schreier_initial(w: Weights | None = None) -> FiveBundle:
-    return _five_initial(w)
+    return FiveBundle(1, a * b + a * c + b * c, b, a, c, a**0, w)
 
 
 def dir_step(bundle: FiveBundle) -> FiveBundle:
@@ -291,11 +286,11 @@ def schreier_step(bundle: FiveBundle) -> FiveBundle:
 
 
 def dir_bundle(n: int, w: Weights | None = None) -> FiveBundle:
-    return iterate(dir_step, dir_initial(w), n)
+    return iterate(dir_step, five_initial(w), n)
 
 
 def schreier_bundle(n: int, w: Weights | None = None) -> FiveBundle:
-    return iterate(schreier_step, schreier_initial(w), n)
+    return iterate(schreier_step, five_initial(w), n)
 
 
 # -- closed forms for the five-function models --------------------------------
@@ -333,14 +328,21 @@ def _schreier_laws():
 _MODEL_LAWS = {"directional": _dir_laws, "schreier": _schreier_laws}
 
 
-def _closed_five(model: str, n: int, w: Weights | None) -> FiveBundle:
+def _closed_five(model: str, n: int, w: Weights | None, names=FIVE) -> FiveBundle:
     """Closed forms as factored polynomials (w None), or evaluated exactly
-    at w by iterating the map on values, which is cheap at any level."""
+    at w by iterating the map on values, which is cheap at any level.
+
+    Only the components in ``names`` are built; the others are None.
+    """
     if n < 1:
         raise ValueError("level must be >= 1")
     laws = _MODEL_LAWS[model]()
+    corners = not {"U", "R", "L"}.isdisjoint(names)
+    # T and Q need the iterates up to n - 2; the corner forests also need
+    # iterate n - 1, the largest one
+    steps = n - 1 if corners else max(n - 2, 0)
     if w is None:
-        iterates = _iterates_symbolic(laws["map"], n - 1)
+        iterates = _iterates_symbolic(laws["map"], steps)
 
         def product(two, pairs):
             return FactoredPoly({2: two}, pairs)
@@ -350,10 +352,10 @@ def _closed_five(model: str, n: int, w: Weights | None) -> FiveBundle:
 
     else:
         check_level(n, w)
-        iterates = _iterates(laws["map"], (w.a, w.b, w.c), n - 1)
+        iterates = _iterates(laws["map"], (w.a, w.b, w.c), steps)
 
         def product(two, pairs):
-            value = Fraction(2) ** two
+            value = 2**two
             for base, exp in pairs:
                 value *= base**exp
             return value
@@ -368,16 +370,23 @@ def _closed_five(model: str, n: int, w: Weights | None) -> FiveBundle:
     def power_product(two, exponent, last):
         return product(two, [(factors[k - 1], exponent(n, k)) for k in range(1, last + 1)])
 
-    T = power_product(laws["T2"](n), laws["Texp"], n)
-    if n == 1:
-        U, R, L = (product(0, [(x, 1)]) for x in (b, a, c))
-        Q = product(0, [])
-    else:
+    parts = {}
+    if "T" in names:
+        parts["T"] = power_product(laws["T2"](n), laws["Texp"], n)
+    if corners:
+        # at level 1 the shared product is empty and the iterate is (a, b, c)
         shared = power_product(laws["U2"](n), laws["Uexp"], n - 1)
         x, y, z = iterates[n - 1]
-        U, R, L = times(shared, y), times(shared, x), times(shared, z)
-        Q = times(power_product(laws["Q2"](n), laws["Qexp"], n - 2), laws["tail"](*iterates[n - 2]))
-    return FiveBundle(n, T, U, R, L, Q, w)
+        for name, corner in (("U", y), ("R", x), ("L", z)):
+            if name in names:
+                parts[name] = times(shared, corner)
+    if "Q" in names:
+        if n == 1:
+            parts["Q"] = product(0, [])
+        else:
+            shared = power_product(laws["Q2"](n), laws["Qexp"], n - 2)
+            parts["Q"] = times(shared, laws["tail"](*iterates[n - 2]))
+    return FiveBundle(n, *(parts.get(name) for name in FIVE), w)
 
 
 def dir_closed(n: int) -> FiveBundle:
@@ -388,9 +397,11 @@ def schreier_closed(n: int) -> FiveBundle:
     return _closed_five("schreier", n, None)
 
 
-def dir_closed_value(n: int, w: Weights) -> FiveBundle:
-    return _closed_five("directional", n, w)
+def dir_closed_value(n: int, w: Weights, names=FIVE) -> FiveBundle:
+    """The closed forms at w; components not in ``names`` are None."""
+    return _closed_five("directional", n, w, names)
 
 
-def schreier_closed_value(n: int, w: Weights) -> FiveBundle:
-    return _closed_five("schreier", n, w)
+def schreier_closed_value(n: int, w: Weights, names=FIVE) -> FiveBundle:
+    """The closed forms at w; components not in ``names`` are None."""
+    return _closed_five("schreier", n, w, names)

@@ -32,16 +32,15 @@ from fractal_forest.oracle import ForestSpec, enumerate_gf
 from fractal_forest.sierpinski import (
     dir_bundle,
     dir_closed_value,
-    dir_initial,
     dir_step,
     f_of,
+    five_initial,
     rot_bundle,
     rot_closed,
     rot_counts,
     rot_growth,
     schreier_bundle,
     schreier_closed_value,
-    schreier_initial,
 )
 from fractal_forest.stats import (
     label_mean_gf,
@@ -142,9 +141,9 @@ def test_criterion_5_directional_and_schreier():
         rot_t = rot_bundle(n, ONES).T
         checks.append(dir_bundle(n + 1, ONES).T == rot_t)
         checks.append(schreier_bundle(n + 1, ONES).T == rot_t)
-    for init in (dir_initial(), schreier_initial()):
-        checks.append((init.U, init.R, init.L) == (B, A, C))
-    checks.append(dir_step(dir_initial()).Q == 2 * f_of(A, B, C))
+    init = five_initial()
+    checks.append((init.U, init.R, init.L) == (B, A, C))
+    checks.append(dir_step(five_initial()).Q == 2 * f_of(A, B, C))
     report(5, "directional/schreier closed forms and level shift", all(checks))
 
 

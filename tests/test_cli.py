@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -6,7 +7,9 @@ import pytest
 from fractal_forest import cli
 from fractal_forest import kirchhoff
 from fractal_forest import stats
+from fractal_forest.algebra import Weights
 from fractal_forest.errors import DecimationSingularError
+from fractal_forest.hanoi import hanoi_bundle
 
 
 def run(capsys, *argv):
@@ -320,3 +323,53 @@ def test_csv_and_text_formats(capsys):
         capsys, "generate", "--family", "hanoi", "--level", "1", "--format", "text"
     )
     assert code == 0 and "vertices: 3" in out
+
+
+# sha256 of the whole stdout of gf --method all at weights 13/61 44/17 7/90;
+# it covers components, methods, value and, for hanoi, D_orbit
+GF_ALL_PINS = {
+    ("hanoi", 6): "ce3a07e64136d830911efcaa2a1566412837f4e10e8640cd531b90c4905f8614",
+    ("hanoi", 7): "196d3b1bcaf5ceb0acc5e616252a1b6148d62511e0efa6217b36b1cdab2e9781",
+    ("hanoi", 8): "9d59b837b7558c0a6af04ca80f49639783a17658eadf754e2c8f6634d610344c",
+    ("sierpinski-rot", 6): "bdf3aeb62c545cfcc8eff1fa9dda64f079751794989bfccdf87259177cac3a87",
+    ("sierpinski-rot", 7): "5178b3a00e820011ece60cd5cd5de9606879e4c739b20a457d0ceec6107a2764",
+    ("sierpinski-rot", 8): "9fa027f951671066c008e42956c42ff03ab8bd6be9122e87a3f7f20a46e44d47",
+    ("sierpinski-dir", 6): "3d6495c11c763b4891bf299b40e7dbe451f7098f231d67dbe60f43586bf8a43b",
+    ("sierpinski-dir", 7): "28a55e3cfcf892203f162ffc6687a847aa41090f504e5e7b941cb9b52ef801d7",
+    ("sierpinski-dir", 8): "bd14107ec4dddaae8a70eee166e48a2115bc172aec565023097a990c1444af7b",
+    ("sierpinski-schreier", 6): "2e0e5abef8cd694baf9d333e5b082419513be56501ef441a03c40e26ff83cb8b",
+    ("sierpinski-schreier", 7): "34667a994c6088488b366754c59d016e96feb50098d679d4fca9306cf9e0b4bc",
+    ("sierpinski-schreier", 8): "98eb1486bbe1b83d07843673a38e0d5eaedac0750aaa90de274eada9471a2e21",
+}
+
+
+@pytest.mark.parametrize("family, level", sorted(GF_ALL_PINS))
+def test_gf_all_output_pinned(capsys, family, level):
+    code, out = run(
+        capsys, "gf", "--family", family, "--level", str(level),
+        "--weights", "13/61", "44/17", "7/90", "--method", "all",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GF_ALL_PINS[family, level]
+
+
+def test_verify_mismatch_reports_values_at_the_drawn_weights(capsys, monkeypatch):
+    # the decimation map with one coefficient off by one: the routes run at
+    # integer weights, and the report gives the values at the drawn ones
+    corrupted = dict(kirchhoff.P_TERMS)
+    first_coeff, first_exps = corrupted[4][0]
+    corrupted[4] = ((first_coeff + 1, first_exps),) + corrupted[4][1:]
+    monkeypatch.setattr(kirchhoff, "P_TERMS", corrupted)
+    code, out = run(
+        capsys, "verify", "--family", "hanoi", "--levels", "3..4", "--trials", "2",
+        "--seed", "9",
+    )
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d4dbcdfc70fd6c2537059892056b4cb0773b0ecaa351ca50579a0c1d10d70929"
+    )
+    failures = [f for f in json.loads(out)["failures"] if f["check"] == "hanoi recursion=schur"]
+    assert len(failures) == 4
+    for f in failures:
+        w = Weights.parse(*f["detail"]["weights"].strip("()").split(","))
+        assert f["detail"]["recursion"] == str(hanoi_bundle(f["level"], w).T)

@@ -10,12 +10,11 @@ from fractal_forest.hanoi import (
     hanoi_counts_closed,
     hanoi_counts_recursive,
     hanoi_growth,
-    hanoi_initial,
     hanoi_step,
 )
 from fractal_forest.kirchhoff import schur_pipeline, tree_gf_cofactor
 from fractal_forest.oracle import ForestSpec, enumerate_gf
-from fractal_forest.sierpinski import CountsTriple
+from fractal_forest.sierpinski import CountsTriple, five_initial
 
 from conftest import positive_weight_list
 
@@ -25,12 +24,12 @@ E = A * B + A * C + B * C
 
 
 def test_initial_conditions():
-    b = hanoi_initial()
+    b = five_initial()
     assert (b.T, b.U, b.R, b.L, b.Q) == (E, B, A, C, TriPoly.const(1))
 
 
 def test_level2_tree_polynomial():
-    b2 = hanoi_step(hanoi_initial())
+    b2 = hanoi_step(five_initial())
     assert b2.T == E**4 + 2 * A * B * C * E**2 * (A + B + C)
     assert b2.T.evaluate(ONES) == 135
 

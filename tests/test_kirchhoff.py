@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from fractal_forest.algebra import Weights
+from fractal_forest.algebra import Weights, clear_denominators
 from fractal_forest.errors import DecimationSingularError
 from fractal_forest.graphs import LabelledEdge, LabelledGraph, build_hanoi, build_sierpinski
 from fractal_forest.hanoi import hanoi_bundle, hanoi_counts_closed
 from fractal_forest.kirchhoff import (
+    D_TERMS,
+    P_TERMS,
     RationalMatrix,
+    _sparse_det,
     SchurState,
     generator_matrices,
     hanoi_tn_schur,
@@ -23,6 +26,7 @@ from fractal_forest.kirchhoff import (
     tree_gf_cofactor,
     weighted_laplacian,
 )
+from fractal_forest.oracle import ForestSpec, enumerate_gf
 from fractal_forest.sierpinski import rot_counts
 
 from conftest import positive_weight_list, random_states
@@ -313,3 +317,55 @@ def test_decimation_matrices_pinned():
 def test_lambda_matrix_validates_level():
     with pytest.raises(ValueError):
         lambda_matrix(1, SchurState.initial(ONES))
+
+
+RATIONAL_TRIPLES = (
+    Weights.parse("1/3", "2/7", "5"),
+    Weights.parse("13/61", "44/17", "7/90"),
+    Weights.parse("-1/2", "3/4", "5/6"),
+)
+
+
+def test_sparse_det_exact_on_integer_entries():
+    # the kernel divides integer entries as fractions, never as floats
+    for _shape, rows in random_sparse_matrices(71, 200):
+        ints = [clear_denominators(row)[0] for row in rows]
+        det = _sparse_det({i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(ints)})
+        assert isinstance(det, Fraction) and det == laplace_det(ints), ints
+
+
+def test_routes_scale_homogeneously_at_cleared_weights():
+    # T on |V| vertices has degree |V| - 1 and D has degree 6; at the
+    # integer weights L*w every value is an integer, and no route returns
+    # a float
+    graphs = (
+        build_hanoi(3), build_sierpinski(2, "rotational"),
+        build_sierpinski(3, "directional"), build_sierpinski(3, "schreier"),
+    )
+    tiny = (build_hanoi(2), build_sierpinski(1, "rotational"), build_sierpinski(2, "schreier"))
+    for w in RATIONAL_TRIPLES:
+        iw, scale = w.clear_denominators()
+        for g in graphs:
+            value = tree_gf_cofactor(g, iw)
+            assert isinstance(value, Fraction) and value.denominator == 1
+            assert value == scale ** (len(g.vertices) - 1) * tree_gf_cofactor(g, w)
+        for g in tiny:
+            gf = enumerate_gf(g, ForestSpec("tree"))
+            value = gf.evaluate(iw)
+            assert type(value) is int
+            assert value == scale ** (len(g.vertices) - 1) * gf.evaluate(w)
+        for n in range(1, 7):
+            value, orbit = schur_pipeline(n, iw)
+            value_w, orbit_w = schur_pipeline(n, w)
+            assert type(value) is int if n >= 3 else value.denominator == 1
+            assert value == scale ** (3**n - 1) * value_w == scale ** (3**n - 1) * hanoi_bundle(n, w).T
+            assert len(orbit) == len(orbit_w) == max(n - 2, 0)
+            for d, d_w in zip(orbit, orbit_w):
+                assert isinstance(d, (int, Fraction)) and d == scale**6 * d_w
+
+
+def test_map_terms_are_homogeneous():
+    # schur_map evaluates the tables on the state times its common
+    # denominator, which is exact only for these degrees
+    assert all(sum(exps) == 6 for _, exps in D_TERMS)
+    assert all(sum(exps) == 7 for terms in P_TERMS.values() for _, exps in terms)

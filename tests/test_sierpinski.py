@@ -2,15 +2,18 @@ import pytest
 
 from fractal_forest.algebra import TriPoly, Weights, poly_equal_by_sampling
 from fractal_forest.errors import CapabilityError
+from fractal_forest.families import FAMILIES
+from fractal_forest.hanoi import hanoi_bundle
 from fractal_forest.sierpinski import (
+    FIVE,
     F_map,
     G_map,
     dir_bundle,
     dir_closed,
     dir_closed_value,
-    dir_initial,
     dir_step,
     f_of,
+    five_initial,
     phi_poly,
     psi_poly,
     rot_bundle,
@@ -23,7 +26,6 @@ from fractal_forest.sierpinski import (
     schreier_bundle,
     schreier_closed,
     schreier_closed_value,
-    schreier_initial,
     schreier_step,
 )
 
@@ -100,7 +102,7 @@ def test_tree_monomials_have_spanning_degree():
 
 
 def test_directional_initial_and_shift():
-    b = dir_initial()
+    b = five_initial()
     assert (b.T, b.U, b.R, b.L, b.Q) == (E, B, A, C, TriPoly.const(1))
     b2 = dir_bundle(2, ONES)
     assert b2.T == 54 == rot_bundle(1, ONES).T
@@ -136,9 +138,10 @@ def test_directional_closed_symbolic_sampling():
 
 
 def test_schreier_initial_matches_directional():
-    s = schreier_initial()
-    d = dir_initial()
-    assert (s.T, s.U, s.R, s.L, s.Q) == (d.T, d.U, d.R, d.L, d.Q)
+    # the directional, schreier and hanoi recursions share one level-1 bundle
+    for w in (None, ONES, Weights.of(2, 3, 5)):
+        s, d, h = schreier_bundle(1, w), dir_bundle(1, w), hanoi_bundle(1, w)
+        assert (s.T, s.U, s.R, s.L, s.Q) == (d.T, d.U, d.R, d.L, d.Q) == (h.T, h.U, h.R, h.L, h.Q)
 
 
 def test_schreier_proof_identities():
@@ -199,3 +202,45 @@ def test_f_equals_g_but_maps_differ():
     assert fx != gx
     # hence the factor families differ too
     assert not poly_equal_by_sampling(phi_poly(3), psi_poly(3), trials=5)
+
+
+RATIONAL_TRIPLES = (
+    Weights.parse("1/3", "2/7", "5"),
+    Weights.parse("13/61", "44/17", "7/90"),
+    Weights.parse("-1/2", "3/4", "5/6"),
+)
+
+
+def test_components_are_homogeneous_integers_at_cleared_weights():
+    # a component counting k-tree forests on |V| vertices has degree
+    # |V| - k, so at the integer weights L*w it is an int, L^(|V| - k)
+    # times its value at w
+    for family in FAMILIES.values():
+        for w in RATIONAL_TRIPLES:
+            iw, scale = w.clear_denominators()
+            assert scale > 1 and all(type(x) is int for x in iw.as_tuple())
+            for n in range(1, 6):
+                at_w = family.parts(family.bundle(n, w))
+                at_iw = family.parts(family.bundle(n, iw))
+                for name in family.components:
+                    assert type(at_iw[name]) is int, (family.name, n, name)
+                    assert at_iw[name] == scale ** family.degree(n, name) * at_w[name]
+                    assert family.unscaled(n, at_iw[name], scale, name) == at_w[name]
+                if family.closed_weighted:
+                    closed_w = family.closed_value(n, w, family.components)
+                    closed_iw = family.closed_value(n, iw, family.components)
+                    for name, x, y in zip(family.components, closed_w, closed_iw):
+                        assert type(y) is int, (family.name, n, name)
+                        assert y == scale ** family.degree(n, name) * x
+
+
+def test_closed_value_builds_only_the_named_components():
+    w = Weights.parse("1/3", "2/7", "5")
+    for closed_value in (dir_closed_value, schreier_closed_value):
+        for n in range(1, 6):
+            full = closed_value(n, w)
+            for names in (("T",), ("U", "Q"), ("R",), ("L", "T")):
+                part = closed_value(n, w, names)
+                for name in FIVE:
+                    expected = getattr(full, name) if name in names else None
+                    assert getattr(part, name) == expected, (n, names, name)
