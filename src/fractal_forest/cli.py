@@ -22,9 +22,9 @@ from fractions import Fraction
 from functools import cache
 
 from . import stats as stat_mod
-from .algebra import DEFAULT_SEED, Weights, poly_equal_by_sampling
+from .algebra import DEFAULT_SEED, Weights
 from .errors import CapabilityError, DecimationSingularError
-from .families import FAMILIES, ONES, ROTATIONAL, Level, lookup, run_checks
+from .families import COFACTOR_VERTEX_CAP, FAMILIES, ONES, ROTATIONAL, Level, lookup, run_checks
 from .graphs import export_dot, graph_census
 from .kirchhoff import schur_pipeline, tree_gf_cofactor
 from .oracle import EDGE_CAP, ForestSpec, enumerate_gf
@@ -35,9 +35,6 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 EXIT_SINGULAR = 4
-
-COFACTOR_VERTEX_CAP = 130
-ORACLE_AUTO_EDGE_CAP = 12  # method=all only runs the oracle on tiny graphs
 
 
 class UsageError(ValueError):
@@ -54,9 +51,9 @@ def _default_seed() -> int:
     return DEFAULT_SEED
 
 
-def _level(n: int) -> int:
+def _at_least_1(n: int, what: str) -> int:
     if n < 1:
-        raise UsageError("level must be >= 1")
+        raise UsageError(f"{what} must be >= 1")
     return n
 
 
@@ -79,7 +76,7 @@ def _parse_levels(text: str):
 
 def run_generate(args) -> tuple[int, str]:
     family = lookup(args.family)
-    n = _level(args.level)
+    n = _at_least_1(args.level, "level")
     if n > EVALUATED_LEVEL_CAP:  # a level-n graph has up to 3^n vertices
         raise CapabilityError(f"graphs are capped at level {EVALUATED_LEVEL_CAP}")
     g = family.graph(n, args.loops)
@@ -99,26 +96,25 @@ def run_generate(args) -> tuple[int, str]:
 
 def _gf_methods(family, n: int, w: Weights, requested: str):
     """The requested routes that apply, and why each route that
-    ``--method all`` leaves out is skipped.  Sizes come from the family's
-    vertex and edge counts, so no graph is built to decide."""
+    ``--method all`` leaves out is skipped; no graph is built to decide."""
     run_all = requested == "all"
     if not run_all and requested not in family.routes:
         raise UsageError(f"the {requested} method does not apply to the {family.name} family")
     methods = []
     skipped = {}
     for name in family.routes if run_all else [requested]:
-        if name == "closed" and not family.closed_weighted and w != ONES:
+        if name == "closed" and family.closed is None and w != ONES:
             if not run_all:
                 raise UsageError(f"{family.name} closed form counts trees at weights 1 1 1 only")
             skipped[name] = f"{family.name} closed form is unweighted"
-        elif name == "cofactor" and family.vertices(n) > COFACTOR_VERTEX_CAP:
+        elif name == "cofactor" and family.over_cap(name, n):
             msg = f"cofactor capped at {COFACTOR_VERTEX_CAP} vertices"
             if not run_all:
                 raise CapabilityError(msg)
             skipped[name] = msg
-        elif name == "oracle" and family.edges(n) > (ORACLE_AUTO_EDGE_CAP if run_all else EDGE_CAP):
-            if not run_all:
-                raise CapabilityError(f"oracle capped at {EDGE_CAP} edges")
+        elif name == "oracle" and not run_all and family.edges(n) > EDGE_CAP:
+            raise CapabilityError(f"oracle capped at {EDGE_CAP} edges")
+        elif name == "oracle" and run_all and family.over_cap(name, n):
             skipped[name] = f"oracle skipped at {family.edges(n)} edges"
         elif name == "schur" and n < 3 and run_all:
             # below level 3 the decimation is the cofactor route again
@@ -130,7 +126,7 @@ def _gf_methods(family, n: int, w: Weights, requested: str):
 
 def run_gf(args) -> tuple[int, str]:
     family = lookup(args.family)
-    n = _level(args.level)
+    n = _at_least_1(args.level, "level")
     seed = args.seed if args.seed is not None else _default_seed()
     report = {
         "family": family.name,
@@ -140,17 +136,18 @@ def run_gf(args) -> tuple[int, str]:
         "seed": seed,
     }
     if args.mode == "symbolic":
+        symbolic = ("recursion", "closed", "all") if family.closed is not None else ("recursion", "all")
+        if args.method not in symbolic:
+            raise UsageError(f"the {args.method} method has no symbolic mode for {family.name}")
         bundle = family.parts(family.bundle(n, None))
         report["components"] = {k: v.text() for k, v in bundle.items()}
         report["value"] = report["components"]["T"]
         if family.closed is not None:
             closed = family.parts(family.closed(n))
             report["closed"] = {k: v.text() for k, v in closed.items()}
-            report["agreement"] = all(
-                poly_equal_by_sampling(closed[k], bundle[k], trials=20, seed=seed)
-                for k in family.components
-            )
-        return EXIT_OK, _emit(report, args.format)
+            report["agreement"] = all(closed[k].expand() == bundle[k] for k in family.components)
+        code = EXIT_OK if report.get("agreement", True) else EXIT_MISMATCH
+        return code, _emit(report, args.format)
 
     w = Weights.parse(*args.weights)
     report["weights"] = [str(x) for x in w.as_tuple()]
@@ -191,7 +188,7 @@ def run_gf(args) -> tuple[int, str]:
                 if args.method == "all":
                     skipped[name] = f"decimation singular: {exc}"
                     continue
-                if family.vertices(n) > COFACTOR_VERTEX_CAP:
+                if family.over_cap("cofactor", n):
                     raise
                 fallbacks.append(f"schur failed ({exc}); used cofactor")
                 value, orbit = tree_gf_cofactor(level.graph, iw), []
@@ -213,6 +210,7 @@ def run_gf(args) -> tuple[int, str]:
 def run_verify(args) -> tuple[int, str]:
     families = list(FAMILIES.values()) if args.family == "all" else [lookup(args.family)]
     levels = _parse_levels(args.levels)
+    _at_least_1(args.trials, "trials")
     check_level(levels[-1], ONES)  # before any check runs
     seed = args.seed if args.seed is not None else _default_seed()
     rng = random.Random(seed)
@@ -242,7 +240,7 @@ def run_verify(args) -> tuple[int, str]:
 
 def run_stats(args) -> tuple[int, str]:
     family = lookup(args.model)
-    n = _level(args.level)
+    n = _at_least_1(args.level, "level")
     if args.normality and family is not ROTATIONAL:
         raise UsageError(f"the normality gap does not apply to the {family.name} family")
     mean = stat_mod.label_mean_gf(family.name, n, args.label)

@@ -2,10 +2,10 @@
 
 One ``Family`` record per family holds what the CLI, the verify matrix
 and the label statistics need to know about it: its names, its graph
-builder and vertex/edge counts (so that size caps are checked before a
-graph is built), its bundle recursion and closed forms, the gf routes
-that apply, and the pairs of routes that ``verify`` checks against each
-other.
+builder and vertex/edge counts (so that the one cap of each size-capped
+route, defined here, is checked before a graph is built), its bundle
+recursion and closed forms, the gf routes that apply, and the pairs of
+routes that ``verify`` checks, a capped one where ``gf --method all`` runs it.
 
 Route functions are looked up through their modules when they are
 called, not bound when this module is imported, so that a patched or
@@ -28,6 +28,9 @@ from .errors import CapabilityError
 
 ONES = Weights.ones()
 
+COFACTOR_VERTEX_CAP = 130
+ORACLE_AUTO_EDGE_CAP = 12  # an explicitly requested oracle runs to oracle.EDGE_CAP
+
 # trees in the spanning forests a bundle component counts: T trees, the
 # corner 2-forests S, U, R and L, the corner 3-forests Q
 TREES = {"T": 1, "S": 2, "U": 2, "R": 2, "L": 2, "Q": 3}
@@ -49,7 +52,8 @@ class Check:
     left: Callable
     right: Callable
     weights: str = ONES_ONLY
-    levels: tuple[int, int] = (1, sgf.EVALUATED_LEVEL_CAP)
+    route: str | None = None  # the size-capped route it runs, if any
+    first_level: int = 1
     detail: tuple[str, ...] = ()
 
     def mismatch_detail(self, w, left, right, unscale):
@@ -64,23 +68,20 @@ class Family:
     """One labelled graph family; its callables take the level first."""
 
     name: str  # as reported
-    label: str  # prefix of its verify check names
     aliases: tuple[str, ...]  # accepted by the CLI
     graph: Callable  # (n, loops) -> LabelledGraph
     vertices: Callable[[int], int]
     edges: Callable[[int], int]  # non-loop edges
     components: tuple[str, ...]  # of a bundle: trees, corner forests, 3-forests
     bundle: Callable  # (n, w) -> bundle; w None gives symbolic components
-    closed: Callable | None  # n -> symbolic closed-form bundle
+    closed: Callable | None  # n -> symbolic closed-form bundle; None: unweighted only
     # (n, w, names) -> the named components by the closed form; only these
     # are evaluated, because evaluating a factored component is costly
     closed_value: Callable
     checks: tuple[Check, ...]
     counts: Callable | None = None  # n -> CountsTriple at weights 1 1 1
-    closed_weighted: bool = True  # False: the closed form is for weights 1 1 1
     routes: tuple[str, ...] = ("recursion", "closed", "cofactor", "oracle")
     stat_cap: int = sgf.SYMBOLIC_LEVEL_CAP
-    stats_from_closed: bool = False  # else from the symbolic bundle
     extra_checks: Callable | None = None  # (levels, trials, rng) -> results
 
     def degree(self, n: int, component: str) -> int:
@@ -96,6 +97,11 @@ class Family:
             return value
         return Fraction(value, scale ** self.degree(n, component))
 
+    def over_cap(self, route: str | None, n: int) -> bool:
+        """Whether gf --method all and verify skip a size-capped route at level n."""
+        return (route == "cofactor" and self.vertices(n) > COFACTOR_VERTEX_CAP
+                or route == "oracle" and self.edges(n) > ORACLE_AUTO_EDGE_CAP)
+
     def parts(self, bundle) -> dict:
         return {c: getattr(bundle, c) for c in self.components}
 
@@ -103,7 +109,7 @@ class Family:
         """T as a product, whose log-derivatives give the label statistics."""
         if n > self.stat_cap:
             raise CapabilityError(f"{self.name} statistics are capped at level {self.stat_cap}")
-        if self.stats_from_closed:
+        if self.closed is not None:
             return self.closed(n).T
         return FactoredPoly.of(self.bundle(n, None).T)
 
@@ -141,7 +147,7 @@ def run_checks(family: Family, levels, trials: int, rng):
     for n in levels:
         lv = Level(family, n)
         for mode, group in groupby(family.checks, key=lambda c: c.weights):
-            group = [c for c in group if c.levels[0] <= n <= c.levels[1]]
+            group = [c for c in group if n >= c.first_level and not family.over_cap(c.route, n)]
             if not group:
                 continue
             if mode == ONES_ONLY:
@@ -155,7 +161,7 @@ def run_checks(family: Family, levels, trials: int, rng):
                     ok = left == right
                     detail = None if ok else check.mismatch_detail(
                         w, left, right, lambda v: family.unscaled(n, v, scale))
-                    yield f"{family.label} {check.name}", n, ok, detail
+                    yield f"{family.name.removeprefix('sierpinski-')} {check.name}", n, ok, detail
     if family.extra_checks is not None:
         yield from family.extra_checks(levels, trials, rng)
 
@@ -221,11 +227,10 @@ def _schur_map_guards(levels, trials, rng):
             yield "decimation identity k=3", None, lhs == rhs, None
 
 
-_COFACTOR_CHECK = Check("cofactor = recursion", _cofactor, _tree, DRAW, levels=(1, 3))
+_COFACTOR_CHECK = Check("cofactor = recursion", _cofactor, _tree, DRAW, route="cofactor")
 
 HANOI = Family(
     name="hanoi",
-    label="hanoi",
     aliases=("hanoi",),
     graph=lambda n, loops: graphs.build_hanoi(n, include_loops=loops),
     vertices=lambda n: 3**n,
@@ -235,16 +240,15 @@ HANOI = Family(
     closed=None,
     closed_value=lambda n, w, names: _count_parts(hgf.hanoi_counts_closed(n), names),
     counts=lambda n: hgf.hanoi_counts_recursive(n),
-    closed_weighted=False,
     routes=("recursion", "closed", "cofactor", "schur", "oracle"),
     checks=(
         Check("counts recursive=closed", lambda lv, w: lv.counts,
               lambda lv, w: hgf.hanoi_counts_closed(lv.n), detail=("recursive", "closed")),
         Check("bundle at ones = counts", _bundle, _counts),
-        Check("oracle tree count", _oracle, _counts_tree, levels=(1, 2)),
+        Check("oracle tree count", _oracle, _counts_tree, route="oracle"),
         Check("recursion=schur", _tree, lambda lv, w: kirchhoff.schur_pipeline(lv.n, w)[0],
               TRIAL, detail=("weights", "recursion", "schur")),
-        Check("recursion=cofactor", _tree, _cofactor, TRIAL, levels=(1, 4),
+        Check("recursion=cofactor", _tree, _cofactor, TRIAL, route="cofactor",
               detail=("weights", "recursion", "cofactor")),
     ),
     extra_checks=_schur_map_guards,
@@ -252,7 +256,6 @@ HANOI = Family(
 
 ROTATIONAL = Family(
     name="sierpinski-rotational",
-    label="rotational",
     aliases=("sierpinski-rot", "sierpinski-rotational"),
     graph=lambda n, loops: graphs.build_sierpinski(n, "rotational"),
     vertices=lambda n: sgf.rot_vertex_count(n),
@@ -263,19 +266,18 @@ ROTATIONAL = Family(
     closed_value=lambda n, w, names: tuple(c.evaluate(w) for c in _pick(sgf.rot_closed(n), names)),
     counts=lambda n: sgf.rot_counts(n),
     stat_cap=20,  # the factored closed form keeps label statistics cheap
-    stats_from_closed=True,
     checks=(
         Check("closed at ones = counts", _closed, _counts),
         Check("closed = recursion", _closed, _bundle, TRIAL, detail=("weights",)),
         _COFACTOR_CHECK,
-        Check("oracle tree count", _oracle, _counts_tree, levels=(1, 1)),
+        Check("oracle tree count", _oracle, _counts_tree, route="oracle"),
     ),
 )
 
 _DIRECTIONAL_CHECKS = (
     Check("closed = recursion", _bundle, _closed, TRIAL, detail=("weights",)),
     Check("T at ones = rotational shift", _tree, lambda lv, w: sgf.rot_bundle(lv.n - 1, w).T,
-          levels=(2, sgf.EVALUATED_LEVEL_CAP)),
+          first_level=2),
     _COFACTOR_CHECK,
 )
 
@@ -285,7 +287,6 @@ def _directional_like(label: str, aliases, bundle, closed, closed_value) -> Fami
     and closed forms."""
     return Family(
         name=f"sierpinski-{label}",
-        label=label,
         aliases=aliases,
         graph=lambda n, loops: graphs.build_sierpinski(n, label),
         vertices=lambda n: (3**n + 3) // 2,

@@ -1,18 +1,18 @@
 """Label statistics of a uniform random spanning tree.
 
-For the rotational gasket the tree generating function factors into a
-fixed set of bases with huge exponents, so exact means and variances of
-the per-label edge counts come from log-derivatives of the factored form:
-for T = C * prod b_i^(e_i),
+For the gaskets the tree generating function factors into a fixed set
+of bases with huge exponents, so exact means and variances of the
+per-label edge counts come from log-derivatives of the factored closed
+form: for T = C * prod b_i^(e_i),
 
     mean   = sum_i e_i * b_i'(1) / b_i(1)
     (log T)'' = sum_i e_i * (b_i''(1) b_i(1) - b_i'(1)^2) / b_i(1)^2
     variance = (log T)'' + mean.
 
-The other models have no factored closed form here; their symbolic T
-(level 3 at most) is taken as a single factor.  The same quantities
-exist in closed form for the rotational model; both routes are exposed
-and must agree exactly.  The normalized count of the rotational model is
+The hanoi model has no symbolic closed form; its symbolic T (level 3 at
+most) is taken as a single factor.  The same quantities exist in closed
+form for the rotational model; both routes are exposed and must agree
+exactly.  The normalized count of the rotational model is
 asymptotically standard normal; its moment generating function is
 evaluated in log space (exponents grow like 3^n) and compared against
 exp(t^2/2) on a fixed grid.

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -5,9 +6,11 @@ import sys
 import pytest
 
 from fractal_forest import cli
+from fractal_forest import families
 from fractal_forest import kirchhoff
+from fractal_forest import sierpinski
 from fractal_forest import stats
-from fractal_forest.algebra import Weights
+from fractal_forest.algebra import FactoredPoly, Weights
 from fractal_forest.errors import DecimationSingularError
 from fractal_forest.hanoi import hanoi_bundle
 
@@ -157,6 +160,60 @@ def test_gf_symbolic_rotational(capsys):
     assert data["closed"]["Q"] == "(a + b)^1 * (a + b + 3*c)^2"
 
 
+@pytest.mark.parametrize("family", ["sierpinski-rot", "sierpinski-dir", "sierpinski-schreier"])
+def test_gf_symbolic_agrees_exactly_at_the_symbolic_cap(capsys, family):
+    # the closed form expands within its degree cap at level 3
+    code, data = run_json(capsys, "gf", "--family", family, "--level", "3", "--mode", "symbolic")
+    assert code == 0
+    assert data["agreement"] is True
+
+
+def test_gf_symbolic_disagreement_exits_1(capsys, monkeypatch):
+    dir_closed = sierpinski.dir_closed
+
+    def doubled_tree(n):
+        b = dir_closed(n)
+        return dataclasses.replace(b, T=FactoredPoly({**b.T.primes, 2: b.T.primes[2] + 1},
+                                                     b.T.factors))
+
+    monkeypatch.setattr(sierpinski, "dir_closed", doubled_tree)
+    code, data = run_json(
+        capsys, "gf", "--family", "sierpinski-dir", "--level", "2", "--mode", "symbolic"
+    )
+    assert code == 1
+    assert data["agreement"] is False
+
+
+@pytest.mark.parametrize(
+    "family, method",
+    [(f, m) for f in ("hanoi", "sierpinski-rot", "sierpinski-dir", "sierpinski-schreier")
+     for m in ("cofactor", "schur", "oracle")] + [("hanoi", "closed")],
+)
+def test_gf_symbolic_rejects_methods_it_does_not_run(capsys, family, method):
+    argv = ["gf", "--family", family, "--level", "2", "--mode", "symbolic", "--method", method]
+    assert cli.main(argv) == 2
+    assert "no symbolic mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, method",
+    [("hanoi", "all"), ("sierpinski-dir", "closed"), ("sierpinski-dir", "all")],
+)
+def test_gf_symbolic_accepts_the_routes_it_runs(capsys, family, method):
+    base = ["gf", "--family", family, "--level", "2", "--mode", "symbolic"]
+    code, data = run_json(capsys, *base, "--method", method)
+    _, default = run_json(capsys, *base)
+    assert code == 0
+    assert data == {**default, "method": method}
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_trials_below_one_is_usage_error(capsys, trials):
+    argv = ["verify", "--family", "hanoi", "--levels", "1..2", "--trials", trials]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_gf_schur_fallback_records_cofactor(capsys, monkeypatch):
     def boom(n, w):
         raise DecimationSingularError("forced")
@@ -207,7 +264,7 @@ def test_gf_schur_below_level_3_records_cofactor(capsys):
 
 @pytest.mark.parametrize(
     "family, checks_run",
-    [("hanoi", 30), ("sierpinski-rot", 16), ("sierpinski-dir", 14), ("sierpinski-schreier", 14)],
+    [("hanoi", 30), ("sierpinski-rot", 17), ("sierpinski-dir", 15), ("sierpinski-schreier", 15)],
 )
 def test_verify_matrix_size_per_family(capsys, family, checks_run):
     code, data = run_json(
@@ -308,7 +365,7 @@ def test_decimation_singular_exit_code(capsys, monkeypatch):
         raise DecimationSingularError("forced")
 
     monkeypatch.setattr(cli, "schur_pipeline", boom)
-    monkeypatch.setattr(cli, "COFACTOR_VERTEX_CAP", 0)
+    monkeypatch.setattr(families, "COFACTOR_VERTEX_CAP", 0)
     assert (
         cli.main(["gf", "--family", "hanoi", "--level", "3", "--method", "schur"]) == 4
     )
