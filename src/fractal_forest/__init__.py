@@ -69,6 +69,7 @@ from .sierpinski import (
 from .stats import (
     LabelStat,
     label_mean_gf,
+    label_moments,
     label_stat_closed,
     label_variance_gf,
     mgf_normalized,

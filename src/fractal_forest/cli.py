@@ -243,8 +243,7 @@ def run_stats(args) -> tuple[int, str]:
     n = _at_least_1(args.level, "level")
     if args.normality and family is not ROTATIONAL:
         raise UsageError(f"the normality gap does not apply to the {family.name} family")
-    mean = stat_mod.label_mean_gf(family.name, n, args.label)
-    variance = stat_mod.label_variance_gf(family.name, n, args.label)
+    mean, variance = stat_mod.label_moments(family.name, n, args.label)
     report = {
         "model": family.name,
         "n": n,
@@ -301,6 +300,7 @@ def _emit(report, fmt) -> str:
 # -- argument parsing --------------------------------------------------------------
 
 
+@cache  # the parser is constant; building it costs about a millisecond
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fractal-forest",
@@ -324,7 +324,7 @@ def _parser() -> argparse.ArgumentParser:
         choices=("recursion", "closed", "cofactor", "schur", "oracle", "all"),
         default="recursion",
     )
-    f.add_argument("--seed", type=int)
+    f.add_argument("--seed", type=int, help="recorded in the report; no gf route draws from it")
     f.add_argument("--format", choices=("json", "text", "csv"), default="json")
 
     v = sub.add_parser("verify", help="cross-method consistency matrix")

@@ -3,12 +3,14 @@ Schur-complement decimation pipeline for the hanoi graphs.
 
 Everything here is exact, never floating point.  Every determinant goes
 through one sparse elimination kernel, which takes ``int`` or
-``Fraction`` entries and divides as ``Fraction``s: rows hold only their
-nonzero entries, and each step pivots on the shortest remaining row, in
-its column with the fewest remaining entries, preferring the diagonal.
-A reduced Laplacian has at most five entries per row, and this order
-keeps the fill-in small.  At integer weights a cofactor is a ``Fraction``
-with denominator 1, and the decimation pipeline returns an ``int``.
+``Fraction`` entries and eliminates on integers: each row is held as its
+nonzero integer entries over one positive denominator, and a column is
+cleared from a row by cross-multiplication with the pivot row, never by
+division.  Each step pivots on the shortest remaining row, in its column
+with the fewest remaining entries, preferring the diagonal.  A reduced
+Laplacian has at most five entries per row, and this order keeps the
+fill-in small.  At integer weights a cofactor is a ``Fraction`` with
+denominator 1, and the decimation pipeline returns an ``int``.
 
 The decimation map P acts on a 9-component state
 ``(x1..x3, x4..x6, x7..x9)`` = (original weights, current off-diagonal
@@ -32,6 +34,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from typing import NamedTuple
 
 from .algebra import SAMPLE_BOUND, Weights, clear_denominators
@@ -46,20 +49,28 @@ def _sparse_det(rows: dict) -> Fraction:
 
     Rows and columns share one set of keys, and each row holds only its
     nonzero ``int`` or ``Fraction`` entries; the argument is consumed.
-    Each step pivots on the shortest remaining row, in the column of that
-    row with the fewest remaining entries (the diagonal on a tie), and
-    clears that column from every other row.  Entries that cancel to zero
-    are dropped, so row lengths stay honest and a row that empties out
-    means the determinant is 0.  The determinant is the product of the
-    pivots times the sign of the row -> pivot-column permutation.
+    A row is kept as integers over one positive denominator, cleared once
+    by the lcm of its entries' denominators.  Each step pivots on the
+    shortest remaining row r, in its column c with the fewest remaining
+    entries (the diagonal on a tie), and clears c from every other row t
+    by cross-multiplication, ``t <- r_c t - t_c r`` over ``d_t r_c``,
+    then divides out the gcd of t and its denominator.  The rows stand
+    for the same rationals as in division-based elimination, so an entry
+    cancels to zero, and is dropped, exactly where it would there; a row
+    that empties out means the determinant is 0.  The determinant is the
+    product of the pivots ``r_c / d_r``, formed once at the end, times the
+    sign of the row -> pivot-column permutation.
     """
+    dens = {}
     holders = {j: set() for j in rows}  # column -> live rows with an entry there
     for i, row in rows.items():
+        ints, dens[i] = clear_denominators(row.values())
+        rows[i] = dict(zip(row, ints))
         for j in row:
             holders[j].add(i)
     live = set(rows)
     pivot_col = {}
-    det = Fraction(1)
+    num = den = 1
     while live:
         p = min(live, key=lambda i: len(rows[i]))
         row = rows[p]
@@ -68,13 +79,16 @@ def _sparse_det(rows: dict) -> Fraction:
         c = min(row, key=lambda j: (len(holders[j]), j != p))
         live.remove(p)
         pivot_col[p] = c
-        pivot = Fraction(row[c])  # an int pivot would divide into floats
-        det *= pivot
+        pivot = row[c]
+        num *= pivot
+        den *= dens[p]
         for j in row:
             holders[j].discard(p)
         for i in holders[c]:
             target = rows[i]
-            factor = target.pop(c) / pivot
+            factor = target.pop(c)
+            for j in target:
+                target[j] *= pivot
             for j, x in row.items():
                 if j == c:
                     continue
@@ -89,6 +103,14 @@ def _sparse_det(rows: dict) -> Fraction:
                     else:
                         del target[j]
                         holders[j].discard(i)
+            d = dens[i] * pivot
+            g = gcd(d, *target.values())
+            if d < 0:
+                g = -g
+            if g != 1:
+                for j in target:
+                    target[j] //= g
+            dens[i] = d // g
     # a cycle of length L in the permutation is L - 1 transpositions
     transpositions = 0
     while pivot_col:
@@ -96,19 +118,18 @@ def _sparse_det(rows: dict) -> Fraction:
         while j != start:
             j = pivot_col.pop(j)
             transpositions += 1
-    return -det if transpositions % 2 else det
+    return Fraction(-num if transpositions % 2 else num, den)
 
 
 class RationalMatrix:
-    """Small dense matrix of exact rationals; its determinant goes through
-    the sparse elimination kernel."""
+    """Small dense matrix of exact rationals, ``int`` or ``Fraction`` entries
+    kept as given; its determinant goes through the sparse elimination
+    kernel."""
 
     __slots__ = ("rows", "n")
 
     def __init__(self, rows):
-        # re-wrapping a Fraction costs about a microsecond, and a masked
-        # matrix has 3^(2k) entries
-        self.rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
+        self.rows = [list(row) for row in rows]
         self.n = len(self.rows)
         for row in self.rows:
             if len(row) != self.n:

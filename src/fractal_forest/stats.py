@@ -51,14 +51,20 @@ def _log_derivs(T: FactoredPoly, label: str):
     return first, second
 
 
+def label_moments(model: str, n: int, label: str) -> tuple[Fraction, Fraction]:
+    """Mean and variance of the number of label-edges in a random
+    spanning tree, exactly, from one log-derivative pass."""
+    first, second = _log_derivs(lookup(model).stat_tree(n), label)
+    return first, second + first
+
+
 def label_mean_gf(model: str, n: int, label: str) -> Fraction:
     """Mean number of label-edges in a random spanning tree, exactly."""
-    return _log_derivs(lookup(model).stat_tree(n), label)[0]
+    return label_moments(model, n, label)[0]
 
 
 def label_variance_gf(model: str, n: int, label: str) -> Fraction:
-    first, second = _log_derivs(lookup(model).stat_tree(n), label)
-    return second + first
+    return label_moments(model, n, label)[1]
 
 
 def label_stat_closed(n: int, label: str) -> LabelStat:

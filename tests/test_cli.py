@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -342,6 +345,7 @@ def test_normality_gap_is_rotational_only(capsys, monkeypatch):
         raise AssertionError("a statistic was computed")
 
     monkeypatch.setattr(stats, "label_mean_gf", refuse)
+    monkeypatch.setattr(stats, "label_moments", refuse)
     for model in ("hanoi", "sierpinski-dir", "sierpinski-schreier"):
         argv = ["stats", "--model", model, "--level", "2", "--label", "a", "--normality"]
         assert cli.main(argv) == 2
@@ -430,3 +434,26 @@ def test_verify_mismatch_reports_values_at_the_drawn_weights(capsys, monkeypatch
     for f in failures:
         w = Weights.parse(*f["detail"]["weights"].strip("()").split(","))
         assert f["detail"]["recursion"] == str(hanoi_bundle(f["level"], w).T)
+
+
+def test_requests_in_one_process_match_fresh_interpreters(capsys):
+    # the parser is built once per process; a usage error must leave
+    # nothing behind that changes the requests after it
+    requests = (
+        ["gf", "--family", "hanoi", "--level"],
+        ["gf", "--family", "sierpinski-dir", "--level", "2", "--weights", "1/3", "2/7", "5",
+         "--method", "all"],
+        ["stats", "--model", "sierpinski-schreier", "--level", "2", "--label", "b"],
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    codes = []
+    for argv in requests:
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fractal_forest.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [2, 0, 0]

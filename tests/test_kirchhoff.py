@@ -6,6 +6,7 @@ import pytest
 
 from fractal_forest.algebra import Weights, clear_denominators
 from fractal_forest.errors import DecimationSingularError
+from fractal_forest.families import COFACTOR_VERTEX_CAP, FAMILIES
 from fractal_forest.graphs import LabelledEdge, LabelledGraph, build_hanoi, build_sierpinski
 from fractal_forest.hanoi import hanoi_bundle, hanoi_counts_closed
 from fractal_forest.kirchhoff import (
@@ -369,3 +370,86 @@ def test_map_terms_are_homogeneous():
     # denominator, which is exact only for these degrees
     assert all(sum(exps) == 6 for _, exps in D_TERMS)
     assert all(sum(exps) == 7 for terms in P_TERMS.values() for _, exps in terms)
+
+
+def sparse(rows) -> dict:
+    """A dense matrix in the kernel's ``{row: {column: entry}}`` form."""
+    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
+
+
+def test_sparse_det_rows_mixing_int_and_fraction_entries():
+    rows = [
+        [2, Fraction(1, 2), 0, -1],
+        [Fraction(3), 1, Fraction(-2, 3), 0],
+        [0, Fraction(5, 4), 7, Fraction(1, 6)],
+        [1, 0, Fraction(9, 2), 4],
+    ]
+    assert _sparse_det(sparse(rows)) == laplace_det(rows) == RationalMatrix(rows).det()
+    rng = random.Random(73)
+    for _shape, fracs in random_sparse_matrices(73, 200):
+        # every other entry becomes an int where it is one
+        mixed = [
+            [int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in row]
+            for row in fracs
+        ]
+        assert _sparse_det(sparse(mixed)) == laplace_det(fracs), mixed
+
+
+def test_sparse_det_rows_with_different_denominators():
+    rows = [
+        [Fraction(1, 2), Fraction(1, 4), 0],
+        [Fraction(2, 3), 0, Fraction(5, 9)],
+        [0, Fraction(3, 5), Fraction(7, 25)],
+    ]
+    assert _sparse_det(sparse(rows)) == laplace_det(rows) == Fraction(-16, 75)
+    primes = (2, 3, 5, 7, 11, 13)
+    n = len(primes)
+    rows = [
+        [Fraction(1 + (i * j) % 4, p**(1 + j % 2)) if (i + j) % 3 else 0 for j in range(n)]
+        for i, p in enumerate(primes)
+    ]
+    assert _sparse_det(sparse(rows)) == laplace_det(rows) != 0
+
+
+def test_sparse_det_negative_pivots():
+    # at positive weights every pivot of a negated Laplacian minor is
+    # negative
+    for w in RATIONAL_TRIPLES + (Weights.of(1, 2, 3),):
+        rows = weighted_laplacian(build_hanoi(2), w).rows
+        minor = [[-x for x in row[1:]] for row in rows[1:]]
+        det = _sparse_det(sparse(minor))
+        assert det == (-1) ** len(minor) * tree_gf_cofactor(build_hanoi(2), w)
+        assert det == laplace_det(minor)
+    rows = [[-3, 1, 0], [Fraction(-1, 2), -2, Fraction(1, 3)], [0, 4, Fraction(-5, 7)]]
+    assert _sparse_det(sparse(rows)) == laplace_det(rows) == Fraction(-9, 14)
+
+
+def test_sparse_det_row_cancelling_to_empty():
+    # the short rows a and b are pivoted on first; their combination then
+    # empties out while the two long rows are still live
+    a = [Fraction(1, 2), 3, 0, 0, 0]
+    b = [0, Fraction(-1, 5), 2, 0, 0]
+    c = [1, 5, Fraction(1, 3), 1, Fraction(1, 2)]
+    d = [2, 0, 7, Fraction(2, 9), 3]
+    combo = [Fraction(2, 3) * x - Fraction(3, 4) * y for x, y in zip(a, b)]
+    for rows in ([a, b, c, d, combo], [combo, c, a, d, b]):
+        assert laplace_det(rows) == 0
+        assert _sparse_det(sparse(rows)) == 0
+        assert RationalMatrix(rows).det() == 0
+
+
+def test_cofactor_equals_bundle_tree_under_the_vertex_cap():
+    # the weight triples of the gf-desk benchmark, cleared to integers
+    triples = (
+        ("1", "1", "1"), ("6", "9", "5"), ("1", "1", "5"),
+        ("1/3", "2/7", "5"), ("13/61", "44/17", "7/90"), ("72/80", "1/7", "84/20"),
+    )
+    for family in FAMILIES.values():
+        levels = [n for n in range(1, 9) if family.vertices(n) <= COFACTOR_VERTEX_CAP]
+        assert levels
+        for triple in triples:
+            iw, _scale = Weights.parse(*triple).clear_denominators()
+            for n in levels:
+                value = tree_gf_cofactor(family.graph(n, False), iw)
+                assert value == family.bundle(n, iw).T, (family.name, n, triple)
+                assert isinstance(value, Fraction) and value.denominator == 1
