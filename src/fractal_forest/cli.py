@@ -24,10 +24,9 @@ from functools import cache
 from . import stats as stat_mod
 from .algebra import DEFAULT_SEED, Weights
 from .errors import CapabilityError, DecimationSingularError
-from .families import COFACTOR_VERTEX_CAP, FAMILIES, ONES, ROTATIONAL, Level, lookup, run_checks
+from .families import FAMILIES, ONES, ROTATIONAL, ROUTES, Level, lookup, run_checks
 from .graphs import export_dot, graph_census
-from .kirchhoff import schur_pipeline, tree_gf_cofactor
-from .oracle import EDGE_CAP, ForestSpec, enumerate_gf
+from .oracle import EDGE_CAP
 from .sierpinski import EVALUATED_LEVEL_CAP, check_level
 
 EXIT_OK = 0
@@ -82,13 +81,7 @@ def run_generate(args) -> tuple[int, str]:
     g = family.graph(n, args.loops)
     if args.format == "dot":
         return EXIT_OK, export_dot(g)
-    census = graph_census(g)
-    if args.format == "text":
-        lines = [f"{k}: {v}" for k, v in census.items()]
-        return EXIT_OK, "\n".join(lines) + "\n"
-    if args.format == "csv":
-        return EXIT_OK, _to_csv(census)
-    return EXIT_OK, _to_json(census)
+    return EXIT_OK, _emit(graph_census(g), args.format)
 
 
 # -- gf -----------------------------------------------------------------------
@@ -97,31 +90,19 @@ def run_generate(args) -> tuple[int, str]:
 def _gf_methods(family, n: int, w: Weights, requested: str):
     """The requested routes that apply, and why each route that
     ``--method all`` leaves out is skipped; no graph is built to decide."""
-    run_all = requested == "all"
-    if not run_all and requested not in family.routes:
+    if requested == "all":
+        skipped = {name: why for name in family.routes if (why := family.skip_reason(name, n, w))}
+        return [name for name in family.routes if name not in skipped], skipped
+    if requested not in family.routes:
         raise UsageError(f"the {requested} method does not apply to the {family.name} family")
-    methods = []
-    skipped = {}
-    for name in family.routes if run_all else [requested]:
-        if name == "closed" and family.closed is None and w != ONES:
-            if not run_all:
-                raise UsageError(f"{family.name} closed form counts trees at weights 1 1 1 only")
-            skipped[name] = f"{family.name} closed form is unweighted"
-        elif name == "cofactor" and family.over_cap(name, n):
-            msg = f"cofactor capped at {COFACTOR_VERTEX_CAP} vertices"
-            if not run_all:
-                raise CapabilityError(msg)
-            skipped[name] = msg
-        elif name == "oracle" and not run_all and family.edges(n) > EDGE_CAP:
-            raise CapabilityError(f"oracle capped at {EDGE_CAP} edges")
-        elif name == "oracle" and run_all and family.over_cap(name, n):
-            skipped[name] = f"oracle skipped at {family.edges(n)} edges"
-        elif name == "schur" and n < 3 and run_all:
-            # below level 3 the decimation is the cofactor route again
-            skipped[name] = "no decimation step below level 3"
-        else:
-            methods.append(name)
-    return methods, skipped
+    why = family.skip_reason(requested, n, w)
+    if requested == "closed" and why:
+        raise UsageError(f"{family.name} closed form counts trees at weights 1 1 1 only")
+    if requested == "cofactor" and why:
+        raise CapabilityError(why)
+    if requested == "oracle" and family.edges(n) > EDGE_CAP:
+        raise CapabilityError(f"oracle capped at {EDGE_CAP} edges")
+    return [requested], {}
 
 
 def run_gf(args) -> tuple[int, str]:
@@ -167,34 +148,25 @@ def run_gf(args) -> tuple[int, str]:
     values = {}
     fallbacks = []
     for name in methods:
-        if name == "recursion":
-            bundle = level.bundle(iw)
-            report["components"] = {k: show(v, k) for k, v in family.parts(bundle).items()}
-            values[name] = bundle.T
-        elif name == "closed":
-            values[name] = family.closed_value(n, iw, ("T",))[0]
-        elif name == "cofactor":
-            values[name] = tree_gf_cofactor(level.graph, iw)
-        elif name == "oracle":
-            values[name] = enumerate_gf(level.graph, ForestSpec("tree")).evaluate(iw)
-        elif name == "schur":
-            if n < 3:
-                fallbacks.append("no decimation step below level 3; used cofactor")
-            try:
-                value, orbit = schur_pipeline(n, iw)
-            except DecimationSingularError as exc:
-                # under --method all a fallback would report the cofactor
-                # route a second time and count it twice towards agreement
-                if args.method == "all":
-                    skipped[name] = f"decimation singular: {exc}"
-                    continue
-                if family.over_cap("cofactor", n):
-                    raise
-                fallbacks.append(f"schur failed ({exc}); used cofactor")
-                value, orbit = tree_gf_cofactor(level.graph, iw), []
-            values[name] = value
-            # D is homogeneous of degree 6 in the decimation state
-            report["D_orbit"] = [str(Fraction(d, scale**6)) for d in orbit]
+        if name == "schur" and n < 3:
+            fallbacks.append("no decimation step below level 3; used cofactor")
+        try:
+            values[name] = ROUTES[name](level, iw)
+        except DecimationSingularError as exc:
+            # under --method all a fallback would report the cofactor
+            # route a second time and count it twice towards agreement
+            if args.method == "all":
+                skipped[name] = f"decimation singular: {exc}"
+            elif family.skip_reason("cofactor", n, w):
+                raise
+            else:
+                fallbacks.append(f"{name} failed ({exc}); used cofactor")
+                values[name] = ROUTES["cofactor"](level, iw)
+    if "recursion" in values:
+        report["components"] = {k: show(v, k) for k, v in family.parts(level.bundle(iw)).items()}
+    if "schur" in values:
+        # D is homogeneous of degree 6 in the decimation state
+        report["D_orbit"] = [str(Fraction(d, scale**6)) for d in level.orbit]
     report["methods"] = {k: show(v, "T") for k, v in values.items()}
     report["skipped"] = skipped
     report["fallbacks"] = fallbacks

@@ -2,10 +2,12 @@
 
 One ``Family`` record per family holds what the CLI, the verify matrix
 and the label statistics need to know about it: its names, its graph
-builder and vertex/edge counts (so that the one cap of each size-capped
-route, defined here, is checked before a graph is built), its bundle
-recursion and closed forms, the gf routes that apply, and the pairs of
-routes that ``verify`` checks, a capped one where ``gf --method all`` runs it.
+builder and vertex/edge counts (so that a route's size cap is checked
+before a graph is built), its bundle recursion and closed forms, the gf
+routes that apply, and the pairs of routes that ``verify`` checks.
+``ROUTES`` maps each gf method to its one function (Level, integer
+weights) -> T, and ``Family.skip_reason`` is the one rule for where
+``gf --method all`` leaves a route out and ``verify`` the checks that run it.
 
 Route functions are looked up through their modules when they are
 called, not bound when this module is imported, so that a patched or
@@ -52,7 +54,7 @@ class Check:
     left: Callable
     right: Callable
     weights: str = ONES_ONLY
-    route: str | None = None  # the size-capped route it runs, if any
+    route: str | None = None  # the gf route whose skip rule it follows, if any
     first_level: int = 1
     detail: tuple[str, ...] = ()
 
@@ -97,10 +99,19 @@ class Family:
             return value
         return Fraction(value, scale ** self.degree(n, component))
 
-    def over_cap(self, route: str | None, n: int) -> bool:
-        """Whether gf --method all and verify skip a size-capped route at level n."""
-        return (route == "cofactor" and self.vertices(n) > COFACTOR_VERTEX_CAP
-                or route == "oracle" and self.edges(n) > ORACLE_AUTO_EDGE_CAP)
+    def skip_reason(self, route: str | None, n: int, w: Weights | None) -> str | None:
+        """Why gf --method all and verify leave a route out at level n and
+        weights w (None: weights still to be drawn), or None where it runs."""
+        if route == "closed" and self.closed is None and w != ONES:
+            return f"{self.name} closed form is unweighted"
+        if route == "cofactor" and self.vertices(n) > COFACTOR_VERTEX_CAP:
+            return f"cofactor capped at {COFACTOR_VERTEX_CAP} vertices"
+        if route == "oracle" and self.edges(n) > ORACLE_AUTO_EDGE_CAP:
+            return f"oracle skipped at {self.edges(n)} edges"
+        if route == "schur" and n < 3:
+            # below level 3 the decimation is the cofactor route again
+            return "no decimation step below level 3"
+        return None
 
     def parts(self, bundle) -> dict:
         return {c: getattr(bundle, c) for c in self.components}
@@ -121,6 +132,7 @@ class Level:
         self.family = family
         self.n = n
         self._bundle = None  # (weights, bundle) of the last bundle asked for
+        self.orbit = []  # the decimation's denominators, once the schur route ran
 
     @cached_property
     def graph(self):
@@ -147,7 +159,9 @@ def run_checks(family: Family, levels, trials: int, rng):
     for n in levels:
         lv = Level(family, n)
         for mode, group in groupby(family.checks, key=lambda c: c.weights):
-            group = [c for c in group if n >= c.first_level and not family.over_cap(c.route, n)]
+            w = ONES if mode == ONES_ONLY else None  # drawn below
+            group = [c for c in group
+                     if n >= c.first_level and not family.skip_reason(c.route, n, w)]
             if not group:
                 continue
             if mode == ONES_ONLY:
@@ -175,7 +189,7 @@ def _count_parts(counts, names) -> tuple:
     return tuple({"T": counts.tau, "Q": counts.q}.get(c, counts.s) for c in names)
 
 
-# -- routes of the check tables: (Level, weights) -> value ----------------------
+# -- routes of gf and the check tables: (Level, weights) -> value --------------
 
 
 def _tree(lv, w):
@@ -204,6 +218,15 @@ def _cofactor(lv, w):
 
 def _oracle(lv, w):
     return oracle.enumerate_gf(lv.graph, oracle.ForestSpec("tree")).evaluate(w)
+
+
+def _schur(lv, w):
+    value, lv.orbit = kirchhoff.schur_pipeline(lv.n, w)
+    return value
+
+
+ROUTES = {"recursion": _tree, "cofactor": _cofactor, "schur": _schur, "oracle": _oracle,
+          "closed": lambda lv, w: lv.family.closed_value(lv.n, w, ("T",))[0]}
 
 
 def _schur_map_guards(levels, trials, rng):
@@ -246,8 +269,8 @@ HANOI = Family(
               lambda lv, w: hgf.hanoi_counts_closed(lv.n), detail=("recursive", "closed")),
         Check("bundle at ones = counts", _bundle, _counts),
         Check("oracle tree count", _oracle, _counts_tree, route="oracle"),
-        Check("recursion=schur", _tree, lambda lv, w: kirchhoff.schur_pipeline(lv.n, w)[0],
-              TRIAL, detail=("weights", "recursion", "schur")),
+        Check("recursion=schur", _tree, _schur, TRIAL, route="schur",
+              detail=("weights", "recursion", "schur")),
         Check("recursion=cofactor", _tree, _cofactor, TRIAL, route="cofactor",
               detail=("weights", "recursion", "cofactor")),
     ),

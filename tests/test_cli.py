@@ -221,7 +221,7 @@ def test_gf_schur_fallback_records_cofactor(capsys, monkeypatch):
     def boom(n, w):
         raise DecimationSingularError("forced")
 
-    monkeypatch.setattr(cli, "schur_pipeline", boom)
+    monkeypatch.setattr(kirchhoff, "schur_pipeline", boom)
     code, data = run_json(
         capsys, "gf", "--family", "hanoi", "--level", "3", "--method", "schur"
     )
@@ -267,7 +267,7 @@ def test_gf_schur_below_level_3_records_cofactor(capsys):
 
 @pytest.mark.parametrize(
     "family, checks_run",
-    [("hanoi", 30), ("sierpinski-rot", 17), ("sierpinski-dir", 15), ("sierpinski-schreier", 15)],
+    [("hanoi", 26), ("sierpinski-rot", 17), ("sierpinski-dir", 15), ("sierpinski-schreier", 15)],
 )
 def test_verify_matrix_size_per_family(capsys, family, checks_run):
     code, data = run_json(
@@ -276,6 +276,39 @@ def test_verify_matrix_size_per_family(capsys, family, checks_run):
     )
     assert code == 0
     assert data["checks_run"] == checks_run
+
+
+def test_verify_runs_the_decimation_where_gf_all_does(capsys, monkeypatch):
+    # below level 3 the decimation is the cofactor again; verify skips it
+    # there, as gf --method all does
+    def refuse(n, w):
+        raise AssertionError("the decimation ran")
+
+    monkeypatch.setattr(kirchhoff, "schur_pipeline", refuse)
+    argv = ["verify", "--family", "hanoi", "--trials", "2", "--seed", "9", "--levels"]
+    assert cli.main(argv + ["1..2"]) == 0
+    with pytest.raises(AssertionError, match="the decimation ran"):
+        cli.main(argv + ["3..3"])
+
+
+def test_every_family_route_is_in_the_route_table():
+    for family in families.FAMILIES.values():
+        assert set(family.routes) <= set(families.ROUTES), family.name
+
+
+@pytest.mark.parametrize("family", ["hanoi", "sierpinski-rot", "sierpinski-dir",
+                                    "sierpinski-schreier"])
+def test_each_route_alone_gives_its_value_under_all(capsys, family):
+    for level in range(1, 5):
+        for weights in (("1", "1", "1"), ("1/3", "2/7", "5"), ("0", "0", "0")):
+            argv = ["gf", "--family", family, "--level", str(level), "--weights", *weights,
+                    "--method"]
+            code, data = run_json(capsys, *argv, "all")
+            assert code == 0 and data["methods"]
+            for route, value in data["methods"].items():
+                code, alone = run_json(capsys, *argv, route)
+                assert code == 0
+                assert alone["methods"] == {route: value}, (level, weights, route)
 
 
 def test_level_caps_checked_before_any_work(capsys, monkeypatch):
@@ -368,7 +401,7 @@ def test_decimation_singular_exit_code(capsys, monkeypatch):
     def boom(n, w):
         raise DecimationSingularError("forced")
 
-    monkeypatch.setattr(cli, "schur_pipeline", boom)
+    monkeypatch.setattr(kirchhoff, "schur_pipeline", boom)
     monkeypatch.setattr(families, "COFACTOR_VERTEX_CAP", 0)
     assert (
         cli.main(["gf", "--family", "hanoi", "--level", "3", "--method", "schur"]) == 4
@@ -384,6 +417,8 @@ def test_csv_and_text_formats(capsys):
         capsys, "generate", "--family", "hanoi", "--level", "1", "--format", "text"
     )
     assert code == 0 and "vertices: 3" in out
+    # nested census fields flatten as in every other report
+    assert "\nlabel_counts.a: " in out and "{" not in out
 
 
 # sha256 of the whole stdout of gf --method all at weights 13/61 44/17 7/90;
