@@ -8,10 +8,7 @@ from .algebra import (
     FactoredPoly,
     TriPoly,
     Weights,
-    poly_derivative,
     poly_equal_by_sampling,
-    poly_eval,
-    poly_log_eval,
 )
 from .errors import CapabilityError, DecimationSingularError
 from .graphs import (
@@ -34,7 +31,6 @@ from .kirchhoff import (
     RationalMatrix,
     SchurState,
     generator_matrices,
-    hanoi_tn_schur,
     lambda_matrix,
     schur_denominator,
     schur_denominator_rederived,
@@ -45,7 +41,7 @@ from .kirchhoff import (
     tree_gf_cofactor,
     weighted_laplacian,
 )
-from .oracle import ForestSpec, count_trees, enumerate_gf
+from .oracle import ForestSpec, enumerate_gf
 from .sierpinski import (
     CountsTriple,
     FiveBundle,

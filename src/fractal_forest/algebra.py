@@ -20,7 +20,6 @@ goes through mpmath.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -126,10 +125,6 @@ class TriPoly:
         self.terms = t
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "TriPoly":
-        return cls()
 
     @classmethod
     def const(cls, n: int) -> "TriPoly":
@@ -248,7 +243,7 @@ class TriPoly:
             t[tuple(ne)] = t.get(tuple(ne), 0) + c * e[idx]
         return TriPoly(t)
 
-    # -- canonical text and JSON ----------------------------------------
+    # -- canonical text -------------------------------------------------
 
     def sorted_terms(self):
         """Terms in graded-lex order: higher total degree first, lex ties."""
@@ -273,20 +268,6 @@ class TriPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    def to_json(self) -> dict:
-        return {
-            "type": "tripoly",
-            "terms": [[list(e), str(c)] for e, c in self.sorted_terms()],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "TriPoly":
-        if isinstance(data, str):
-            data = json.loads(data)
-        if data.get("type") != "tripoly":
-            raise ValueError("not a serialized polynomial")
-        return cls({tuple(e): int(c) for e, c in data["terms"]})
 
     def __repr__(self):
         return f"TriPoly({self.text()})"
@@ -349,11 +330,11 @@ class FactoredPoly:
                 total += exp * _log_fraction(v)
             return +total
 
-    def expand(self, degree_cap: int = EXPANSION_DEGREE_CAP) -> TriPoly:
+    def expand(self) -> TriPoly:
         degree = sum(base.total_degree() * exp for base, exp in self.factors)
-        if degree > degree_cap:
+        if degree > EXPANSION_DEGREE_CAP:
             raise CapabilityError(
-                f"expansion would reach total degree {degree} > cap {degree_cap}"
+                f"expansion would reach total degree {degree} > cap {EXPANSION_DEGREE_CAP}"
             )
         out = TriPoly.const(
             2 ** self.primes[2] * 3 ** self.primes[3] * 5 ** self.primes[5]
@@ -370,24 +351,6 @@ class FactoredPoly:
             parts.append(f"({base.text()})^{exp}")
         return " * ".join(parts) if parts else "1"
 
-    def to_json(self) -> dict:
-        return {
-            "type": "factored",
-            "primes": {str(p): str(e) for p, e in sorted(self.primes.items())},
-            "factors": [[base.to_json(), str(exp)] for base, exp in self.factors],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "FactoredPoly":
-        if isinstance(data, str):
-            data = json.loads(data)
-        if data.get("type") != "factored":
-            raise ValueError("not a serialized factored polynomial")
-        return cls(
-            primes={int(p): int(e) for p, e in data["primes"].items()},
-            factors=[(TriPoly.from_json(b), int(e)) for b, e in data["factors"]],
-        )
-
     def __repr__(self):
         return f"FactoredPoly({self.text()})"
 
@@ -397,28 +360,6 @@ def _log_fraction(q: Fraction) -> mpmath.mpf:
 
 
 # -- module-level operations ------------------------------------------------
-
-
-def poly_eval(p, w: Weights) -> Fraction | int:
-    """Exact value of an expanded or factored polynomial at rational weights."""
-    return p.evaluate(w)
-
-
-def poly_log_eval(p, w: Weights) -> mpmath.mpf:
-    """log of the value at strictly positive weights; factored forms never expand."""
-    if isinstance(p, FactoredPoly):
-        return p.log_evaluate(w)
-    if not w.all_positive():
-        raise ValueError("log evaluation requires strictly positive weights")
-    v = p.evaluate(w)
-    if v <= 0:
-        raise ValueError("value not positive at these weights")
-    with mpmath.workdps(LOG_DPS):
-        return +_log_fraction(v)
-
-
-def poly_derivative(p: TriPoly, label: str) -> TriPoly:
-    return p.derivative(label)
 
 
 def positive_weights(rng: random.Random) -> Weights:

@@ -24,7 +24,9 @@ from functools import cache
 from . import stats as stat_mod
 from .algebra import DEFAULT_SEED, Weights
 from .errors import CapabilityError, DecimationSingularError
-from .families import FAMILIES, ONES, ROTATIONAL, ROUTES, Level, lookup, run_checks
+from .families import (
+    FAMILIES, ONES, ROTATIONAL, ROUTES, Level, lookup, run_checks, symbolic_routes,
+)
 from .graphs import export_dot, graph_census
 from .oracle import EDGE_CAP
 from .sierpinski import EVALUATED_LEVEL_CAP, check_level
@@ -117,8 +119,7 @@ def run_gf(args) -> tuple[int, str]:
         "seed": seed,
     }
     if args.mode == "symbolic":
-        symbolic = ("recursion", "closed", "all") if family.closed is not None else ("recursion", "all")
-        if args.method not in symbolic:
+        if args.method != "all" and args.method not in symbolic_routes(family):
             raise UsageError(f"the {args.method} method has no symbolic mode for {family.name}")
         bundle = family.parts(family.bundle(n, None))
         report["components"] = {k: v.text() for k, v in bundle.items()}

@@ -6,8 +6,9 @@ builder and vertex/edge counts (so that a route's size cap is checked
 before a graph is built), its bundle recursion and closed forms, the gf
 routes that apply, and the pairs of routes that ``verify`` checks.
 ``ROUTES`` maps each gf method to its one function (Level, integer
-weights) -> T, and ``Family.skip_reason`` is the one rule for where
-``gf --method all`` leaves a route out and ``verify`` the checks that run it.
+weights) -> T, ``symbolic_routes`` names those with a symbolic form, and
+``Family.skip_reason`` is the one rule for where ``gf --method all``
+leaves a route out and ``verify`` the checks that run it.
 
 Route functions are looked up through their modules when they are
 called, not bound when this module is imported, so that a patched or
@@ -227,6 +228,11 @@ def _schur(lv, w):
 
 ROUTES = {"recursion": _tree, "cofactor": _cofactor, "schur": _schur, "oracle": _oracle,
           "closed": lambda lv, w: lv.family.closed_value(lv.n, w, ("T",))[0]}
+
+
+def symbolic_routes(family: Family) -> tuple[str, ...]:
+    """The gf routes with a symbolic form; gf --mode symbolic runs them all."""
+    return ("recursion", "closed") if family.closed is not None else ("recursion",)
 
 
 def _schur_map_guards(levels, trials, rng):

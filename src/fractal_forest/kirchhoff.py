@@ -143,9 +143,6 @@ class RationalMatrix:
             {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(self.rows)}
         )
 
-    def row_sums(self):
-        return [sum(row, Fraction(0)) for row in self.rows]
-
 
 # -- Laplacians and cofactors --------------------------------------------------
 
@@ -202,18 +199,11 @@ class SchurState(NamedTuple):
         return cls(w.a, w.b, w.c, w.a, w.b, w.c, s, s, s)
 
     @classmethod
-    def of(cls, values) -> "SchurState":
-        return cls(*(Fraction(v) for v in values))
-
-    @classmethod
     def random(cls, rng) -> "SchurState":
         """A generic state: each coordinate a numerator over a denominator
         drawn from 1..SAMPLE_BOUND."""
         bound = SAMPLE_BOUND
         return cls(*(Fraction(rng.randint(1, bound), rng.randint(1, bound)) for _ in range(9)))
-
-    def as_tuple(self):
-        return tuple(self)
 
 
 _TERM_RE = re.compile(r"x(\d)(?:\^(\d+))?")
@@ -579,7 +569,3 @@ def schur_pipeline(n: int, w: Weights):
         state = schur_map(state)
     value = total * lambda_matrix(2, state).det() / (w.a + w.b)
     return (value.numerator if value.denominator == 1 else value), orbit
-
-
-def hanoi_tn_schur(n: int, w: Weights) -> Fraction | int:
-    return schur_pipeline(n, w)[0]

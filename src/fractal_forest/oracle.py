@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import TriPoly, Weights
+from .algebra import TriPoly
 from .errors import CapabilityError
 from .graphs import LABELS, LabelledGraph
 
@@ -101,10 +101,3 @@ def enumerate_gf(g: LabelledGraph, spec: ForestSpec) -> TriPoly:
 
     recurse(0, 0, list(range(nv)))
     return TriPoly(accum)
-
-
-def count_trees(g: LabelledGraph) -> int:
-    """Number of spanning trees by exhaustive enumeration."""
-    value = enumerate_gf(g, ForestSpec("tree")).evaluate(Weights.ones())
-    assert value.denominator == 1
-    return int(value)

@@ -13,9 +13,9 @@ The hanoi model has no symbolic closed form; its symbolic T (level 3 at
 most) is taken as a single factor.  The same quantities exist in closed
 form for the rotational model; both routes are exposed and must agree
 exactly.  The normalized count of the rotational model is
-asymptotically standard normal; its moment generating function is
-evaluated in log space (exponents grow like 3^n) and compared against
-exp(t^2/2) on a fixed grid.
+asymptotically standard normal; its moment generating function comes
+from the same closed form rot_closed(n).T, is evaluated in log space
+(exponents grow like 3^n) and is compared against exp(t^2/2) on a grid.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from fractions import Fraction
 
 import mpmath
 
-from .algebra import LOG_DPS, FactoredPoly, Weights
-from .families import lookup
+from .algebra import LOG_DPS, VARS, FactoredPoly, Weights
+from .families import ONES, lookup
+from .sierpinski import rot_closed
 
 
 @dataclass(frozen=True)
@@ -39,13 +40,12 @@ class LabelStat:
 
 def _log_derivs(T: FactoredPoly, label: str):
     """(first, second) derivative of log T along one label, at all-ones."""
-    w = Weights.ones()
     first = Fraction(0)
     second = Fraction(0)
     for base, exp in T.factors:
-        v = base.evaluate(w)
-        d1 = base.derivative(label).evaluate(w)
-        d2 = base.derivative(label).derivative(label).evaluate(w)
+        v = base.evaluate(ONES)
+        d1 = base.derivative(label).evaluate(ONES)
+        d2 = base.derivative(label).derivative(label).evaluate(ONES)
         first += exp * d1 / v
         second += exp * (d2 * v - d1 * d1) / (v * v)
     return first, second
@@ -83,35 +83,28 @@ def label_stat_closed(n: int, label: str) -> LabelStat:
     return LabelStat(n, label, mean, var)
 
 
+def _log_mgf(n: int, label: str):
+    """t -> log of the MGF of the normalized label count (X - mean) / sigma,
+    read off the rotational closed form T: E[e^(sX)] is T at e^s on the
+    label and 1 elsewhere over T at ones, where T's prime prefactor cancels.
+    Build and call it at LOG_DPS."""
+    stat = label_stat_closed(n, label)
+    mean = mpmath.mpf(stat.mean.numerator) / stat.mean.denominator
+    sigma = mpmath.sqrt(mpmath.mpf(stat.variance.numerator) / stat.variance.denominator)
+    factors = [(b, e, mpmath.log(b.evaluate(ONES))) for b, e in rot_closed(n).T.factors]
+
+    def log_mgf(t):
+        s = t / sigma
+        w = Weights(**{v: mpmath.exp(s) if v == label else 1 for v in VARS})
+        return -mean * s + sum(e * (mpmath.log(b.evaluate(w)) - log1) for b, e, log1 in factors)
+
+    return log_mgf
+
+
 def mgf_normalized(n: int, t, label: str = "c") -> mpmath.mpf:
     """MGF of the normalized label count, evaluated in log space."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
     with mpmath.workdps(LOG_DPS):
-        t = mpmath.mpf(t)
-        p = 3**n
-        if label == "c":
-            spread = mpmath.sqrt(mpmath.mpf(34 * p - 2))  # 15 * sigma
-            v = 15 * t / spread
-            loggf = (
-                -(13 * p + 1) * t / (2 * spread)
-                + Fraction(p - 3, 6) * (mpmath.log(2 + 3 * mpmath.exp(v)) - mpmath.log(5))
-                + Fraction(p + 1, 2) * (mpmath.log(1 + 2 * mpmath.exp(v)) - mpmath.log(3))
-            )
-        elif label in ("a", "b"):
-            sigma = mpmath.sqrt(mpmath.mpf(199 * p + 28)) / 30
-            mu = Fraction(16 * p + 7, 30)
-            x = mpmath.exp(t / sigma)
-            loggf = (
-                -mpmath.mpf(mu.numerator) / mu.denominator * t / sigma
-                + 3 ** (n - 1) * (mpmath.log(x + 1) - mpmath.log(2))
-                + Fraction(3 ** (n - 1) - 1, 2)
-                * (mpmath.log(x + 4) - mpmath.log(5))
-                + Fraction(p + 1, 2) * (mpmath.log(2 * x + 1) - mpmath.log(3))
-            )
-        else:
-            raise ValueError(f"unknown label {label!r}")
-        return +mpmath.exp(loggf)
+        return +mpmath.exp(_log_mgf(n, label)(mpmath.mpf(t)))
 
 
 DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
@@ -120,8 +113,9 @@ DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
 def normality_gap(n: int, t_grid=DEFAULT_GRID, label: str = "c") -> float:
     """Max distance between the normalized MGF and exp(t^2/2) on a grid."""
     with mpmath.workdps(LOG_DPS):
+        log_mgf = _log_mgf(n, label)
         gap = mpmath.mpf(0)
         for t in t_grid:
             t = mpmath.mpf(t.numerator) / t.denominator if isinstance(t, Fraction) else mpmath.mpf(t)
-            gap = max(gap, abs(mgf_normalized(n, t, label) - mpmath.exp(t * t / 2)))
+            gap = max(gap, abs(mpmath.exp(log_mgf(t)) - mpmath.exp(t * t / 2)))
         return float(gap)

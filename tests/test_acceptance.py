@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 
-from fractal_forest.algebra import TriPoly, Weights, poly_log_eval
+from fractal_forest.algebra import TriPoly, Weights
 from fractal_forest.graphs import build_hanoi, build_sierpinski
 from fractal_forest.hanoi import (
     hanoi_bundle,
@@ -150,7 +150,7 @@ def test_criterion_5_directional_and_schreier():
 def test_criterion_6_growth_constants():
     rot_target = rot_growth()
     hanoi_target = hanoi_growth()
-    log_tau_rot6 = float(poly_log_eval(rot_closed(6).T, ONES))
+    log_tau_rot6 = float(rot_closed(6).T.log_evaluate(ONES))
     tau_sigma6 = hanoi_counts_closed(6).tau
     with mpmath.workdps(60):
         log_tau_hanoi6 = float(mpmath.log(mpmath.mpf(tau_sigma6)))
@@ -189,7 +189,7 @@ def test_criterion_8_transcription_guard():
     for s in random_states(4242, 10):
         div = schur_map_divergence(s)
         if div:
-            divergences[s.as_tuple()] = div
+            divergences[tuple(s)] = div
     if divergences:
         print(f"  divergent coordinates: {divergences}")
     report(8, "decimation map equals its rederivation", not divergences)

@@ -480,7 +480,10 @@ def test_requests_in_one_process_match_fresh_interpreters(capsys):
          "--method", "all"],
         ["stats", "--model", "sierpinski-schreier", "--level", "2", "--label", "b"],
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    # src goes in front of the caller's path, which may be where the
+    # dependencies come from
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     codes = []
     for argv in requests:
         code = cli.main(list(argv))

@@ -16,7 +16,6 @@ from fractal_forest.kirchhoff import (
     _sparse_det,
     SchurState,
     generator_matrices,
-    hanoi_tn_schur,
     lambda_matrix,
     schur_denominator,
     schur_denominator_rederived,
@@ -106,7 +105,7 @@ def test_laplacian_examples():
     assert L.rows == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
     L123 = weighted_laplacian(build_hanoi(1), Weights.of(1, 2, 3))
     assert L123[0, 0] == 3  # vertex 0 carries the a and b edges
-    assert all(s == 0 for s in L123.row_sums())
+    assert all(sum(row) == 0 for row in L123.rows)
     degrees = [
         weighted_laplacian(build_sierpinski(1, "rotational"), ONES)[i, i]
         for i in range(6)
@@ -254,21 +253,21 @@ def test_decimation_identity_on_generic_states():
 
 
 def test_schur_pipeline_examples():
-    assert hanoi_tn_schur(3, ONES) == 20503125
-    assert hanoi_tn_schur(4, ONES) == 3**22 * 5**18
+    assert schur_pipeline(3, ONES)[0] == 20503125
+    assert schur_pipeline(4, ONES)[0] == 3**22 * 5**18
     w = Weights.of(1, 2, 3)
-    assert hanoi_tn_schur(3, w) == hanoi_bundle(3, w).T
+    assert schur_pipeline(3, w)[0] == hanoi_bundle(3, w).T
     value, orbit = schur_pipeline(3, ONES)
     assert value == 20503125 and orbit == [320]
     # small levels delegate to the direct cofactor
-    assert hanoi_tn_schur(1, ONES) == 3
-    assert hanoi_tn_schur(2, Weights.of(1, 2, 3)) == hanoi_bundle(2, Weights.of(1, 2, 3)).T
+    assert schur_pipeline(1, ONES)[0] == 3
+    assert schur_pipeline(2, Weights.of(1, 2, 3))[0] == hanoi_bundle(2, Weights.of(1, 2, 3)).T
 
 
 def test_singular_denominator_raises():
     # with x4=x5=x6=0 the denominator factors as
     # (x9^2-x1^2)(x7^2-x3^2)(x8^2-x2^2); x9 = x1 kills it
-    s = SchurState.of([1, 2, 3, 0, 0, 0, 5, 7, 1])
+    s = SchurState(*map(Fraction, [1, 2, 3, 0, 0, 0, 5, 7, 1]))
     assert schur_denominator(s) == 0
     with pytest.raises(DecimationSingularError):
         schur_map(s)
@@ -309,10 +308,10 @@ PINNED_STATES = (
 
 def test_decimation_matrices_pinned():
     for values, lambda_digests, map_digest in PINNED_STATES:
-        s = SchurState.of(values)
+        s = SchurState(*map(Fraction, values))
         for k, digest in enumerate(lambda_digests, start=2):
             assert sha256(lambda_matrix(k, s).rows) == digest, (values, k)
-        assert sha256(schur_map_rederived(s).as_tuple()) == map_digest, values
+        assert sha256(tuple(schur_map_rederived(s))) == map_digest, values
 
 
 def test_lambda_matrix_validates_level():

@@ -3,8 +3,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from fractal_forest.algebra import Weights
 from fractal_forest.errors import CapabilityError
-from fractal_forest.sierpinski import rot_vertex_count
+from fractal_forest.sierpinski import rot_bundle, rot_vertex_count
 from fractal_forest.stats import (
     label_mean_gf,
     label_stat_closed,
@@ -73,3 +74,25 @@ def test_normality_gap_small_and_monotone():
     assert gaps[0] >= gaps[1] >= gaps[2]
     assert gaps[2] < 0.05
     assert normality_gap(12, label="a") < 0.05
+
+
+def test_mgf_equals_the_symbolic_recursion():
+    # E[e^(sX)] = T(e^s on the label, 1 elsewhere) / T(1, 1, 1) for the
+    # recursion's own T, whose derivatives also give the mean and variance
+    ones = Weights.ones()
+    for n in (1, 2, 3):
+        T = rot_bundle(n).T
+        for label in "abc":
+            d1 = T.derivative(label)
+            mean = Fraction(d1.evaluate(ones), T.evaluate(ones))
+            falling = Fraction(d1.derivative(label).evaluate(ones), T.evaluate(ones))
+            variance = falling + mean - mean * mean
+            with mpmath.workdps(60):
+                sigma = mpmath.sqrt(mpmath.mpf(variance.numerator) / variance.denominator)
+                for t in (-2, mpmath.mpf(-1) / 2, 1, 2):
+                    s = t / sigma
+                    w = Weights(**{v: mpmath.exp(s) if v == label else 1 for v in "abc"})
+                    expected = (T.evaluate(w) / T.evaluate(ones)
+                                * mpmath.exp(-s * mean.numerator / mean.denominator))
+                    got = mgf_normalized(n, t, label)
+                    assert abs(got - expected) < mpmath.mpf(10) ** -40 * expected, (n, label, t)
