@@ -309,10 +309,20 @@ class FactoredPoly:
     def evaluate(self, w: Weights) -> Fraction | int:
         """Exact value, an int at integer weights; never expands.  Beware:
         the result itself may be huge."""
-        value = 2 ** self.primes[2] * 3 ** self.primes[3] * 5 ** self.primes[5]
-        for base, exp in self.factors:
-            value *= base.evaluate(w) ** exp
-        return value
+        return FactoredPoly.evaluate_all([self], w)[0]
+
+    @staticmethod
+    def evaluate_all(products, w: Weights) -> list:
+        """The exact values of several products at w, each base evaluated
+        once and its powers shared between the products (power_products)."""
+        bases = list(dict.fromkeys(base for p in products for base, _ in p.factors))
+        rows = []
+        for p in products:
+            exps = dict.fromkeys(bases, 0)
+            for base, exp in p.factors:
+                exps[base] += exp
+            rows.append([p.primes[2], p.primes[3], p.primes[5], *exps.values()])
+        return power_products([2, 3, 5, *(base.evaluate(w) for base in bases)], rows)
 
     def log_evaluate(self, w: Weights) -> mpmath.mpf:
         """Natural log of the value at positive weights, in high precision."""
@@ -360,6 +370,31 @@ def _log_fraction(q: Fraction) -> mpmath.mpf:
 
 
 # -- module-level operations ------------------------------------------------
+
+
+def power_products(bases, rows) -> list:
+    """The products prod(b**e for b, e in zip(bases, row)) of each row of
+    exponents, exactly, with 0**0 == 1.
+
+    Rows that share bases share their powers: each base is raised once to
+    the least exponent any row gives it, and the product of these shared
+    powers is formed once.  A row then multiplies it by the product of its
+    excess powers alone, which is small when the rows' exponents are close,
+    as they are between the components of a closed form.
+    """
+    least = [min(column) for column in zip(*rows)]
+    shared = 1
+    for base, m in zip(bases, least):
+        if m:
+            shared *= base**m
+    values = []
+    for row in rows:
+        excess = 1
+        for base, e, m in zip(bases, row, least):
+            if e > m:
+                excess *= base ** (e - m)
+        values.append(shared * excess)
+    return values
 
 
 def positive_weights(rng: random.Random) -> Weights:

@@ -292,7 +292,8 @@ ROTATIONAL = Family(
     components=("T", "S", "Q"),
     bundle=lambda n, w: sgf.rot_bundle(n, w),
     closed=lambda n: sgf.rot_closed(n),
-    closed_value=lambda n, w, names: tuple(c.evaluate(w) for c in _pick(sgf.rot_closed(n), names)),
+    closed_value=lambda n, w, names: tuple(
+        FactoredPoly.evaluate_all(_pick(sgf.rot_closed(n), names), w)),
     counts=lambda n: sgf.rot_counts(n),
     stat_cap=20,  # the factored closed form keeps label statistics cheap
     checks=(

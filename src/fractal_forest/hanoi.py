@@ -4,7 +4,8 @@ The five weighted recursions mix the bundle components with the raw edge
 weights a, b, c, so an evaluated bundle carries its weight triple along.
 The component meanings match the two directional-style gasket models:
 U isolates the top corner (1^n), R the right corner (2^n), L the left
-corner (0^n).
+corner (0^n).  As on the gaskets, a step forms each distinct product of
+two bundle components once and stays subtraction-free.
 """
 
 from __future__ import annotations
@@ -24,48 +25,53 @@ from .sierpinski import (
 
 
 def hanoi_step(bundle: FiveBundle) -> FiveBundle:
+    """One step of the five weighted recursions (e = ab + ac + bc):
+
+        T' = e T^3 + 2abc T^2 (U + R + L)
+        U' = b T^3 + T^2 (e U + 2b (a R + c L)) + abc T (3 R L + U (L + R + 2 U)) + abc T^2 Q
+        Q' = 4abc T Q (U + R + L) + T^2 ((2b + a + c) U + (2a + b + c) R + (2c + a + b) L)
+             + e T^2 Q + T^3 + 2abc (U^2 (R + L) + R^2 (U + L) + L^2 (U + R) + U R L)
+             + 2T (U R (ac + bc + 2ab) + U L (ab + ac + 2bc) + R L (ab + bc + 2ac)
+                   + b (a + c) U^2 + a (b + c) R^2 + c (a + b) L^2)
+
+    and R', L' as U' under the corner permutations (U, b) -> (R, a) and
+    (U, b) -> (L, c).  Every output is T times a sum of the products of T
+    with each component and of two corner forests, except the cubic in
+    U, R, L of Q', which is formed as
+
+        U^2 (R + L) + ... + U R L = (U + R + L) R L + U (U R + U L + R^2 + L^2).
+    """
     check_level(bundle.level + 1, bundle.weights)
     a, b, c = _abc(bundle.weights)
     e = a * b + a * c + b * c
     abc = a * b * c
     T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
-    T2, T3 = T**2, T**3
-    new_T = T3 * e + 2 * abc * T2 * (U + R + L)
-    new_U = (
-        b * T3
-        + T2 * (e * U + 2 * b * (a * R + c * L))
-        + abc * T * (3 * R * L + U * (L + R + 2 * U))
-        + abc * T2 * Q
+    TT, TU, TR, TL, TQ = T * T, T * U, T * R, T * L, T * Q
+    UU, RR, LL, UR, UL, RL = U * U, R * R, L * L, U * R, U * L, R * L
+    abcTQ = abc * TQ
+    new_T = T * (e * TT + 2 * abc * (TU + TR + TL))
+    new_U = T * (
+        b * TT + e * TU + 2 * b * (a * TR + c * TL) + abcTQ
+        + abc * (3 * RL + UL + UR + 2 * UU)
     )
-    new_R = (
-        a * T3
-        + T2 * (e * R + 2 * a * (b * U + c * L))
-        + abc * T * (3 * U * L + R * (L + U + 2 * R))
-        + abc * T2 * Q
+    new_R = T * (
+        a * TT + e * TR + 2 * a * (b * TU + c * TL) + abcTQ
+        + abc * (3 * UL + RL + UR + 2 * RR)
     )
-    new_L = (
-        c * T3
-        + T2 * (e * L + 2 * c * (a * R + b * U))
-        + abc * T * (3 * R * U + L * (U + R + 2 * L))
-        + abc * T2 * Q
+    new_L = T * (
+        c * TT + e * TL + 2 * c * (a * TR + b * TU) + abcTQ
+        + abc * (3 * UR + UL + RL + 2 * LL)
     )
-    new_Q = (
-        4 * abc * T * Q * (U + R + L)
-        + T2 * ((2 * b + a + c) * U + (2 * a + b + c) * R + (2 * c + a + b) * L)
-        + T2 * Q * e
-        + T3
-        + 2 * abc * (U**2 * (R + L) + R**2 * (U + L) + L**2 * (U + R) + U * R * L)
-        + 2
-        * T
-        * (
-            U * R * (a * c + b * c + 2 * a * b)
-            + U * L * (a * b + a * c + 2 * b * c)
-            + R * L * (a * b + b * c + 2 * a * c)
-            + b * U**2 * (a + c)
-            + a * R**2 * (b + c)
-            + c * L**2 * (a + b)
+    new_Q = T * (
+        (2 * b + a + c) * TU + (2 * a + b + c) * TR + (2 * c + a + b) * TL
+        + e * TQ + TT
+        + 2 * (
+            UR * (a * c + b * c + 2 * a * b)
+            + UL * (a * b + a * c + 2 * b * c)
+            + RL * (a * b + b * c + 2 * a * c)
+            + b * (a + c) * UU + a * (b + c) * RR + c * (a + b) * LL
         )
-    )
+    ) + 2 * abc * ((U + R + L) * (2 * TQ + RL) + U * (UR + UL + RR + LL))
     return FiveBundle(bundle.level + 1, new_T, new_U, new_R, new_L, new_Q, bundle.weights)
 
 

@@ -11,9 +11,13 @@ Every step is a polynomial in the bundle components, so one code path
 runs over any ring: symbolic (TriPoly components, capped at low levels
 because expanded sizes explode like 3^n) or evaluated at a fixed weight
 triple, where integer weights give ``int`` components and rational ones
-``Fraction`` components.  Closed forms are FactoredPoly products; their
-evaluation at a point iterates the polynomial maps on values instead of
-on symbols, which is exact and cheap at any level.
+``Fraction`` components.  Each step forms each distinct product of two
+bundle components once and stays subtraction-free; the tests hold the
+equations as first transcribed, term by term, and compare.  Closed forms
+are FactoredPoly products; their evaluation at a point iterates the
+polynomial maps on values instead of on symbols, which is exact and cheap
+at any level, and the components of one closed form raise their shared
+bases once (``algebra.power_products``).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .algebra import LOG_DPS, FactoredPoly, TriPoly, Weights
+from .algebra import LOG_DPS, FactoredPoly, TriPoly, Weights, power_products
 from .errors import CapabilityError
 
 SYMBOLIC_LEVEL_CAP = 3
@@ -107,13 +111,15 @@ def rot_initial(w: Weights | None = None) -> RotBundle:
 
 
 def rot_step(bundle: RotBundle) -> RotBundle:
+    """T' = 6 T^2 S, S' = 7 T S^2 + T^2 Q, Q' = 12 T S Q + 14 S^3."""
     check_level(bundle.level + 1, bundle.weights)
     T, S, Q = bundle.T, bundle.S, bundle.Q
+    SS, TQ = S * S, T * Q
     return RotBundle(
         bundle.level + 1,
-        6 * T**2 * S,
-        7 * T * S**2 + T**2 * Q,
-        12 * T * S * Q + 14 * S**3,
+        6 * (T * T) * S,
+        T * (7 * SS + TQ),
+        S * (12 * TQ + 14 * SS),
         bundle.weights,
     )
 
@@ -253,34 +259,52 @@ def five_initial(w: Weights | None = None) -> FiveBundle:
     return FiveBundle(1, a * b + a * c + b * c, b, a, c, a**0, w)
 
 
-def dir_step(bundle: FiveBundle) -> FiveBundle:
-    check_level(bundle.level + 1, bundle.weights)
+def _five_products(bundle: FiveBundle):
+    """The products of bundle components that the directional and
+    schreier steps share: T^2 and TQ, the six products of two corner
+    forests, and the new 3-forests
+
+        4 T Q (U + R + L) + 2 (U^2 (R + L) + R^2 (L + U) + L^2 (R + U)) + 2 U R L,
+
+    formed as 2 ((U + R + L) (2 TQ + RL) + U (UR + UL + R^2 + L^2)).
+    """
     T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
+    TQ = T * Q
+    UU, RR, LL, UR, UL, RL = U * U, R * R, L * L, U * R, U * L, R * L
+    new_Q = 2 * ((U + R + L) * (2 * TQ + RL) + U * (UR + UL + RR + LL))
+    return T * T, TQ, (UU, RR, LL, UR, UL, RL), new_Q
+
+
+def dir_step(bundle: FiveBundle) -> FiveBundle:
+    """T' = 2 T^2 (U + R + L), U' = T U (2 R + 2 L + 3 U) + T^2 Q, and R',
+    L' alike, each corner's quadratic read off the shared products."""
+    check_level(bundle.level + 1, bundle.weights)
+    T, U, R, L = bundle.T, bundle.U, bundle.R, bundle.L
+    TT, TQ, (UU, RR, LL, UR, UL, RL), new_Q = _five_products(bundle)
     return FiveBundle(
         bundle.level + 1,
-        2 * T**2 * (U + R + L),
-        T * U * (2 * R + 2 * L + 3 * U) + T**2 * Q,
-        T * R * (2 * L + 2 * U + 3 * R) + T**2 * Q,
-        T * L * (2 * R + 2 * U + 3 * L) + T**2 * Q,
-        4 * T * Q * (U + R + L)
-        + 2 * (U**2 * (R + L) + R**2 * (L + U) + L**2 * (R + U))
-        + 2 * U * R * L,
+        2 * TT * (U + R + L),
+        T * (2 * (UR + UL) + 3 * UU + TQ),
+        T * (2 * (RL + UR) + 3 * RR + TQ),
+        T * (2 * (RL + UL) + 3 * LL + TQ),
+        new_Q,
         bundle.weights,
     )
 
 
 def schreier_step(bundle: FiveBundle) -> FiveBundle:
+    """T' = 2 T^2 (U + R + L), U' = T (3 L R + U R + U L + 2 U^2) + T^2 Q,
+    and R', L' alike; Q' is the directional one."""
     check_level(bundle.level + 1, bundle.weights)
-    T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
+    T, U, R, L = bundle.T, bundle.U, bundle.R, bundle.L
+    TT, TQ, (UU, RR, LL, UR, UL, RL), new_Q = _five_products(bundle)
     return FiveBundle(
         bundle.level + 1,
-        2 * T**2 * (U + R + L),
-        T * (3 * L * R + U * R + U * L + 2 * U**2) + T**2 * Q,
-        T * (3 * U * L + U * R + R * L + 2 * R**2) + T**2 * Q,
-        T * (3 * U * R + L * U + R * L + 2 * L**2) + T**2 * Q,
-        4 * T * Q * (U + R + L)
-        + 2 * (U**2 * (L + R) + R**2 * (U + L) + L**2 * (R + U))
-        + 2 * U * R * L,
+        2 * TT * (U + R + L),
+        T * (3 * RL + UR + UL + 2 * UU + TQ),
+        T * (3 * UL + UR + RL + 2 * RR + TQ),
+        T * (3 * UR + UL + RL + 2 * LL + TQ),
+        new_Q,
         bundle.weights,
     )
 
@@ -332,7 +356,10 @@ def _closed_five(model: str, n: int, w: Weights | None, names=FIVE) -> FiveBundl
     """Closed forms as factored polynomials (w None), or evaluated exactly
     at w by iterating the map on values, which is cheap at any level.
 
-    Only the components in ``names`` are built; the others are None.
+    Only the components in ``names`` are built; the others are None.  T,
+    the product the corner forests share and the one Q has are powers of
+    the same factors with exponents 1 apart, so their values share the
+    powers (``power_products``).
     """
     if n < 1:
         raise ValueError("level must be >= 1")
@@ -344,8 +371,8 @@ def _closed_five(model: str, n: int, w: Weights | None, names=FIVE) -> FiveBundl
     if w is None:
         iterates = _iterates_symbolic(laws["map"], steps)
 
-        def product(two, pairs):
-            return FactoredPoly({2: two}, pairs)
+        def products(bases, rows):
+            return [FactoredPoly({2: r[0]}, list(zip(bases[1:], r[1:]))) for r in rows]
 
         def times(p, base):
             return FactoredPoly(p.primes, p.factors + [(base, 1)])
@@ -353,12 +380,7 @@ def _closed_five(model: str, n: int, w: Weights | None, names=FIVE) -> FiveBundl
     else:
         check_level(n, w)
         iterates = _iterates(laws["map"], (w.a, w.b, w.c), steps)
-
-        def product(two, pairs):
-            value = 2**two
-            for base, exp in pairs:
-                value *= base**exp
-            return value
+        products = power_products
 
         def times(p, base):
             return p * base
@@ -367,25 +389,27 @@ def _closed_five(model: str, n: int, w: Weights | None, names=FIVE) -> FiveBundl
     # factor k is a*b + a*c + b*c for k = 1, else the sum of iterate k - 2
     factors = [a * b + a * c + b * c] + [x + y + z for x, y, z in iterates[: n - 1]]
 
-    def power_product(two, exponent, last):
-        return product(two, [(factors[k - 1], exponent(n, k)) for k in range(1, last + 1)])
+    def row(two, exponent, last):
+        # the exponents of 2 and of factors 1..n, zero past factor ``last``
+        return [two] + [exponent(n, k) if k <= last else 0 for k in range(1, n + 1)]
 
-    parts = {}
+    rows = {}
     if "T" in names:
-        parts["T"] = power_product(laws["T2"](n), laws["Texp"], n)
+        rows["T"] = row(laws["T2"](n), laws["Texp"], n)
     if corners:
         # at level 1 the shared product is empty and the iterate is (a, b, c)
-        shared = power_product(laws["U2"](n), laws["Uexp"], n - 1)
+        rows["corner"] = row(laws["U2"](n), laws["Uexp"], n - 1)
+    if "Q" in names:
+        rows["Q"] = row(laws["Q2"](n), laws["Qexp"], n - 2) if n > 1 else [0] * (n + 1)
+    parts = dict(zip(rows, products([2, *factors], list(rows.values()))))
+    if corners:
+        shared = parts.pop("corner")
         x, y, z = iterates[n - 1]
         for name, corner in (("U", y), ("R", x), ("L", z)):
             if name in names:
                 parts[name] = times(shared, corner)
-    if "Q" in names:
-        if n == 1:
-            parts["Q"] = product(0, [])
-        else:
-            shared = power_product(laws["Q2"](n), laws["Qexp"], n - 2)
-            parts["Q"] = times(shared, laws["tail"](*iterates[n - 2]))
+    if "Q" in names and n > 1:
+        parts["Q"] = times(parts["Q"], laws["tail"](*iterates[n - 2]))
     return FiveBundle(n, *(parts.get(name) for name in FIVE), w)
 
 

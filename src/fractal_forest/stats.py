@@ -101,10 +101,19 @@ def _log_mgf(n: int, label: str):
     return log_mgf
 
 
+def _mpf(t) -> mpmath.mpf:
+    """An MGF argument (Fraction, int or mpf) as an mpf at the working
+    precision."""
+    if isinstance(t, Fraction):
+        return mpmath.mpf(t.numerator) / t.denominator
+    return mpmath.mpf(t)
+
+
 def mgf_normalized(n: int, t, label: str = "c") -> mpmath.mpf:
-    """MGF of the normalized label count, evaluated in log space."""
+    """MGF of the normalized label count, evaluated in log space; t is a
+    Fraction, int or mpf."""
     with mpmath.workdps(LOG_DPS):
-        return +mpmath.exp(_log_mgf(n, label)(mpmath.mpf(t)))
+        return +mpmath.exp(_log_mgf(n, label)(_mpf(t)))
 
 
 DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
@@ -116,6 +125,6 @@ def normality_gap(n: int, t_grid=DEFAULT_GRID, label: str = "c") -> float:
         log_mgf = _log_mgf(n, label)
         gap = mpmath.mpf(0)
         for t in t_grid:
-            t = mpmath.mpf(t.numerator) / t.denominator if isinstance(t, Fraction) else mpmath.mpf(t)
+            t = _mpf(t)
             gap = max(gap, abs(mpmath.exp(log_mgf(t)) - mpmath.exp(t * t / 2)))
         return float(gap)

@@ -1,6 +1,7 @@
+import dataclasses
 import random
 
-from fractal_forest.algebra import positive_weights
+from fractal_forest.algebra import Weights, positive_weights
 from fractal_forest.kirchhoff import SchurState, schur_denominator
 
 
@@ -18,3 +19,55 @@ def random_states(seed: int, count: int):
         if schur_denominator(s) != 0:
             out.append(s)
     return out
+
+
+# the weights at which each recursion step is checked against its paper
+# transcription: degenerate and signed integers, and two rational triples
+# with their denominators cleared
+STEP_WEIGHTS = tuple(
+    Weights.parse(*w).clear_denominators()[0]
+    for w in (("1", "1", "1"), ("0", "0", "0"), ("1", "-1", "1"), ("1", "1", "-2"),
+              ("1/3", "2/7", "5"), ("13/61", "44/17", "7/90"))
+)
+
+
+class Counted:
+    """An int that counts, in a shared one-item list, the products of two
+    Counted values it takes part in; a product with a plain int is a
+    scalar multiple and is not counted, and x**k counts k - 1 products."""
+
+    def __init__(self, value: int, tally: list):
+        self.value, self.tally = value, tally
+
+    def __add__(self, other):
+        other = other.value if isinstance(other, Counted) else other
+        return Counted(self.value + other, self.tally)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, Counted):
+            self.tally[0] += 1
+            other = other.value
+        return Counted(self.value * other, self.tally)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
+
+
+def count_products(step, bundle):
+    """The products of two bundle-sized values that one step forms, and
+    the step's value, from the same bundle over Counted components."""
+    tally = [0]
+    counted = dataclasses.replace(bundle, **{
+        f.name: Counted(getattr(bundle, f.name), tally)
+        for f in dataclasses.fields(bundle) if f.name not in ("level", "weights")
+    })
+    out = step(counted)
+    values = {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
+    return tally[0], {k: v.value if isinstance(v, Counted) else v for k, v in values.items()}

@@ -11,6 +11,7 @@ from fractal_forest.algebra import (
     Weights,
     poly_equal_by_sampling,
     positive_weights,
+    power_products,
 )
 from fractal_forest.errors import CapabilityError
 from fractal_forest.sierpinski import rot_closed
@@ -108,6 +109,34 @@ def test_factored_eval_matches_expansion():
         assert f.evaluate(w) == expanded.evaluate(w)
     with pytest.raises(CapabilityError):
         FactoredPoly(factors=[(e, 40)]).expand()
+
+
+def test_power_products_share_powers_exactly():
+    bases = [2, -3, 0, Fraction(5, 7), 1]
+    rows = [[4, 3, 0, 2, 9], [5, 1, 0, 0, 9], [4, 2, 2, 3, 0], [0, 0, 0, 0, 0]]
+    plain = []
+    for row in rows:
+        value = 1
+        for base, exp in zip(bases, row):
+            value *= base**exp  # 0**0 == 1
+        plain.append(value)
+    assert power_products(bases, rows) == plain
+    assert plain[2] == 0 and plain[3] == 1
+    assert power_products(bases, [rows[1]]) == [plain[1]]
+    assert power_products([], [[], []]) == [1, 1]
+
+
+def test_factored_evaluate_all_equals_each_evaluate():
+    e = A * B + A * C + B * C
+    products = [
+        FactoredPoly({2: 2, 3: 1}, [(e, 3), (A + B, 2)]),
+        FactoredPoly({5: 1}, [(A + B, 1), (A + C, 4), (e, 1)]),
+        FactoredPoly(),
+    ]
+    for w in (ONES, Weights.of(0, 0, 0), Weights.of(1, -1, 1), Weights.parse("1/3", "2/7", "5")):
+        values = FactoredPoly.evaluate_all(products, w)
+        assert values == [p.evaluate(w) for p in products] == [p.expand().evaluate(w) for p in products]
+        assert [type(v) for v in values] == [type(p.evaluate(w)) for p in products]
 
 
 def test_log_eval_agrees_with_exact_to_25_digits():

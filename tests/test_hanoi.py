@@ -14,9 +14,9 @@ from fractal_forest.hanoi import (
 )
 from fractal_forest.kirchhoff import schur_pipeline, tree_gf_cofactor
 from fractal_forest.oracle import ForestSpec, enumerate_gf
-from fractal_forest.sierpinski import CountsTriple, five_initial
+from fractal_forest.sierpinski import CountsTriple, FiveBundle, _abc, check_level, five_initial
 
-from conftest import positive_weight_list
+from conftest import STEP_WEIGHTS, count_products, positive_weight_list
 
 A, B, C = TriPoly.variables()
 ONES = Weights.ones()
@@ -107,3 +107,71 @@ def test_symbolic_cap():
         hanoi_step(b3)
     with pytest.raises(CapabilityError):
         hanoi_bundle(13, ONES)
+
+
+def paper_hanoi_step(bundle: FiveBundle) -> FiveBundle:
+    """The five weighted recursions as first transcribed, term by term;
+    hanoi_step forms each product of bundle components once and must
+    equal this copy."""
+    check_level(bundle.level + 1, bundle.weights)
+    a, b, c = _abc(bundle.weights)
+    e = a * b + a * c + b * c
+    abc = a * b * c
+    T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
+    T2, T3 = T**2, T**3
+    new_T = T3 * e + 2 * abc * T2 * (U + R + L)
+    new_U = (
+        b * T3
+        + T2 * (e * U + 2 * b * (a * R + c * L))
+        + abc * T * (3 * R * L + U * (L + R + 2 * U))
+        + abc * T2 * Q
+    )
+    new_R = (
+        a * T3
+        + T2 * (e * R + 2 * a * (b * U + c * L))
+        + abc * T * (3 * U * L + R * (L + U + 2 * R))
+        + abc * T2 * Q
+    )
+    new_L = (
+        c * T3
+        + T2 * (e * L + 2 * c * (a * R + b * U))
+        + abc * T * (3 * R * U + L * (U + R + 2 * L))
+        + abc * T2 * Q
+    )
+    new_Q = (
+        4 * abc * T * Q * (U + R + L)
+        + T2 * ((2 * b + a + c) * U + (2 * a + b + c) * R + (2 * c + a + b) * L)
+        + T2 * Q * e
+        + T3
+        + 2 * abc * (U**2 * (R + L) + R**2 * (U + L) + L**2 * (U + R) + U * R * L)
+        + 2
+        * T
+        * (
+            U * R * (a * c + b * c + 2 * a * b)
+            + U * L * (a * b + a * c + 2 * b * c)
+            + R * L * (a * b + b * c + 2 * a * c)
+            + b * U**2 * (a + c)
+            + a * R**2 * (b + c)
+            + c * L**2 * (a + b)
+        )
+    )
+    return FiveBundle(bundle.level + 1, new_T, new_U, new_R, new_L, new_Q, bundle.weights)
+
+
+def test_step_equals_the_paper_equations():
+    # symbolic through the symbolic cap, evaluated through level 7
+    for w, top in ((None, 3), *((w, 7) for w in STEP_WEIGHTS)):
+        bundle = five_initial(w)
+        for level in range(2, top + 1):
+            got = hanoi_step(bundle)
+            assert got == paper_hanoi_step(bundle), (w, level)
+            bundle = got
+
+
+def test_step_products_formed_once():
+    # products of two bundle components in one step: 38 in the paper's
+    # equations above, each distinct product once in hanoi_step
+    bundle = FiveBundle(1, 7, 11, 13, 17, 19, Weights(2, 3, 5))
+    count, value = count_products(hanoi_step, bundle)
+    assert count_products(paper_hanoi_step, bundle) == (38, value)
+    assert count <= 18

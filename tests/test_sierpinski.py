@@ -1,11 +1,16 @@
 import pytest
 
-from fractal_forest.algebra import TriPoly, Weights
+from fractal_forest.algebra import FactoredPoly, TriPoly, Weights
 from fractal_forest.errors import CapabilityError
-from fractal_forest.families import FAMILIES
+from fractal_forest.families import FAMILIES, ROTATIONAL
 from fractal_forest.hanoi import hanoi_bundle
 from fractal_forest.sierpinski import (
+    _MODEL_LAWS,
     FIVE,
+    FiveBundle,
+    RotBundle,
+    _iterates,
+    check_level,
     F_map,
     G_map,
     dir_bundle,
@@ -29,7 +34,7 @@ from fractal_forest.sierpinski import (
     schreier_step,
 )
 
-from conftest import positive_weight_list
+from conftest import STEP_WEIGHTS, count_products, positive_weight_list
 
 A, B, C = TriPoly.variables()
 ONES = Weights.ones()
@@ -184,8 +189,6 @@ def test_level_shift_at_ones_across_models():
 def test_collapsing_corner_forests_recovers_rotational_step():
     # with U = R = L treated as one indeterminate, one directional or
     # schreier step is exactly one rotational step
-    from fractal_forest.sierpinski import FiveBundle, RotBundle
-
     t, s, q = A, B, C  # reuse the three variables as stand-ins
     for step in (dir_step, schreier_step):
         five = step(FiveBundle(1, t, s, s, s, q))
@@ -244,3 +247,125 @@ def test_closed_value_builds_only_the_named_components():
                 for name in FIVE:
                     expected = getattr(full, name) if name in names else None
                     assert getattr(part, name) == expected, (n, names, name)
+
+
+# -- the paper's step equations, as first transcribed ------------------------
+# The steps above form each product of bundle components once; these
+# copies spell each equation out term by term, and each step must equal
+# its copy.
+
+
+def paper_rot_step(bundle: RotBundle) -> RotBundle:
+    check_level(bundle.level + 1, bundle.weights)
+    T, S, Q = bundle.T, bundle.S, bundle.Q
+    return RotBundle(
+        bundle.level + 1,
+        6 * T**2 * S,
+        7 * T * S**2 + T**2 * Q,
+        12 * T * S * Q + 14 * S**3,
+        bundle.weights,
+    )
+
+
+def paper_dir_step(bundle: FiveBundle) -> FiveBundle:
+    check_level(bundle.level + 1, bundle.weights)
+    T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
+    return FiveBundle(
+        bundle.level + 1,
+        2 * T**2 * (U + R + L),
+        T * U * (2 * R + 2 * L + 3 * U) + T**2 * Q,
+        T * R * (2 * L + 2 * U + 3 * R) + T**2 * Q,
+        T * L * (2 * R + 2 * U + 3 * L) + T**2 * Q,
+        4 * T * Q * (U + R + L)
+        + 2 * (U**2 * (R + L) + R**2 * (L + U) + L**2 * (R + U))
+        + 2 * U * R * L,
+        bundle.weights,
+    )
+
+
+def paper_schreier_step(bundle: FiveBundle) -> FiveBundle:
+    check_level(bundle.level + 1, bundle.weights)
+    T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
+    return FiveBundle(
+        bundle.level + 1,
+        2 * T**2 * (U + R + L),
+        T * (3 * L * R + U * R + U * L + 2 * U**2) + T**2 * Q,
+        T * (3 * U * L + U * R + R * L + 2 * R**2) + T**2 * Q,
+        T * (3 * U * R + L * U + R * L + 2 * L**2) + T**2 * Q,
+        4 * T * Q * (U + R + L)
+        + 2 * (U**2 * (L + R) + R**2 * (U + L) + L**2 * (R + U))
+        + 2 * U * R * L,
+        bundle.weights,
+    )
+
+
+STEPS = (
+    (rot_step, paper_rot_step, rot_initial),
+    (dir_step, paper_dir_step, five_initial),
+    (schreier_step, paper_schreier_step, five_initial),
+)
+
+
+def test_steps_equal_the_paper_equations():
+    # symbolic through the symbolic cap, evaluated through level 7
+    for step, paper, initial in STEPS:
+        for w, top in ((None, 3), *((w, 7) for w in STEP_WEIGHTS)):
+            bundle = initial(w)
+            for level in range(2, top + 1):
+                got = step(bundle)
+                assert got == paper(bundle), (step.__name__, w, level)
+                bundle = got
+
+
+def test_step_products_formed_once():
+    # products of two bundle components in one step: the paper's equations
+    # above form 10, 24 and 33, the steps each distinct product once
+    w = Weights(2, 3, 5)
+    five = FiveBundle(1, 7, 11, 13, 17, 19, w)
+    for step, paper, bundle, paper_count, pin in (
+        (rot_step, paper_rot_step, RotBundle(1, 7, 11, 13, w), 10, 6),
+        (dir_step, paper_dir_step, five, 24, 14),
+        (schreier_step, paper_schreier_step, five, 33, 14),
+    ):
+        count, value = count_products(step, bundle)
+        assert count_products(paper, bundle) == (paper_count, value), step.__name__
+        assert count <= pin, (step.__name__, count)
+
+
+def _plain_product(p: FactoredPoly, w) -> int:
+    value = 2 ** p.primes[2] * 3 ** p.primes[3] * 5 ** p.primes[5]
+    for base, exp in p.factors:
+        value *= base.evaluate(w) ** exp
+    return value
+
+
+def _plain_closed_five(model: str, n: int, w) -> tuple:
+    """The five closed forms at w, each factor's power taken on its own."""
+    laws = _MODEL_LAWS[model]()
+    iterates = _iterates(laws["map"], w.as_tuple(), n - 1)
+    a, b, c = iterates[0]
+    factors = [a * b + a * c + b * c] + [x + y + z for x, y, z in iterates[: n - 1]]
+
+    def product(two, exponent, last):
+        value = 2**two
+        for k in range(1, last + 1):
+            value *= factors[k - 1] ** exponent(n, k)
+        return value
+
+    shared = product(laws["U2"](n), laws["Uexp"], n - 1)
+    x, y, z = iterates[n - 1]
+    q = 1 if n == 1 else product(laws["Q2"](n), laws["Qexp"], n - 2) * laws["tail"](*iterates[n - 2])
+    return (product(laws["T2"](n), laws["Texp"], n), shared * y, shared * x, shared * z, q)
+
+
+def test_shared_powers_equal_plain_products():
+    for w in STEP_WEIGHTS:
+        for n in range(1, 11):
+            rot = rot_closed(n)
+            assert ROTATIONAL.closed_value(n, w, ("T", "S", "Q")) == tuple(
+                _plain_product(p, w) for p in (rot.T, rot.S, rot.Q)), (w, n)
+            for model, closed_value in (("directional", dir_closed_value),
+                                        ("schreier", schreier_closed_value)):
+                five = closed_value(n, w)
+                assert (five.T, five.U, five.R, five.L, five.Q) == _plain_closed_five(
+                    model, n, w), (model, w, n)

@@ -69,6 +69,12 @@ def test_mgf_basics():
         assert abs(va - mpmath.exp(mpmath.mpf(1) / 2)) < 0.05
 
 
+def test_mgf_takes_fraction_int_and_mpf_arguments():
+    half = mgf_normalized(3, Fraction(1, 2))
+    assert half == mgf_normalized(3, mpmath.mpf(1) / 2)
+    assert mgf_normalized(3, Fraction(-2)) == mgf_normalized(3, -2) == mgf_normalized(3, mpmath.mpf(-2))
+
+
 def test_normality_gap_small_and_monotone():
     gaps = [normality_gap(n) for n in (4, 8, 12)]
     assert gaps[0] >= gaps[1] >= gaps[2]
