@@ -411,20 +411,29 @@ def _eval_terms(terms, xs):
 # an integer over delta * D(t), reduced once.
 
 
-def schur_denominator(s: SchurState) -> Fraction:
+def _cleared_denominator(s: SchurState):
+    """The state cleared to integers t over delta, and D(t)."""
     t, delta = clear_denominators(s)
-    return Fraction(_eval_terms(D_TERMS, t), delta**6)
+    return t, delta, _eval_terms(D_TERMS, t)
+
+
+def _map_cleared(s: SchurState, t, delta: int, d: int) -> SchurState:
+    heads = {4: 0, 5: 0, 6: 0, 7: t[6] * d, 8: t[7] * d, 9: t[8] * d}
+    new = [Fraction(heads[i] + _eval_terms(P_TERMS[i], t), delta * d) for i in range(4, 10)]
+    return SchurState(s.x1, s.x2, s.x3, *new)
+
+
+def schur_denominator(s: SchurState) -> Fraction:
+    _, delta, d = _cleared_denominator(s)
+    return Fraction(d, delta**6)
 
 
 def schur_map(s: SchurState) -> SchurState:
     """One decimation step; fixes x1..x3, maps the other six rationally."""
-    t, delta = clear_denominators(s)
-    d = _eval_terms(D_TERMS, t)
+    t, delta, d = _cleared_denominator(s)
     if d == 0:
         raise DecimationSingularError("decimation denominator vanished")
-    heads = {4: 0, 5: 0, 6: 0, 7: t[6] * d, 8: t[7] * d, 9: t[8] * d}
-    new = [Fraction(heads[i] + _eval_terms(P_TERMS[i], t), delta * d) for i in range(4, 10)]
-    return SchurState(s.x1, s.x2, s.x3, *new)
+    return _map_cleared(s, t, delta, d)
 
 
 # -- the decimation network and the independent rederivation of the map --------
@@ -559,13 +568,15 @@ def schur_pipeline(n: int, w: Weights):
     total = 1
     orbit = []
     for k in range(n - 2):
-        d = schur_denominator(state)
-        if d == 0:
+        # one clearing and one D per step, shared by D_k and the map
+        t, delta, dt = _cleared_denominator(state)
+        if dt == 0:
             raise DecimationSingularError(
                 f"denominator vanished at decimation step {k}"
             )
+        d = Fraction(dt, delta**6)
         orbit.append(d)
         total = (total * d) ** 3
-        state = schur_map(state)
+        state = _map_cleared(state, t, delta, dt)
     value = total * lambda_matrix(2, state).det() / (w.a + w.b)
     return (value.numerator if value.denominator == 1 else value), orbit

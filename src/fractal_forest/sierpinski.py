@@ -13,7 +13,11 @@ because expanded sizes explode like 3^n) or evaluated at a fixed weight
 triple, where integer weights give ``int`` components and rational ones
 ``Fraction`` components.  Each step forms each distinct product of two
 bundle components once and stays subtraction-free; the tests hold the
-equations as first transcribed, term by term, and compare.  Closed forms
+equations as first transcribed, term by term, and compare.  Every step is
+a homogeneous cubic in the components, so ``iterate`` steps an evaluated
+integer bundle on its primitive part and carries the content (the gcd of
+its components, which is nearly all of their size) as one cube per
+level; the bundle it returns is exact and in full.  Closed forms
 are FactoredPoly products; their evaluation at a point iterates the
 polynomial maps on values instead of on symbols, which is exact and cheap
 at any level, and the components of one closed form raise their shared
@@ -22,7 +26,8 @@ bases once (``algebra.power_products``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import mpmath
 
@@ -79,8 +84,36 @@ def check_level(n: int, weights) -> None:
         raise CapabilityError(f"{mode} bundles are capped at level {cap}")
 
 
+def _components(bundle) -> tuple[str, ...]:
+    return ("T", "S", "Q") if isinstance(bundle, RotBundle) else FIVE
+
+
+def _map_components(bundle, f):
+    return replace(bundle, **{k: f(getattr(bundle, k)) for k in _components(bundle)})
+
+
+def split_content(bundle):
+    """(content, primitive part) of a bundle of ``int`` components, the
+    content being the gcd of the components.  Any other bundle, and one
+    whose components are all 0, is its own primitive part, of content 1."""
+    parts = [getattr(bundle, k) for k in _components(bundle)]
+    g = math.gcd(*parts) if all(type(x) is int for x in parts) else 0
+    if g <= 1:
+        return 1, bundle
+    return g, _map_components(bundle, lambda x: x // g)
+
+
 def iterate(step, initial, n: int):
     """The level-n bundle of a recursion, from its level-1 bundle.
+
+    Every step is a homogeneous cubic in the bundle's components, so
+    ``step(g B) = g^3 step(B)`` for a scalar g.  An evaluated integer
+    bundle therefore steps on its primitive part and carries its content
+    as one cube per level: scale <- scale^3 g, with g the gcd of the new
+    components.  The components share nearly all of their size, so each
+    step multiplies small numbers; the level-n bundle is returned in
+    full, times the final scale.  Symbolic and ``Fraction`` bundles step
+    as they are.
 
     The level cap is checked before the first step, so a request past it
     fails before any work is done.
@@ -88,10 +121,11 @@ def iterate(step, initial, n: int):
     if n < 1:
         raise ValueError("level must be >= 1")
     check_level(n, initial.weights)
-    bundle = initial
+    scale, bundle = split_content(initial)
     for _ in range(n - 1):
-        bundle = step(bundle)
-    return bundle
+        g, bundle = split_content(step(bundle))
+        scale = scale**3 * g
+    return bundle if scale == 1 else _map_components(bundle, lambda x: scale * x)
 
 
 def _abc(w: Weights | None):

@@ -60,14 +60,47 @@ class Counted:
         return out
 
 
+def components(bundle) -> dict:
+    """A bundle's components by name."""
+    return {f.name: getattr(bundle, f.name)
+            for f in dataclasses.fields(bundle) if f.name not in ("level", "weights")}
+
+
+def signed_bundles(seed: int, make, count: int = 3):
+    """Bundles of signed integer components, at each of STEP_WEIGHTS:
+    ``make(w, parts)`` builds one from a list of random ints."""
+    rng = random.Random(seed)
+    return [make(w, [rng.randint(-10**6, 10**6) for _ in range(5)])
+            for w in STEP_WEIGHTS for _ in range(count)]
+
+
+def assert_homogeneous_cubic(step, bundles):
+    """step(k B) == k^3 step(B), component by component, for k in 2, -3, 77;
+    iterating a bundle on its primitive part rests on this identity."""
+    for bundle in bundles:
+        out = components(step(bundle))
+        for k in (2, -3, 7 * 11):
+            scaled = dataclasses.replace(
+                bundle, **{name: k * x for name, x in components(bundle).items()})
+            got = components(step(scaled))
+            for name, x in out.items():
+                assert got[name] == k**3 * x, (step.__name__, bundle, k, name)
+
+
+def plain_fold(step, initial, n: int):
+    """The level-n bundle by n - 1 plain steps, with no content split."""
+    bundle = initial
+    for _ in range(n - 1):
+        bundle = step(bundle)
+    return bundle
+
+
 def count_products(step, bundle):
     """The products of two bundle-sized values that one step forms, and
     the step's value, from the same bundle over Counted components."""
     tally = [0]
-    counted = dataclasses.replace(bundle, **{
-        f.name: Counted(getattr(bundle, f.name), tally)
-        for f in dataclasses.fields(bundle) if f.name not in ("level", "weights")
-    })
+    counted = dataclasses.replace(
+        bundle, **{name: Counted(x, tally) for name, x in components(bundle).items()})
     out = step(counted)
     values = {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
     return tally[0], {k: v.value if isinstance(v, Counted) else v for k, v in values.items()}

@@ -16,7 +16,14 @@ from fractal_forest.kirchhoff import schur_pipeline, tree_gf_cofactor
 from fractal_forest.oracle import ForestSpec, enumerate_gf
 from fractal_forest.sierpinski import CountsTriple, FiveBundle, _abc, check_level, five_initial
 
-from conftest import STEP_WEIGHTS, count_products, positive_weight_list
+from conftest import (
+    STEP_WEIGHTS,
+    assert_homogeneous_cubic,
+    count_products,
+    plain_fold,
+    positive_weight_list,
+    signed_bundles,
+)
 
 A, B, C = TriPoly.variables()
 ONES = Weights.ones()
@@ -175,3 +182,11 @@ def test_step_products_formed_once():
     count, value = count_products(hanoi_step, bundle)
     assert count_products(paper_hanoi_step, bundle) == (38, value)
     assert count <= 18
+
+
+def test_step_is_a_homogeneous_cubic():
+    # in the bundle's components; the weights a, b, c stay fixed
+    bundles = signed_bundles(2, lambda w, x: FiveBundle(1, *x, w))
+    bundles += [plain_fold(hanoi_step, five_initial(w), 3) for w in STEP_WEIGHTS]
+    assert_homogeneous_cubic(hanoi_step, bundles)
+    assert_homogeneous_cubic(paper_hanoi_step, bundles)

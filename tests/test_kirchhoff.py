@@ -264,6 +264,21 @@ def test_schur_pipeline_examples():
     assert schur_pipeline(2, Weights.of(1, 2, 3))[0] == hanoi_bundle(2, Weights.of(1, 2, 3)).T
 
 
+def test_pipeline_orbit_is_the_public_denominator_and_map():
+    # the pipeline clears each state and evaluates D once per step, shared
+    # between its orbit and the map; both equal the public functions
+    for w in (ONES, Weights.of(1, 2, 3), Weights.parse("13/61", "44/17", "7/90")):
+        value, orbit = schur_pipeline(6, w)
+        state, expected = SchurState.initial(w), []
+        for _ in range(4):
+            expected.append(schur_denominator(state))
+            state = schur_map(state)
+        assert orbit == expected, w
+        assert value == hanoi_bundle(6, w).T
+    with pytest.raises(DecimationSingularError, match="vanished at decimation step 0"):
+        schur_pipeline(3, Weights.of(0, 0, 0))
+
+
 def test_singular_denominator_raises():
     # with x4=x5=x6=0 the denominator factors as
     # (x9^2-x1^2)(x7^2-x3^2)(x8^2-x2^2); x9 = x1 kills it

@@ -1,9 +1,11 @@
+import math
+
 import pytest
 
 from fractal_forest.algebra import FactoredPoly, TriPoly, Weights
 from fractal_forest.errors import CapabilityError
 from fractal_forest.families import FAMILIES, ROTATIONAL
-from fractal_forest.hanoi import hanoi_bundle
+from fractal_forest.hanoi import hanoi_bundle, hanoi_step
 from fractal_forest.sierpinski import (
     _MODEL_LAWS,
     FIVE,
@@ -19,6 +21,7 @@ from fractal_forest.sierpinski import (
     dir_step,
     f_of,
     five_initial,
+    iterate,
     phi_poly,
     psi_poly,
     rot_bundle,
@@ -32,9 +35,18 @@ from fractal_forest.sierpinski import (
     schreier_closed,
     schreier_closed_value,
     schreier_step,
+    split_content,
 )
 
-from conftest import STEP_WEIGHTS, count_products, positive_weight_list
+from conftest import (
+    STEP_WEIGHTS,
+    assert_homogeneous_cubic,
+    components,
+    count_products,
+    plain_fold,
+    positive_weight_list,
+    signed_bundles,
+)
 
 A, B, C = TriPoly.variables()
 ONES = Weights.ones()
@@ -369,3 +381,80 @@ def test_shared_powers_equal_plain_products():
                 five = closed_value(n, w)
                 assert (five.T, five.U, five.R, five.L, five.Q) == _plain_closed_five(
                     model, n, w), (model, w, n)
+
+
+# -- iterating on the primitive part ------------------------------------------
+# ``iterate`` steps an integer bundle on its primitive part and carries the
+# content as one cube per level, which is exact because every step is a
+# homogeneous cubic in the bundle's components.
+
+
+def test_steps_are_homogeneous_cubics():
+    for step, paper, initial in STEPS:
+        if initial is rot_initial:
+            bundles = signed_bundles(1, lambda w, x: RotBundle(1, *x[:3], w))
+        else:
+            bundles = signed_bundles(1, lambda w, x: FiveBundle(1, *x, w))
+        bundles += [plain_fold(step, initial(w), 3) for w in STEP_WEIGHTS]
+        assert_homogeneous_cubic(step, bundles)
+        assert_homogeneous_cubic(paper, bundles)
+
+
+BUNDLES = (
+    (rot_bundle, rot_step, rot_initial),
+    (dir_bundle, dir_step, five_initial),
+    (schreier_bundle, schreier_step, five_initial),
+    (hanoi_bundle, hanoi_step, five_initial),
+)
+
+
+@pytest.mark.parametrize("bundle, step, initial", BUNDLES, ids=[b[0].__name__ for b in BUNDLES])
+def test_split_bundle_equals_the_plain_fold(bundle, step, initial):
+    # the degenerate, signed and cleared rational triples, levels 1-10
+    for w in STEP_WEIGHTS:
+        folded = initial(w)
+        for n in range(1, 11):
+            if n > 1:
+                folded = step(folded)
+            assert bundle(n, w) == folded, (w, n)
+
+
+def test_all_zero_bundle_is_left_as_it_is():
+    zero = Weights(0, 0, 0)
+    for n in range(2, 11):
+        b = hanoi_bundle(n, zero)
+        assert set(components(b).values()) == {0}, n
+        assert split_content(b) == (1, b)
+
+
+def test_symbolic_and_fraction_bundles_step_unsplit():
+    fraction_w = Weights.parse("1/3", "2/7", "5")
+    for bundle, step, initial in BUNDLES:
+        for w, top in ((None, 3), (fraction_w, 6)):
+            for n in range(1, top + 1):
+                b = bundle(n, w)
+                assert b == plain_fold(step, initial(w), n), (bundle.__name__, w, n)
+                assert split_content(b) == (1, b)
+    assert all(type(x) is not int for x in components(hanoi_bundle(6, fraction_w)).values())
+
+
+def test_iterate_steps_on_the_primitive_part():
+    # clock-free: at hanoi level 8 the full components run to about 108k
+    # bits and their primitive part to about 6.4k; a step fed the full
+    # level-7 bundle would see about 36k bits
+    w = Weights.parse("13/61", "44/17", "7/90").clear_denominators()[0]
+    full = hanoi_bundle(8, w)
+    _, primitive = split_content(full)
+    bits = max(x.bit_length() for x in components(full).values())
+    assert max(x.bit_length() for x in components(primitive).values()) < bits // 10
+    assert full == plain_fold(hanoi_step, five_initial(w), 8)
+    seen = []
+
+    def recording_step(b):
+        parts = components(b).values()
+        seen.append((math.gcd(*parts), max(x.bit_length() for x in parts)))
+        return hanoi_step(b)
+
+    assert iterate(recording_step, five_initial(w), 8) == full
+    assert len(seen) == 7
+    assert all(g == 1 and size < bits // 10 for g, size in seen), seen
