@@ -14,8 +14,12 @@ Weights are exact: ``fractions.Fraction`` or ``int``.  A polynomial with
 integer coefficients evaluated at integer weights stays an ``int``, so the
 evaluated routes run at the weights times the lcm of their denominators
 (``Weights.clear_denominators``) and never reduce a fraction.
-High-precision real work (logs of astronomically large exact values)
-goes through mpmath.
+Every evaluated product of powers (the closed forms, the closed counts,
+the content of a bundle) goes through ``power_products``, which forms
+each product by one squaring chain: its multiplications of full-size
+numbers number two per bit of the largest exponent, however many bases
+the product has.  High-precision real work (logs of astronomically
+large exact values) goes through mpmath.
 """
 
 from __future__ import annotations
@@ -376,25 +380,35 @@ def power_products(bases, rows) -> list:
     """The products prod(b**e for b, e in zip(bases, row)) of each row of
     exponents, exactly, with 0**0 == 1.
 
-    Rows that share bases share their powers: each base is raised once to
-    the least exponent any row gives it, and the product of these shared
-    powers is formed once.  A row then multiplies it by the product of its
-    excess powers alone, which is small when the rows' exponents are close,
-    as they are between the components of a closed form.
+    Rows that share bases share their powers: the product of each base
+    raised to the least exponent any row gives it is formed once, and a
+    row then multiplies it by the product of its excess powers alone,
+    which is small when the rows' exponents are close, as they are
+    between the components of a closed form.  Each of these products is
+    one squaring chain (``_power_product``), never a power per base.
     """
     least = [min(column) for column in zip(*rows)]
-    shared = 1
-    for base, m in zip(bases, least):
-        if m:
-            shared *= base**m
-    values = []
-    for row in rows:
-        excess = 1
-        for base, e, m in zip(bases, row, least):
-            if e > m:
-                excess *= base ** (e - m)
-        values.append(shared * excess)
-    return values
+    shared = _power_product(bases, least)
+    return [shared * _power_product(bases, [e - m for e, m in zip(row, least)]) for row in rows]
+
+
+def _power_product(bases, exps):
+    """prod(b**e for b, e in zip(bases, exps)) by simultaneous
+    exponentiation: the running product is squared once per bit of the
+    largest exponent, from the top, and then multiplied by the product
+    of the bases whose exponent has that bit set.  So it makes two
+    products of its own size per bit however many bases there are, and
+    the bases meet each other only while they are small.  A base whose
+    exponent is 0 never enters, so 0**0 == 1 and the result keeps the
+    type of the bases that do."""
+    value = 1
+    for bit in reversed(range(max(exps, default=0).bit_length())):
+        step = 1
+        for base, e in zip(bases, exps):
+            if e >> bit & 1:
+                step = step * base
+        value = value * value * step
+    return value
 
 
 def positive_weights(rng: random.Random) -> Weights:

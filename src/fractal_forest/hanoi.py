@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import mpmath
 
-from .algebra import LOG_DPS, Weights
+from .algebra import LOG_DPS, Weights, power_products
 from .sierpinski import (
     CountsTriple,
     FiveBundle,
@@ -102,18 +102,12 @@ def hanoi_counts_closed(n: int) -> CountsTriple:
     if n < 1:
         raise ValueError("level must be >= 1")
     half = _exact_div(5**n - 3**n, 2)
-    tau = 3 ** _exact_div(3**n + 2 * n - 1, 4) * 5 ** _exact_div(3**n - 2 * n - 1, 4)
-    s = (
-        3 ** _exact_div(3**n - 2 * n - 1, 4)
-        * 5 ** _exact_div(3**n - 2 * n - 1, 4)
-        * half
-    )
-    q = (
-        3 ** _exact_div(3**n - 6 * n + 3, 4)
-        * 5 ** _exact_div(3**n - 2 * n - 1, 4)
-        * half**2
-    )
-    return CountsTriple(tau, s, q)
+    five = _exact_div(3**n - 2 * n - 1, 4)
+    return CountsTriple(*power_products([3, 5, half], [
+        [_exact_div(3**n + 2 * n - 1, 4), five, 0],
+        [_exact_div(3**n - 2 * n - 1, 4), five, 1],
+        [_exact_div(3**n - 6 * n + 3, 4), five, 2],
+    ]))
 
 
 def hanoi_growth() -> float:

@@ -19,7 +19,8 @@ couplings, current diagonal entries); the initial state is
 for one round of block elimination of the masked Laplacian, whose
 determinant picks up the factor D(state)^(3^(k-2)) in the process.
 
-The map is given in closed form by the term tables below.
+The map is given in closed form by the term tables below, kept as the
+paper's text and evaluated as Horner schemes built from them at import.
 ``schur_map_rederived`` recomputes the same map from scratch by eliminating
 the six non-corner words of the level-2 network; the two routes must agree
 exactly on random states, and the determinant identity
@@ -232,7 +233,8 @@ def _parse_terms(text: str):
     return tuple(terms)
 
 
-# Denominator D of the decimation map, 19 terms.
+# Denominator D of the decimation map, 19 terms, in the paper's text; the
+# tables are evaluated through the Horner schemes built from them below.
 D_TERMS = _parse_terms(
     """
     + x7^2 x8^2 x9^2
@@ -394,32 +396,50 @@ P_TERMS = {
 }
 
 
-def _eval_terms(terms, xs):
-    total = 0
-    for coeff, exps in terms:
-        v = coeff
-        for x, e in zip(xs, exps):
+def _horner(terms):
+    """A table as a nested Horner scheme: an int for a constant, else
+    ``(v, Q, R)`` standing for ``x_v Q + R``, where x_v is the coordinate
+    in the most terms (the lowest index on a tie), Q the scheme of those
+    terms with one x_v taken out and R the scheme of the others."""
+    counts = [0] * 9
+    for _, exps in terms:
+        for i, e in enumerate(exps):
             if e:
-                v *= x**e
-        total += v
-    return total
+                counts[i] += 1
+    if not any(counts):
+        return sum(c for c, _ in terms)
+    v = counts.index(max(counts))
+    inner = [(c, exps[:v] + (exps[v] - 1,) + exps[v + 1 :]) for c, exps in terms if exps[v]]
+    rest = [(c, exps) for c, exps in terms if not exps[v]]
+    return v, _horner(inner), _horner(rest)
 
 
-# The terms are evaluated on integers t = delta * s, where delta is the lcm
-# of the state's denominators.  D is homogeneous of degree 6 and each P
-# numerator of degree 7, so D(s) = D(t) / delta^6, and a new coordinate is
-# an integer over delta * D(t), reduced once.
+def _eval_scheme(scheme, xs):
+    if type(scheme) is int:
+        return scheme
+    v, inner, rest = scheme
+    return xs[v] * _eval_scheme(inner, xs) + _eval_scheme(rest, xs)
+
+
+# The tables are evaluated as Horner schemes, built once here; a scheme
+# forms about half the products the terms one by one would.  They are
+# evaluated on integers t = delta * s, where delta is the lcm of the
+# state's denominators.  D is homogeneous of degree 6 and each P
+# numerator of degree 7, so D(s) = D(t) / delta^6, and a new coordinate
+# is an integer over delta * D(t), reduced once.
+_D_SCHEME = _horner(D_TERMS)
+_P_SCHEMES = {i: _horner(terms) for i, terms in P_TERMS.items()}
 
 
 def _cleared_denominator(s: SchurState):
     """The state cleared to integers t over delta, and D(t)."""
     t, delta = clear_denominators(s)
-    return t, delta, _eval_terms(D_TERMS, t)
+    return t, delta, _eval_scheme(_D_SCHEME, t)
 
 
 def _map_cleared(s: SchurState, t, delta: int, d: int) -> SchurState:
     heads = {4: 0, 5: 0, 6: 0, 7: t[6] * d, 8: t[7] * d, 9: t[8] * d}
-    new = [Fraction(heads[i] + _eval_terms(P_TERMS[i], t), delta * d) for i in range(4, 10)]
+    new = [Fraction(heads[i] + _eval_scheme(_P_SCHEMES[i], t), delta * d) for i in range(4, 10)]
     return SchurState(s.x1, s.x2, s.x3, *new)
 
 
@@ -556,16 +576,21 @@ def schur_pipeline(n: int, w: Weights):
     """Spanning-tree generating function of the level-n hanoi graph at w,
     by repeated decimation; returns (value, denominator orbit).
 
-    The value is an int at integer weights.  The factor
-    prod_k D_k^(3^(n-k-2)) is built in Horner order, each D_k multiplied
-    in before the cube, so that a denominator cancels while it is small.
+    The value is an int at integer weights, at every level.  The factor
+    prod_k D_k^(3^(n-k-2)) is the cube of a root built in Horner order,
+    root <- root^3 D_k.  With t_k the state cleared by delta_k,
+    D_k = D(t_k) / delta_k^6, so each step divides the root by delta_k^2
+    before the cube and multiplies in the integer D(t_k) after it: a
+    denominator cancels against a number a third the size of the factor,
+    while it is small.  The determinant at the end, homogeneous of degree
+    9 in the state, is scaled to an integer by delta^9 in the same way.
     """
     if n < 1:
         raise ValueError("level must be >= 1")
     if n <= 2:
-        return tree_gf_cofactor(build_hanoi(n), w), []
+        return _as_int(tree_gf_cofactor(build_hanoi(n), w)), []
     state = SchurState.initial(w)
-    total = 1
+    root = Fraction(1)
     orbit = []
     for k in range(n - 2):
         # one clearing and one D per step, shared by D_k and the map
@@ -574,9 +599,14 @@ def schur_pipeline(n: int, w: Weights):
             raise DecimationSingularError(
                 f"denominator vanished at decimation step {k}"
             )
-        d = Fraction(dt, delta**6)
-        orbit.append(d)
-        total = (total * d) ** 3
+        orbit.append(Fraction(dt, delta**6))
+        root = (root / delta**2) ** 3 * dt
         state = _map_cleared(state, t, delta, dt)
-    value = total * lambda_matrix(2, state).det() / (w.a + w.b)
-    return (value.numerator if value.denominator == 1 else value), orbit
+    cube = clear_denominators(state)[1] ** 3
+    det = lambda_matrix(2, state).det() * cube**3
+    return _as_int((root / cube) ** 3 * det / (w.a + w.b)), orbit
+
+
+def _as_int(value: Fraction):
+    """The value as an int where it is one."""
+    return value.numerator if value.denominator == 1 else value

@@ -15,13 +15,14 @@ triple, where integer weights give ``int`` components and rational ones
 bundle components once and stays subtraction-free; the tests hold the
 equations as first transcribed, term by term, and compare.  Every step is
 a homogeneous cubic in the components, so ``iterate`` steps an evaluated
-integer bundle on its primitive part and carries the content (the gcd of
-its components, which is nearly all of their size) as one cube per
-level; the bundle it returns is exact and in full.  Closed forms
-are FactoredPoly products; their evaluation at a point iterates the
-polynomial maps on values instead of on symbols, which is exact and cheap
-at any level, and the components of one closed form raise their shared
-bases once (``algebra.power_products``).
+integer bundle on its primitive part and forms the content (the product
+of the per-step gcds of the components, raised to powers of 3, which is
+nearly all of their size) once, at the end; the bundle it returns is
+exact and in full.  Closed forms are FactoredPoly products; their
+evaluation at a point iterates the polynomial maps on values instead of
+on symbols, which is exact and cheap at any level.  The components of
+one closed form, and the content, are products of powers formed by one
+squaring chain each (``algebra.power_products``).
 """
 
 from __future__ import annotations
@@ -108,12 +109,13 @@ def iterate(step, initial, n: int):
 
     Every step is a homogeneous cubic in the bundle's components, so
     ``step(g B) = g^3 step(B)`` for a scalar g.  An evaluated integer
-    bundle therefore steps on its primitive part and carries its content
-    as one cube per level: scale <- scale^3 g, with g the gcd of the new
-    components.  The components share nearly all of their size, so each
-    step multiplies small numbers; the level-n bundle is returned in
-    full, times the final scale.  Symbolic and ``Fraction`` bundles step
-    as they are.
+    bundle therefore steps on its primitive part: after step k the gcd
+    g_k of the new components is divided out, and the level-n bundle is
+    the last primitive part times ``prod g_k^(3^(n-1-k))``, with g_0 the
+    content of the level-1 bundle.  The components share nearly all of
+    their size, so each step multiplies small numbers, and the contents
+    meet only once, in one squaring chain (``power_products``) at the
+    end.  Symbolic and ``Fraction`` bundles step as they are.
 
     The level cap is checked before the first step, so a request past it
     fails before any work is done.
@@ -121,10 +123,12 @@ def iterate(step, initial, n: int):
     if n < 1:
         raise ValueError("level must be >= 1")
     check_level(n, initial.weights)
-    scale, bundle = split_content(initial)
+    g, bundle = split_content(initial)
+    contents = [g]
     for _ in range(n - 1):
         g, bundle = split_content(step(bundle))
-        scale = scale**3 * g
+        contents.append(g)
+    [scale] = power_products(contents, [[3 ** (n - 1 - k) for k in range(n)]])
     return bundle if scale == 1 else _map_components(bundle, lambda x: scale * x)
 
 
@@ -193,17 +197,12 @@ def rot_counts(n: int) -> CountsTriple:
     """Tree / 2-forest / 3-forest counts from the prime-exponent formulas."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    p2 = 2 ** _exact_div(3**n - 1, 2)
-    tau = p2 * 3 ** _exact_div(3 ** (n + 1) + 2 * n + 1, 4) * 5 ** _exact_div(
-        3**n - 2 * n - 1, 4
-    )
-    s = p2 * 3 ** _exact_div(3 ** (n + 1) - 2 * n - 3, 4) * 5 ** _exact_div(
-        3**n + 2 * n - 1, 4
-    )
-    q = p2 * 3 ** _exact_div(3 ** (n + 1) - 6 * n - 3, 4) * 5 ** _exact_div(
-        3**n + 6 * n - 1, 4
-    )
-    return CountsTriple(tau, s, q)
+    two = _exact_div(3**n - 1, 2)
+    return CountsTriple(*power_products([2, 3, 5], [
+        [two, _exact_div(3 ** (n + 1) + 2 * n + 1, 4), _exact_div(3**n - 2 * n - 1, 4)],
+        [two, _exact_div(3 ** (n + 1) - 2 * n - 3, 4), _exact_div(3**n + 2 * n - 1, 4)],
+        [two, _exact_div(3 ** (n + 1) - 6 * n - 3, 4), _exact_div(3**n + 6 * n - 1, 4)],
+    ]))
 
 
 def rot_vertex_count(n: int) -> int:

@@ -60,6 +60,34 @@ class Counted:
         return out
 
 
+class Sized:
+    """An int that records, in a shared list, the bit length of the larger
+    operand of every product of two Sized values.  It has no ``**``, so a
+    power of one must be formed by products."""
+
+    def __init__(self, value: int, log: list):
+        self.value, self.log = value, log
+
+    def __mul__(self, other):
+        if isinstance(other, Sized):
+            self.log.append(max(self.value.bit_length(), other.value.bit_length()))
+            other = other.value
+        return Sized(self.value * other, self.log)
+
+    __rmul__ = __mul__
+
+
+def full_size_products(bases, rows, power_products):
+    """The values of ``power_products(bases, rows)`` over Sized bases, and
+    how many of its products had an operand longer than all the bases
+    together, which no product of bases alone can be."""
+    log = []
+    values = power_products([Sized(b, log) for b in bases], rows)
+    small = sum(b.bit_length() for b in bases)
+    return ([v.value if isinstance(v, Sized) else v for v in values],
+            sum(1 for bits in log if bits > small))
+
+
 def components(bundle) -> dict:
     """A bundle's components by name."""
     return {f.name: getattr(bundle, f.name)

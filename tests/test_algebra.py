@@ -16,6 +16,8 @@ from fractal_forest.algebra import (
 from fractal_forest.errors import CapabilityError
 from fractal_forest.sierpinski import rot_closed
 
+from conftest import full_size_products
+
 A, B, C = TriPoly.variables()
 ONES = Weights.ones()
 
@@ -122,8 +124,27 @@ def test_power_products_share_powers_exactly():
         plain.append(value)
     assert power_products(bases, rows) == plain
     assert plain[2] == 0 and plain[3] == 1
+    # a Fraction base enters a product only with a positive exponent
+    assert [type(v) for v in power_products(bases, rows)] == [Fraction, int, Fraction, int]
     assert power_products(bases, [rows[1]]) == [plain[1]]
     assert power_products([], [[], []]) == [1, 1]
+
+
+def test_power_products_square_once_per_bit():
+    # clock-free: one product of powers makes at most two products of its
+    # own size per bit of its largest exponent, a squaring and one product
+    # with the bases whose exponent has that bit set, however many bases
+    rng = random.Random(5)
+    for count in (1, 2, 3, 6, 12, 24):
+        bases = [rng.randint(2, 2**16) for _ in range(count)]
+        row = [rng.randint(0, 3**6) for _ in range(count)]
+        row[0] = 3**6
+        [value], full = full_size_products(bases, [row], power_products)
+        plain = 1
+        for base, exp in zip(bases, row):
+            plain *= base**exp
+        assert value == plain, count
+        assert full <= 2 * (3**6).bit_length(), (count, full)
 
 
 def test_factored_evaluate_all_equals_each_evaluate():

@@ -334,11 +334,17 @@ def test_level_caps_checked_before_any_work(capsys, monkeypatch):
     assert "graphs are capped at level 12" in capsys.readouterr().err
 
 
+def corrupt_map_term(monkeypatch, i: int, delta: int):
+    """Add delta to the first coefficient of the P_i table of the
+    decimation map, in the table and in the Horner scheme built from it."""
+    (coeff, exps), *rest = kirchhoff.P_TERMS[i]
+    corrupted = ((coeff + delta, exps), *rest)
+    monkeypatch.setitem(kirchhoff.P_TERMS, i, corrupted)
+    monkeypatch.setitem(kirchhoff._P_SCHEMES, i, kirchhoff._horner(corrupted))
+
+
 def test_verify_with_corrupted_map_term_fails(capsys, monkeypatch):
-    corrupted = dict(kirchhoff.P_TERMS)
-    first_coeff, first_exps = corrupted[4][0]
-    corrupted[4] = ((first_coeff + 1, first_exps),) + corrupted[4][1:]
-    monkeypatch.setattr(kirchhoff, "P_TERMS", corrupted)
+    corrupt_map_term(monkeypatch, 4, 1)
     code, data = run_json(
         capsys, "verify", "--family", "hanoi", "--levels", "3..3", "--trials", "2",
         "--seed", "9",
@@ -349,10 +355,7 @@ def test_verify_with_corrupted_map_term_fails(capsys, monkeypatch):
 
 
 def test_verify_reports_divergent_coordinates(capsys, monkeypatch):
-    corrupted = dict(kirchhoff.P_TERMS)
-    first_coeff, first_exps = corrupted[5][0]
-    corrupted[5] = ((first_coeff + 2, first_exps),) + corrupted[5][1:]
-    monkeypatch.setattr(kirchhoff, "P_TERMS", corrupted)
+    corrupt_map_term(monkeypatch, 5, 2)
     code, data = run_json(
         capsys, "verify", "--family", "hanoi", "--levels", "1..1", "--trials", "2",
         "--seed", "9",
@@ -452,10 +455,7 @@ def test_gf_all_output_pinned(capsys, family, level):
 def test_verify_mismatch_reports_values_at_the_drawn_weights(capsys, monkeypatch):
     # the decimation map with one coefficient off by one: the routes run at
     # integer weights, and the report gives the values at the drawn ones
-    corrupted = dict(kirchhoff.P_TERMS)
-    first_coeff, first_exps = corrupted[4][0]
-    corrupted[4] = ((first_coeff + 1, first_exps),) + corrupted[4][1:]
-    monkeypatch.setattr(kirchhoff, "P_TERMS", corrupted)
+    corrupt_map_term(monkeypatch, 4, 1)
     code, out = run(
         capsys, "verify", "--family", "hanoi", "--levels", "3..4", "--trials", "2",
         "--seed", "9",

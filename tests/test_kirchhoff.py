@@ -13,6 +13,9 @@ from fractal_forest.kirchhoff import (
     D_TERMS,
     P_TERMS,
     RationalMatrix,
+    _D_SCHEME,
+    _P_SCHEMES,
+    _eval_scheme,
     _sparse_det,
     SchurState,
     generator_matrices,
@@ -29,7 +32,7 @@ from fractal_forest.kirchhoff import (
 from fractal_forest.oracle import ForestSpec, enumerate_gf
 from fractal_forest.sierpinski import rot_counts
 
-from conftest import positive_weight_list, random_states
+from conftest import Counted, positive_weight_list, random_states
 
 ONES = Weights.ones()
 
@@ -264,6 +267,14 @@ def test_schur_pipeline_examples():
     assert schur_pipeline(2, Weights.of(1, 2, 3))[0] == hanoi_bundle(2, Weights.of(1, 2, 3)).T
 
 
+def test_pipeline_value_is_an_int_at_every_level():
+    # levels 1-2 go through the cofactor, which returns a Fraction
+    for w in (ONES, Weights.of(1, 2, 3), Weights.parse("13/61", "44/17", "7/90").clear_denominators()[0]):
+        for n in range(1, 6):
+            value, _ = schur_pipeline(n, w)
+            assert type(value) is int and value == hanoi_bundle(n, w).T, (w, n)
+
+
 def test_pipeline_orbit_is_the_public_denominator_and_map():
     # the pipeline clears each state and evaluates D once per step, shared
     # between its orbit and the map; both equal the public functions
@@ -277,6 +288,18 @@ def test_pipeline_orbit_is_the_public_denominator_and_map():
         assert value == hanoi_bundle(6, w).T
     with pytest.raises(DecimationSingularError, match="vanished at decimation step 0"):
         schur_pipeline(3, Weights.of(0, 0, 0))
+
+
+def test_lambda2_determinant_ties_the_tables_together():
+    # det Lambda_2(s) = (x1 + x2) D(s) ((x8' - x2)(x9' - x1) - x6'^2) with
+    # s' = P(s): D and the x6, x8 and x9 tables against a determinant,
+    # independently of the rederived map
+    for s in random_states(89, 6):
+        p = schur_map(s)
+        lhs = lambda_matrix(2, s).det()
+        assert lhs != 0
+        assert lhs == (s.x1 + s.x2) * schur_denominator(s) * (
+            (p.x8 - s.x2) * (p.x9 - s.x1) - p.x6**2)
 
 
 def test_singular_denominator_raises():
@@ -467,3 +490,54 @@ def test_cofactor_equals_bundle_tree_under_the_vertex_cap():
                 value = tree_gf_cofactor(family.graph(n, False), iw)
                 assert value == family.bundle(n, iw).T, (family.name, n, triple)
                 assert isinstance(value, Fraction) and value.denominator == 1
+
+
+# -- the tables as Horner schemes ------------------------------------------------
+
+
+def eval_terms(terms, xs):
+    """A table evaluated term by term, as the map was before its Horner
+    schemes."""
+    total = 0
+    for coeff, exps in terms:
+        v = coeff
+        for x, e in zip(xs, exps):
+            if e:
+                v *= x**e
+        total += v
+    return total
+
+
+TABLES = ((D_TERMS, _D_SCHEME), *((P_TERMS[i], _P_SCHEMES[i]) for i in range(4, 10)))
+
+
+def test_horner_schemes_equal_the_terms():
+    rng = random.Random(79)
+    states = [[0] * 9, [1] * 9, [-1] * 9]
+    states += [[rng.randint(-50, 50) for _ in range(9)] for _ in range(20)]
+    states += [[rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(9)] for _ in range(20)]
+    for xs in states:
+        for terms, scheme in TABLES:
+            assert _eval_scheme(scheme, xs) == eval_terms(terms, xs), xs
+    # the cleared states along the decimation orbit of level 9
+    state = SchurState.initial(Weights.parse("13/61", "44/17", "7/90"))
+    for _ in range(7):
+        xs = clear_denominators(state)[0]
+        for terms, scheme in TABLES:
+            assert _eval_scheme(scheme, xs) == eval_terms(terms, xs), xs
+        state = schur_map(state)
+    assert max(x.bit_length() for x in xs) > 3000
+
+
+def test_horner_schemes_form_fewer_products():
+    # products of two state-sized values over all seven tables; the 127
+    # products with a coefficient are scalar and not counted
+    tally = [0]
+    xs = [Counted(x, tally) for x in (3, -5, 7, 11, -13, 17, 19, 23, -29)]
+    for terms, scheme in TABLES:
+        assert _eval_scheme(scheme, xs).value == eval_terms(terms, [x.value for x in xs])
+    assert tally[0] == 338
+    tally[0] = 0
+    for terms, _ in TABLES:
+        eval_terms(terms, xs)
+    assert tally[0] == 743

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from fractal_forest.algebra import FactoredPoly, TriPoly, Weights
+from fractal_forest import sierpinski
+from fractal_forest.algebra import FactoredPoly, TriPoly, Weights, power_products
 from fractal_forest.errors import CapabilityError
 from fractal_forest.families import FAMILIES, ROTATIONAL
 from fractal_forest.hanoi import hanoi_bundle, hanoi_step
@@ -43,6 +44,7 @@ from conftest import (
     assert_homogeneous_cubic,
     components,
     count_products,
+    full_size_products,
     plain_fold,
     positive_weight_list,
     signed_bundles,
@@ -384,8 +386,8 @@ def test_shared_powers_equal_plain_products():
 
 
 # -- iterating on the primitive part ------------------------------------------
-# ``iterate`` steps an integer bundle on its primitive part and carries the
-# content as one cube per level, which is exact because every step is a
+# ``iterate`` steps an integer bundle on its primitive part and forms the
+# content once at the end, which is exact because every step is a
 # homogeneous cubic in the bundle's components.
 
 
@@ -458,3 +460,23 @@ def test_iterate_steps_on_the_primitive_part():
     assert iterate(recording_step, five_initial(w), 8) == full
     assert len(seen) == 7
     assert all(g == 1 and size < bits // 10 for g, size in seen), seen
+
+
+def test_content_is_one_squaring_chain(monkeypatch):
+    # clock-free: the contents of all the steps meet in one product of
+    # powers, with at most two products of its own size per bit of 3^(n-1)
+    calls = []
+
+    def counting(bases, rows):
+        values, full = full_size_products(bases, rows, power_products)
+        calls.append((rows, full))
+        return values
+
+    monkeypatch.setattr(sierpinski, "power_products", counting)
+    w = Weights.parse("13/61", "44/17", "7/90").clear_denominators()[0]
+    for bundle, step, initial in BUNDLES:
+        calls.clear()
+        assert bundle(8, w) == plain_fold(step, initial(w), 8), bundle.__name__
+        [(rows, full)] = calls
+        assert rows == [[3**7, 3**6, 3**5, 3**4, 27, 9, 3, 1]]
+        assert 0 < full <= 2 * (3**7).bit_length(), (bundle.__name__, full)
