@@ -10,6 +10,11 @@ Two representations are used throughout the package:
   functions live here, because their exponents grow like 3^n and an
   expanded form is hopeless past the first few levels.
 
+A third, ``Jet``, is a ring of truncated jets ``c0 + c1 e + c2 e^2``:
+any recursion run at a weight ``1 + e`` gives its value with its first
+two derivatives along that weight, which is all the label statistics
+need.
+
 Weights are exact: ``fractions.Fraction`` or ``int``.  A polynomial with
 integer coefficients evaluated at integer weights stays an ``int``, so the
 evaluated routes run at the weights times the lcm of their denominators
@@ -367,6 +372,58 @@ class FactoredPoly:
 
     def __repr__(self):
         return f"FactoredPoly({self.text()})"
+
+
+class Jet:
+    """A truncated jet ``c0 + c1 e + c2 e^2`` with e^3 = 0 and integer
+    coefficients: a ring element, so a recursion run at a weight 1 + e
+    yields its value and its first two derivatives along that weight
+    (forward-mode differentiation), with c2 half the second derivative.
+    An int on either side of ``+`` and ``*`` is a constant jet."""
+
+    __slots__ = ("c0", "c1", "c2")
+
+    def __init__(self, c0: int, c1: int = 0, c2: int = 0):
+        self.c0, self.c1, self.c2 = c0, c1, c2
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
+        if isinstance(other, int):
+            return Jet(self.c0 + other, self.c1, self.c2)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            a0, a1, a2 = self.c0, self.c1, self.c2
+            b0, b1, b2 = other.c0, other.c1, other.c2
+            return Jet(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0)
+        if isinstance(other, int):
+            return Jet(self.c0 * other, self.c1 * other, self.c2 * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = Jet(1)
+        for _ in range(n):  # the recursions raise weights to small powers only
+            result = result * self
+        return result
+
+    def coefficients(self) -> tuple[int, int, int]:
+        return self.c0, self.c1, self.c2
+
+    def __eq__(self, other):
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return self.coefficients() == other.coefficients()
+
+    def __repr__(self):
+        return f"Jet({self.c0}, {self.c1}, {self.c2})"
 
 
 def _log_fraction(q: Fraction) -> mpmath.mpf:

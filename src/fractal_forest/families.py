@@ -84,7 +84,10 @@ class Family:
     checks: tuple[Check, ...]
     counts: Callable | None = None  # n -> CountsTriple at weights 1 1 1
     routes: tuple[str, ...] = ("recursion", "closed", "cofactor", "oracle")
-    stat_cap: int = sgf.SYMBOLIC_LEVEL_CAP
+    stat_cap: int = sgf.EVALUATED_LEVEL_CAP  # the bundle's, which the statistics run
+    # n -> a closed-form T whose bases the statistics evaluate in place of
+    # the bundle; None: they run the bundle
+    stat_factors: Callable | None = None
     extra_checks: Callable | None = None  # (levels, trials, rng) -> results
 
     def degree(self, n: int, component: str) -> int:
@@ -117,13 +120,15 @@ class Family:
     def parts(self, bundle) -> dict:
         return {c: getattr(bundle, c) for c in self.components}
 
-    def stat_tree(self, n: int) -> FactoredPoly:
-        """T as a product, whose log-derivatives give the label statistics."""
+    def stat_powers(self, n: int, w: Weights) -> list:
+        """(value, exponent) pairs at w whose product is T up to a constant
+        factor, for the label statistics: the bases of the closed form
+        ``stat_factors`` if the family has one, else T of the bundle."""
         if n > self.stat_cap:
             raise CapabilityError(f"{self.name} statistics are capped at level {self.stat_cap}")
-        if self.closed is not None:
-            return self.closed(n).T
-        return FactoredPoly.of(self.bundle(n, None).T)
+        if self.stat_factors is not None:
+            return [(base.evaluate(w), exp) for base, exp in self.stat_factors(n).factors]
+        return [(self.bundle(n, w).T, 1)]
 
 
 class Level:
@@ -296,6 +301,7 @@ ROTATIONAL = Family(
         FactoredPoly.evaluate_all(_pick(sgf.rot_closed(n), names), w)),
     counts=lambda n: sgf.rot_counts(n),
     stat_cap=20,  # the factored closed form keeps label statistics cheap
+    stat_factors=lambda n: sgf.rot_closed(n).T,
     checks=(
         Check("closed at ones = counts", _closed, _counts),
         Check("closed = recursion", _closed, _bundle, TRIAL, detail=("weights",)),

@@ -10,8 +10,9 @@ Three labelling models share the same machinery:
 Every step is a polynomial in the bundle components, so one code path
 runs over any ring: symbolic (TriPoly components, capped at low levels
 because expanded sizes explode like 3^n) or evaluated at a fixed weight
-triple, where integer weights give ``int`` components and rational ones
-``Fraction`` components.  Each step forms each distinct product of two
+triple, where integer weights give ``int`` components, rational ones
+``Fraction`` components and jet weights (``algebra.Jet``, for the label
+statistics) jet components.  Each step forms each distinct product of two
 bundle components once and stays subtraction-free; the tests hold the
 equations as first transcribed, term by term, and compare.  Every step is
 a homogeneous cubic in the components, so ``iterate`` steps an evaluated

@@ -1,18 +1,22 @@
 """Label statistics of a uniform random spanning tree.
 
-For the gaskets the tree generating function factors into a fixed set
-of bases with huge exponents, so exact means and variances of the
-per-label edge counts come from log-derivatives of the factored closed
-form: for T = C * prod b_i^(e_i),
+The mean and variance of the number of edges of one label in a uniform
+random spanning tree are log-derivatives of the tree generating function
+T along that label at all-ones:
 
-    mean   = sum_i e_i * b_i'(1) / b_i(1)
-    (log T)'' = sum_i e_i * (b_i''(1) b_i(1) - b_i'(1)^2) / b_i(1)^2
-    variance = (log T)'' + mean.
+    mean     = (log T)'
+    variance = (log T)'' + (log T)'.
 
-The hanoi model has no symbolic closed form; its symbolic T (level 3 at
-most) is taken as a single factor.  The same quantities exist in closed
-form for the rotational model; both routes are exposed and must agree
-exactly.  The normalized count of the rotational model is
+Both come from jets (``algebra.Jet``): T at the weight 1 + e on the
+label and 1 elsewhere is ``c0 + c1 e + c2 e^2`` with c0 = T, c1 = T' and
+c2 = T''/2, so (log T)' = c1/c0 and (log T)'' = 2 c2/c0 - (c1/c0)^2.
+For T = C * prod b_i^(e_i) the log-derivatives add up over the factors
+with weights e_i, and the constant C drops out.  The rotational model
+takes its factors from its closed form, whose three bases are cheap at
+any level; the others run their bundle recursion over jets, one pass,
+as far as an evaluated bundle goes (``Family.stat_powers``).  The
+rotational statistics also exist in closed form; both routes are exposed
+and must agree exactly.  The normalized count of the rotational model is
 asymptotically standard normal; its moment generating function comes
 from the same closed form rot_closed(n).T, is evaluated in log space
 (exponents grow like 3^n) and is compared against exp(t^2/2) on a grid.
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .algebra import LOG_DPS, VARS, FactoredPoly, Weights
+from .algebra import LOG_DPS, VARS, Jet, Weights
 from .families import ONES, lookup
 from .sierpinski import rot_closed
 
@@ -38,23 +42,18 @@ class LabelStat:
     variance: Fraction
 
 
-def _log_derivs(T: FactoredPoly, label: str):
-    """(first, second) derivative of log T along one label, at all-ones."""
-    first = Fraction(0)
-    second = Fraction(0)
-    for base, exp in T.factors:
-        v = base.evaluate(ONES)
-        d1 = base.derivative(label).evaluate(ONES)
-        d2 = base.derivative(label).derivative(label).evaluate(ONES)
-        first += exp * d1 / v
-        second += exp * (d2 * v - d1 * d1) / (v * v)
-    return first, second
-
-
 def label_moments(model: str, n: int, label: str) -> tuple[Fraction, Fraction]:
     """Mean and variance of the number of label-edges in a random
-    spanning tree, exactly, from one log-derivative pass."""
-    first, second = _log_derivs(lookup(model).stat_tree(n), label)
+    spanning tree, exactly, from the jets of T along the label."""
+    if label not in VARS:
+        raise ValueError(f"unknown label {label!r}")
+    w = Weights(**{v: Jet(1, int(v == label)) for v in VARS})
+    first = second = Fraction(0)
+    for value, exp in lookup(model).stat_powers(n, w):
+        c0, c1, c2 = value.coefficients()
+        slope = Fraction(c1, c0)
+        first += exp * slope
+        second += exp * (Fraction(2 * c2, c0) - slope * slope)
     return first, second + first
 
 

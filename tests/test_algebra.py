@@ -7,6 +7,7 @@ import pytest
 
 from fractal_forest.algebra import (
     FactoredPoly,
+    Jet,
     TriPoly,
     Weights,
     poly_equal_by_sampling,
@@ -183,3 +184,32 @@ def test_factored_invariants_enforced():
     with pytest.raises(ValueError):
         FactoredPoly({7: 1})
     assert FactoredPoly(factors=[(A + B, 0)]).factors == []
+
+
+def test_jet_products_truncate_at_the_cube():
+    x = Jet(2, 3, 5)
+    assert x * Jet(7, 11, 13) == Jet(14, 2 * 11 + 3 * 7, 2 * 13 + 3 * 11 + 5 * 7)
+    assert Jet(0, 1) * Jet(0, 1) == Jet(0, 0, 1)
+    assert Jet(0, 1) ** 3 == Jet(0)
+    assert x**0 == Jet(1) and x**1 == x and x**5 == x * x * x * x * x
+
+
+def test_jet_takes_ints_on_either_side():
+    x = Jet(2, 3, 5)
+    assert 4 * x == x * 4 == Jet(8, 12, 20)
+    assert 4 + x == x + 4 == Jet(6, 3, 5)
+    assert 1 + 2 * x * x == Jet(9, 24, 58)
+    with pytest.raises(ValueError):
+        x ** -1
+    with pytest.raises(TypeError):
+        x * Fraction(1, 2)
+
+
+def test_jet_of_a_polynomial_is_its_value_and_derivatives():
+    # p(1 + e, 1, 1) = p + p' e + p''/2 e^2 along a, read off the jet
+    p = 3 * A**4 * B + 2 * A * B * C**2 + 7 * C + 1
+    value = p.evaluate(Weights(Jet(1, 1), 1, 1))
+    d1 = p.derivative("a")
+    assert value.coefficients() == (
+        p.evaluate(ONES), d1.evaluate(ONES), d1.derivative("a").evaluate(ONES) / 2
+    )

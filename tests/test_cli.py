@@ -10,10 +10,11 @@ import pytest
 
 from fractal_forest import cli
 from fractal_forest import families
+from fractal_forest import hanoi
 from fractal_forest import kirchhoff
 from fractal_forest import sierpinski
 from fractal_forest import stats
-from fractal_forest.algebra import FactoredPoly, Weights
+from fractal_forest.algebra import FactoredPoly, TriPoly, Weights
 from fractal_forest.errors import DecimationSingularError
 from fractal_forest.hanoi import hanoi_bundle
 
@@ -386,6 +387,27 @@ def test_normality_gap_is_rotational_only(capsys, monkeypatch):
         argv = ["stats", "--model", model, "--level", "2", "--label", "a", "--normality"]
         assert cli.main(argv) == 2
     assert "normality gap does not apply" in capsys.readouterr().err
+
+
+def test_hanoi_stats_form_no_polynomial_product(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a TriPoly product was formed")
+
+    monkeypatch.setattr(TriPoly, "__mul__", refuse)
+    monkeypatch.setattr(TriPoly, "__rmul__", refuse)
+    code, data = run_json(capsys, "stats", "--model", "hanoi", "--level", "3", "--label", "a")
+    assert code == 0 and data["mean"] == "26/3"
+
+
+def test_stats_cap_is_checked_before_any_step(capsys, monkeypatch):
+    def refuse(bundle):
+        raise AssertionError("a recursion step ran")
+
+    monkeypatch.setattr(hanoi, "hanoi_step", refuse)
+    with pytest.raises(AssertionError):
+        cli.main(["stats", "--model", "hanoi", "--level", "2", "--label", "a"])
+    assert cli.main(["stats", "--model", "hanoi", "--level", "13", "--label", "a"]) == 3
+    assert "hanoi statistics are capped at level 12" in capsys.readouterr().err
 
 
 def test_gf_past_the_int_string_digit_limit(capsys):

@@ -3,11 +3,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from fractal_forest.algebra import Weights
+from fractal_forest.algebra import VARS, FactoredPoly, Jet, Weights
 from fractal_forest.errors import CapabilityError
+from fractal_forest.families import lookup
+from fractal_forest.kirchhoff import tree_gf_cofactor
 from fractal_forest.sierpinski import rot_bundle, rot_vertex_count
 from fractal_forest.stats import (
     label_mean_gf,
+    label_moments,
     label_stat_closed,
     label_variance_gf,
     mgf_normalized,
@@ -15,6 +18,9 @@ from fractal_forest.stats import (
 )
 
 ROT = "sierpinski-rotational"
+OTHERS = ("hanoi", "sierpinski-directional", "sierpinski-schreier")
+MODELS = (ROT, *OTHERS)
+ONES = Weights.ones()
 
 
 def test_spot_values_level1():
@@ -56,7 +62,79 @@ def test_other_models_small_levels():
         assert sum(means) == nv - 1
         assert label_variance_gf(model, 2, "a") > 0
     with pytest.raises(CapabilityError):
-        label_mean_gf("hanoi", 4, "a")
+        label_mean_gf("hanoi", 13, "a")
+
+
+@pytest.mark.parametrize("model", OTHERS)
+def test_other_models_means_agree_up_to_8(model):
+    for n in range(1, 9):
+        means = [label_mean_gf(model, n, label) for label in "abc"]
+        assert means[0] == means[1] == means[2], n
+        assert sum(means) == lookup(model).vertices(n) - 1, n
+
+
+def _log_derivs(T: FactoredPoly, label: str):
+    """(first, second) derivative of log T along one label, at all-ones,
+    from the derivatives of each base of a symbolic product."""
+    first = Fraction(0)
+    second = Fraction(0)
+    for base, exp in T.factors:
+        v = base.evaluate(ONES)
+        d1 = base.derivative(label).evaluate(ONES)
+        d2 = base.derivative(label).derivative(label).evaluate(ONES)
+        first += exp * d1 / v
+        second += exp * (d2 * v - d1 * d1) / (v * v)
+    return first, second
+
+
+def _symbolic_tree(model: str, n: int) -> FactoredPoly:
+    family = lookup(model)
+    if family.closed is not None:
+        return family.closed(n).T
+    return FactoredPoly.of(family.bundle(n, None).T)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_jets_equal_symbolic_log_derivatives(model):
+    for n in range(1, 4):
+        for label in "abc":
+            first, second = _log_derivs(_symbolic_tree(model, n), label)
+            assert label_moments(model, n, label) == (first, second + first), (n, label)
+
+
+def _laplacian_moments(graph, label: str):
+    """Mean and variance of the label count from the matrix-tree theorem
+    alone: at x on the label and 1 elsewhere T is a polynomial in x of
+    degree at most m, the number of label edges, so its values at
+    x = 0..m fix it; its coefficients give T, T' and T'' at x = 1."""
+    m = sum(e.label == label for e in graph.nonloop_edges())
+    values = [
+        tree_gf_cofactor(graph, Weights(**{v: x if v == label else 1 for v in VARS}))
+        for x in range(m + 1)
+    ]
+    # Newton's form T(x) = sum_k D^k T(0) binom(x, k), expanded in powers of x
+    coeffs = [Fraction(0)] * (m + 1)
+    binom = [Fraction(1)]  # binom(x, k), lowest power first
+    for k in range(m + 1):
+        for i, c in enumerate(binom):
+            coeffs[i] += values[0] * c
+        values = [y - x for x, y in zip(values, values[1:])]
+        binom = [((binom[i - 1] if i else 0) - k * (binom[i] if i < len(binom) else 0)) / (k + 1)
+                 for i in range(len(binom) + 1)]
+    t0 = sum(coeffs)
+    t1 = sum(i * c for i, c in enumerate(coeffs))
+    t2 = sum(i * (i - 1) * c for i, c in enumerate(coeffs))
+    mean = t1 / t0
+    return mean, t2 / t0 + mean - mean * mean
+
+
+@pytest.mark.parametrize("model, n", zip(OTHERS, (3, 4, 4)))
+def test_moments_equal_the_laplacian_past_the_old_cap(model, n):
+    g = lookup(model).graph(n, False)
+    for label in "abc":
+        mean, variance = _laplacian_moments(g, label)
+        assert mean == Fraction(len(g.vertices) - 1, 3)
+        assert label_moments(model, n, label) == (mean, variance), label
 
 
 def test_mgf_basics():
@@ -102,3 +180,14 @@ def test_mgf_equals_the_symbolic_recursion():
                                 * mpmath.exp(-s * mean.numerator / mean.denominator))
                     got = mgf_normalized(n, t, label)
                     assert abs(got - expected) < mpmath.mpf(10) ** -40 * expected, (n, label, t)
+
+
+@pytest.mark.parametrize("model", ("sierpinski-directional", "sierpinski-schreier"))
+def test_gasket_jets_by_recursion_equal_closed_forms(model):
+    # the recursion the statistics run and the evaluated closed form give
+    # the same jet of T, well past the symbolic cap
+    family = lookup(model)
+    for label in "abc":
+        w = Weights(**{v: Jet(1, 1) if v == label else 1 for v in VARS})
+        for n in (4, 7):
+            assert family.bundle(n, w).T == family.closed_value(n, w, ("T",))[0], (n, label)
