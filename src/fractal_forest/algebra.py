@@ -15,10 +15,11 @@ any recursion run at a weight ``1 + e`` gives its value with its first
 two derivatives along that weight, which is all the label statistics
 need.
 
-Weights are exact: ``fractions.Fraction`` or ``int``.  A polynomial with
-integer coefficients evaluated at integer weights stays an ``int``, so the
-evaluated routes run at the weights times the lcm of their denominators
-(``Weights.clear_denominators``) and never reduce a fraction.
+Evaluated weights are exact: ``fractions.Fraction`` or ``int``.  A
+polynomial with integer coefficients evaluated at integer weights stays
+an ``int``, so the evaluated routes run at the weights times the lcm of
+their denominators (``Weights.clear_denominators``) and never reduce a
+fraction.
 Every evaluated product of powers (the closed forms, the closed counts,
 the content of a bundle) goes through ``power_products``, which forms
 each product by one squaring chain: its multiplications of full-size
@@ -55,11 +56,13 @@ EXPANSION_DEGREE_CAP = 60
 
 @dataclass(frozen=True)
 class Weights:
-    """An exact weight assignment to the three edge labels."""
+    """The weights of the three edge labels.  Each entry is an element of
+    the ring a recursion runs in: int, Fraction, TriPoly (the variables,
+    ``sierpinski.SYMBOLS``, for symbolic results) or Jet."""
 
-    a: Fraction | int
-    b: Fraction | int
-    c: Fraction | int
+    a: object
+    b: object
+    c: object
 
     @classmethod
     def of(cls, a, b, c) -> "Weights":
@@ -84,7 +87,7 @@ class Weights:
         ints, scale = clear_denominators(self.as_tuple())
         return Weights(*ints), scale
 
-    def __getitem__(self, label: str) -> Fraction | int:
+    def __getitem__(self, label: str):
         if label not in VARS:
             raise ValueError(f"unknown label {label!r}")
         return getattr(self, label)
@@ -379,7 +382,7 @@ class Jet:
     coefficients: a ring element, so a recursion run at a weight 1 + e
     yields its value and its first two derivatives along that weight
     (forward-mode differentiation), with c2 half the second derivative.
-    An int on either side of ``+`` and ``*`` is a constant jet."""
+    An int on either side of ``+``, ``*`` and ``==`` is a constant jet."""
 
     __slots__ = ("c0", "c1", "c2")
 
@@ -418,6 +421,8 @@ class Jet:
         return self.c0, self.c1, self.c2
 
     def __eq__(self, other):
+        if isinstance(other, int):
+            other = Jet(other)
         if not isinstance(other, Jet):
             return NotImplemented
         return self.coefficients() == other.coefficients()

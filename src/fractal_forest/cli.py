@@ -29,7 +29,7 @@ from .families import (
 )
 from .graphs import export_dot, graph_census
 from .oracle import EDGE_CAP
-from .sierpinski import EVALUATED_LEVEL_CAP, check_level
+from .sierpinski import EVALUATED_LEVEL_CAP, SYMBOLS, check_level
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -121,7 +121,7 @@ def run_gf(args) -> tuple[int, str]:
     if args.mode == "symbolic":
         if args.method != "all" and args.method not in symbolic_routes(family):
             raise UsageError(f"the {args.method} method has no symbolic mode for {family.name}")
-        bundle = family.parts(family.bundle(n, None))
+        bundle = family.parts(family.bundle(n, SYMBOLS))
         report["components"] = {k: v.text() for k, v in bundle.items()}
         report["value"] = report["components"]["T"]
         if family.closed is not None:

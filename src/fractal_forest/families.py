@@ -76,7 +76,7 @@ class Family:
     vertices: Callable[[int], int]
     edges: Callable[[int], int]  # non-loop edges
     components: tuple[str, ...]  # of a bundle: trees, corner forests, 3-forests
-    bundle: Callable  # (n, w) -> bundle; w None gives symbolic components
+    bundle: Callable  # (n, w) -> bundle in the ring of w; SYMBOLS gives symbolic components
     closed: Callable | None  # n -> symbolic closed-form bundle; None: unweighted only
     # (n, w, names) -> the named components by the closed form; only these
     # are evaluated, because evaluating a factored component is costly
@@ -103,9 +103,9 @@ class Family:
             return value
         return Fraction(value, scale ** self.degree(n, component))
 
-    def skip_reason(self, route: str | None, n: int, w: Weights | None) -> str | None:
+    def skip_reason(self, route: str | None, n: int, w: Weights) -> str | None:
         """Why gf --method all and verify leave a route out at level n and
-        weights w (None: weights still to be drawn), or None where it runs."""
+        weights w (SYMBOLS: weights still to be drawn), or None where it runs."""
         if route == "closed" and self.closed is None and w != ONES:
             return f"{self.name} closed form is unweighted"
         if route == "cofactor" and self.vertices(n) > COFACTOR_VERTEX_CAP:
@@ -165,7 +165,7 @@ def run_checks(family: Family, levels, trials: int, rng):
     for n in levels:
         lv = Level(family, n)
         for mode, group in groupby(family.checks, key=lambda c: c.weights):
-            w = ONES if mode == ONES_ONLY else None  # drawn below
+            w = ONES if mode == ONES_ONLY else sgf.SYMBOLS  # drawn below
             group = [c for c in group
                      if n >= c.first_level and not family.skip_reason(c.route, n, w)]
             if not group:

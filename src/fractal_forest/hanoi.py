@@ -1,7 +1,7 @@
 """Weighted and unweighted tree/forest recursions on the hanoi graphs.
 
 The five weighted recursions mix the bundle components with the raw edge
-weights a, b, c, so an evaluated bundle carries its weight triple along.
+weights a, b, c, which every step reads off the bundle's weights.
 The component meanings match the two directional-style gasket models:
 U isolates the top corner (1^n), R the right corner (2^n), L the left
 corner (0^n).  As on the gaskets, a step forms each distinct product of
@@ -14,9 +14,9 @@ import mpmath
 
 from .algebra import LOG_DPS, Weights, power_products
 from .sierpinski import (
+    SYMBOLS,
     CountsTriple,
     FiveBundle,
-    _abc,
     _exact_div,
     check_level,
     five_initial,
@@ -42,7 +42,7 @@ def hanoi_step(bundle: FiveBundle) -> FiveBundle:
         U^2 (R + L) + ... + U R L = (U + R + L) R L + U (U R + U L + R^2 + L^2).
     """
     check_level(bundle.level + 1, bundle.weights)
-    a, b, c = _abc(bundle.weights)
+    a, b, c = bundle.weights.as_tuple()
     e = a * b + a * c + b * c
     abc = a * b * c
     T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
@@ -75,7 +75,7 @@ def hanoi_step(bundle: FiveBundle) -> FiveBundle:
     return FiveBundle(bundle.level + 1, new_T, new_U, new_R, new_L, new_Q, bundle.weights)
 
 
-def hanoi_bundle(n: int, w: Weights | None = None) -> FiveBundle:
+def hanoi_bundle(n: int, w: Weights = SYMBOLS) -> FiveBundle:
     return iterate(hanoi_step, five_initial(w), n)
 
 

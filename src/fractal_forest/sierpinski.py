@@ -7,12 +7,14 @@ Three labelling models share the same machinery:
 * directional and schreier -- bundle (T, U, R, L, Q) where U, R, L are the
   2-forests isolating the top, right and left corner respectively.
 
-Every step is a polynomial in the bundle components, so one code path
-runs over any ring: symbolic (TriPoly components, capped at low levels
-because expanded sizes explode like 3^n) or evaluated at a fixed weight
-triple, where integer weights give ``int`` components, rational ones
+Every step is a polynomial in the bundle components and the weights, so
+one code path runs in whatever ring the weights live in, and a bundle
+carries its weights.  At ``SYMBOLS``, the variables a, b, c, the
+components are TriPolys, capped at low levels because expanded sizes
+explode like 3^n; integer weights give ``int`` components, rational ones
 ``Fraction`` components and jet weights (``algebra.Jet``, for the label
-statistics) jet components.  Each step forms each distinct product of two
+statistics) jet components.  Every level cap reads its ring off the
+weights (``check_level``).  Each step forms each distinct product of two
 bundle components once and stays subtraction-free; the tests hold the
 equations as first transcribed, term by term, and compare.  Every step is
 a homogeneous cubic in the components, so ``iterate`` steps an evaluated
@@ -29,6 +31,7 @@ squaring chain each (``algebra.power_products``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import mpmath
@@ -40,6 +43,8 @@ SYMBOLIC_LEVEL_CAP = 3
 EVALUATED_LEVEL_CAP = 12
 ITERATE_SYMBOLIC_CAP = 8  # F/G iterates double in degree per step
 
+SYMBOLS = Weights(*TriPoly.variables())  # the weights of symbolic bundles
+
 FIVE = ("T", "U", "R", "L", "Q")  # the components of a FiveBundle
 
 
@@ -49,7 +54,7 @@ class RotBundle:
     T: object
     S: object
     Q: object
-    weights: Weights | None = None  # None means symbolic components
+    weights: Weights = SYMBOLS
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ class FiveBundle:
     R: object
     L: object
     Q: object
-    weights: Weights | None = None
+    weights: Weights = SYMBOLS
 
 
 @dataclass(frozen=True)
@@ -77,12 +82,17 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def check_level(n: int, weights) -> None:
-    """The level cap of bundles and evaluated closed forms; None weights
-    mean symbolic components."""
-    cap = EVALUATED_LEVEL_CAP if weights is not None else SYMBOLIC_LEVEL_CAP
+def _symbolic(w: Weights) -> bool:
+    return any(isinstance(x, TriPoly) for x in w.as_tuple())
+
+
+def check_level(n: int, w: Weights) -> None:
+    """The level cap of bundles and evaluated closed forms, by the ring of
+    the weights: symbolic if an entry is a TriPoly, else evaluated."""
+    symbolic = _symbolic(w)
+    cap = SYMBOLIC_LEVEL_CAP if symbolic else EVALUATED_LEVEL_CAP
     if n > cap:
-        mode = "evaluated" if weights is not None else "symbolic"
+        mode = "symbolic" if symbolic else "evaluated"
         raise CapabilityError(f"{mode} bundles are capped at level {cap}")
 
 
@@ -133,17 +143,11 @@ def iterate(step, initial, n: int):
     return bundle if scale == 1 else _map_components(bundle, lambda x: scale * x)
 
 
-def _abc(w: Weights | None):
-    if w is None:
-        return TriPoly.variables()
-    return w.a, w.b, w.c
-
-
 # -- rotational model -------------------------------------------------------
 
 
-def rot_initial(w: Weights | None = None) -> RotBundle:
-    a, b, c = _abc(w)
+def rot_initial(w: Weights = SYMBOLS) -> RotBundle:
+    a, b, c = w.as_tuple()
     e = a * b + a * c + b * c
     s = a + b + 3 * c
     return RotBundle(1, 3 * (a + b) * e**2, (a + b) * s * e, (a + b) * s**2, w)
@@ -163,7 +167,7 @@ def rot_step(bundle: RotBundle) -> RotBundle:
     )
 
 
-def rot_bundle(n: int, w: Weights | None = None) -> RotBundle:
+def rot_bundle(n: int, w: Weights = SYMBOLS) -> RotBundle:
     return iterate(rot_step, rot_initial(w), n)
 
 
@@ -191,7 +195,7 @@ def rot_closed(n: int) -> RotBundle:
         {2: e2, 3: _exact_div(3**n - 6 * n + 3, 4), 5: _exact_div(pw3 + 6 * n - 7, 4)},
         [(p, pw3), (s, _exact_div(pw3 + 3, 2)), (e, _exact_div(3**n - 3, 2))],
     )
-    return RotBundle(n, T, S, Q, None)
+    return RotBundle(n, T, S, Q, SYMBOLS)
 
 
 def rot_counts(n: int) -> CountsTriple:
@@ -249,47 +253,42 @@ def f_of(x, y, z):
     )
 
 
-def _iterates(mapping, triple, times: int) -> list:
-    """The triple and its first ``times`` images under the map."""
-    out = [triple]
+def _iterates(mapping, w: Weights, times: int) -> list:
+    """The weights and their first ``times`` images under the map; at
+    symbolic weights, whose images double in degree, at most
+    ITERATE_SYMBOLIC_CAP of them."""
+    if times > ITERATE_SYMBOLIC_CAP and _symbolic(w):
+        raise CapabilityError(f"symbolic map iterates are capped at {ITERATE_SYMBOLIC_CAP}")
+    out = [w.as_tuple()]
     for _ in range(times):
         out.append(mapping(*out[-1]))
     return out
 
 
-def _iterates_symbolic(mapping, times: int) -> list:
-    if times > ITERATE_SYMBOLIC_CAP:
-        raise CapabilityError(
-            f"symbolic map iterates are capped at {ITERATE_SYMBOLIC_CAP}"
-        )
-    return _iterates(mapping, TriPoly.variables(), times)
-
-
-def _factor_poly(mapping, k: int) -> TriPoly:
-    a, b, c = TriPoly.variables()
-    if k == 1:
-        return a * b + a * c + b * c
-    x, y, z = _iterates_symbolic(mapping, k - 2)[-1]
-    return x + y + z
+def _factors(iterates, n: int) -> list:
+    """Factors 1..n of a closed form: a*b + a*c + b*c for k = 1, else the
+    sum of iterate k - 2."""
+    a, b, c = iterates[0]
+    return [a * b + a * c + b * c] + [x + y + z for x, y, z in iterates[: n - 1]]
 
 
 def phi_poly(k: int) -> TriPoly:
     """k-th factor polynomial of the directional closed forms."""
-    return _factor_poly(F_map, k)
+    return _factors(_iterates(F_map, SYMBOLS, k - 2), k)[-1]
 
 
 def psi_poly(k: int) -> TriPoly:
     """k-th factor polynomial of the schreier closed forms."""
-    return _factor_poly(G_map, k)
+    return _factors(_iterates(G_map, SYMBOLS, k - 2), k)[-1]
 
 
 # -- directional and schreier recursions -------------------------------------
 
 
-def five_initial(w: Weights | None = None) -> FiveBundle:
+def five_initial(w: Weights = SYMBOLS) -> FiveBundle:
     """The level-1 bundle of the directional, schreier and hanoi
-    recursions, in the ring of the weights (symbolic when w is None)."""
-    a, b, c = _abc(w)
+    recursions, in the ring of the weights."""
+    a, b, c = w.as_tuple()
     return FiveBundle(1, a * b + a * c + b * c, b, a, c, a**0, w)
 
 
@@ -343,11 +342,11 @@ def schreier_step(bundle: FiveBundle) -> FiveBundle:
     )
 
 
-def dir_bundle(n: int, w: Weights | None = None) -> FiveBundle:
+def dir_bundle(n: int, w: Weights = SYMBOLS) -> FiveBundle:
     return iterate(dir_step, five_initial(w), n)
 
 
-def schreier_bundle(n: int, w: Weights | None = None) -> FiveBundle:
+def schreier_bundle(n: int, w: Weights = SYMBOLS) -> FiveBundle:
     return iterate(schreier_step, five_initial(w), n)
 
 
@@ -386,9 +385,10 @@ def _schreier_laws():
 _MODEL_LAWS = {"directional": _dir_laws, "schreier": _schreier_laws}
 
 
-def _closed_five(model: str, n: int, w: Weights | None, names=FIVE) -> FiveBundle:
-    """Closed forms as factored polynomials (w None), or evaluated exactly
-    at w by iterating the map on values, which is cheap at any level.
+def _closed_five(model: str, n: int, w: Weights, names=FIVE) -> FiveBundle:
+    """Closed forms in the ring of w: factored polynomials at symbolic
+    weights, else exact values, by iterating the map on values, which is
+    cheap at any level.
 
     Only the components in ``names`` are built; the others are None.  T,
     the product the corner forests share and the one Q has are powers of
@@ -402,9 +402,7 @@ def _closed_five(model: str, n: int, w: Weights | None, names=FIVE) -> FiveBundl
     # T and Q need the iterates up to n - 2; the corner forests also need
     # iterate n - 1, the largest one
     steps = n - 1 if corners else max(n - 2, 0)
-    if w is None:
-        iterates = _iterates_symbolic(laws["map"], steps)
-
+    if _symbolic(w):
         def products(bases, rows):
             return [FactoredPoly({2: r[0]}, list(zip(bases[1:], r[1:]))) for r in rows]
 
@@ -412,16 +410,10 @@ def _closed_five(model: str, n: int, w: Weights | None, names=FIVE) -> FiveBundl
             return FactoredPoly(p.primes, p.factors + [(base, 1)])
 
     else:
-        check_level(n, w)
-        iterates = _iterates(laws["map"], (w.a, w.b, w.c), steps)
-        products = power_products
-
-        def times(p, base):
-            return p * base
-
-    a, b, c = iterates[0]
-    # factor k is a*b + a*c + b*c for k = 1, else the sum of iterate k - 2
-    factors = [a * b + a * c + b * c] + [x + y + z for x, y, z in iterates[: n - 1]]
+        check_level(n, w)  # the symbolic forms are capped by their iterates
+        products, times = power_products, operator.mul
+    iterates = _iterates(laws["map"], w, steps)
+    factors = _factors(iterates, n)
 
     def row(two, exponent, last):
         # the exponents of 2 and of factors 1..n, zero past factor ``last``
@@ -448,11 +440,11 @@ def _closed_five(model: str, n: int, w: Weights | None, names=FIVE) -> FiveBundl
 
 
 def dir_closed(n: int) -> FiveBundle:
-    return _closed_five("directional", n, None)
+    return _closed_five("directional", n, SYMBOLS)
 
 
 def schreier_closed(n: int) -> FiveBundle:
-    return _closed_five("schreier", n, None)
+    return _closed_five("schreier", n, SYMBOLS)
 
 
 def dir_closed_value(n: int, w: Weights, names=FIVE) -> FiveBundle:

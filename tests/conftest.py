@@ -77,6 +77,36 @@ class Sized:
     __rmul__ = __mul__
 
 
+class ModP:
+    """An integer mod the prime p = 2^61 - 1: a ring the package has no
+    code for.  An int on either side of ``+``, ``*`` and ``==`` is reduced
+    mod p, since an empty product of powers is the int 1."""
+
+    P = 2**61 - 1
+
+    def __init__(self, value: int):
+        self.value = value % self.P
+
+    def __add__(self, other):
+        return ModP(self.value + (other.value if isinstance(other, ModP) else other))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return ModP(self.value * (other.value if isinstance(other, ModP) else other))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        return ModP(pow(self.value, k, self.P))
+
+    def __eq__(self, other):
+        return self.value == (other.value if isinstance(other, ModP) else other % self.P)
+
+    def __repr__(self):
+        return f"ModP({self.value})"
+
+
 def full_size_products(bases, rows, power_products):
     """The values of ``power_products(bases, rows)`` over Sized bases, and
     how many of its products had an operand longer than all the bases

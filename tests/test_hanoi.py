@@ -14,7 +14,7 @@ from fractal_forest.hanoi import (
 )
 from fractal_forest.kirchhoff import schur_pipeline, tree_gf_cofactor
 from fractal_forest.oracle import ForestSpec, enumerate_gf
-from fractal_forest.sierpinski import CountsTriple, FiveBundle, _abc, check_level, five_initial
+from fractal_forest.sierpinski import SYMBOLS, CountsTriple, FiveBundle, check_level, five_initial
 
 from conftest import (
     STEP_WEIGHTS,
@@ -121,7 +121,7 @@ def paper_hanoi_step(bundle: FiveBundle) -> FiveBundle:
     hanoi_step forms each product of bundle components once and must
     equal this copy."""
     check_level(bundle.level + 1, bundle.weights)
-    a, b, c = _abc(bundle.weights)
+    a, b, c = bundle.weights.as_tuple()
     e = a * b + a * c + b * c
     abc = a * b * c
     T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
@@ -167,7 +167,7 @@ def paper_hanoi_step(bundle: FiveBundle) -> FiveBundle:
 
 def test_step_equals_the_paper_equations():
     # symbolic through the symbolic cap, evaluated through level 7
-    for w, top in ((None, 3), *((w, 7) for w in STEP_WEIGHTS)):
+    for w, top in ((SYMBOLS, 3), *((w, 7) for w in STEP_WEIGHTS)):
         bundle = five_initial(w)
         for level in range(2, top + 1):
             got = hanoi_step(bundle)

@@ -1,0 +1,38 @@
+"""Byte-identity of the CLI against the committed replay corpus.
+
+``tests/replay/corpus.json`` holds the exit code, stdout digest and
+stderr of every request that ``tests/replay/make_corpus.py`` lists; the
+full replay is ``python3 tests/replay/make_corpus.py --check``.  Tier-1
+replays all of it but the nine ``stats`` requests at level 12 (hanoi,
+directional and schreier, three labels each), which run the jet bundle to
+its cap and take about 8 s together; the statistics cap refusals at level
+13 stay in.
+"""
+
+import importlib.util
+from pathlib import Path
+
+MAKE_CORPUS = Path(__file__).resolve().parent / "replay" / "make_corpus.py"
+
+
+def _load_make_corpus():
+    spec = importlib.util.spec_from_file_location("make_corpus", MAKE_CORPUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _in_slice(argv) -> bool:
+    return not (argv[0] == "stats" and argv[argv.index("--level") + 1] == "12")
+
+
+def test_corpus_lists_the_generator_requests():
+    corpus = _load_make_corpus()
+    assert [entry["argv"] for entry in corpus.load()] == corpus.requests()
+
+
+def test_replayed_slice_is_byte_identical():
+    corpus = _load_make_corpus()
+    entries = [entry for entry in corpus.load() if _in_slice(entry["argv"])]
+    assert len(entries) == len(corpus.load()) - 9
+    assert corpus.differences(entries) == []

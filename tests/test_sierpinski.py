@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from fractal_forest.hanoi import hanoi_bundle, hanoi_step
 from fractal_forest.sierpinski import (
     _MODEL_LAWS,
     FIVE,
+    SYMBOLS,
     FiveBundle,
     RotBundle,
     _iterates,
@@ -41,6 +43,7 @@ from fractal_forest.sierpinski import (
 
 from conftest import (
     STEP_WEIGHTS,
+    ModP,
     assert_homogeneous_cubic,
     components,
     count_products,
@@ -158,7 +161,7 @@ def test_directional_closed_symbolic_sampling():
 
 def test_schreier_initial_matches_directional():
     # the directional, schreier and hanoi recursions share one level-1 bundle
-    for w in (None, ONES, Weights.of(2, 3, 5)):
+    for w in (SYMBOLS, ONES, Weights.of(2, 3, 5)):
         s, d, h = schreier_bundle(1, w), dir_bundle(1, w), hanoi_bundle(1, w)
         assert (s.T, s.U, s.R, s.L, s.Q) == (d.T, d.U, d.R, d.L, d.Q) == (h.T, h.U, h.R, h.L, h.Q)
 
@@ -323,7 +326,7 @@ STEPS = (
 def test_steps_equal_the_paper_equations():
     # symbolic through the symbolic cap, evaluated through level 7
     for step, paper, initial in STEPS:
-        for w, top in ((None, 3), *((w, 7) for w in STEP_WEIGHTS)):
+        for w, top in ((SYMBOLS, 3), *((w, 7) for w in STEP_WEIGHTS)):
             bundle = initial(w)
             for level in range(2, top + 1):
                 got = step(bundle)
@@ -356,7 +359,7 @@ def _plain_product(p: FactoredPoly, w) -> int:
 def _plain_closed_five(model: str, n: int, w) -> tuple:
     """The five closed forms at w, each factor's power taken on its own."""
     laws = _MODEL_LAWS[model]()
-    iterates = _iterates(laws["map"], w.as_tuple(), n - 1)
+    iterates = _iterates(laws["map"], w, n - 1)
     a, b, c = iterates[0]
     factors = [a * b + a * c + b * c] + [x + y + z for x, y, z in iterates[: n - 1]]
 
@@ -421,6 +424,37 @@ def test_split_bundle_equals_the_plain_fold(bundle, step, initial):
             assert bundle(n, w) == folded, (w, n)
 
 
+@pytest.mark.parametrize("bundle, step, initial", BUNDLES, ids=[b[0].__name__ for b in BUNDLES])
+def test_variables_as_weights_keep_the_symbolic_cap(bundle, step, initial, monkeypatch):
+    # the weights are the ring: the variables passed in explicitly are
+    # refused past level 3 like the default, before any step runs
+    def refuse(b):
+        raise AssertionError(f"{step.__name__} ran")
+
+    monkeypatch.setattr(importlib.import_module(step.__module__), step.__name__, refuse)
+    with pytest.raises(CapabilityError, match="^symbolic bundles are capped at level 3$"):
+        bundle(4, Weights(*TriPoly.variables()))
+
+
+def test_bundles_and_closed_values_run_mod_p():
+    # ModP is a ring the package has no code for: every bundle and every
+    # weighted closed form at ModP weights is the exact value mod p
+    for triple in ((2, 3, 5), (1, -1, 3)):
+        exact_w, mod_w = Weights(*triple), Weights(*map(ModP, triple))
+        for family in FAMILIES.values():
+            for n in (1, 4, 9, 12):
+                exact = family.parts(family.bundle(n, exact_w))
+                got = family.parts(family.bundle(n, mod_w))
+                assert all(isinstance(x, ModP) for x in got.values()), (family.name, n)
+                assert got == exact, (family.name, triple, n)
+                if family.closed is not None:
+                    closed = family.closed_value(n, mod_w, family.components)
+                    assert closed == tuple(exact.values()), (family.name, triple, n)
+    for family in FAMILIES.values():
+        with pytest.raises(CapabilityError, match="^evaluated bundles are capped at level 12$"):
+            family.bundle(13, mod_w)
+
+
 def test_all_zero_bundle_is_left_as_it_is():
     zero = Weights(0, 0, 0)
     for n in range(2, 11):
@@ -432,7 +466,7 @@ def test_all_zero_bundle_is_left_as_it_is():
 def test_symbolic_and_fraction_bundles_step_unsplit():
     fraction_w = Weights.parse("1/3", "2/7", "5")
     for bundle, step, initial in BUNDLES:
-        for w, top in ((None, 3), (fraction_w, 6)):
+        for w, top in ((SYMBOLS, 3), (fraction_w, 6)):
             for n in range(1, top + 1):
                 b = bundle(n, w)
                 assert b == plain_fold(step, initial(w), n), (bundle.__name__, w, n)

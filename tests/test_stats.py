@@ -7,7 +7,7 @@ from fractal_forest.algebra import VARS, FactoredPoly, Jet, Weights
 from fractal_forest.errors import CapabilityError
 from fractal_forest.families import lookup
 from fractal_forest.kirchhoff import tree_gf_cofactor
-from fractal_forest.sierpinski import rot_bundle, rot_vertex_count
+from fractal_forest.sierpinski import FIVE, SYMBOLS, rot_bundle, rot_vertex_count
 from fractal_forest.stats import (
     label_mean_gf,
     label_moments,
@@ -91,7 +91,7 @@ def _symbolic_tree(model: str, n: int) -> FactoredPoly:
     family = lookup(model)
     if family.closed is not None:
         return family.closed(n).T
-    return FactoredPoly.of(family.bundle(n, None).T)
+    return FactoredPoly.of(family.bundle(n, SYMBOLS).T)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -185,9 +185,12 @@ def test_mgf_equals_the_symbolic_recursion():
 @pytest.mark.parametrize("model", ("sierpinski-directional", "sierpinski-schreier"))
 def test_gasket_jets_by_recursion_equal_closed_forms(model):
     # the recursion the statistics run and the evaluated closed form give
-    # the same jet of T, well past the symbolic cap
+    # the same jets, every component, well past the symbolic cap; at level
+    # 1 the closed Q is the empty product, the int 1, and the bundle's a
+    # jet
     family = lookup(model)
     for label in "abc":
         w = Weights(**{v: Jet(1, 1) if v == label else 1 for v in VARS})
-        for n in (4, 7):
-            assert family.bundle(n, w).T == family.closed_value(n, w, ("T",))[0], (n, label)
+        for n in (1, 2, 3, 4, 7):
+            bundle = family.parts(family.bundle(n, w))
+            assert family.closed_value(n, w, FIVE) == tuple(bundle.values()), (n, label)
