@@ -30,7 +30,6 @@ from .hanoi import (
 from .kirchhoff import (
     RationalMatrix,
     SchurState,
-    generator_matrices,
     lambda_matrix,
     schur_denominator,
     schur_denominator_rederived,
@@ -39,7 +38,6 @@ from .kirchhoff import (
     schur_map_rederived,
     schur_pipeline,
     tree_gf_cofactor,
-    weighted_laplacian,
 )
 from .oracle import ForestSpec, enumerate_gf
 from .sierpinski import (

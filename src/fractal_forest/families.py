@@ -12,7 +12,9 @@ leaves a route out and ``verify`` the checks that run it.
 
 Route functions are looked up through their modules when they are
 called, not bound when this module is imported, so that a patched or
-traced module function takes effect here too.
+traced module function takes effect here too.  A ``Level`` builds its
+graph once per family and level in a process; only the capped cofactor
+and oracle routes ask for it, so those caps bound what is kept.
 """
 
 from __future__ import annotations
@@ -131,8 +133,14 @@ class Family:
         return [(self.bundle(n, w).T, 1)]
 
 
+_GRAPHS = {}  # (family name, level) -> its graph without loops; see Level
+
+
 class Level:
-    """One family at one level; keeps what several routes share."""
+    """One family at one level; keeps what several routes share.  Its graph
+    is built once per family and level in a process and kept in
+    ``_GRAPHS``: only the cofactor and oracle routes read it, so their size
+    caps bound that to 18 graphs of at most 123 vertices."""
 
     def __init__(self, family: Family, n: int):
         self.family = family
@@ -140,9 +148,12 @@ class Level:
         self._bundle = None  # (weights, bundle) of the last bundle asked for
         self.orbit = []  # the decimation's denominators, once the schur route ran
 
-    @cached_property
+    @property
     def graph(self):
-        return self.family.graph(self.n, False)
+        key = (self.family.name, self.n)
+        if key not in _GRAPHS:
+            _GRAPHS[key] = self.family.graph(self.n, False)
+        return _GRAPHS[key]
 
     @cached_property
     def counts(self):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 
 LABELS = ("a", "b", "c")
 
@@ -72,11 +73,17 @@ class LabelledEdge:
 
 @dataclass(frozen=True)
 class LabelledGraph:
+    """A read-only graph, so that one built graph can be shared by every
+    request in a process."""
+
     family: str
     level: int
     vertices: tuple
     edges: tuple
-    corners: dict  # {"top": idx, "left": idx, "right": idx}
+    corners: MappingProxyType  # {"top": idx, "left": idx, "right": idx}, read-only
+
+    def __post_init__(self):
+        object.__setattr__(self, "corners", MappingProxyType(dict(self.corners)))
 
     def vertex_name(self, i: int) -> str:
         v = self.vertices[i]
@@ -110,26 +117,25 @@ class LabelledGraph:
                 deg[e.v] += 1
         return deg
 
-    def is_connected_ignoring_loops(self) -> bool:
-        n = len(self.vertices)
-        if n == 0:
-            return True
-        adj = [[] for _ in range(n)]
+    def breadth_first(self, root: int = 0) -> list:
+        """The vertices reachable from ``root`` over non-loop edges in
+        breadth-first order: nearest first, each vertex's neighbours in
+        edge order."""
+        adj = [[] for _ in self.vertices]
         for e in self.nonloop_edges():
             adj[e.u].append(e.v)
             adj[e.v].append(e.u)
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
+        order = [root]
+        seen = {root}
+        for u in order:
             for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == n
+                if v not in seen:
+                    seen.add(v)
+                    order.append(v)
+        return order
+
+    def is_connected_ignoring_loops(self) -> bool:
+        return not self.vertices or len(self.breadth_first()) == len(self.vertices)
 
 
 def _make_graph(family, level, named_edges, corner_names):

@@ -6,11 +6,14 @@ through one sparse elimination kernel, which takes ``int`` or
 ``Fraction`` entries and eliminates on integers: each row is held as its
 nonzero integer entries over one positive denominator, and a column is
 cleared from a row by cross-multiplication with the pivot row, never by
-division.  Each step pivots on the shortest remaining row, in its column
-with the fewest remaining entries, preferring the diagonal.  A reduced
-Laplacian has at most five entries per row, and this order keeps the
-fill-in small.  At integer weights a cofactor is a ``Fraction`` with
-denominator 1, and the decimation pipeline returns an ``int``.
+division.  Each step pivots on the shortest remaining row, the first
+given among rows of one length, in its column with the fewest remaining
+entries, preferring the diagonal.  A reduced Laplacian has at most five
+entries per row, and this order keeps the fill-in small.  A cofactor
+gives its rows farthest from the deleted vertex first, so that ties
+sweep toward it (the reverse Cuthill-McKee order); a dense matrix gives
+them in index order.  At integer weights a cofactor is a ``Fraction``
+with denominator 1, and the decimation pipeline returns an ``int``.
 
 The decimation map P acts on a 9-component state
 ``(x1..x3, x4..x6, x7..x9)`` = (original weights, current off-diagonal
@@ -52,8 +55,9 @@ def _sparse_det(rows: dict) -> Fraction:
     nonzero ``int`` or ``Fraction`` entries; the argument is consumed.
     A row is kept as integers over one positive denominator, cleared once
     by the lcm of its entries' denominators.  Each step pivots on the
-    shortest remaining row r, in its column c with the fewest remaining
-    entries (the diagonal on a tie), and clears c from every other row t
+    shortest remaining row r (the first in the order given on a tie), in
+    its column c with the fewest remaining entries (the diagonal on a
+    tie, then the row's own order), and clears c from every other row t
     by cross-multiplication, ``t <- r_c t - t_c r`` over ``d_t r_c``,
     then divides out the gcd of t and its denominator.  The rows stand
     for the same rationals as in division-based elimination, so an entry
@@ -69,7 +73,7 @@ def _sparse_det(rows: dict) -> Fraction:
         rows[i] = dict(zip(row, ints))
         for j in row:
             holders[j].add(i)
-    live = set(rows)
+    live = dict.fromkeys(rows)  # the rows in the order given, for the tie rule
     pivot_col = {}
     num = den = 1
     while live:
@@ -78,7 +82,7 @@ def _sparse_det(rows: dict) -> Fraction:
         if not row:
             return Fraction(0)
         c = min(row, key=lambda j: (len(holders[j]), j != p))
-        live.remove(p)
+        del live[p]
         pivot_col[p] = c
         pivot = row[c]
         num *= pivot
@@ -148,12 +152,15 @@ class RationalMatrix:
 # -- Laplacians and cofactors --------------------------------------------------
 
 
-def _laplacian(g: LabelledGraph, w: Weights) -> dict:
+def _laplacian(g: LabelledGraph, w: Weights, root: int) -> dict:
     """Loop-stripped weighted Laplacian as ``{row: {column: entry}}`` with
-    only the nonzero entries, in the graph's canonical order."""
-    if not g.is_connected_ignoring_loops():
+    only the nonzero entries.  Its rows run in decreasing breadth-first
+    distance from ``root``, measured on the graph's edges whatever their
+    weights, so a zero weight drops entries but never a row."""
+    order = g.breadth_first(root)
+    if len(order) != len(g.vertices):
         raise ValueError("graph must be connected ignoring loops")
-    rows = {i: {} for i in range(len(g.vertices))}
+    rows = {i: {} for i in reversed(order)}
     for e in g.nonloop_edges():
         weight = w[e.label]
         for u, v in ((e.u, e.v), (e.v, e.u)):
@@ -163,17 +170,16 @@ def _laplacian(g: LabelledGraph, w: Weights) -> dict:
     return {i: {j: x for j, x in row.items() if x} for i, row in rows.items()}
 
 
-def weighted_laplacian(g: LabelledGraph, w: Weights) -> RationalMatrix:
-    """Loop-stripped weighted Laplacian in the graph's canonical order."""
-    rows = _laplacian(g, w)
-    return RationalMatrix([[row.get(j, 0) for j in rows] for row in rows.values()])
-
-
 def tree_gf_cofactor(g: LabelledGraph, w: Weights, index: int = 0) -> Fraction:
-    """Weighted spanning-tree generating function at w, via one cofactor."""
+    """Weighted spanning-tree generating function at w, via the cofactor
+    that deletes vertex ``index``.
+
+    The rows go to the kernel farthest from the deleted vertex first, so
+    that on a tie the elimination sweeps toward it; on the 123-vertex
+    gaskets this halves the fill-in."""
     if len(g.vertices) == 1:
         return Fraction(1)
-    rows = _laplacian(g, w)
+    rows = _laplacian(g, w, index)
     del rows[index]
     for row in rows.values():
         row.pop(index, None)
@@ -541,17 +547,7 @@ def schur_map_divergence(s: SchurState) -> dict:
     return out
 
 
-# -- generator matrices and the masked matrices --------------------------------
-
-
-def generator_matrices(k: int, w: Weights):
-    """Dense action matrices of the three generators on level k (3^k each)."""
-    g = build_hanoi(k, include_loops=True)
-    n = len(g.vertices)
-    mats = {label: [[Fraction(0)] * n for _ in range(n)] for label in LABELS}
-    for e in g.edges:
-        mats[e.label][e.u][e.v] = mats[e.label][e.v][e.u] = w[e.label]
-    return tuple(mats[label] for label in LABELS)
+# -- the masked matrices ----------------------------------------------------------
 
 
 def lambda_matrix(k: int, s: SchurState) -> RationalMatrix:

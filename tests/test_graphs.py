@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from fractal_forest.families import FAMILIES
+from fractal_forest.families import FAMILIES, Level
 from fractal_forest.graphs import (
     apply_generator,
     build_hanoi,
@@ -151,6 +151,17 @@ def test_family_counts_match_built_graphs():
             g = family.graph(n, False)
             assert family.vertices(n) == len(g.vertices), (family.name, n)
             assert family.edges(n) == len(g.nonloop_edges()), (family.name, n)
+
+
+def test_graphs_are_read_only_and_built_once_per_level():
+    g = build_hanoi(2)
+    with pytest.raises(TypeError):
+        g.corners["top"] = 0
+    assert g.without_loops().corners == {"top": 4, "left": 0, "right": 8}
+    for family in FAMILIES.values():
+        assert Level(family, 3).graph is Level(family, 3).graph
+        with pytest.raises(TypeError):
+            Level(family, 3).graph.corners["top"] = 0
 
 
 def test_unlabelled_agreement_of_the_three_gaskets():

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from fractal_forest import kirchhoff
 from fractal_forest.algebra import Weights, clear_denominators
 from fractal_forest.errors import DecimationSingularError
 from fractal_forest.families import COFACTOR_VERTEX_CAP, FAMILIES
-from fractal_forest.graphs import LabelledEdge, LabelledGraph, build_hanoi, build_sierpinski
+from fractal_forest.graphs import (
+    LABELS, LabelledEdge, LabelledGraph, apply_generator, build_hanoi, build_sierpinski,
+)
 from fractal_forest.hanoi import hanoi_bundle, hanoi_counts_closed
 from fractal_forest.kirchhoff import (
     D_TERMS,
@@ -18,7 +21,6 @@ from fractal_forest.kirchhoff import (
     _eval_scheme,
     _sparse_det,
     SchurState,
-    generator_matrices,
     lambda_matrix,
     schur_denominator,
     schur_denominator_rederived,
@@ -27,7 +29,6 @@ from fractal_forest.kirchhoff import (
     schur_map_rederived,
     schur_pipeline,
     tree_gf_cofactor,
-    weighted_laplacian,
 )
 from fractal_forest.oracle import ForestSpec, enumerate_gf
 from fractal_forest.sierpinski import rot_counts
@@ -103,6 +104,20 @@ def test_det_matches_laplace_expansion():
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def weighted_laplacian(g: LabelledGraph, w: Weights) -> RationalMatrix:
+    """Dense loop-stripped weighted Laplacian in the graph's canonical
+    order, written straight from its edges."""
+    n = len(g.vertices)
+    rows = [[0] * n for _ in range(n)]
+    for e in g.nonloop_edges():
+        x = w[e.label]
+        rows[e.u][e.u] += x
+        rows[e.v][e.v] += x
+        rows[e.u][e.v] -= x
+        rows[e.v][e.u] -= x
+    return RationalMatrix(rows)
+
+
 def test_laplacian_examples():
     L = weighted_laplacian(build_hanoi(1), ONES)
     assert L.rows == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
@@ -117,8 +132,10 @@ def test_laplacian_examples():
     disconnected = LabelledGraph(
         "hanoi", 1, ("0", "1", "2"), (LabelledEdge(0, 1, "a"),), {"top": 1, "left": 0, "right": 2}
     )
-    with pytest.raises(ValueError):
-        weighted_laplacian(disconnected, ONES)
+    assert not disconnected.is_connected_ignoring_loops()
+    for index in (0, 2):
+        with pytest.raises(ValueError):
+            tree_gf_cofactor(disconnected, ONES, index)
 
 
 def test_cofactor_examples():
@@ -177,6 +194,17 @@ def test_all_ones_cofactor_equals_closed_counts():
         assert tree_gf_cofactor(build_sierpinski(n, "rotational"), ONES) == rot_counts(n).tau
 
 
+def generator_matrices(k: int, w: Weights):
+    """Dense action matrices of the three generators on level k (3^k each),
+    read off the hanoi graph with its loops."""
+    g = build_hanoi(k, include_loops=True)
+    n = len(g.vertices)
+    mats = {label: [[Fraction(0)] * n for _ in range(n)] for label in LABELS}
+    for e in g.edges:
+        mats[e.label][e.u][e.v] = mats[e.label][e.v][e.u] = w[e.label]
+    return tuple(mats[label] for label in LABELS)
+
+
 def test_generator_matrices_match_action():
     for n in range(1, 5):
         w = Weights.of(2, 3, 5)
@@ -184,7 +212,6 @@ def test_generator_matrices_match_action():
         g = build_hanoi(n, include_loops=True)
         words = g.vertices
         index = {v: i for i, v in enumerate(words)}
-        from fractal_forest.graphs import apply_generator
 
         for mat, label, weight in ((A, "a", w.a), (B, "b", w.b), (C, "c", w.c)):
             for i, word in enumerate(words):
@@ -480,6 +507,10 @@ def test_cofactor_equals_bundle_tree_under_the_vertex_cap():
     triples = (
         ("1", "1", "1"), ("6", "9", "5"), ("1", "1", "5"),
         ("1/3", "2/7", "5"), ("13/61", "44/17", "7/90"), ("72/80", "1/7", "84/20"),
+        # degenerate: a zero weight drops entries and a negative one can
+        # cancel them, but neither may change which rows are eliminated
+        ("0", "1", "1"), ("1", "0", "0"), ("0", "0", "0"),
+        ("1", "-1", "1"), ("1", "1", "-2"), ("-1/2", "3/4", "5/6"),
     )
     for family in FAMILIES.values():
         levels = [n for n in range(1, 9) if family.vertices(n) <= COFACTOR_VERTEX_CAP]
@@ -490,6 +521,62 @@ def test_cofactor_equals_bundle_tree_under_the_vertex_cap():
                 value = tree_gf_cofactor(family.graph(n, False), iw)
                 assert value == family.bundle(n, iw).T, (family.name, n, triple)
                 assert isinstance(value, Fraction) and value.denominator == 1
+
+
+def replay_elimination(rows):
+    """The kernel's pivot rule replayed on the pattern of the rows alone,
+    where nothing cancels: the shortest live row first, the first given on
+    a tie; in it the column with the fewest live entries, the diagonal and
+    then the row's own order on a tie.  Returns the number of entries the
+    elimination creates, and each row's columns when it was pivoted on."""
+    rows = {i: dict.fromkeys(row) for i, row in rows.items()}
+    holders = {j: set() for j in rows}
+    for i, row in rows.items():
+        for j in row:
+            holders[j].add(i)
+    live = dict.fromkeys(rows)
+    fill = 0
+    while live:
+        p = min(live, key=lambda i: len(rows[i]))
+        row = rows[p]
+        c = min(row, key=lambda j: (len(holders[j]), j != p))
+        del live[p]
+        for j in row:
+            holders[j].discard(p)
+        for i in holders[c]:
+            target = rows[i]
+            del target[c]
+            for j in row:
+                if j != c and j not in target:
+                    target[j] = None
+                    holders[j].add(i)
+                    fill += 1
+    return fill, {i: set(row) for i, row in rows.items()}
+
+
+def test_cofactor_rows_keep_the_fill_small(monkeypatch):
+    calls = []
+
+    def record(rows):
+        pattern = {i: list(row) for i, row in rows.items()}
+        det = _sparse_det(rows)
+        calls.append((pattern, rows))  # the kernel leaves each row as it pivoted on it
+        return det
+
+    monkeypatch.setattr(kirchhoff, "_sparse_det", record)
+    # the three 123-vertex gaskets share one pattern; in index order, as
+    # the kernel took them before the sweep toward the deleted vertex, they
+    # fill 674 entries
+    bounds = {("hanoi", 4): (238, 238), ("sierpinski-rotational", 4): (360, 674),
+              ("sierpinski-directional", 5): (360, 674), ("sierpinski-schreier", 5): (360, 674)}
+    for (name, n), (bound, in_index_order) in bounds.items():
+        calls.clear()
+        tree_gf_cofactor(FAMILIES[name].graph(n, False), Weights.of(2, 3, 5))
+        ((pattern, pivoted),) = calls
+        fill, replayed = replay_elimination(pattern)
+        assert replayed == {i: set(row) for i, row in pivoted.items()}, name
+        assert fill <= bound, name
+        assert replay_elimination(dict(sorted(pattern.items())))[0] == in_index_order, name
 
 
 # -- the tables as Horner schemes ------------------------------------------------
