@@ -8,9 +8,10 @@ Run from the repository root:
 Each request runs ``cli.main`` in process, with FRACTAL_FOREST_SEED
 unset, and the corpus keeps its argv, exit code, the sha256 of its
 stdout and its stderr verbatim.  The requests cover every family: the
-symbolic ``gf`` routes, ``gf --method all`` at six weight triples
+symbolic ``gf`` routes (level 3 in every format), ``gf --method all`` at six weight triples
 (degenerate and signed ones included), ``stats`` on both sides of each
-statistics cap, ``verify``, ``generate`` in every format, and the usage
+statistics cap, the rotational normality gap at every level 1-20 for
+each label, ``verify``, ``generate`` in every format, and the usage
 and capability errors the CLI raises itself.  No ``gf``, ``verify`` or
 ``generate`` request goes past level 9 except the cap refusals.
 
@@ -73,8 +74,8 @@ def requests() -> list[list[str]]:
         for level in levels:
             for label in "abc":
                 out.append(["stats", "--model", family, "--level", str(level), "--label", label])
-    for level in (1, 5, 20):
-        for label in "ac":
+    for level in range(1, 21):
+        for label in "abc":
             out.append(["stats", "--model", "sierpinski-rot", "--level", str(level),
                         "--label", label, "--normality"])
     for family in FAMILIES:
@@ -88,6 +89,9 @@ def requests() -> list[list[str]]:
                     "--method", "all", "--format", fmt])
         out.append(["gf", "--family", "sierpinski-dir", "--level", "2", "--mode", "symbolic",
                     "--format", fmt])
+        for family in FAMILIES:
+            out.append(["gf", "--family", family, "--level", "3", "--mode", "symbolic",
+                        "--method", "all", "--format", fmt])
         out.append(["stats", "--model", "hanoi", "--level", "2", "--label", "b", "--format", fmt])
         out.append(["verify", "--family", "hanoi", "--levels", "1..2", "--trials", "1",
                     "--seed", "9", "--format", fmt])
