@@ -3,8 +3,11 @@
 Two representations are used throughout the package:
 
 * ``TriPoly`` -- expanded sparse form, a map from exponent triples to
-  arbitrary-precision integer coefficients.  Supports ring arithmetic,
-  partial derivatives and exact evaluation at rational weights.
+  arbitrary-precision integer coefficients.  Supports ring arithmetic
+  and exact evaluation at rational weights.  A large product is formed
+  by Kronecker substitution: each operand is packed into one ``int``,
+  the ints are multiplied by CPython, and the coefficients are read
+  back off the bytes of the result (``_packed_product``).
 * ``FactoredPoly`` -- a product ``2^e2 * 3^e3 * 5^e5 * prod base_i^exp_i``
   with big-integer exponents.  The closed forms of the generating
   functions live here, because their exponents grow like 3^n and an
@@ -52,6 +55,11 @@ LOG_DPS = 60
 
 #: refuse to expand factored products past this total degree
 EXPANSION_DEGREE_CAP = 60
+
+# a product of two TriPolys with at most this many pairs of terms is
+# formed term by term, a larger one packed into ints: over the products
+# that symbolic gf forms at levels 1-3, the total time was least here
+_SCHOOLBOOK_PAIRS = 200
 
 
 @dataclass(frozen=True)
@@ -124,6 +132,19 @@ class TriPoly:
 
     Terms are stored as ``{(i, j, k): coeff}`` meaning ``coeff * a^i b^j c^k``;
     zero coefficients are never kept.
+
+    A product of two polynomials, neither a single term, with more than
+    _SCHOOLBOOK_PAIRS pairs of terms is formed by Kronecker substitution,
+    a smaller one term by term.  The term ``a^i b^j c^k`` of the product
+    goes to slot ``(i*B + j)*D + (i + j + k - lo)`` of an int of ``w``
+    bytes per slot, where B exceeds the product's degree in b, lo is its
+    lowest total degree and D its span of total degrees (D = 1 for
+    homogeneous operands, whose slots fill a triangle in i and j).  No
+    coefficient of ``p * q`` exceeds ``min(len p, len q) * max|p| *
+    max|q|``, and ``2^(8w - 1)`` exceeds that bound, so each slot holds
+    its coefficient exactly, sign included.  ``p**n`` and
+    ``FactoredPoly.expand`` pack their bases once, into the slots of the
+    final product, under the bound ``const * prod(norm(base)^exp)``.
     """
 
     __slots__ = ("terms",)
@@ -193,30 +214,31 @@ class TriPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        p, q = self.terms, other.terms
+        if min(len(p), len(q)) > 1 and len(p) * len(q) > _SCHOOLBOOK_PAIRS:
+            bound = min(len(p), len(q)) * max(map(abs, p.values())) * max(map(abs, q.values()))
+            return _packed_product(1, [(self, 1), (other, 1)], bound)
         t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
                 nc = t.get(e, 0) + c1 * c2
                 if nc:
                     t[e] = nc
                 else:
                     del t[e]
-        return TriPoly(t)
+        return _from_terms(t)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = TriPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return TriPoly.const(1)
+        if len(self.terms) <= 1:
+            return _from_terms({(i * n, j * n, k * n): c**n for (i, j, k), c in self.terms.items()})
+        return _packed_product(1, [(self, n)], self.norm() ** n)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -232,6 +254,12 @@ class TriPoly:
     def is_constant(self) -> bool:
         return all(e == (0, 0, 0) for e in self.terms)
 
+    def norm(self) -> int:
+        """The sum of the absolute values of the coefficients, a bound on
+        every coefficient that is submultiplicative: no coefficient of
+        ``p * q`` exceeds ``p.norm() * q.norm()``."""
+        return sum(map(abs, self.terms.values()))
+
     def total_degree(self) -> int:
         if not self.terms:
             return 0
@@ -244,33 +272,18 @@ class TriPoly:
             total += c * w.a**i * w.b**j * w.c**k
         return total
 
-    def derivative(self, label: str) -> "TriPoly":
-        idx = VARS.index(label)
-        t = {}
-        for e, c in self.terms.items():
-            if e[idx] == 0:
-                continue
-            ne = list(e)
-            ne[idx] -= 1
-            t[tuple(ne)] = t.get(tuple(ne), 0) + c * e[idx]
-        return TriPoly(t)
-
     # -- canonical text -------------------------------------------------
 
     def sorted_terms(self):
         """Terms in graded-lex order: higher total degree first, lex ties."""
-        return sorted(
-            self.terms.items(), key=lambda ec: (-sum(ec[0]), tuple(-x for x in ec[0]))
-        )
+        return sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
 
     def text(self) -> str:
         if not self.terms:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
-            mono = "*".join(
-                v if p == 1 else f"{v}^{p}" for v, p in zip(VARS, e) if p > 0
-            )
+            mono = "*".join([v if p == 1 else f"{v}^{p}" for v, p in zip(VARS, e) if p > 0])
             if mono:
                 body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
             else:
@@ -283,6 +296,73 @@ class TriPoly:
 
     def __repr__(self):
         return f"TriPoly({self.text()})"
+
+
+def _from_terms(terms: dict) -> TriPoly:
+    """A TriPoly on a dict of exponent triples to nonzero coefficients,
+    taken as it is."""
+    out = TriPoly()
+    out.terms = terms
+    return out
+
+
+def _packed_product(const: int, factors, bound: int) -> TriPoly:
+    """``const * prod(base**exp for base, exp in factors)`` by Kronecker
+    substitution (see TriPoly), for nonzero bases and a ``bound`` on the
+    absolute value of every coefficient of the result.
+
+    A base packs into the product's slots with its own lowest total
+    degree in place of lo, so that slot numbers add as exponents do, as
+    one ``int``: its positive coefficients minus its negative ones.  The
+    ints are multiplied in one squaring chain (``_power_product``), and
+    the coefficients are read off the bytes of the result once, after
+    ``2^(8w - 1)`` is added to every slot so that none borrows from the
+    next.
+    """
+    lo = hi = imax = jmax = 0
+    lows = []
+    for base, exp in factors:
+        degrees = [i + j + k for i, j, k in base.terms]
+        columns = tuple(zip(*base.terms))
+        lows.append(min(degrees))
+        lo += exp * lows[-1]
+        hi += exp * max(degrees)
+        imax += exp * max(columns[0])
+        jmax += exp * max(columns[1])
+    span, stride = hi - lo + 1, jmax + 1
+    width = (bound.bit_length() + 8) // 8
+    slots = (imax + 1) * stride * span
+    packed = [_pack(base.terms, low, width, stride, span) for (base, _), low in zip(factors, lows)]
+    value = _power_product([const, *packed], [1, *(exp for _, exp in factors)])
+    half = 1 << (8 * width - 1)
+    zero = half.to_bytes(width, "little")
+    data = (value + int.from_bytes(zero * slots, "little")).to_bytes(slots * width, "little")
+    from_bytes = int.from_bytes
+    terms = {}
+    step = span * width  # from one b-degree to the next
+    for t in range(lo, hi + 1):
+        for i in range(min(imax, t) + 1):
+            at = (i * stride * span + t - lo) * width
+            for j in range(min(jmax, t - i) + 1):
+                chunk = data[at:at + width]
+                if chunk != zero:
+                    terms[i, j, t - i - j] = from_bytes(chunk, "little") - half
+                at += step
+    return _from_terms(terms)
+
+
+def _pack(terms: dict, lo: int, width: int, stride: int, span: int) -> int:
+    """The slots of a base of lowest total degree lo, as one signed int."""
+    slots = [(i * stride + j) * span + i + j + k - lo for i, j, k in terms]
+    positive = [bytes(width)] * (max(slots) + 1)
+    negative = positive.copy()
+    for s, c in zip(slots, terms.values()):
+        if c > 0:
+            positive[s] = c.to_bytes(width, "little")
+        else:
+            negative[s] = (-c).to_bytes(width, "little")
+    return (int.from_bytes(b"".join(positive), "little")
+            - int.from_bytes(b"".join(negative), "little"))
 
 
 class FactoredPoly:
@@ -313,10 +393,6 @@ class FactoredPoly:
             if base.is_constant():
                 raise ValueError("factor bases must be nonconstant")
             self.factors.append((base, int(exp)))
-
-    @classmethod
-    def of(cls, base: TriPoly) -> "FactoredPoly":
-        return cls(factors=[(base, 1)])
 
     def evaluate(self, w: Weights) -> Fraction | int:
         """Exact value, an int at integer weights; never expands.  Beware:
@@ -358,12 +434,11 @@ class FactoredPoly:
             raise CapabilityError(
                 f"expansion would reach total degree {degree} > cap {EXPANSION_DEGREE_CAP}"
             )
-        out = TriPoly.const(
-            2 ** self.primes[2] * 3 ** self.primes[3] * 5 ** self.primes[5]
-        )
-        for base, exp in self.factors:
-            out = out * base**exp
-        return out
+        const = 2 ** self.primes[2] * 3 ** self.primes[3] * 5 ** self.primes[5]
+        if not self.factors:
+            return TriPoly.const(const)
+        bound = const * math.prod(base.norm() ** exp for base, exp in self.factors)
+        return _packed_product(const, self.factors, bound)
 
     def text(self) -> str:
         parts = [

@@ -30,7 +30,7 @@ from fractions import Fraction
 import mpmath
 
 from .algebra import LOG_DPS, VARS, Jet, Weights
-from .families import ONES, lookup
+from .families import lookup
 from .sierpinski import rot_closed
 
 
@@ -86,18 +86,35 @@ def _log_mgf(n: int, label: str):
     """t -> log of the MGF of the normalized label count (X - mean) / sigma,
     read off the rotational closed form T: E[e^(sX)] is T at e^s on the
     label and 1 elsewhere over T at ones, where T's prime prefactor cancels.
+    Each base of T is read once as an integer polynomial in the label's
+    weight, the other two weights at 1, and evaluated at e^s by Horner
+    (``mpmath.polyval``).
     Build and call it at LOG_DPS."""
     stat = label_stat_closed(n, label)
     mean = mpmath.mpf(stat.mean.numerator) / stat.mean.denominator
     sigma = mpmath.sqrt(mpmath.mpf(stat.variance.numerator) / stat.variance.denominator)
-    factors = [(b, e, mpmath.log(b.evaluate(ONES))) for b, e in rot_closed(n).T.factors]
+    factors = []
+    for base, e in rot_closed(n).T.factors:
+        coeffs = _along(base, label)
+        factors.append((coeffs, e, mpmath.log(sum(coeffs))))
 
     def log_mgf(t):
         s = t / sigma
-        w = Weights(**{v: mpmath.exp(s) if v == label else 1 for v in VARS})
-        return -mean * s + sum(e * (mpmath.log(b.evaluate(w)) - log1) for b, e, log1 in factors)
+        x = mpmath.exp(s)
+        return -mean * s + sum(e * (mpmath.log(mpmath.polyval(coeffs, x)) - log1)
+                               for coeffs, e, log1 in factors)
 
     return log_mgf
+
+
+def _along(base, label: str) -> list[int]:
+    """The coefficients of a TriPoly with the weights other than the
+    label's at 1, as a polynomial in the label's weight, highest first."""
+    idx = VARS.index(label)
+    coeffs = [0] * (max(e[idx] for e in base.terms) + 1)
+    for e, c in base.terms.items():
+        coeffs[-1 - e[idx]] += c
+    return coeffs
 
 
 def _mpf(t) -> mpmath.mpf:

@@ -1,13 +1,24 @@
 import dataclasses
 import random
 
-from fractal_forest.algebra import Weights, positive_weights
+from fractal_forest.algebra import VARS, TriPoly, Weights, positive_weights
 from fractal_forest.kirchhoff import SchurState, schur_denominator
 
 
 def positive_weight_list(seed: int, count: int):
     rng = random.Random(seed)
     return [positive_weights(rng) for _ in range(count)]
+
+
+def derivative(p: TriPoly, label: str) -> TriPoly:
+    """The partial derivative of a TriPoly along one label's weight."""
+    idx = VARS.index(label)
+    t = {}
+    for e, c in p.terms.items():
+        if e[idx]:
+            lower = tuple(x - (i == idx) for i, x in enumerate(e))
+            t[lower] = t.get(lower, 0) + c * e[idx]
+    return TriPoly(t)
 
 
 def random_states(seed: int, count: int):

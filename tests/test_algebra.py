@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from fractal_forest import algebra
 from fractal_forest.algebra import (
     FactoredPoly,
     Jet,
@@ -17,7 +18,7 @@ from fractal_forest.algebra import (
 from fractal_forest.errors import CapabilityError
 from fractal_forest.sierpinski import rot_closed
 
-from conftest import full_size_products
+from conftest import derivative, full_size_products
 
 A, B, C = TriPoly.variables()
 ONES = Weights.ones()
@@ -43,11 +44,11 @@ def test_eval_examples():
 
 def test_derivative_examples():
     e = A * B + A * C + B * C
-    assert e.derivative("c") == A + B
+    assert derivative(e, "c") == A + B
     square = (2 * C + 1) ** 2
-    assert square.derivative("c") == 8 * C + 4
+    assert derivative(square, "c") == 8 * C + 4
     t1 = 3 * (A + B) * e**2
-    assert t1.derivative("a").evaluate(ONES) == 99
+    assert derivative(t1, "a").evaluate(ONES) == 99
 
 
 def test_log_eval_examples():
@@ -58,7 +59,7 @@ def test_log_eval_examples():
     ratio = float(rot_closed(6).T.log_evaluate(ONES)) / 1095
     assert abs(ratio - 1.0453) < 2e-4
     with pytest.raises(ValueError):
-        FactoredPoly.of(e).log_evaluate(Weights.of(-1, 1, 1))
+        FactoredPoly(factors=[(e, 1)]).log_evaluate(Weights.of(-1, 1, 1))
 
 
 def test_sampling_equality():
@@ -209,7 +210,117 @@ def test_jet_of_a_polynomial_is_its_value_and_derivatives():
     # p(1 + e, 1, 1) = p + p' e + p''/2 e^2 along a, read off the jet
     p = 3 * A**4 * B + 2 * A * B * C**2 + 7 * C + 1
     value = p.evaluate(Weights(Jet(1, 1), 1, 1))
-    d1 = p.derivative("a")
+    d1 = derivative(p, "a")
     assert value.coefficients() == (
-        p.evaluate(ONES), d1.evaluate(ONES), d1.derivative("a").evaluate(ONES) / 2
+        p.evaluate(ONES), d1.evaluate(ONES), derivative(d1, "a").evaluate(ONES) / 2
     )
+
+
+def schoolbook(p, q):
+    """The product of two TriPolys term by term: the oracle of the packed
+    products."""
+    t = {}
+    for (i1, j1, k1), c1 in p.terms.items():
+        for (i2, j2, k2), c2 in q.terms.items():
+            e = (i1 + i2, j1 + j2, k1 + k2)
+            t[e] = t.get(e, 0) + c1 * c2
+    return TriPoly({e: c for e, c in t.items() if c})
+
+
+def _random_poly(rng, terms, degree, bits, homogeneous):
+    out = {}
+    for _ in range(terms):
+        i = rng.randint(0, degree)
+        j = rng.randint(0, degree - i)
+        k = degree - i - j if homogeneous else rng.randint(0, degree - i - j)
+        out[i, j, k] = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+    return TriPoly(out)
+
+
+def _operands(seed):
+    """Seeded pairs of operands: signed coefficients from a few bits to
+    past 2^64, homogeneous and not, with the zero and constant
+    polynomials among them."""
+    rng = random.Random(seed)
+    polys = [TriPoly(), TriPoly.const(-7), TriPoly.const(2**70 + 1), A - 3 * C]
+    for bits in (3, 40, 64, 65, 130):
+        for homogeneous in (True, False):
+            for terms in (2, 9, 30):
+                polys.append(_random_poly(rng, terms, rng.randint(1, 8), bits, homogeneous))
+    return [(p, q) for p in polys for q in rng.sample(polys, 6)]
+
+
+@pytest.mark.parametrize("cutoff", (0, algebra._SCHOOLBOOK_PAIRS))
+def test_products_equal_the_schoolbook_oracle(monkeypatch, cutoff):
+    # at cutoff 0 every product of two operands of two terms or more packs
+    monkeypatch.setattr(algebra, "_SCHOOLBOOK_PAIRS", cutoff)
+    for p, q in _operands(11):
+        product = p * q
+        assert product == schoolbook(p, q), (p, q)
+        assert 0 not in product.terms.values()
+        assert q * p == product
+
+
+@pytest.mark.parametrize("cutoff", (0, algebra._SCHOOLBOOK_PAIRS))
+def test_products_keep_no_cancelled_terms(monkeypatch, cutoff):
+    monkeypatch.setattr(algebra, "_SCHOOLBOOK_PAIRS", cutoff)
+    # (a - b)(a^m + a^(m-1) b + ... + b^m) packs at either cutoff, and all
+    # but two terms cancel
+    m = algebra._SCHOOLBOOK_PAIRS // 2 + 1
+    geometric = sum((A**k * B ** (m - k) for k in range(m + 1)), TriPoly())
+    assert ((A - B) * geometric).terms == {(m + 1, 0, 0): 1, (0, m + 1, 0): -1}
+    assert (A + B) * (A - B) == A**2 - B**2
+    big = sum((C**k * (A + B) ** (9 - k) for k in range(10)), TriPoly())
+    assert ((A + B + C) * big - (A + B) * big - C * big).terms == {}
+
+
+def test_packed_products_decode_coefficients_at_their_bound(monkeypatch):
+    # the middle coefficient of each product is exactly +-len * max * max,
+    # the bound the slot width is taken from
+    monkeypatch.setattr(algebra, "_SCHOOLBOOK_PAIRS", 0)
+    for top in (127, 128, 255, 2**63, 2**64 - 1, 2**64, 3**90):
+        p = sum((top * A**k * B ** (11 - k) for k in range(12)), TriPoly())
+        square = p * p
+        assert square.terms[11, 11, 0] == 12 * top * top
+        assert square == schoolbook(p, p)
+        assert p * -p == -square
+        assert p**2 == square
+
+
+def test_one_term_operands_are_never_packed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("packed a one-term operand")
+
+    monkeypatch.setattr(algebra, "_packed_product", refuse)
+    wide = TriPoly({(i, j, 7 - i - j): i - j for i in range(8) for j in range(8 - i)})
+    assert 5 * wide == wide * 5 == schoolbook(TriPoly.const(5), wide)
+    assert A**3 * wide == schoolbook(A**3, wide)
+    assert (-2 * A * C) ** 5 == TriPoly({(5, 0, 5): -32})
+    assert TriPoly() * wide == TriPoly() and wide * 0 == TriPoly()
+
+
+def test_powers_equal_repeated_products():
+    e = A * B + A * C + B * C
+    for p in (e, A - B + 2, -(2**65) * C + A * B - 1, TriPoly.const(-3), TriPoly(),
+              _random_poly(random.Random(3), 12, 4, 70, False)):
+        expected = TriPoly.const(1)
+        for n in range(7):
+            assert p**n == expected, (p, n)
+            expected = schoolbook(expected, p)
+    assert TriPoly() ** 0 == 1 and TriPoly() ** 3 == TriPoly()
+    with pytest.raises(ValueError):
+        e ** -1
+
+
+def test_expand_equals_the_term_by_term_product():
+    e = A * B + A * C + B * C
+    for primes in ({}, {2: 3, 5: 1}, {3: 40}):
+        for factors in ([(e, 3)], [(e, 2), (A + B, 5), (A - 2 * C + 1, 3)],
+                        [(A - B, 7), (-(2**64) * A + 3 * B * C, 2)]):
+            expected = TriPoly.const(2 ** primes.get(2, 0) * 3 ** primes.get(3, 0)
+                                     * 5 ** primes.get(5, 0))
+            for base, exp in factors:
+                for _ in range(exp):
+                    expected = schoolbook(expected, base)
+            assert FactoredPoly(primes, factors).expand() == expected, (primes, factors)
+    assert FactoredPoly({2: 2}).expand() == TriPoly.const(4)

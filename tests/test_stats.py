@@ -17,6 +17,8 @@ from fractal_forest.stats import (
     normality_gap,
 )
 
+from conftest import derivative
+
 ROT = "sierpinski-rotational"
 OTHERS = ("hanoi", "sierpinski-directional", "sierpinski-schreier")
 MODELS = (ROT, *OTHERS)
@@ -80,8 +82,8 @@ def _log_derivs(T: FactoredPoly, label: str):
     second = Fraction(0)
     for base, exp in T.factors:
         v = base.evaluate(ONES)
-        d1 = base.derivative(label).evaluate(ONES)
-        d2 = base.derivative(label).derivative(label).evaluate(ONES)
+        d1 = derivative(base, label).evaluate(ONES)
+        d2 = derivative(derivative(base, label), label).evaluate(ONES)
         first += exp * d1 / v
         second += exp * (d2 * v - d1 * d1) / (v * v)
     return first, second
@@ -91,7 +93,7 @@ def _symbolic_tree(model: str, n: int) -> FactoredPoly:
     family = lookup(model)
     if family.closed is not None:
         return family.closed(n).T
-    return FactoredPoly.of(family.bundle(n, SYMBOLS).T)
+    return FactoredPoly(factors=[(family.bundle(n, SYMBOLS).T, 1)])
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -167,9 +169,9 @@ def test_mgf_equals_the_symbolic_recursion():
     for n in (1, 2, 3):
         T = rot_bundle(n).T
         for label in "abc":
-            d1 = T.derivative(label)
+            d1 = derivative(T, label)
             mean = Fraction(d1.evaluate(ones), T.evaluate(ones))
-            falling = Fraction(d1.derivative(label).evaluate(ones), T.evaluate(ones))
+            falling = Fraction(derivative(d1, label).evaluate(ones), T.evaluate(ones))
             variance = falling + mean - mean * mean
             with mpmath.workdps(60):
                 sigma = mpmath.sqrt(mpmath.mpf(variance.numerator) / variance.denominator)
