@@ -9,9 +9,10 @@ Two representations are used throughout the package:
   the ints are multiplied by CPython, and the coefficients are read
   back off the bytes of the result (``_packed_product``).
 * ``FactoredPoly`` -- a product ``2^e2 * 3^e3 * 5^e5 * prod base_i^exp_i``
-  with big-integer exponents.  The closed forms of the generating
-  functions live here, because their exponents grow like 3^n and an
-  expanded form is hopeless past the first few levels.
+  with big-integer exponents and bases in the ring of the weights.  The
+  closed forms of the generating functions live here, because their
+  exponents grow like 3^n and an expanded form is hopeless past the
+  first few levels.
 
 A third, ``Jet``, is a ring of truncated jets ``c0 + c1 e + c2 e^2``:
 any recursion run at a weight ``1 + e`` gives its value with its first
@@ -368,8 +369,12 @@ def _pack(terms: dict, lo: int, width: int, stride: int, span: int) -> int:
 class FactoredPoly:
     """Product form ``2^e2 3^e3 5^e5 * prod base_i^exp_i`` with huge exponents.
 
-    Bases are nonconstant ``TriPoly`` values and exponents are positive
-    integers; factors with exponent zero are dropped at construction.
+    Bases are elements of the ring of the weights: TriPolys at the
+    variables, which expand, print and take logs, or values (int,
+    Fraction, Jet or any other ring) at evaluated weights, which
+    ``values`` multiplies out.  Exponents are positive integers; factors
+    with exponent zero are dropped at construction, and a TriPoly base
+    must be nonconstant.
     """
 
     __slots__ = ("primes", "factors")
@@ -390,27 +395,30 @@ class FactoredPoly:
                 continue
             if exp < 0:
                 raise ValueError("factor exponents must be positive")
-            if base.is_constant():
+            if isinstance(base, TriPoly) and base.is_constant():
                 raise ValueError("factor bases must be nonconstant")
             self.factors.append((base, int(exp)))
 
     def evaluate(self, w: Weights) -> Fraction | int:
-        """Exact value, an int at integer weights; never expands.  Beware:
-        the result itself may be huge."""
-        return FactoredPoly.evaluate_all([self], w)[0]
+        """Exact value at w of a product of TriPolys, an int at integer
+        weights; never expands.  Beware: the result itself may be huge."""
+        at_w = FactoredPoly(self.primes, [(base.evaluate(w), exp) for base, exp in self.factors])
+        return FactoredPoly.values([at_w])[0]
 
     @staticmethod
-    def evaluate_all(products, w: Weights) -> list:
-        """The exact values of several products at w, each base evaluated
-        once and its powers shared between the products (power_products)."""
-        bases = list(dict.fromkeys(base for p in products for base, _ in p.factors))
+    def values(products) -> list:
+        """The exact values of several products of values, each base's
+        powers shared between the products (``power_products``).  A base
+        is one object, however many products hold it, so a ring need not
+        hash its elements."""
+        bases = {id(base): base for p in products for base, _ in p.factors}
         rows = []
         for p in products:
             exps = dict.fromkeys(bases, 0)
             for base, exp in p.factors:
-                exps[base] += exp
+                exps[id(base)] += exp
             rows.append([p.primes[2], p.primes[3], p.primes[5], *exps.values()])
-        return power_products([2, 3, 5, *(base.evaluate(w) for base in bases)], rows)
+        return power_products([2, 3, 5, *bases.values()], rows)
 
     def log_evaluate(self, w: Weights) -> mpmath.mpf:
         """Natural log of the value at positive weights, in high precision."""

@@ -125,7 +125,7 @@ def run_gf(args) -> tuple[int, str]:
         report["components"] = {k: v.text() for k, v in bundle.items()}
         report["value"] = report["components"]["T"]
         if family.closed is not None:
-            closed = family.parts(family.closed(n))
+            closed = family.parts(family.closed(n, SYMBOLS, family.components))
             report["closed"] = {k: v.text() for k, v in closed.items()}
             report["agreement"] = all(closed[k].expand() == bundle[k] for k in family.components)
         code = EXIT_OK if report.get("agreement", True) else EXIT_MISMATCH

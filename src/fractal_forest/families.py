@@ -4,7 +4,13 @@ One ``Family`` record per family holds what the CLI, the verify matrix
 and the label statistics need to know about it: its names, its graph
 builder and vertex/edge counts (so that a route's size cap is checked
 before a graph is built), its bundle recursion and closed forms, the gf
-routes that apply, and the pairs of routes that ``verify`` checks.
+routes that apply, and the pairs of routes that ``verify`` checks.  A
+gasket's closed form is one set of FactoredPolys over the ring of the
+weights, read three ways: as values by the ``closed`` route and
+``verify`` (``FactoredPoly.values``), as text and expanded at ``SYMBOLS``
+by symbolic gf, and as the factors of T at jet weights by the label
+statistics, which run the bundle where a family has no weighted closed
+form (``Family.stat_powers``).
 ``ROUTES`` maps each gf method to its one function (Level, integer
 weights) -> T, ``symbolic_routes`` names those with a symbolic form, and
 ``Family.skip_reason`` is the one rule for where ``gf --method all``
@@ -79,17 +85,16 @@ class Family:
     edges: Callable[[int], int]  # non-loop edges
     components: tuple[str, ...]  # of a bundle: trees, corner forests, 3-forests
     bundle: Callable  # (n, w) -> bundle in the ring of w; SYMBOLS gives symbolic components
-    closed: Callable | None  # n -> symbolic closed-form bundle; None: unweighted only
+    # (n, w=SYMBOLS, names) -> the closed-form bundle, FactoredPolys over
+    # the ring of w; None: unweighted only
+    closed: Callable | None
     # (n, w, names) -> the named components by the closed form; only these
     # are evaluated, because evaluating a factored component is costly
     closed_value: Callable
     checks: tuple[Check, ...]
     counts: Callable | None = None  # n -> CountsTriple at weights 1 1 1
     routes: tuple[str, ...] = ("recursion", "closed", "cofactor", "oracle")
-    stat_cap: int = sgf.EVALUATED_LEVEL_CAP  # the bundle's, which the statistics run
-    # n -> a closed-form T whose bases the statistics evaluate in place of
-    # the bundle; None: they run the bundle
-    stat_factors: Callable | None = None
+    stat_cap: int = sgf.EVALUATED_LEVEL_CAP  # the evaluated bundles' cap
     extra_checks: Callable | None = None  # (levels, trials, rng) -> results
 
     def degree(self, n: int, component: str) -> int:
@@ -124,12 +129,13 @@ class Family:
 
     def stat_powers(self, n: int, w: Weights) -> list:
         """(value, exponent) pairs at w whose product is T up to a constant
-        factor, for the label statistics: the bases of the closed form
-        ``stat_factors`` if the family has one, else T of the bundle."""
+        factor, for the label statistics: the factors of the closed form's T
+        over the ring of w where the family has a weighted closed form, else
+        T of the bundle."""
         if n > self.stat_cap:
             raise CapabilityError(f"{self.name} statistics are capped at level {self.stat_cap}")
-        if self.stat_factors is not None:
-            return [(base.evaluate(w), exp) for base, exp in self.stat_factors(n).factors]
+        if self.closed is not None:
+            return self.closed(n, w, ("T",)).T.factors
         return [(self.bundle(n, w).T, 1)]
 
 
@@ -307,12 +313,10 @@ ROTATIONAL = Family(
     edges=lambda n: 3 ** (n + 1),
     components=("T", "S", "Q"),
     bundle=lambda n, w: sgf.rot_bundle(n, w),
-    closed=lambda n: sgf.rot_closed(n),
-    closed_value=lambda n, w, names: tuple(
-        FactoredPoly.evaluate_all(_pick(sgf.rot_closed(n), names), w)),
+    closed=lambda n, w=sgf.SYMBOLS, names=None: sgf.rot_closed(n, w),
+    closed_value=lambda n, w, names: tuple(FactoredPoly.values(_pick(sgf.rot_closed(n, w), names))),
     counts=lambda n: sgf.rot_counts(n),
-    stat_cap=20,  # the factored closed form keeps label statistics cheap
-    stat_factors=lambda n: sgf.rot_closed(n).T,
+    stat_cap=20,  # the closed form has no level cap and keeps the statistics cheap
     checks=(
         Check("closed at ones = counts", _closed, _counts),
         Check("closed = recursion", _closed, _bundle, TRIAL, detail=("weights",)),
@@ -348,12 +352,14 @@ def _directional_like(label: str, aliases, bundle, closed, closed_value) -> Fami
 
 DIRECTIONAL = _directional_like(
     "directional", ("sierpinski-dir", "sierpinski-directional"),
-    lambda n, w: sgf.dir_bundle(n, w), lambda n: sgf.dir_closed(n),
+    lambda n, w: sgf.dir_bundle(n, w),
+    lambda n, w=sgf.SYMBOLS, names=sgf.FIVE: sgf.dir_closed(n, w, names),
     lambda n, w, names: sgf.dir_closed_value(n, w, names),
 )
 SCHREIER = _directional_like(
     "schreier", ("sierpinski-schreier",),
-    lambda n, w: sgf.schreier_bundle(n, w), lambda n: sgf.schreier_closed(n),
+    lambda n, w: sgf.schreier_bundle(n, w),
+    lambda n, w=sgf.SYMBOLS, names=sgf.FIVE: sgf.schreier_closed(n, w, names),
     lambda n, w, names: sgf.schreier_closed_value(n, w, names),
 )
 

@@ -17,7 +17,10 @@ order so that matrices and golden files are reproducible byte for byte:
   horizontal, c points down.
 * ``sierpinski-schreier`` -- obtained from the hanoi graph by deleting the
   three loops and contracting every edge that joins two different
-  elementary triangles, keeping the labels of the surviving edges.
+  elementary triangles, keeping the labels of the surviving edges.  It is
+  built as three copies of the level below, each reflected in the
+  bisectrix of its corner; the tests keep the contraction as the
+  reference.
 
 Gasket vertices are triangular-lattice coordinates ``(row, col)`` with the
 apex at (0, 0), row increasing downward and ``0 <= col <= row``; the total
@@ -192,7 +195,7 @@ def build_sierpinski(n: int, labelling: str) -> LabelledGraph:
         # a translation keeps the direction of an edge, hence its label
         return _glue("sierpinski-directional", n, _UNIT_TRIANGLE, 1, _TRANSLATE)
     if labelling == "schreier":
-        return _build_schreier(n)
+        return _glue("sierpinski-schreier", n, _UNIT_TRIANGLE, 1, _REFLECT)
     raise ValueError(f"unknown labelling {labelling!r}")
 
 
@@ -244,48 +247,6 @@ _ROT_LEVEL1 = (
 # the labelled unit triangle of the directional and schreier gaskets:
 # a points up, b is horizontal, c points down
 _UNIT_TRIANGLE = (((1, 0), (0, 0), "a"), ((1, 0), (1, 1), "b"), ((0, 0), (1, 1), "c"))
-
-
-# -- gasket coordinates of hanoi words and the contraction ---------------------
-
-
-def hanoi_word_coordinates(n: int) -> dict:
-    """Gasket coordinate of each length-n word (side 2^(n-1)).
-
-    Words ending in 1, 0, 2 go to the top, left and right copy of the
-    level below, reflected with respect to the bisectrix of their corner;
-    the two endpoints of every contracted edge land on the same lattice
-    point.
-    """
-    coords = {"0": (1, 0), "1": (0, 0), "2": (1, 1)}
-    for k in range(n - 1):
-        coords = {
-            w + x: f(*p, 2**k) for w, p in coords.items() for x, f in zip("102", _REFLECT)
-        }
-    return coords
-
-
-def _build_schreier(n: int) -> LabelledGraph:
-    sigma = build_hanoi(n, include_loops=False)
-    coords = hanoi_word_coordinates(n)
-    named = []
-    for e in sigma.edges:
-        cu = coords[sigma.vertices[e.u]]
-        cv = coords[sigma.vertices[e.v]]
-        if cu == cv:
-            continue  # a contracted edge between two elementary triangles
-        named.append((min(cu, cv), max(cu, cv), e.label))
-    return _make_graph("sierpinski-schreier", n, named, _corners(2 ** (n - 1)))
-
-
-def schreier_gasket_by_reflection(n: int) -> LabelledGraph:
-    """Small-level oracle: build the schreier labelling by the reflected
-    three-copy recursion instead of by contraction."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    if n > 4:
-        raise ValueError("reflection oracle is for small levels only")
-    return _glue("sierpinski-schreier", n, _UNIT_TRIANGLE, 1, _REFLECT)
 
 
 # -- census and export ---------------------------------------------------------

@@ -21,17 +21,19 @@ a homogeneous cubic in the components, so ``iterate`` steps an evaluated
 integer bundle on its primitive part and forms the content (the product
 of the per-step gcds of the components, raised to powers of 3, which is
 nearly all of their size) once, at the end; the bundle it returns is
-exact and in full.  Closed forms are FactoredPoly products; their
-evaluation at a point iterates the polynomial maps on values instead of
-on symbols, which is exact and cheap at any level.  The components of
-one closed form, and the content, are products of powers formed by one
-squaring chain each (``algebra.power_products``).
+exact and in full.  Closed forms are FactoredPoly products over the ring
+of the weights too: their bases are the weights' images under the
+polynomial maps, polynomials at ``SYMBOLS`` (which expand and print) and
+values elsewhere, found by iterating the maps on values, which is exact
+and cheap at any level.  One ``FactoredPoly.values`` multiplies out the
+components of a closed form, each base's powers shared between them; it
+and the content are products of powers formed by one squaring chain each
+(``algebra.power_products``).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import mpmath
@@ -171,16 +173,13 @@ def rot_bundle(n: int, w: Weights = SYMBOLS) -> RotBundle:
     return iterate(rot_step, rot_initial(w), n)
 
 
-def _rot_bases():
-    a, b, c = TriPoly.variables()
-    return a + b, a + b + 3 * c, a * b + a * c + b * c
-
-
-def rot_closed(n: int) -> RotBundle:
-    """Closed-form factored bundle; exponents are exact big integers."""
+def rot_closed(n: int, w: Weights = SYMBOLS) -> RotBundle:
+    """Closed-form factored bundle over the ring of w; exponents are exact
+    big integers.  It has no level cap of its own."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    p, s, e = _rot_bases()
+    a, b, c = w.as_tuple()
+    p, s, e = a + b, a + b + 3 * c, a * b + a * c + b * c
     pw3 = 3 ** (n - 1)
     e2 = _exact_div(pw3 - 1, 2)
     T = FactoredPoly(
@@ -195,7 +194,7 @@ def rot_closed(n: int) -> RotBundle:
         {2: e2, 3: _exact_div(3**n - 6 * n + 3, 4), 5: _exact_div(pw3 + 6 * n - 7, 4)},
         [(p, pw3), (s, _exact_div(pw3 + 3, 2)), (e, _exact_div(3**n - 3, 2))],
     )
-    return RotBundle(n, T, S, Q, SYMBOLS)
+    return RotBundle(n, T, S, Q, w)
 
 
 def rot_counts(n: int) -> CountsTriple:
@@ -352,106 +351,77 @@ def schreier_bundle(n: int, w: Weights = SYMBOLS) -> FiveBundle:
 
 # -- closed forms for the five-function models --------------------------------
 
-# Each model is described by its map, the cubic that closes Q, and the
-# exponent laws of the prefactor 2^e and of each factor.
-
-
-def _dir_laws():
-    return {
-        "map": F_map,
-        "tail": f_of,
-        "T2": lambda n: _exact_div(3**n + 6 * n - 9, 12),
-        "Texp": lambda n, k: _exact_div(3 ** (n - k + 1) + 3, 6),
-        "U2": lambda n: _exact_div(3**n - 6 * n + 3, 12),
-        "Uexp": lambda n, k: _exact_div(3 ** (n - k + 1) - 3, 6),
-        "Q2": lambda n: _exact_div(3**n - 18 * n + 39, 12),
-        "Qexp": lambda n, k: _exact_div(3 ** (n - k + 1) - 9, 6),
-    }
-
-
-def _schreier_laws():
-    return {
-        "map": G_map,
-        "tail": f_of,  # the same cubic closes both models
-        "T2": lambda n: _exact_div(3 ** (n - 1) - 1, 2),
-        "Texp": lambda n, k: _exact_div(3 ** (n - k) + 1, 2),
-        "U2": lambda n: _exact_div(3 ** (n - 1) - 1, 2),
-        "Uexp": lambda n, k: _exact_div(3 ** (n - k) - 1, 2),
-        "Q2": lambda n: _exact_div(3 ** (n - 1) - 1, 2),
-        "Qexp": lambda n, k: _exact_div(3 ** (n - k) - 3, 2),
-    }
-
-
-_MODEL_LAWS = {"directional": _dir_laws, "schreier": _schreier_laws}
+# The two models differ only in their map and in the powers of 2 of T, of
+# the product the corner forests share and of Q.  Factor k of each has
+# the exponent (3^(n-k+1) + s)/6 with s = 3, -3 and -9 respectively, and
+# the same cubic, f_of, closes Q in both.
+_FIVE_MODELS = {
+    "directional": (F_map, lambda n: (
+        _exact_div(3**n + 6 * n - 9, 12),
+        _exact_div(3**n - 6 * n + 3, 12),
+        _exact_div(3**n - 18 * n + 39, 12),
+    )),
+    "schreier": (G_map, lambda n: (_exact_div(3 ** (n - 1) - 1, 2),) * 3),
+}
 
 
 def _closed_five(model: str, n: int, w: Weights, names=FIVE) -> FiveBundle:
-    """Closed forms in the ring of w: factored polynomials at symbolic
-    weights, else exact values, by iterating the map on values, which is
-    cheap at any level.
+    """Closed forms as factored products over the ring of w, by iterating
+    the map on the weights.
 
     Only the components in ``names`` are built; the others are None.  T,
-    the product the corner forests share and the one Q has are powers of
-    the same factors with exponents 1 apart, so their values share the
-    powers (``power_products``).
+    the corner forests and Q hold the same factor objects, with exponents
+    1 apart, so their values share the powers (``FactoredPoly.values``).
     """
     if n < 1:
         raise ValueError("level must be >= 1")
-    laws = _MODEL_LAWS[model]()
+    mapping, twos = _FIVE_MODELS[model]
+    two_t, two_corner, two_q = twos(n)
     corners = not {"U", "R", "L"}.isdisjoint(names)
     # T and Q need the iterates up to n - 2; the corner forests also need
     # iterate n - 1, the largest one
-    steps = n - 1 if corners else max(n - 2, 0)
-    if _symbolic(w):
-        def products(bases, rows):
-            return [FactoredPoly({2: r[0]}, list(zip(bases[1:], r[1:]))) for r in rows]
-
-        def times(p, base):
-            return FactoredPoly(p.primes, p.factors + [(base, 1)])
-
-    else:
-        check_level(n, w)  # the symbolic forms are capped by their iterates
-        products, times = power_products, operator.mul
-    iterates = _iterates(laws["map"], w, steps)
+    iterates = _iterates(mapping, w, n - 1 if corners else max(n - 2, 0))
     factors = _factors(iterates, n)
 
-    def row(two, exponent, last):
-        # the exponents of 2 and of factors 1..n, zero past factor ``last``
-        return [two] + [exponent(n, k) if k <= last else 0 for k in range(1, n + 1)]
+    def product(two, s, last, *extra):
+        # 2^two times factors 1..last at the shared law, times the extra bases
+        powers = [(f, _exact_div(3 ** (n - k) + s, 6)) for k, f in enumerate(factors[:last])]
+        return FactoredPoly({2: two}, powers + [(x, 1) for x in extra])
 
-    rows = {}
-    if "T" in names:
-        rows["T"] = row(laws["T2"](n), laws["Texp"], n)
-    if corners:
+    def build(name):
+        if name == "T":
+            return product(two_t, 3, n)
+        if name == "Q":
+            return product(two_q, -9, n - 2, f_of(*iterates[n - 2])) if n > 1 else FactoredPoly()
         # at level 1 the shared product is empty and the iterate is (a, b, c)
-        rows["corner"] = row(laws["U2"](n), laws["Uexp"], n - 1)
-    if "Q" in names:
-        rows["Q"] = row(laws["Q2"](n), laws["Qexp"], n - 2) if n > 1 else [0] * (n + 1)
-    parts = dict(zip(rows, products([2, *factors], list(rows.values()))))
-    if corners:
-        shared = parts.pop("corner")
         x, y, z = iterates[n - 1]
-        for name, corner in (("U", y), ("R", x), ("L", z)):
-            if name in names:
-                parts[name] = times(shared, corner)
-    if "Q" in names and n > 1:
-        parts["Q"] = times(parts["Q"], laws["tail"](*iterates[n - 2]))
-    return FiveBundle(n, *(parts.get(name) for name in FIVE), w)
+        return product(two_corner, -3, n - 1, {"U": y, "R": x, "L": z}[name])
+
+    return FiveBundle(n, *(build(name) if name in names else None for name in FIVE), w)
 
 
-def dir_closed(n: int) -> FiveBundle:
-    return _closed_five("directional", n, SYMBOLS)
+def _evaluated(closed, n: int, w: Weights, names) -> FiveBundle:
+    """The named closed forms at w as values, in one ``FactoredPoly.values``;
+    the level is checked before any iterate is formed."""
+    check_level(n, w)
+    forms = closed(n, w, names)
+    values = FactoredPoly.values([getattr(forms, k) for k in names])
+    return replace(forms, **dict(zip(names, values)))
 
 
-def schreier_closed(n: int) -> FiveBundle:
-    return _closed_five("schreier", n, SYMBOLS)
+def dir_closed(n: int, w: Weights = SYMBOLS, names=FIVE) -> FiveBundle:
+    return _closed_five("directional", n, w, names)
+
+
+def schreier_closed(n: int, w: Weights = SYMBOLS, names=FIVE) -> FiveBundle:
+    return _closed_five("schreier", n, w, names)
 
 
 def dir_closed_value(n: int, w: Weights, names=FIVE) -> FiveBundle:
     """The closed forms at w; components not in ``names`` are None."""
-    return _closed_five("directional", n, w, names)
+    return _evaluated(dir_closed, n, w, names)
 
 
 def schreier_closed_value(n: int, w: Weights, names=FIVE) -> FiveBundle:
     """The closed forms at w; components not in ``names`` are None."""
-    return _closed_five("schreier", n, w, names)
+    return _evaluated(schreier_closed, n, w, names)

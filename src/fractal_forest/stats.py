@@ -11,12 +11,12 @@ Both come from jets (``algebra.Jet``): T at the weight 1 + e on the
 label and 1 elsewhere is ``c0 + c1 e + c2 e^2`` with c0 = T, c1 = T' and
 c2 = T''/2, so (log T)' = c1/c0 and (log T)'' = 2 c2/c0 - (c1/c0)^2.
 For T = C * prod b_i^(e_i) the log-derivatives add up over the factors
-with weights e_i, and the constant C drops out.  The rotational model
-takes its factors from its closed form, whose three bases are cheap at
-any level; the others run their bundle recursion over jets, one pass,
-as far as an evaluated bundle goes (``Family.stat_powers``).  The
-rotational statistics also exist in closed form; both routes are exposed
-and must agree exactly.  The normalized count of the rotational model is
+with weights e_i, and the constant C drops out.  A family with a
+weighted closed form takes its factors from the closed form's T built
+over jets, whose bases are cheap at any level; hanoi runs its bundle
+recursion over jets, one pass, as far as an evaluated bundle goes
+(``Family.stat_powers``).  The rotational statistics also exist in
+closed form; both routes are exposed and must agree exactly.  The normalized count of the rotational model is
 asymptotically standard normal; its moment generating function comes
 from the same closed form rot_closed(n).T, is evaluated in log space
 (exponents grow like 3^n) and is compared against exp(t^2/2) on a grid.

@@ -156,8 +156,16 @@ def test_factored_evaluate_all_equals_each_evaluate():
         FactoredPoly({5: 1}, [(A + B, 1), (A + C, 4), (e, 1)]),
         FactoredPoly(),
     ]
-    for w in (ONES, Weights.of(0, 0, 0), Weights.of(1, -1, 1), Weights.parse("1/3", "2/7", "5")):
-        values = FactoredPoly.evaluate_all(products, w)
+    # Jets do not hash: values tells bases apart by identity
+    for w in (ONES, Weights.of(0, 0, 0), Weights.of(1, -1, 1), Weights.parse("1/3", "2/7", "5"),
+              Weights(Jet(1, 1), 2, 3)):
+        # each distinct base evaluated once, so that the products share it
+        at_w = {}
+        for p in products:
+            for base, _ in p.factors:
+                at_w.setdefault(base, base.evaluate(w))
+        values = FactoredPoly.values(
+            [FactoredPoly(p.primes, [(at_w[base], exp) for base, exp in p.factors]) for p in products])
         assert values == [p.evaluate(w) for p in products] == [p.expand().evaluate(w) for p in products]
         assert [type(v) for v in values] == [type(p.evaluate(w)) for p in products]
 

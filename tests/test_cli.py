@@ -175,8 +175,8 @@ def test_gf_symbolic_agrees_exactly_at_the_symbolic_cap(capsys, family):
 def test_gf_symbolic_disagreement_exits_1(capsys, monkeypatch):
     dir_closed = sierpinski.dir_closed
 
-    def doubled_tree(n):
-        b = dir_closed(n)
+    def doubled_tree(n, w=sierpinski.SYMBOLS, names=sierpinski.FIVE):
+        b = dir_closed(n, w, names)
         return dataclasses.replace(b, T=FactoredPoly({**b.T.primes, 2: b.T.primes[2] + 1},
                                                      b.T.factors))
 

@@ -5,13 +5,14 @@ import pytest
 
 from fractal_forest.families import FAMILIES, Level
 from fractal_forest.graphs import (
+    _REFLECT,
+    _corners,
+    _make_graph,
     apply_generator,
     build_hanoi,
     build_sierpinski,
     export_dot,
     graph_census,
-    hanoi_word_coordinates,
-    schreier_gasket_by_reflection,
 )
 
 
@@ -21,6 +22,42 @@ def edge_set(g, with_labels=True):
         u, v = g.vertices[e.u], g.vertices[e.v]
         out.add((u, v, e.label) if with_labels else (u, v))
     return out
+
+
+# -- the schreier gasket by the paper's definition ----------------------------
+# build_sierpinski glues three reflected copies; the paper contracts the
+# hanoi graph, and these keep that construction as the reference
+
+
+def hanoi_word_coordinates(n: int) -> dict:
+    """Gasket coordinate of each length-n word (side 2^(n-1)).
+
+    Words ending in 1, 0, 2 go to the top, left and right copy of the
+    level below, reflected with respect to the bisectrix of their corner;
+    the two endpoints of every contracted edge land on the same lattice
+    point.
+    """
+    coords = {"0": (1, 0), "1": (0, 0), "2": (1, 1)}
+    for k in range(n - 1):
+        coords = {
+            w + x: f(*p, 2**k) for w, p in coords.items() for x, f in zip("102", _REFLECT)
+        }
+    return coords
+
+
+def schreier_by_contraction(n: int):
+    """The hanoi graph without loops, every edge between two elementary
+    triangles contracted, the surviving edges keeping their labels."""
+    sigma = build_hanoi(n, include_loops=False)
+    coords = hanoi_word_coordinates(n)
+    named = []
+    for e in sigma.edges:
+        cu = coords[sigma.vertices[e.u]]
+        cv = coords[sigma.vertices[e.v]]
+        if cu == cv:
+            continue  # a contracted edge between two elementary triangles
+        named.append((min(cu, cv), max(cu, cv), e.label))
+    return _make_graph("sierpinski-schreier", n, named, _corners(2 ** (n - 1)))
 
 
 def test_generator_action_examples():
@@ -174,11 +211,12 @@ def test_unlabelled_agreement_of_the_three_gaskets():
 
 
 def test_schreier_contraction_matches_reflection_recursion():
-    for n in range(1, 5):
-        by_contraction = build_sierpinski(n, "schreier")
-        by_reflection = schreier_gasket_by_reflection(n)
+    for n in range(1, 8):
+        by_contraction = schreier_by_contraction(n)
+        by_reflection = build_sierpinski(n, "schreier")
         assert by_contraction.vertices == by_reflection.vertices
-        assert edge_set(by_contraction) == edge_set(by_reflection)
+        assert by_contraction.edges == by_reflection.edges
+        assert by_contraction.corners == by_reflection.corners
 
 
 def graph_digest(g):
@@ -214,12 +252,6 @@ GRAPH_DIGESTS = {
         "687f26b12a6d13de29570ddc090de5c8e42b54023b06d806089b388421534885",
     ),
 }
-REFLECTION_DIGESTS = (
-    "abc541b197d95f5d6760a0a9aa4f1aa2808b0533732eaca7968197a13f4a45a0",
-    "40f60178f2164a369d7e594ce946de9f01d2383b8a231ba92047f28cef440a43",
-    "dc7235cff625c83f7eeac274ca5bfcca2ff89d391d1a6c8590e462e6974fb3da",
-    "93f7fbe2edbdfc54be7b02bfadf60ccc0bdfd2f9215fa3276080a51b7eb69392",
-)
 HANOI_WITH_LOOPS_DIGESTS = (
     "6db65ea49163d105112a41bc3acf4142bff4545839f1427fa812bfb26c740730",
     "593a16e50ec153af75d34e902260dd09622fe55d8bb096c10ac821a564266c88",
@@ -242,8 +274,8 @@ def test_graphs_identical_to_pinned_digests():
     for labelling, digests in GRAPH_DIGESTS.items():
         for n, digest in enumerate(digests, start=1):
             assert graph_digest(build_sierpinski(n, labelling)) == digest, (labelling, n)
-    for n, digest in enumerate(REFLECTION_DIGESTS, start=1):
-        assert graph_digest(schreier_gasket_by_reflection(n)) == digest, n
+    for n, digest in enumerate(GRAPH_DIGESTS["schreier"], start=1):
+        assert graph_digest(schreier_by_contraction(n)) == digest, n
     # the source of the decimation's matrices
     for n, digest in enumerate(HANOI_WITH_LOOPS_DIGESTS, start=1):
         assert graph_digest(build_hanoi(n, include_loops=True)) == digest, n

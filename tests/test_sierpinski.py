@@ -9,7 +9,6 @@ from fractal_forest.errors import CapabilityError
 from fractal_forest.families import FAMILIES, ROTATIONAL
 from fractal_forest.hanoi import hanoi_bundle, hanoi_step
 from fractal_forest.sierpinski import (
-    _MODEL_LAWS,
     FIVE,
     SYMBOLS,
     FiveBundle,
@@ -356,9 +355,43 @@ def _plain_product(p: FactoredPoly, w) -> int:
     return value
 
 
+# the exponent laws of each model as first transcribed: the prefactor 2^e
+# and the power of factor k of T, of the product the corner forests share
+# and of Q; the library derives all six from one law and a table of the
+# powers of 2
+def _exact(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    assert r == 0, (num, den)
+    return q
+
+
+MODEL_LAWS = {
+    "directional": {
+        "map": F_map,
+        "tail": f_of,
+        "T2": lambda n: _exact(3**n + 6 * n - 9, 12),
+        "Texp": lambda n, k: _exact(3 ** (n - k + 1) + 3, 6),
+        "U2": lambda n: _exact(3**n - 6 * n + 3, 12),
+        "Uexp": lambda n, k: _exact(3 ** (n - k + 1) - 3, 6),
+        "Q2": lambda n: _exact(3**n - 18 * n + 39, 12),
+        "Qexp": lambda n, k: _exact(3 ** (n - k + 1) - 9, 6),
+    },
+    "schreier": {
+        "map": G_map,
+        "tail": f_of,  # the same cubic closes both models
+        "T2": lambda n: _exact(3 ** (n - 1) - 1, 2),
+        "Texp": lambda n, k: _exact(3 ** (n - k) + 1, 2),
+        "U2": lambda n: _exact(3 ** (n - 1) - 1, 2),
+        "Uexp": lambda n, k: _exact(3 ** (n - k) - 1, 2),
+        "Q2": lambda n: _exact(3 ** (n - 1) - 1, 2),
+        "Qexp": lambda n, k: _exact(3 ** (n - k) - 3, 2),
+    },
+}
+
+
 def _plain_closed_five(model: str, n: int, w) -> tuple:
     """The five closed forms at w, each factor's power taken on its own."""
-    laws = _MODEL_LAWS[model]()
+    laws = MODEL_LAWS[model]
     iterates = _iterates(laws["map"], w, n - 1)
     a, b, c = iterates[0]
     factors = [a * b + a * c + b * c] + [x + y + z for x, y, z in iterates[: n - 1]]
@@ -373,6 +406,24 @@ def _plain_closed_five(model: str, n: int, w) -> tuple:
     x, y, z = iterates[n - 1]
     q = 1 if n == 1 else product(laws["Q2"](n), laws["Qexp"], n - 2) * laws["tail"](*iterates[n - 2])
     return (product(laws["T2"](n), laws["Texp"], n), shared * y, shared * x, shared * z, q)
+
+
+def test_shared_exponent_law_equals_each_models_transcription():
+    # the powers of 2 and the exponent of every factor, levels 1-10; a
+    # corner forest and Q end in their own iterate and cubic, of power 1
+    w = Weights(2, 3, 5)
+    for model, closed in (("directional", dir_closed), ("schreier", schreier_closed)):
+        laws = MODEL_LAWS[model]
+        for n in range(1, 11):
+            five = closed(n, w)
+            for name, law, last, extra in (("T", "T", n, 0), ("U", "U", n - 1, 1),
+                                           ("R", "U", n - 1, 1), ("L", "U", n - 1, 1),
+                                           ("Q", "Q", n - 2, int(n > 1))):
+                got = getattr(five, name)
+                two = laws[f"{law}2"](n) if n > 1 or name != "Q" else 0
+                assert got.primes == {2: two, 3: 0, 5: 0}, (model, n, name)
+                exps = [laws[f"{law}exp"](n, k) for k in range(1, last + 1)] + [1] * extra
+                assert [e for _, e in got.factors] == exps, (model, n, name)
 
 
 def test_shared_powers_equal_plain_products():

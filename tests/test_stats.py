@@ -184,6 +184,22 @@ def test_mgf_equals_the_symbolic_recursion():
                     assert abs(got - expected) < mpmath.mpf(10) ** -40 * expected, (n, label, t)
 
 
+def _bundle_jet_moments(model: str, n: int, label: str):
+    """Mean and variance read off the jet T of the bundle recursion, the
+    route the gasket statistics took before they read the closed form."""
+    w = Weights(**{v: Jet(1, int(v == label)) for v in VARS})
+    c0, c1, c2 = lookup(model).bundle(n, w).T.coefficients()
+    mean = Fraction(c1, c0)
+    return mean, Fraction(2 * c2, c0) - mean * mean + mean
+
+
+@pytest.mark.parametrize("model", ("sierpinski-directional", "sierpinski-schreier"))
+def test_gasket_moments_equal_the_bundle_jets(model):
+    for n in range(1, 10):
+        for label in "abc":
+            assert label_moments(model, n, label) == _bundle_jet_moments(model, n, label), (n, label)
+
+
 @pytest.mark.parametrize("model", ("sierpinski-directional", "sierpinski-schreier"))
 def test_gasket_jets_by_recursion_equal_closed_forms(model):
     # the recursion the statistics run and the evaluated closed form give
