@@ -28,12 +28,17 @@ Every evaluated product of powers (the closed forms, the closed counts,
 the content of a bundle) goes through ``power_products``, which forms
 each product by one squaring chain: its multiplications of full-size
 numbers number two per bit of the largest exponent, however many bases
-the product has.  High-precision real work (logs of astronomically
-large exact values) goes through mpmath.
+the product has.  Where only the equality of two products of powers of
+integers is wanted, ``products_equal`` decides it with neither formed.
+High-precision real work (logs of astronomically large exact values)
+goes through mpmath.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -61,6 +66,12 @@ EXPANSION_DEGREE_CAP = 60
 # formed term by term, a larger one packed into ints: over the products
 # that symbolic gf forms at levels 1-3, the total time was least here
 _SCHOOLBOOK_PAIRS = 200
+
+# in the first pass of products_equal, two values of at least this many
+# bits are compared by division alone: comparing a gasket's closed form
+# with its recursion at levels 8, 9 and 12 took least time from 256 to
+# 1024 bits, 15-35% less than with gcds everywhere
+_DIVIDE_ONLY_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -554,6 +565,171 @@ def _power_product(bases, exps):
                 step = step * base
         value = value * value * step
     return value
+
+
+def products_equal(left, right) -> bool:
+    """Whether each product of ``left`` equals the one at its place in
+    ``right``, exactly, with no product formed.  A product is a
+    FactoredPoly of ``int`` bases.
+
+    Zeros and signs are settled first, row by row.  What is left is one
+    equation per row, ``prod v^E_v[r] == 1``, over the distinct absolute
+    values v > 1 of the bases, with E_v[r] the exponent of v on the left
+    minus that on the right.  Refining keeps every row's product: two
+    values x and y with g = gcd(x, y) > 1 become x/g, g and y/g, g taking
+    the sum of their exponent vectors, and a value whose vector is zero,
+    or which is 1, is dropped.  When no two values left share a factor,
+    each has a prime that divides no other, and the power of that prime
+    in row r is E_v[r] times its power in v; so, by unique factorization,
+    every row holds if and only if no value is left.  Equality over a
+    pairwise-coprime base is equality of exponent vectors (Bernstein,
+    *Factoring into coprimes in essentially linear time*, 2005).
+
+    The refinement runs twice.  The first pass compares two values of
+    at least _DIVIDE_ONLY_BITS bits by exact division alone: a gcd of two
+    such coprime values is the costliest step, and the large bases of a
+    closed form and of a recursion cancel by division.  If anything is
+    left, a second pass with gcds everywhere decides from there.
+    """
+    rows = len(left)
+    exps = {}
+    for r, pair in enumerate(zip(left, right)):
+        powers = [[*p.primes.items(), *p.factors] for p in pair]
+        zero = [any(b == 0 for b, _ in ps) for ps in powers]
+        if any(zero):
+            if not all(zero):
+                return False
+            continue
+        if len({sum(e for b, e in ps if b < 0) % 2 for ps in powers}) > 1:
+            return False
+        for ps, sign in zip(powers, (1, -1)):
+            for b, e in ps:
+                if abs(b) != 1:
+                    exps.setdefault(abs(b), [0] * rows)[r] += sign * e
+    left_over = _refine(exps, _DIVIDE_ONLY_BITS)
+    return not (left_over and _refine(left_over, None))
+
+
+class Products(tuple):
+    """A tuple of FactoredPolys of ``int`` bases that ``==`` compares with
+    another by ``products_equal``: exactly, and with no product formed."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Products):
+            return NotImplemented
+        return len(self) == len(other) and products_equal(self, other)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+
+def _refine(exps: dict, divide_only) -> dict:
+    """The values and exponent vectors left by refining ``exps`` (see
+    ``products_equal``).  With ``divide_only`` None they are pairwise
+    coprime.  Otherwise two values of at least that many bits are
+    compared by exact division alone, and what is left need not be
+    coprime; every step still keeps each row's product.
+
+    Values are taken smallest first, and each is compared with the kept
+    values from the smallest up, so that it sheds its small factors
+    before it meets a large value.  A value carries the set of kept
+    values it need not be compared with: those found coprime to it and,
+    for a part of a kept value that splits, the other kept values.  With
+    ``divide_only`` set, a pair compared by division alone may still
+    share a factor, which only leaves more behind.
+    """
+    kept = {}  # value -> exponent vector
+    order = []  # (bit length, value) of the kept values, ascending
+    queue = []  # (bit length, tiebreak, value, vector, values known coprime to it)
+    count = itertools.count()
+
+    def push(x, vec, known):
+        if x != 1 and any(vec):
+            heapq.heappush(queue, (x.bit_length(), next(count), x, vec, known))
+
+    def add(y, vec, times=1):
+        # y's vector gains ``times`` x vec; y is dropped at zero
+        total = [a + times * b for a, b in zip(kept[y], vec)]
+        if any(total):
+            kept[y] = total
+        else:
+            del kept[y]
+            order.remove((y.bit_length(), y))
+
+    def by_division(x, size):
+        return divide_only is not None and min(x.bit_length(), size) >= divide_only
+
+    for x, vec in exps.items():
+        push(x, vec, frozenset())
+    while queue:
+        _, _, x, vec, known = heapq.heappop(queue)
+        coprime = []
+        for size, y in list(order):
+            if x in kept:
+                add(x, vec)
+                break
+            if y in known or y not in kept:
+                continue
+            if by_division(x, size):
+                if x % y:
+                    continue
+                g = y
+            else:
+                g = math.gcd(x, y)
+            if g == y:
+                x, times = _divide_out(x, y)
+                add(y, vec, times)
+                if x == 1:
+                    break
+                # y may be gone, its vector fallen to zero
+                if y not in kept or by_division(x, size):
+                    continue
+                g = math.gcd(x, y)
+            if g == 1:
+                coprime.append(y)
+                continue
+            # split y, coprime to every other kept value (see above)
+            y_vec = kept.pop(y)
+            order.remove((size, y))
+            others = frozenset(kept)
+            if g == x:
+                y, times = _divide_out(y, x)
+                push(y, y_vec, others)
+                push(x, [a + times * b for a, b in zip(vec, y_vec)], others)
+            else:
+                push(y // g, y_vec, others)
+                push(g, [a + b for a, b in zip(vec, y_vec)], others)
+                push(x // g, vec, known.union(coprime))
+            break
+        else:
+            if x in kept:
+                add(x, vec)
+            else:
+                kept[x] = vec
+                bisect.insort(order, (x.bit_length(), x))
+    return kept
+
+
+def _divide_out(x: int, y: int) -> tuple[int, int]:
+    """(x / y^k, k) for the largest k with y^k | x, for y > 1: x is
+    divided by y, y^2, y^4, ... while they divide it, then by the same
+    powers from the top down, so k costs about 2 log2(k) divisions."""
+    times, powers = 0, [y]
+    while True:
+        q, r = divmod(x, powers[-1])
+        if r:
+            break
+        x, times = q, times + (1 << (len(powers) - 1))
+        powers.append(powers[-1] * powers[-1])
+    for j in reversed(range(len(powers) - 1)):
+        q, r = divmod(x, powers[j])
+        if not r:
+            x, times = q, times + (1 << j)
+    return x, times
 
 
 def positive_weights(rng: random.Random) -> Weights:

@@ -6,9 +6,11 @@ builder and vertex/edge counts (so that a route's size cap is checked
 before a graph is built), its bundle recursion and closed forms, the gf
 routes that apply, and the pairs of routes that ``verify`` checks.  A
 gasket's closed form is one set of FactoredPolys over the ring of the
-weights, read three ways: as values by the ``closed`` route and
-``verify`` (``FactoredPoly.values``), as text and expanded at ``SYMBOLS``
-by symbolic gf, and as the factors of T at jet weights by the label
+weights, read four ways: as values by the ``closed`` route
+(``FactoredPoly.values``), as products of powers by ``verify``, which
+compares them with the recursion's primitive run, powers against
+powers (``products_equal``), as text and expanded at ``SYMBOLS`` by
+symbolic gf, and as the factors of T at jet weights by the label
 statistics, which run the bundle where a family has no weighted closed
 form (``Family.stat_powers``).
 ``ROUTES`` maps each gf method to its one function (Level, integer
@@ -34,7 +36,7 @@ from typing import Callable
 from . import graphs, kirchhoff, oracle
 from . import hanoi as hgf
 from . import sierpinski as sgf
-from .algebra import FactoredPoly, Weights, positive_weights
+from .algebra import FactoredPoly, Products, Weights, positive_weights
 from .errors import CapabilityError
 
 ONES = Weights.ones()
@@ -84,7 +86,10 @@ class Family:
     vertices: Callable[[int], int]
     edges: Callable[[int], int]  # non-loop edges
     components: tuple[str, ...]  # of a bundle: trees, corner forests, 3-forests
-    bundle: Callable  # (n, w) -> bundle in the ring of w; SYMBOLS gives symbolic components
+    # the recursion: its step, bundle -> bundle, and its level-1 bundle,
+    # w -> bundle in the ring of w (SYMBOLS gives symbolic components)
+    step: Callable
+    initial: Callable
     # (n, w=SYMBOLS, names) -> the closed-form bundle, FactoredPolys over
     # the ring of w; None: unweighted only
     closed: Callable | None
@@ -124,6 +129,15 @@ class Family:
             return "no decimation step below level 3"
         return None
 
+    def run(self, n: int, w: Weights):
+        """(contents, primitive bundle) of the recursion at level n and
+        weights w (``sierpinski.primitive_run``)."""
+        return sgf.primitive_run(self.step, self.initial(w), n)
+
+    def bundle(self, n: int, w: Weights):
+        """The level-n bundle at w, in full."""
+        return sgf.iterate(self.step, self.initial(w), n)
+
     def parts(self, bundle) -> dict:
         return {c: getattr(bundle, c) for c in self.components}
 
@@ -146,12 +160,19 @@ class Level:
     """One family at one level; keeps what several routes share.  Its graph
     is built once per family and level in a process and kept in
     ``_GRAPHS``: only the cofactor and oracle routes read it, so their size
-    caps bound that to 18 graphs of at most 123 vertices."""
+    caps bound that to 18 graphs of at most 123 vertices.
+
+    The recursion's primitive run is kept for the last weights asked for,
+    and its content is formed at most once for them.  T alone takes the
+    content for the routes that read T, the whole bundle where it is
+    printed or compared in full, and no component where the run is
+    compared as products of powers (``products``)."""
 
     def __init__(self, family: Family, n: int):
         self.family = family
         self.n = n
-        self._bundle = None  # (weights, bundle) of the last bundle asked for
+        self._run = None  # (weights, (contents, primitive bundle)) of the last weights
+        self._content = None  # the content of that run, once formed
         self.orbit = []  # the decimation's denominators, once the schur route ran
 
     @property
@@ -165,10 +186,32 @@ class Level:
     def counts(self):
         return self.family.counts(self.n)
 
+    def _recursion(self, w):
+        if self._run is None or self._run[0] != w:
+            self._run, self._content = (w, self.family.run(self.n, w)), None
+        return self._run[1]
+
+    def _scale(self, w):
+        contents, _ = self._recursion(w)
+        if self._content is None:
+            self._content = sgf.content(contents)
+        return self._content
+
+    def tree(self, w):
+        """T at w."""
+        return self._scale(w) * self._recursion(w)[1].T
+
     def bundle(self, w):
-        if self._bundle is None or self._bundle[0] != w:
-            self._bundle = (w, self.family.bundle(self.n, w))
-        return self._bundle[1]
+        """The bundle at w, in full."""
+        return sgf.scaled(self._recursion(w)[1], self._scale(w))
+
+    def products(self, w) -> Products:
+        """Each component at w as the product of the content powers and its
+        primitive part, none multiplied out."""
+        contents, primitive = self._recursion(w)
+        powers = list(zip(contents, sgf.content_exponents(self.n)))
+        return Products(FactoredPoly(None, [*powers, (x, 1)])
+                        for x in _pick(primitive, self.family.components))
 
 
 def run_checks(family: Family, levels, trials: int, rng):
@@ -176,8 +219,9 @@ def run_checks(family: Family, levels, trials: int, rng):
     yields (name, level, ok, detail) for each.
 
     The routes run at the drawn weights with their denominators cleared
-    and are compared as integers; a mismatch reports the drawn weights and
-    the values at them.
+    and are compared exactly, as integers or, where a gasket's closed form
+    meets its recursion, as products of powers (``products_equal``); a
+    mismatch reports the drawn weights and the values at them.
     """
     for n in levels:
         lv = Level(family, n)
@@ -216,7 +260,7 @@ def _count_parts(counts, names) -> tuple:
 
 
 def _tree(lv, w):
-    return lv.bundle(w).T
+    return lv.tree(w)
 
 
 def _bundle(lv, w):
@@ -225,6 +269,11 @@ def _bundle(lv, w):
 
 def _closed(lv, w):
     return lv.family.closed_value(lv.n, w, lv.family.components)
+
+
+def _closed_products(lv, w):
+    names = lv.family.components
+    return Products(_pick(lv.family.closed(lv.n, w, names), names))
 
 
 def _counts(lv, w):
@@ -287,7 +336,8 @@ HANOI = Family(
     vertices=lambda n: 3**n,
     edges=lambda n: (3 ** (n + 1) - 3) // 2,
     components=sgf.FIVE,
-    bundle=lambda n, w: hgf.hanoi_bundle(n, w),
+    step=lambda bundle: hgf.hanoi_step(bundle),
+    initial=lambda w: sgf.five_initial(w),
     closed=None,
     closed_value=lambda n, w, names: _count_parts(hgf.hanoi_counts_closed(n), names),
     counts=lambda n: hgf.hanoi_counts_recursive(n),
@@ -312,28 +362,31 @@ ROTATIONAL = Family(
     vertices=lambda n: sgf.rot_vertex_count(n),
     edges=lambda n: 3 ** (n + 1),
     components=("T", "S", "Q"),
-    bundle=lambda n, w: sgf.rot_bundle(n, w),
+    step=lambda bundle: sgf.rot_step(bundle),
+    initial=lambda w: sgf.rot_initial(w),
     closed=lambda n, w=sgf.SYMBOLS, names=None: sgf.rot_closed(n, w),
     closed_value=lambda n, w, names: tuple(FactoredPoly.values(_pick(sgf.rot_closed(n, w), names))),
     counts=lambda n: sgf.rot_counts(n),
     stat_cap=20,  # the closed form has no level cap and keeps the statistics cheap
     checks=(
         Check("closed at ones = counts", _closed, _counts),
-        Check("closed = recursion", _closed, _bundle, TRIAL, detail=("weights",)),
+        Check("closed = recursion", _closed_products, Level.products, TRIAL,
+              detail=("weights",)),
         _COFACTOR_CHECK,
         Check("oracle tree count", _oracle, _counts_tree, route="oracle"),
     ),
 )
 
 _DIRECTIONAL_CHECKS = (
-    Check("closed = recursion", _bundle, _closed, TRIAL, detail=("weights",)),
+    Check("closed = recursion", Level.products, _closed_products, TRIAL,
+          detail=("weights",)),
     Check("T at ones = rotational shift", _tree, lambda lv, w: sgf.rot_bundle(lv.n - 1, w).T,
           first_level=2),
     _COFACTOR_CHECK,
 )
 
 
-def _directional_like(label: str, aliases, bundle, closed, closed_value) -> Family:
+def _directional_like(label: str, aliases, step, closed, closed_value) -> Family:
     """The directional and schreier gaskets differ only in their recursion
     and closed forms."""
     return Family(
@@ -343,7 +396,8 @@ def _directional_like(label: str, aliases, bundle, closed, closed_value) -> Fami
         vertices=lambda n: (3**n + 3) // 2,
         edges=lambda n: 3**n,
         components=sgf.FIVE,
-        bundle=bundle,
+        step=step,
+        initial=lambda w: sgf.five_initial(w),
         closed=closed,
         closed_value=lambda n, w, names: _pick(closed_value(n, w, names), names),
         checks=_DIRECTIONAL_CHECKS,
@@ -352,13 +406,13 @@ def _directional_like(label: str, aliases, bundle, closed, closed_value) -> Fami
 
 DIRECTIONAL = _directional_like(
     "directional", ("sierpinski-dir", "sierpinski-directional"),
-    lambda n, w: sgf.dir_bundle(n, w),
+    lambda bundle: sgf.dir_step(bundle),
     lambda n, w=sgf.SYMBOLS, names=sgf.FIVE: sgf.dir_closed(n, w, names),
     lambda n, w, names: sgf.dir_closed_value(n, w, names),
 )
 SCHREIER = _directional_like(
     "schreier", ("sierpinski-schreier",),
-    lambda n, w: sgf.schreier_bundle(n, w),
+    lambda bundle: sgf.schreier_step(bundle),
     lambda n, w=sgf.SYMBOLS, names=sgf.FIVE: sgf.schreier_closed(n, w, names),
     lambda n, w, names: sgf.schreier_closed_value(n, w, names),
 )

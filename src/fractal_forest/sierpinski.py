@@ -16,16 +16,25 @@ explode like 3^n; integer weights give ``int`` components, rational ones
 statistics) jet components.  Every level cap reads its ring off the
 weights (``check_level``).  Each step forms each distinct product of two
 bundle components once and stays subtraction-free; the tests hold the
-equations as first transcribed, term by term, and compare.  Every step is
-a homogeneous cubic in the components, so ``iterate`` steps an evaluated
-integer bundle on its primitive part and forms the content (the product
-of the per-step gcds of the components, raised to powers of 3, which is
-nearly all of their size) once, at the end; the bundle it returns is
-exact and in full.  Closed forms are FactoredPoly products over the ring
-of the weights too: their bases are the weights' images under the
-polynomial maps, polynomials at ``SYMBOLS`` (which expand and print) and
-values elsewhere, found by iterating the maps on values, which is exact
-and cheap at any level.  One ``FactoredPoly.values`` multiplies out the
+equations as first transcribed, term by term, and compare.
+
+Every step is a homogeneous cubic in the components, so an evaluated
+integer bundle steps on its primitive part: the primitive run
+(``primitive_run``) divides the gcd g_k of the components out after
+each step and returns the contents g_0, ..., g_(n-1) with the last
+primitive bundle.  The level-n bundle is that bundle times the content
+``prod g_k^(3^(n-1-k))``, which is nearly all of its size; ``iterate``
+is the primitive run and then that one product of powers, so the
+bundle it returns is exact and in full.  Where only T is read, the
+content is multiplied into T alone, and ``verify`` compares the run
+with a closed form without multiplying it out at all
+(``algebra.products_equal``).
+
+Closed forms are FactoredPoly products over the ring of the weights
+too: their bases are the weights' images under the polynomial maps,
+polynomials at ``SYMBOLS`` (which expand and print) and values
+elsewhere, found by iterating the maps on values, which is exact and
+cheap at any level.  One ``FactoredPoly.values`` multiplies out the
 components of a closed form, each base's powers shared between them; it
 and the content are products of powers formed by one squaring chain each
 (``algebra.power_products``).
@@ -117,18 +126,18 @@ def split_content(bundle):
     return g, _map_components(bundle, lambda x: x // g)
 
 
-def iterate(step, initial, n: int):
-    """The level-n bundle of a recursion, from its level-1 bundle.
+def primitive_run(step, initial, n: int):
+    """The primitive run of a recursion to level n: (contents, primitive
+    bundle), the level-n bundle being the primitive bundle times the
+    content ``prod g_k^(3^(n-1-k))`` of the contents g_0, ..., g_(n-1).
 
     Every step is a homogeneous cubic in the bundle's components, so
     ``step(g B) = g^3 step(B)`` for a scalar g.  An evaluated integer
-    bundle therefore steps on its primitive part: after step k the gcd
-    g_k of the new components is divided out, and the level-n bundle is
-    the last primitive part times ``prod g_k^(3^(n-1-k))``, with g_0 the
-    content of the level-1 bundle.  The components share nearly all of
-    their size, so each step multiplies small numbers, and the contents
-    meet only once, in one squaring chain (``power_products``) at the
-    end.  Symbolic and ``Fraction`` bundles step as they are.
+    bundle therefore steps on its primitive part: g_0 is the content of
+    the level-1 bundle, and after step k the gcd g_k of the new
+    components is divided out.  The components share nearly all of their
+    size, so each step multiplies small numbers.  Symbolic and
+    ``Fraction`` bundles step as they are, with contents 1.
 
     The level cap is checked before the first step, so a request past it
     fails before any work is done.
@@ -141,8 +150,31 @@ def iterate(step, initial, n: int):
     for _ in range(n - 1):
         g, bundle = split_content(step(bundle))
         contents.append(g)
-    [scale] = power_products(contents, [[3 ** (n - 1 - k) for k in range(n)]])
+    return contents, bundle
+
+
+def content_exponents(n: int) -> list[int]:
+    """The exponents 3^(n-1-k) of the contents g_k of a run to level n."""
+    return [3 ** (n - 1 - k) for k in range(n)]
+
+
+def content(contents):
+    """``prod g_k^(3^(n-1-k))``, in one squaring chain (``power_products``)."""
+    [scale] = power_products(contents, [content_exponents(len(contents))])
+    return scale
+
+
+def scaled(bundle, scale):
+    """The bundle with every component multiplied by scale."""
     return bundle if scale == 1 else _map_components(bundle, lambda x: scale * x)
+
+
+def iterate(step, initial, n: int):
+    """The level-n bundle of a recursion, from its level-1 bundle: its
+    primitive run, the contents meeting once, at the end.  The bundle is
+    exact and in full."""
+    contents, bundle = primitive_run(step, initial, n)
+    return scaled(bundle, content(contents))
 
 
 # -- rotational model -------------------------------------------------------

@@ -9,11 +9,13 @@ from fractal_forest import algebra
 from fractal_forest.algebra import (
     FactoredPoly,
     Jet,
+    Products,
     TriPoly,
     Weights,
     poly_equal_by_sampling,
     positive_weights,
     power_products,
+    products_equal,
 )
 from fractal_forest.errors import CapabilityError
 from fractal_forest.sierpinski import rot_closed
@@ -168,6 +170,155 @@ def test_factored_evaluate_all_equals_each_evaluate():
             [FactoredPoly(p.primes, [(at_w[base], exp) for base, exp in p.factors]) for p in products])
         assert values == [p.evaluate(w) for p in products] == [p.expand().evaluate(w) for p in products]
         assert [type(v) for v in values] == [type(p.evaluate(w)) for p in products]
+
+
+# -- products of powers compared unexpanded ----------------------------------
+# ``products_equal`` against the materialized values, both ways round, at
+# the default threshold of its division-only pass, with that pass taking
+# every value (2 bits) and with gcds everywhere (None)
+
+
+def fp(*factors, primes=None) -> FactoredPoly:
+    return FactoredPoly(primes, list(factors))
+
+
+@pytest.fixture(params=[algebra._DIVIDE_ONLY_BITS, 2, None], ids=["default", "2", "none"])
+def divide_only(request, monkeypatch):
+    monkeypatch.setattr(algebra, "_DIVIDE_ONLY_BITS", request.param)
+
+
+def assert_compares_as_materialized(left, right):
+    want = FactoredPoly.values(left) == FactoredPoly.values(right)
+    assert products_equal(left, right) is want, ([p.text() for p in left], [q.text() for q in right])
+    assert products_equal(right, left) is want
+    assert (Products(left) == Products(right)) is want
+    assert (Products(right) != Products(left)) is not want
+    return want
+
+
+def regroup(product: FactoredPoly, rng) -> FactoredPoly:
+    """The same value as another product of powers: factors of one exponent
+    merged, exponents split, even powers squared, primes moved in and out."""
+    factors = [*product.factors, *((p, e) for p, e in product.primes.items() if e)]
+    for _ in range(4 if factors else 0):
+        rng.shuffle(factors)
+        (x, e), rest = factors[0], factors[1:]
+        move = rng.randrange(3)
+        if move == 0 and rest and rest[0][1] == e:
+            factors = [(x * rest[0][0], e), *rest[1:]]
+        elif move == 1 and e > 1:
+            k = rng.randint(1, e - 1)
+            factors = [(x, k), (x, e - k), *rest]
+        elif move == 2 and e % 2 == 0:
+            factors = [(x * x, e // 2), *rest]
+    return fp(*factors)
+
+
+def test_products_equal_random_products_over_overlapping_bases(divide_only):
+    rng = random.Random(19)
+    pool = [2, 3, 6, 10, 12, 15, 35, 77, 91, 143, 2**61 - 1, 3 * (2**61 - 1), 2**89 - 1,
+            (2**61 - 1) * (2**89 - 1), 7**30, 10**40 + 1]
+    equal = unequal = 0
+    for _ in range(300):
+        rows = rng.randint(1, 3)
+        left = [fp(*((rng.choice(pool), rng.randint(1, 5)) for _ in range(rng.randint(0, 5))),
+                   primes={p: rng.randint(0, 4) for p in (2, 3, 5)}) for _ in range(rows)]
+        if rng.random() < 0.5:
+            right = [regroup(p, rng) for p in left]
+        else:
+            right = [fp(*((rng.choice(pool), rng.randint(1, 5)) for _ in range(rng.randint(0, 5))))
+                     for _ in range(rows)]
+        if assert_compares_as_materialized(left, right):
+            equal += 1
+        else:
+            unequal += 1
+    assert equal > 100 and unequal > 100
+
+
+def test_products_equal_perfect_powers(divide_only):
+    for e in (1, 2, 7, 3**5):
+        assert assert_compares_as_materialized([fp((4, e))], [fp(primes={2: 2 * e})])
+        assert assert_compares_as_materialized([fp((12, e))], [fp(primes={2: 2 * e, 3: e})])
+        assert assert_compares_as_materialized([fp((12, e))], [fp((2, 2 * e), (3, e))])
+        assert not assert_compares_as_materialized([fp((12, e))], [fp(primes={2: 2 * e, 3: e + 1})])
+        assert not assert_compares_as_materialized([fp((8, e))], [fp((4, e))])
+    # exponents far past what could be multiplied out: nothing is formed
+    big = 3**200
+    assert products_equal([fp((12, big), (36, big))], [fp((2, 4 * big), (3, 3 * big))])
+    assert not products_equal([fp((12, big))], [fp((2, 2 * big), (3, big - 1))])
+
+
+def test_products_equal_ones_zeros_and_signs(divide_only):
+    cases = [
+        ([fp((1, 7))], [fp()]),
+        ([fp((-1, 2))], [fp()]),
+        ([fp((-1, 3))], [fp()]),
+        ([fp((0, 3))], [fp((0, 1), (5, 2))]),
+        ([fp((0, 1))], [fp((1, 1))]),
+        ([fp((0, 2), primes={2: 3})], [fp()]),
+        ([fp((-2, 3))], [fp((2, 3))]),
+        ([fp((-2, 2))], [fp((2, 2))]),
+        ([fp((-1, 5), (3, 1))], [fp((-3, 1))]),
+        ([fp((-6, 3), (-1, 1))], [fp((2, 3), (-3, 2), (3, 1))]),
+        ([fp((-6, 3))], [fp((2, 3), (-3, 2), (3, 1))]),
+        ([fp((0, 1)), fp((-5, 1))], [fp((0, 9)), fp((-5, 1))]),
+        ([fp((0, 1)), fp((-5, 1))], [fp((0, 9)), fp((5, 1))]),
+    ]
+    for left, right in cases:
+        assert_compares_as_materialized(left, right)
+
+
+def test_products_equal_with_a_base_shared_by_several_rows(divide_only):
+    x = 3**50 * (2**61 - 1)
+    y = x * x
+    left = [fp((x, 2)), fp((x, 3)), fp((x, 1), primes={5: 1})]
+    assert assert_compares_as_materialized(left, [fp((y, 1)), fp((x, 1), (y, 1)), fp((5 * x, 1))])
+    assert not assert_compares_as_materialized(left, [fp((y, 1)), fp((y, 1)), fp((5 * x, 1))])
+
+
+def test_products_equal_swapped_and_shifted_exponents(divide_only):
+    p, q = 2**61 - 1, 2**89 - 1
+    for a, b in ((1, 2), (3, 7), (5, 5)):
+        assert assert_compares_as_materialized([fp((p, a), (q, b))], [fp((p, b), (q, a))]) is (a == b)
+        assert assert_compares_as_materialized([fp((p * q, a), (q, b))], [fp((p, a), (q, a + b))])
+    # pairs that differ by one exponent, in every position
+    rng = random.Random(23)
+    bases = [6, 10, 15, p, 3 * q, p * q]
+    for _ in range(40):
+        exps = [rng.randint(1, 6) for _ in bases]
+        left = [fp(*zip(bases, exps), primes={2: 1, 3: 2, 5: 3})]
+        i = rng.randrange(len(bases))
+        shifted = [e + (j == i) * rng.choice((-1, 1)) for j, e in enumerate(exps)]
+        right = [fp(*zip(bases, shifted), primes={2: 1, 3: 2, 5: 3})]
+        assert not assert_compares_as_materialized(left, right)
+        right = [fp(*zip(bases, exps), primes={2: 1, 3: 2, 5: 2})]
+        assert not assert_compares_as_materialized(left, right)
+
+
+def test_products_equal_over_crossed_factorings(divide_only):
+    # no base divides another: only a gcd splits them, so at the default
+    # threshold the 1279- and 2203-bit bases go to the second pass
+    p, q, r, s = 2**1279 - 1, 2**2203 - 1, 2**61 - 1, 2**89 - 1
+    for e in (1, 4):
+        assert assert_compares_as_materialized([fp((6, e), (10, e))], [fp((4, e), (15, e))])
+        assert assert_compares_as_materialized([fp((p * q, e), (r * s, e))],
+                                               [fp((p * r, e), (q * s, e))])
+        assert not assert_compares_as_materialized([fp((p * q, e), (r * s, e))],
+                                                   [fp((p * r, e), (q * s, e + 1))])
+    assert assert_compares_as_materialized([fp((p * q, 2)), fp((p * r, 1))],
+                                           [fp((p, 2), (q, 2)), fp((r * p, 1))])
+
+
+def test_divide_out_finds_the_multiplicity():
+    for y in (2, 3, 10, 2**61 - 1):
+        for k in range(40):
+            assert algebra._divide_out(y**k * 7, y) == (7, k)
+
+
+def test_products_compare_only_with_products():
+    assert Products([fp((4, 1))]) == Products([fp((2, 2))])
+    assert Products([fp((4, 1))]) != Products([fp((2, 2)), fp()])
+    assert Products([fp((4, 1))]).__eq__((fp((2, 2)),)) is NotImplemented
 
 
 def test_log_eval_agrees_with_exact_to_25_digits():

@@ -188,6 +188,56 @@ def test_gf_symbolic_disagreement_exits_1(capsys, monkeypatch):
     assert data["agreement"] is False
 
 
+def _rot_tree_exponent_off_by_one(monkeypatch):
+    rot_closed = sierpinski.rot_closed
+
+    def wrong(n, w=sierpinski.SYMBOLS):
+        b = rot_closed(n, w)
+        (base, exp), *rest = b.T.factors
+        return dataclasses.replace(b, T=FactoredPoly(b.T.primes, [(base, exp + 1), *rest]))
+
+    monkeypatch.setattr(sierpinski, "rot_closed", wrong)
+
+
+def _directional_law_off_by_one(monkeypatch):
+    mapping, twos = sierpinski._FIVE_MODELS["directional"]
+
+    def wrong(n):
+        two_t, two_corner, two_q = twos(n)
+        return two_t, two_corner, two_q + 1
+
+    monkeypatch.setitem(sierpinski._FIVE_MODELS, "directional", (mapping, wrong))
+
+
+def _schreier_corner_base_exponent_off_by_one(monkeypatch):
+    schreier_closed = sierpinski.schreier_closed
+
+    def wrong(n, w=sierpinski.SYMBOLS, names=sierpinski.FIVE):
+        b = schreier_closed(n, w, names)
+        if b.U is None:
+            return b
+        *rest, (corner, exp) = b.U.factors
+        return dataclasses.replace(b, U=FactoredPoly(b.U.primes, [*rest, (corner, exp + 1)]))
+
+    monkeypatch.setattr(sierpinski, "schreier_closed", wrong)
+
+
+@pytest.mark.parametrize("family, label, corrupt", [
+    ("sierpinski-rot", "rotational", _rot_tree_exponent_off_by_one),
+    ("sierpinski-dir", "directional", _directional_law_off_by_one),
+    ("sierpinski-schreier", "schreier", _schreier_corner_base_exponent_off_by_one),
+])
+def test_verify_catches_a_wrong_gasket_closed_form(capsys, monkeypatch, family, label, corrupt):
+    # the closed form and the recursion are compared as products of powers;
+    # one exponent off by one must still be a mismatch
+    corrupt(monkeypatch)
+    code, data = run_json(capsys, "verify", "--family", family, "--levels", "9..9",
+                          "--trials", "1", "--seed", "1")
+    assert code == 1 and data["status"] == "mismatch"
+    [failure] = [f for f in data["failures"] if f["check"] == f"{label} closed = recursion"]
+    assert failure["level"] == 9 and set(failure["detail"]) == {"weights"}
+
+
 @pytest.mark.parametrize(
     "family, method",
     [(f, m) for f in ("hanoi", "sierpinski-rot", "sierpinski-dir", "sierpinski-schreier")

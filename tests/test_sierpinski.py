@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from fractal_forest import sierpinski
+from fractal_forest import algebra, sierpinski
 from fractal_forest.algebra import FactoredPoly, TriPoly, Weights, power_products
 from fractal_forest.errors import CapabilityError
-from fractal_forest.families import FAMILIES, ROTATIONAL
+from fractal_forest.families import FAMILIES, ROTATIONAL, Level
 from fractal_forest.hanoi import hanoi_bundle, hanoi_step
 from fractal_forest.sierpinski import (
     FIVE,
@@ -504,6 +504,66 @@ def test_bundles_and_closed_values_run_mod_p():
     for family in FAMILIES.values():
         with pytest.raises(CapabilityError, match="^evaluated bundles are capped at level 12$"):
             family.bundle(13, mod_w)
+
+
+def _run_values(family, n: int, w, ring=lambda x: x) -> list:
+    """The level-n components by the primitive run at w, the content powers
+    and each primitive component multiplied out with their bases in ring."""
+    products = Level(family, n).products(w)
+    return FactoredPoly.values(
+        [FactoredPoly(p.primes, [(ring(b), e) for b, e in p.factors]) for p in products])
+
+
+def test_primitive_run_multiplied_out_is_the_bundle():
+    # verify compares closed forms with the run unmultiplied; this holds the
+    # multiplication: over int at levels 1-9, and mod p at level 12
+    for family in FAMILIES.values():
+        for w in STEP_WEIGHTS:
+            for n in range(1, 10):
+                want = list(family.parts(family.bundle(n, w)).values())
+                assert _run_values(family, n, w) == want, (family.name, w, n)
+        for w in STEP_WEIGHTS[-3:]:
+            want = family.parts(family.bundle(12, Weights(*map(ModP, w.as_tuple()))))
+            got = _run_values(family, 12, w, ModP)
+            assert got == list(want.values()), (family.name, w)
+
+
+def test_closed_equals_recursion_multiplies_nothing_out(monkeypatch):
+    # clock-free: the check forms no product of powers on either side
+    def refuse(*args):
+        raise AssertionError("a product of powers was formed")
+
+    monkeypatch.setattr(algebra, "_power_product", refuse)
+    monkeypatch.setattr(sierpinski, "power_products", refuse)
+    checks = [(f, c) for f in FAMILIES.values() for c in f.checks if c.name == "closed = recursion"]
+    assert len(checks) == 3
+    for family, check in checks:
+        for n in (1, 2, 5, 9):
+            for w in positive_weight_list(n, 2):
+                lv, iw = Level(family, n), w.clear_denominators()[0]
+                assert check.left(lv, iw) == check.right(lv, iw), (family.name, n, w)
+    with pytest.raises(AssertionError, match="product of powers"):
+        rot_bundle(2, Weights(1, 2, 3))
+
+
+def test_level_runs_and_forms_the_content_once_per_weights(monkeypatch):
+    w1, w2 = (w.clear_denominators()[0] for w in positive_weight_list(4, 2))
+    full, other = hanoi_bundle(6, w1), hanoi_bundle(6, w2)
+    calls = []
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(sierpinski, "content", counting("content", sierpinski.content))
+    monkeypatch.setattr(sierpinski, "primitive_run", counting("run", sierpinski.primitive_run))
+    lv = Level(FAMILIES["hanoi"], 6)
+    assert lv.products(w1) and calls == ["run"]
+    assert lv.tree(w1) == full.T and calls == ["run", "content"]
+    assert lv.bundle(w1) == full and lv.tree(w1) == full.T and calls == ["run", "content"]
+    assert lv.tree(w2) == other.T and calls == ["run", "content"] * 2
 
 
 def test_all_zero_bundle_is_left_as_it_is():
