@@ -11,7 +11,8 @@ stdout and its stderr verbatim.  The requests cover every family: the
 symbolic ``gf`` routes (level 3 in every format), ``gf --method all`` at six weight triples
 (degenerate and signed ones included), ``stats`` on both sides of each
 statistics cap, the rotational normality gap at every level 1-20 for
-each label, ``verify``, ``generate`` in every format, and the usage
+each label, ``verify`` (hanoi also at levels 7-9, with one and three
+draws), ``generate`` in every format, and the usage
 and capability errors the CLI raises itself.  No ``gf``, ``verify`` or
 ``generate`` request goes past level 9 except the cap refusals.
 
@@ -84,6 +85,10 @@ def requests() -> list[list[str]]:
         out.append(["verify", "--family", family, "--levels", "13..13"])
         for fmt in ("json", "dot", "text", "csv"):
             out.append(["generate", "--family", family, "--level", "2", "--format", fmt])
+    for levels in ("7..7", "8..8", "9..9", "3..9"):  # the hanoi levels verify-deep runs
+        for trials, seed in (("1", "1"), ("3", "9")):
+            out.append(["verify", "--family", "hanoi", "--levels", levels, "--trials", trials,
+                        "--seed", seed])
     for fmt in FORMATS[1:]:
         out.append(["gf", "--family", "hanoi", "--level", "2", "--weights", "1/3", "2/7", "5",
                     "--method", "all", "--format", fmt])
