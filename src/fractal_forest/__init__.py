@@ -28,8 +28,10 @@ from .hanoi import (
     hanoi_step,
 )
 from .kirchhoff import (
+    Decimation,
     RationalMatrix,
     SchurState,
+    decimation_run,
     lambda_matrix,
     schur_denominator,
     schur_denominator_rederived,

@@ -16,7 +16,11 @@ form (``Family.stat_powers``).
 ``ROUTES`` maps each gf method to its one function (Level, integer
 weights) -> T, ``symbolic_routes`` names those with a symbolic form, and
 ``Family.skip_reason`` is the one rule for where ``gf --method all``
-leaves a route out and ``verify`` the checks that run it.
+leaves a route out and ``verify`` the checks that run it.  Hanoi's
+decimation run (``kirchhoff.decimation_run``) is read two ways: folded
+into a value by the ``schur`` route (``kirchhoff.schur_pipeline``), and
+as products of powers by ``verify``, which compares them with the
+recursion's primitive run, neither multiplied out.
 
 Route functions are looked up through their modules when they are
 called, not bound when this module is imported, so that a patched or
@@ -68,6 +72,9 @@ class Check:
     route: str | None = None  # the gf route whose skip rule it follows, if any
     first_level: int = 1
     detail: tuple[str, ...] = ()
+    # (Level, weights) -> the two values a mismatch reports, where left and
+    # right are not the values but products of powers that compare them
+    shown: Callable | None = None
 
     def mismatch_detail(self, w, left, right, unscale):
         """What a mismatch at the drawn weights w reports; ``unscale``
@@ -166,13 +173,17 @@ class Level:
     and its content is formed at most once for them.  T alone takes the
     content for the routes that read T, the whole bundle where it is
     printed or compared in full, and no component where the run is
-    compared as products of powers (``products``)."""
+    compared as products of powers (``factors``, ``products``).  The
+    decimation run is kept for the last weights as well, so that a
+    mismatch of the two runs multiplies each out once, from what was
+    kept."""
 
     def __init__(self, family: Family, n: int):
         self.family = family
         self.n = n
         self._run = None  # (weights, (contents, primitive bundle)) of the last weights
         self._content = None  # the content of that run, once formed
+        self._decimation = None  # (weights, decimation run) of the last weights
         self.orbit = []  # the decimation's denominators, once the schur route ran
 
     @property
@@ -205,13 +216,22 @@ class Level:
         """The bundle at w, in full."""
         return sgf.scaled(self._recursion(w)[1], self._scale(w))
 
-    def products(self, w) -> Products:
-        """Each component at w as the product of the content powers and its
-        primitive part, none multiplied out."""
+    def factors(self, w, component: str) -> list:
+        """(base, exponent) pairs whose product is a component at w: the
+        contents to their powers and its primitive part, none multiplied
+        out."""
         contents, primitive = self._recursion(w)
-        powers = list(zip(contents, sgf.content_exponents(self.n)))
-        return Products(FactoredPoly(None, [*powers, (x, 1)])
-                        for x in _pick(primitive, self.family.components))
+        return [*zip(contents, sgf.content_exponents(self.n)), (getattr(primitive, component), 1)]
+
+    def products(self, w) -> Products:
+        """Each component at w as a product of powers (``factors``)."""
+        return Products(FactoredPoly(None, self.factors(w, c)) for c in self.family.components)
+
+    def decimation(self, w):
+        """The decimation run at w (``kirchhoff.decimation_run``)."""
+        if self._decimation is None or self._decimation[0] != w:
+            self._decimation = (w, kirchhoff.decimation_run(self.n, w))
+        return self._decimation[1]
 
 
 def run_checks(family: Family, levels, trials: int, rng):
@@ -220,8 +240,9 @@ def run_checks(family: Family, levels, trials: int, rng):
 
     The routes run at the drawn weights with their denominators cleared
     and are compared exactly, as integers or, where a gasket's closed form
-    meets its recursion, as products of powers (``products_equal``); a
-    mismatch reports the drawn weights and the values at them.
+    or hanoi's decimation meets the recursion, as products of powers
+    (``products_equal``); a mismatch reports the drawn weights and the
+    values at them.
     """
     for n in levels:
         lv = Level(family, n)
@@ -240,6 +261,8 @@ def run_checks(family: Family, levels, trials: int, rng):
                 for check in group:
                     left, right = check.left(lv, iw), check.right(lv, iw)
                     ok = left == right
+                    if not ok and check.shown is not None:
+                        left, right = check.shown(lv, iw)
                     detail = None if ok else check.mismatch_detail(
                         w, left, right, lambda v: family.unscaled(n, v, scale))
                     yield f"{family.name.removeprefix('sierpinski-')} {check.name}", n, ok, detail
@@ -297,6 +320,23 @@ def _schur(lv, w):
     return value
 
 
+# T by the recursion equals T by the decimation: T times the decimation's
+# denominators equals its numerators (``kirchhoff.Decimation.powers``)
+
+def _tree_by_decimation_denominators(lv, w):
+    dens, _ = lv.decimation(w).powers(w)
+    return Products([FactoredPoly(None, [*lv.factors(w, "T"), *dens])])
+
+
+def _decimation_numerators(lv, w):
+    _, nums = lv.decimation(w).powers(w)
+    return Products([FactoredPoly(None, nums)])
+
+
+def _tree_and_schur(lv, w):
+    return lv.tree(w), kirchhoff.schur_pipeline(lv.n, w, lv.decimation(w))[0]
+
+
 ROUTES = {"recursion": _tree, "cofactor": _cofactor, "schur": _schur, "oracle": _oracle,
           "closed": lambda lv, w: lv.family.closed_value(lv.n, w, ("T",))[0]}
 
@@ -347,8 +387,9 @@ HANOI = Family(
               lambda lv, w: hgf.hanoi_counts_closed(lv.n), detail=("recursive", "closed")),
         Check("bundle at ones = counts", _bundle, _counts),
         Check("oracle tree count", _oracle, _counts_tree, route="oracle"),
-        Check("recursion=schur", _tree, _schur, TRIAL, route="schur",
-              detail=("weights", "recursion", "schur")),
+        Check("recursion=schur", _tree_by_decimation_denominators, _decimation_numerators,
+              TRIAL, route="schur", detail=("weights", "recursion", "schur"),
+              shown=_tree_and_schur),
         Check("recursion=cofactor", _tree, _cofactor, TRIAL, route="cofactor",
               detail=("weights", "recursion", "cofactor")),
     ),

@@ -21,6 +21,12 @@ couplings, current diagonal entries); the initial state is
 ``(a, b, c, a, b, c, a+b+c, a+b+c, a+b+c)``.  One application of P stands
 for one round of block elimination of the masked Laplacian, whose
 determinant picks up the factor D(state)^(3^(k-2)) in the process.
+A decimation run (``decimation_run``) keeps, per step, the integer D of
+the state cleared to integers and the clearing denominator, and at the
+end det lambda_2; the generating function is a quotient of products of
+their powers (``Decimation.powers``).  ``schur_pipeline`` folds a run
+into that value, and ``verify`` compares the run with the recursion as
+products of powers, multiplying neither out.
 
 The map is given in closed form by the term tables below, kept as the
 paper's text and evaluated as Horner schemes built from them at import.
@@ -503,12 +509,14 @@ def _det(rows, keep_rows, keep_cols) -> Fraction:
     return RationalMatrix([[rows[i][j] for j in keep_cols] for i in keep_rows]).det()
 
 
-def schur_map_rederived(s: SchurState) -> SchurState:
-    """Recompute one decimation step by eliminating the six non-corner
-    words of the level-2 network; each new coordinate is an entry of the
-    Schur complement on the corners."""
+def _rederived(s: SchurState):
+    """The level-2 network weighted by s, and the determinant of the block
+    of its six non-corner words."""
     rows = _state_network(2, s, loops=False)
-    inner = _det(rows, _INNER, _INNER)
+    return rows, _det(rows, _INNER, _INNER)
+
+
+def _schur_complement(s: SchurState, rows, inner: Fraction) -> SchurState:
     if inner == 0:
         raise DecimationSingularError("elimination block is singular")
 
@@ -523,8 +531,15 @@ def schur_map_rederived(s: SchurState) -> SchurState:
     )
 
 
+def schur_map_rederived(s: SchurState) -> SchurState:
+    """Recompute one decimation step by eliminating the six non-corner
+    words of the level-2 network; each new coordinate is an entry of the
+    Schur complement on the corners."""
+    return _schur_complement(s, *_rederived(s))
+
+
 def schur_denominator_rederived(s: SchurState) -> Fraction:
-    return _det(_state_network(2, s, loops=False), _INNER, _INNER)
+    return _rederived(s)[1]
 
 
 def schur_map_divergence(s: SchurState) -> dict:
@@ -532,15 +547,16 @@ def schur_map_divergence(s: SchurState) -> dict:
 
     Returns {} on exact agreement, otherwise the differing coordinates as
     ``{"x4": (table value, rederived value), ...}`` plus any denominator
-    mismatch under key ``"D"``.
+    mismatch under key ``"D"``.  The level-2 network and its inner
+    determinant are built once, for the rederived denominator and map.
     """
     out = {}
+    rows, d_red = _rederived(s)
     d_table = schur_denominator(s)
-    d_red = schur_denominator_rederived(s)
     if d_table != d_red:
         out["D"] = (str(d_table), str(d_red))
     a = schur_map(s)
-    b = schur_map_rederived(s)
+    b = _schur_complement(s, rows, d_red)
     for i, (x, y) in enumerate(zip(a, b), start=1):
         if x != y:
             out[f"x{i}"] = (str(x), str(y))
@@ -568,26 +584,37 @@ def lambda_matrix(k: int, s: SchurState) -> RationalMatrix:
 # -- the full pipeline ----------------------------------------------------------
 
 
-def schur_pipeline(n: int, w: Weights):
-    """Spanning-tree generating function of the level-n hanoi graph at w,
-    by repeated decimation; returns (value, denominator orbit).
+class Decimation(NamedTuple):
+    """A decimation run to level n >= 3 at weights w.  Step k = 0..n-3
+    cleared the state s_k to integers t_k over delta_k and took D(t_k),
+    so D_k = D(t_k) / delta_k^6; ``delta`` clears the last state
+    s_(n-2), and ``det`` is det lambda_2 there.  The spanning-tree
+    generating function is
+    ``prod_k (D(t_k) / delta_k^6)^(3^(n-2-k)) * det / (a+b)``."""
 
-    The value is an int at integer weights, at every level.  The factor
-    prod_k D_k^(3^(n-k-2)) is the cube of a root built in Horner order,
-    root <- root^3 D_k.  With t_k the state cleared by delta_k,
-    D_k = D(t_k) / delta_k^6, so each step divides the root by delta_k^2
-    before the cube and multiplies in the integer D(t_k) after it: a
-    denominator cancels against a number a third the size of the factor,
-    while it is small.  The determinant at the end, homogeneous of degree
-    9 in the state, is scaled to an integer by delta^9 in the same way.
-    """
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    if n <= 2:
-        return _as_int(tree_gf_cofactor(build_hanoi(n), w)), []
+    steps: tuple[tuple[int, int], ...]  # (D(t_k), delta_k) for each step k
+    delta: int
+    det: Fraction
+
+    def powers(self, w: Weights) -> tuple[list, list]:
+        """(denominators, numerators) of the generating function, each as
+        (base, exponent) pairs whose product is not formed; at integer
+        weights every base is an int (``algebra.products_equal``)."""
+        exps = [3 ** (len(self.steps) - k) for k in range(len(self.steps))]
+        dens = [(delta, 6 * e) for (_, delta), e in zip(self.steps, exps)]
+        nums = [(dt, e) for (dt, _), e in zip(self.steps, exps)]
+        return ([*dens, (self.det.denominator, 1), (w.a + w.b, 1)],
+                [*nums, (self.det.numerator, 1)])
+
+
+def decimation_run(n: int, w: Weights) -> Decimation:
+    """The decimation run to level n >= 3 at w (``Decimation``): n - 2
+    applications of the map from the initial state, then the level-2
+    masked determinant."""
+    if n < 3:
+        raise ValueError("the decimation runs from level 3")
     state = SchurState.initial(w)
-    root = Fraction(1)
-    orbit = []
+    steps = []
     for k in range(n - 2):
         # one clearing and one D per step, shared by D_k and the map
         t, delta, dt = _cleared_denominator(state)
@@ -595,11 +622,37 @@ def schur_pipeline(n: int, w: Weights):
             raise DecimationSingularError(
                 f"denominator vanished at decimation step {k}"
             )
-        orbit.append(Fraction(dt, delta**6))
-        root = (root / delta**2) ** 3 * dt
+        steps.append((dt, delta))
         state = _map_cleared(state, t, delta, dt)
-    cube = clear_denominators(state)[1] ** 3
-    det = lambda_matrix(2, state).det() * cube**3
+    return Decimation(tuple(steps), clear_denominators(state)[1], lambda_matrix(2, state).det())
+
+
+def schur_pipeline(n: int, w: Weights, run: Decimation | None = None):
+    """Spanning-tree generating function of the level-n hanoi graph at w,
+    by repeated decimation; returns (value, denominator orbit).  ``run``
+    is ``decimation_run(n, w)`` where it was made already.
+
+    The value is an int at integer weights, at every level.  It folds the
+    run: the factor prod_k D_k^(3^(n-k-2)) is the cube of a root built in
+    Horner order, root <- root^3 D_k.  Each step divides the root by
+    delta_k^2 before the cube and multiplies in the integer D(t_k) after
+    it: a denominator cancels against a number a third the size of the
+    factor, while it is small.  The determinant at the end, homogeneous
+    of degree 9 in the state, is scaled to an integer by delta^9 in the
+    same way.
+    """
+    if n < 1:
+        raise ValueError("level must be >= 1")
+    if n <= 2:
+        return _as_int(tree_gf_cofactor(build_hanoi(n), w)), []
+    if run is None:
+        run = decimation_run(n, w)
+    root = Fraction(1)
+    for dt, delta in run.steps:
+        root = (root / delta**2) ** 3 * dt
+    cube = run.delta**3
+    det = run.det * cube**3
+    orbit = [Fraction(dt, delta**6) for dt, delta in run.steps]
     return _as_int((root / cube) ** 3 * det / (w.a + w.b)), orbit
 
 

@@ -332,14 +332,18 @@ def test_verify_matrix_size_per_family(capsys, family, checks_run):
 def test_verify_runs_the_decimation_where_gf_all_does(capsys, monkeypatch):
     # below level 3 the decimation is the cofactor again; verify skips it
     # there, as gf --method all does
-    def refuse(n, w):
+    def refuse(*args):
         raise AssertionError("the decimation ran")
 
-    monkeypatch.setattr(kirchhoff, "schur_pipeline", refuse)
     argv = ["verify", "--family", "hanoi", "--trials", "2", "--seed", "9", "--levels"]
-    assert cli.main(argv + ["1..2"]) == 0
-    with pytest.raises(AssertionError, match="the decimation ran"):
-        cli.main(argv + ["3..3"])
+    with monkeypatch.context() as patch:
+        patch.setattr(kirchhoff, "decimation_run", refuse)
+        assert cli.main(argv + ["1..2"]) == 0
+        with pytest.raises(AssertionError, match="the decimation ran"):
+            cli.main(argv + ["3..3"])
+    # where the runs agree, verify folds neither of them into a value
+    monkeypatch.setattr(kirchhoff, "schur_pipeline", refuse)
+    assert cli.main(argv + ["3..9"]) == 0
 
 
 def test_every_family_route_is_in_the_route_table():

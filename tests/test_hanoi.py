@@ -1,8 +1,11 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
-from fractal_forest.algebra import TriPoly, Weights
+from fractal_forest import kirchhoff
+from fractal_forest.algebra import FactoredPoly, TriPoly, Weights
 from fractal_forest.errors import CapabilityError
 from fractal_forest.graphs import build_hanoi
 from fractal_forest.hanoi import (
@@ -12,6 +15,7 @@ from fractal_forest.hanoi import (
     hanoi_growth,
     hanoi_step,
 )
+from fractal_forest.families import HANOI, Level
 from fractal_forest.kirchhoff import schur_pipeline, tree_gf_cofactor
 from fractal_forest.oracle import ForestSpec, enumerate_gf
 from fractal_forest.sierpinski import SYMBOLS, CountsTriple, FiveBundle, check_level, five_initial
@@ -99,6 +103,76 @@ def test_weighted_cross_methods():
             assert t_rec == schur_pipeline(n, w)[0]
             if n <= 4:
                 assert t_rec == tree_gf_cofactor(g, w)
+
+
+SCHUR_CHECK = next(c for c in HANOI.checks if c.name == "recursion=schur")
+
+
+def _schur_check(n: int, w):
+    """verify's recursion=schur at integer weights w, which compares the
+    recursion and the decimation as products of powers, and the
+    comparison of the two values it stands for."""
+    lv = Level(HANOI, n)
+    return SCHUR_CHECK.left(lv, w) == SCHUR_CHECK.right(lv, w), lv.tree(w) == schur_pipeline(n, w)[0]
+
+
+def test_decimation_products_agree_with_the_values():
+    rng = random.Random(71)
+    for n in range(3, 11):
+        integer = Weights(*(rng.randint(1, 97) for _ in range(3)))
+        rational = positive_weight_list(n, 1)[0].clear_denominators()[0]
+        for w in (ONES.clear_denominators()[0], integer, rational):
+            assert _schur_check(n, w) == (True, True), (n, w)
+    # signed weights, where T, the D(t_k), det lambda_2 and a + b each take
+    # both signs at levels 3-6
+    for w in (Weights(1, 1, -2), Weights(2, -3, 5), Weights(3, -1, -1)):
+        for n in range(3, 7):
+            assert _schur_check(n, w) == (True, True), (n, w)
+
+
+def test_decimation_products_catch_a_value_off_by_one(monkeypatch):
+    # each step's D(t_k), and the numerator of det lambda_2, one off
+    w = Weights.parse("13/61", "44/17", "7/90").clear_denominators()[0]
+    for n in (3, 6):
+        run = kirchhoff.decimation_run(n, w)
+        corrupted = [run._replace(steps=(*run.steps[:k], (dt + 1, delta), *run.steps[k + 1:]))
+                     for k, (dt, delta) in enumerate(run.steps)]
+        corrupted.append(run._replace(det=Fraction(run.det.numerator + 1, run.det.denominator)))
+        for bad in corrupted:
+            monkeypatch.setattr(kirchhoff, "decimation_run", lambda n, w, bad=bad: bad)
+            assert _schur_check(n, w) == (False, False), (n, bad)
+
+
+def test_decimation_products_catch_an_exponent_off_by_one(monkeypatch):
+    w, n = Weights.parse("1/3", "2/7", "5").clear_denominators()[0], 6
+    powers = kirchhoff.Decimation.powers
+    sides = powers(kirchhoff.decimation_run(n, w), w)
+    lv = Level(HANOI, n)
+    tried = 0
+    for side, pairs in enumerate(sides):
+        for i, (base, _) in enumerate(pairs):
+            if abs(base) == 1:  # delta_0 = 1 at integer weights
+                continue
+
+            def off_by_one(run, w, side=side, i=i):
+                out = powers(run, w)
+                base, exp = out[side][i]
+                out[side][i] = (base, exp + 1)
+                return out
+
+            monkeypatch.setattr(kirchhoff.Decimation, "powers", off_by_one)
+            left, right = SCHUR_CHECK.left(lv, w), SCHUR_CHECK.right(lv, w)
+            assert left != right, (side, i)
+            assert FactoredPoly.values(left) != FactoredPoly.values(right), (side, i)
+            tried += 1
+    # four steps' D and delta_1..3, det's numerator and denominator, and a + b
+    assert tried == 10
+
+
+def test_decimation_products_equal_at_a_zero_tree():
+    w = Weights(-1, 2, 2)
+    assert schur_pipeline(3, w)[0] == 0
+    assert _schur_check(3, w) == (True, True)
 
 
 def test_growth_constant():
