@@ -12,7 +12,10 @@ Two representations are used throughout the package:
   with big-integer exponents and bases in the ring of the weights.  The
   closed forms of the generating functions live here, because their
   exponents grow like 3^n and an expanded form is hopeless past the
-  first few levels.
+  first few levels.  At integer weights it is also the one value both
+  recursions' runs produce: the gasket and hanoi bundles as their
+  contents to powers times a primitive part, and hanoi's decimation as
+  its denominators to negative powers.
 
 A third, ``Jet``, is a ring of truncated jets ``c0 + c1 e + c2 e^2``:
 any recursion run at a weight ``1 + e`` gives its value with its first
@@ -25,7 +28,7 @@ an ``int``, so the evaluated routes run at the weights times the lcm of
 their denominators (``Weights.clear_denominators``) and never reduce a
 fraction.
 Every evaluated product of powers (the closed forms, the closed counts,
-the content of a bundle) goes through ``power_products``, which forms
+the components of a run) goes through ``power_products``, which forms
 each product by one squaring chain: its multiplications of full-size
 numbers number two per bit of the largest exponent, however many bases
 the product has.  Where only the equality of two products of powers of
@@ -383,9 +386,10 @@ class FactoredPoly:
     Bases are elements of the ring of the weights: TriPolys at the
     variables, which expand, print and take logs, or values (int,
     Fraction, Jet or any other ring) at evaluated weights, which
-    ``values`` multiplies out.  Exponents are positive integers; factors
-    with exponent zero are dropped at construction, and a TriPoly base
-    must be nonconstant.
+    ``values`` multiplies out.  Exponents are nonzero integers; factors
+    with exponent zero are dropped at construction.  A TriPoly base must
+    be nonconstant, with a positive exponent; a value base may take a
+    negative one, for a denominator.
     """
 
     __slots__ = ("primes", "factors")
@@ -404,10 +408,8 @@ class FactoredPoly:
         for base, exp in factors or []:
             if exp == 0:
                 continue
-            if exp < 0:
-                raise ValueError("factor exponents must be positive")
-            if isinstance(base, TriPoly) and base.is_constant():
-                raise ValueError("factor bases must be nonconstant")
+            if isinstance(base, TriPoly) and (exp < 0 or base.is_constant()):
+                raise ValueError("polynomial bases must be nonconstant, to positive powers")
             self.factors.append((base, int(exp)))
 
     def evaluate(self, w: Weights) -> Fraction | int:
@@ -421,7 +423,13 @@ class FactoredPoly:
         """The exact values of several products of values, each base's
         powers shared between the products (``power_products``).  A base
         is one object, however many products hold it, so a ring need not
-        hash its elements."""
+        hash its elements.  Where a product has a negative exponent, each
+        product is one chain over the rationals of its own, every base to
+        a negative power inverted."""
+        if any(e < 0 for p in products for _, e in p.factors):
+            return [_power_product(
+                [2, 3, 5, *(Fraction(1, b) if e < 0 else b for b, e in p.factors)],
+                [*p.primes.values(), *(abs(e) for _, e in p.factors)]) for p in products]
         bases = {id(base): base for p in products for base, _ in p.factors}
         rows = []
         for p in products:
@@ -464,7 +472,7 @@ class FactoredPoly:
             f"{p}^{e}" for p, e in sorted(self.primes.items()) if e
         ]
         for base, exp in self.factors:
-            parts.append(f"({base.text()})^{exp}")
+            parts.append(f"({base.text() if isinstance(base, TriPoly) else base})^{exp}")
         return " * ".join(parts) if parts else "1"
 
     def __repr__(self):
@@ -570,7 +578,8 @@ def _power_product(bases, exps):
 def products_equal(left, right) -> bool:
     """Whether each product of ``left`` equals the one at its place in
     ``right``, exactly, with no product formed.  A product is a
-    FactoredPoly of ``int`` bases.
+    FactoredPoly of ``int`` bases, a base to a negative power standing
+    for a nonzero denominator.
 
     Zeros and signs are settled first, row by row.  What is left is one
     equation per row, ``prod v^E_v[r] == 1``, over the distinct absolute

@@ -164,7 +164,7 @@ def run_gf(args) -> tuple[int, str]:
                 fallbacks.append(f"{name} failed ({exc}); used cofactor")
                 values[name] = ROUTES["cofactor"](level, iw)
     if "recursion" in values:
-        report["components"] = {k: show(v, k) for k, v in family.parts(level.bundle(iw)).items()}
+        report["components"] = {k: show(v, k) for k, v in zip(family.components, level.values(iw))}
     if "schur" in values:
         # D is homogeneous of degree 6 in the decimation state
         report["D_orbit"] = [str(Fraction(d, scale**6)) for d in level.orbit]

@@ -4,23 +4,27 @@ One ``Family`` record per family holds what the CLI, the verify matrix
 and the label statistics need to know about it: its names, its graph
 builder and vertex/edge counts (so that a route's size cap is checked
 before a graph is built), its bundle recursion and closed forms, the gf
-routes that apply, and the pairs of routes that ``verify`` checks.  A
-gasket's closed form is one set of FactoredPolys over the ring of the
-weights, read four ways: as values by the ``closed`` route
-(``FactoredPoly.values``), as products of powers by ``verify``, which
-compares them with the recursion's primitive run, powers against
-powers (``products_equal``), as text and expanded at ``SYMBOLS`` by
-symbolic gf, and as the factors of T at jet weights by the label
-statistics, which run the bundle where a family has no weighted closed
-form (``Family.stat_powers``).
+routes that apply, and the pairs of routes that ``verify`` checks.
+
+At integer weights a product of powers is one value, a FactoredPoly of
+int bases.  A gasket's closed form is one set of FactoredPolys over the
+ring of the weights, read four ways: as values by the ``closed`` route
+(``FactoredPoly.values``), as products of powers by ``verify``, as text
+and expanded at ``SYMBOLS`` by symbolic gf, and as the factors of T at
+jet weights by the label statistics, which run the bundle where a
+family has no weighted closed form (``Family.stat_powers``).  The
+recursion's primitive run is one FactoredPoly per component
+(``Level.products``), and hanoi's decimation run one for T
+(``kirchhoff.Decimation.tree``).  ``verify`` compares the recursion's
+with the closed form's or the decimation's, powers against powers
+(``products_equal``), and multiplies both out only to report a
+mismatch.
 ``ROUTES`` maps each gf method to its one function (Level, integer
 weights) -> T, ``symbolic_routes`` names those with a symbolic form, and
 ``Family.skip_reason`` is the one rule for where ``gf --method all``
-leaves a route out and ``verify`` the checks that run it.  Hanoi's
-decimation run (``kirchhoff.decimation_run``) is read two ways: folded
-into a value by the ``schur`` route (``kirchhoff.schur_pipeline``), and
-as products of powers by ``verify``, which compares them with the
-recursion's primitive run, neither multiplied out.
+leaves a route out and ``verify`` the checks that run it.  The
+``schur`` route folds the decimation run into a value
+(``kirchhoff.schur_pipeline``).
 
 Route functions are looked up through their modules when they are
 called, not bound when this module is imported, so that a patched or
@@ -72,14 +76,18 @@ class Check:
     route: str | None = None  # the gf route whose skip rule it follows, if any
     first_level: int = 1
     detail: tuple[str, ...] = ()
-    # (Level, weights) -> the two values a mismatch reports, where left and
-    # right are not the values but products of powers that compare them
-    shown: Callable | None = None
 
     def mismatch_detail(self, w, left, right, unscale):
         """What a mismatch at the drawn weights w reports; ``unscale``
-        takes a tree value from the integer weights back to w."""
-        values = (str(unscale(v)) for v in (left, right))
+        takes a tree value from the integer weights back to w.  A side
+        that is one product of powers is multiplied out here, and only
+        where its value is reported."""
+        def reported(v):
+            if isinstance(v, Products):
+                [v] = FactoredPoly.values(v)
+            return str(unscale(v))
+
+        values = map(reported, (left, right))
         return {k: str(w) if k == "weights" else next(values) for k in self.detail} or None
 
 
@@ -169,21 +177,16 @@ class Level:
     ``_GRAPHS``: only the cofactor and oracle routes read it, so their size
     caps bound that to 18 graphs of at most 123 vertices.
 
-    The recursion's primitive run is kept for the last weights asked for,
-    and its content is formed at most once for them.  T alone takes the
-    content for the routes that read T, the whole bundle where it is
-    printed or compared in full, and no component where the run is
-    compared as products of powers (``factors``, ``products``).  The
-    decimation run is kept for the last weights as well, so that a
-    mismatch of the two runs multiplies each out once, from what was
-    kept."""
+    The recursion's run is kept for the last weights asked for, as one
+    product of powers per component (``products``), and so are, once
+    asked for, the components multiplied out (``values``): the contents
+    meet once for them."""
 
     def __init__(self, family: Family, n: int):
         self.family = family
         self.n = n
-        self._run = None  # (weights, (contents, primitive bundle)) of the last weights
-        self._content = None  # the content of that run, once formed
-        self._decimation = None  # (weights, decimation run) of the last weights
+        self._run = None  # (weights, products) of the last weights
+        self._values = None  # the values of those products, once formed
         self.orbit = []  # the decimation's denominators, once the schur route ran
 
     @property
@@ -197,41 +200,25 @@ class Level:
     def counts(self):
         return self.family.counts(self.n)
 
-    def _recursion(self, w):
+    def products(self, w) -> Products:
+        """Each component at w as a product of powers, not formed: the
+        contents of the primitive run to their powers times the
+        component's primitive part (``sierpinski.primitive_run``)."""
         if self._run is None or self._run[0] != w:
-            self._run, self._content = (w, self.family.run(self.n, w)), None
+            contents, primitive = self.family.run(self.n, w)
+            powers = [*zip(contents, sgf.content_exponents(self.n))]
+            self._run = (w, Products(FactoredPoly(None, [*powers, (getattr(primitive, c), 1)])
+                                     for c in self.family.components))
+            self._values = None
         return self._run[1]
 
-    def _scale(self, w):
-        contents, _ = self._recursion(w)
-        if self._content is None:
-            self._content = sgf.content(contents)
-        return self._content
-
-    def tree(self, w):
-        """T at w."""
-        return self._scale(w) * self._recursion(w)[1].T
-
-    def bundle(self, w):
-        """The bundle at w, in full."""
-        return sgf.scaled(self._recursion(w)[1], self._scale(w))
-
-    def factors(self, w, component: str) -> list:
-        """(base, exponent) pairs whose product is a component at w: the
-        contents to their powers and its primitive part, none multiplied
-        out."""
-        contents, primitive = self._recursion(w)
-        return [*zip(contents, sgf.content_exponents(self.n)), (getattr(primitive, component), 1)]
-
-    def products(self, w) -> Products:
-        """Each component at w as a product of powers (``factors``)."""
-        return Products(FactoredPoly(None, self.factors(w, c)) for c in self.family.components)
-
-    def decimation(self, w):
-        """The decimation run at w (``kirchhoff.decimation_run``)."""
-        if self._decimation is None or self._decimation[0] != w:
-            self._decimation = (w, kirchhoff.decimation_run(self.n, w))
-        return self._decimation[1]
+    def values(self, w) -> tuple:
+        """The components at w, in the family's order, multiplied out in
+        one ``FactoredPoly.values``."""
+        products = self.products(w)
+        if self._values is None:
+            self._values = tuple(FactoredPoly.values(products))
+        return self._values
 
 
 def run_checks(family: Family, levels, trials: int, rng):
@@ -242,7 +229,7 @@ def run_checks(family: Family, levels, trials: int, rng):
     and are compared exactly, as integers or, where a gasket's closed form
     or hanoi's decimation meets the recursion, as products of powers
     (``products_equal``); a mismatch reports the drawn weights and the
-    values at them.
+    values at them (``Check.mismatch_detail``).
     """
     for n in levels:
         lv = Level(family, n)
@@ -261,8 +248,6 @@ def run_checks(family: Family, levels, trials: int, rng):
                 for check in group:
                     left, right = check.left(lv, iw), check.right(lv, iw)
                     ok = left == right
-                    if not ok and check.shown is not None:
-                        left, right = check.shown(lv, iw)
                     detail = None if ok else check.mismatch_detail(
                         w, left, right, lambda v: family.unscaled(n, v, scale))
                     yield f"{family.name.removeprefix('sierpinski-')} {check.name}", n, ok, detail
@@ -283,11 +268,11 @@ def _count_parts(counts, names) -> tuple:
 
 
 def _tree(lv, w):
-    return lv.tree(w)
+    return lv.values(w)[0]
 
 
-def _bundle(lv, w):
-    return _pick(lv.bundle(w), lv.family.components)
+def _tree_products(lv, w):
+    return Products(lv.products(w)[:1])
 
 
 def _closed(lv, w):
@@ -320,21 +305,8 @@ def _schur(lv, w):
     return value
 
 
-# T by the recursion equals T by the decimation: T times the decimation's
-# denominators equals its numerators (``kirchhoff.Decimation.powers``)
-
-def _tree_by_decimation_denominators(lv, w):
-    dens, _ = lv.decimation(w).powers(w)
-    return Products([FactoredPoly(None, [*lv.factors(w, "T"), *dens])])
-
-
-def _decimation_numerators(lv, w):
-    _, nums = lv.decimation(w).powers(w)
-    return Products([FactoredPoly(None, nums)])
-
-
-def _tree_and_schur(lv, w):
-    return lv.tree(w), kirchhoff.schur_pipeline(lv.n, w, lv.decimation(w))[0]
+def _decimation_tree(lv, w):
+    return Products([kirchhoff.decimation_run(lv.n, w).tree(w)])
 
 
 ROUTES = {"recursion": _tree, "cofactor": _cofactor, "schur": _schur, "oracle": _oracle,
@@ -385,11 +357,10 @@ HANOI = Family(
     checks=(
         Check("counts recursive=closed", lambda lv, w: lv.counts,
               lambda lv, w: hgf.hanoi_counts_closed(lv.n), detail=("recursive", "closed")),
-        Check("bundle at ones = counts", _bundle, _counts),
+        Check("bundle at ones = counts", Level.values, _counts),
         Check("oracle tree count", _oracle, _counts_tree, route="oracle"),
-        Check("recursion=schur", _tree_by_decimation_denominators, _decimation_numerators,
-              TRIAL, route="schur", detail=("weights", "recursion", "schur"),
-              shown=_tree_and_schur),
+        Check("recursion=schur", _tree_products, _decimation_tree, TRIAL, route="schur",
+              detail=("weights", "recursion", "schur")),
         Check("recursion=cofactor", _tree, _cofactor, TRIAL, route="cofactor",
               detail=("weights", "recursion", "cofactor")),
     ),

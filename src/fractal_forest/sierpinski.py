@@ -25,10 +25,12 @@ each step and returns the contents g_0, ..., g_(n-1) with the last
 primitive bundle.  The level-n bundle is that bundle times the content
 ``prod g_k^(3^(n-1-k))``, which is nearly all of its size; ``iterate``
 is the primitive run and then that one product of powers, so the
-bundle it returns is exact and in full.  Where only T is read, the
-content is multiplied into T alone, and ``verify`` compares the run
+bundle it returns is exact and in full.  Elsewhere a run is read as one
+FactoredPoly per component, the contents to their powers times the
+primitive part (``families.Level.products``): ``verify`` compares that
 with a closed form without multiplying it out at all
-(``algebra.products_equal``).
+(``algebra.products_equal``), and ``gf`` multiplies all components out
+at once, the contents meeting once.
 
 Closed forms are FactoredPoly products over the ring of the weights
 too: their bases are the weights' images under the polynomial maps,

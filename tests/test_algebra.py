@@ -172,6 +172,29 @@ def test_factored_evaluate_all_equals_each_evaluate():
         assert [type(v) for v in values] == [type(p.evaluate(w)) for p in products]
 
 
+def test_signed_products_are_the_fraction_products():
+    # each signed product one chain over the rationals, its bases to
+    # negative powers inverted
+    products = [
+        FactoredPoly({2: 1}, [(6, 3), (4, -1)]),  # an integral quotient, 108
+        FactoredPoly(None, [(6, 1), (4, -1)]),  # a non-integral one, 3/2
+        FactoredPoly({5: 2}, [(-3, 3), (2, -2)]),  # a negative base to an odd power
+        FactoredPoly(None, [(-3, 2), (-2, -4)]),  # and to even powers
+        FactoredPoly({3: 1}, [(-7, -1), (10, 2)]),
+        FactoredPoly(None, [(0, 2), (7, -1)]),  # a zero base to a positive power
+        FactoredPoly(),
+    ]
+    want = []
+    for p in products:
+        value = Fraction(2 ** p.primes[2] * 3 ** p.primes[3] * 5 ** p.primes[5])
+        for base, exp in p.factors:
+            value *= Fraction(base) ** exp
+        want.append(value)
+    assert want[:2] == [108, Fraction(3, 2)] and want[5] == 0
+    assert [FactoredPoly.values([p])[0] for p in products] == want
+    assert FactoredPoly.values(products) == want
+
+
 # -- products of powers compared unexpanded ----------------------------------
 # ``products_equal`` against the materialized values, both ways round, at
 # the default threshold of its division-only pass, with that pass taking
@@ -233,6 +256,23 @@ def test_products_equal_random_products_over_overlapping_bases(divide_only):
         else:
             unequal += 1
     assert equal > 100 and unequal > 100
+    # signed exponent vectors: a base to a negative power is a denominator
+    equal = unequal = 0
+    for _ in range(200):
+        rows = rng.randint(1, 3)
+        left = [fp(*((rng.choice(pool), rng.choice((-1, 1)) * rng.randint(1, 5))
+                     for _ in range(rng.randint(0, 5))),
+                   primes={p: rng.randint(0, 4) for p in (2, 3, 5)}) for _ in range(rows)]
+        if rng.random() < 0.5:
+            right = [regroup(p, rng) for p in left]
+        else:
+            right = [fp(*((rng.choice(pool), rng.choice((-1, 1)) * rng.randint(1, 5))
+                          for _ in range(rng.randint(0, 5)))) for _ in range(rows)]
+        if assert_compares_as_materialized(left, right):
+            equal += 1
+        else:
+            unequal += 1
+    assert equal > 60 and unequal > 60
 
 
 def test_products_equal_perfect_powers(divide_only):
@@ -263,6 +303,11 @@ def test_products_equal_ones_zeros_and_signs(divide_only):
         ([fp((-6, 3))], [fp((2, 3), (-3, 2), (3, 1))]),
         ([fp((0, 1)), fp((-5, 1))], [fp((0, 9)), fp((-5, 1))]),
         ([fp((0, 1)), fp((-5, 1))], [fp((0, 9)), fp((5, 1))]),
+        ([fp((0, 1), (3, -1))], [fp((0, 2))]),
+        ([fp((-2, -1))], [fp((-1, 1), (2, -1))]),
+        ([fp((-2, -2))], [fp((2, -2))]),
+        ([fp((-2, -3))], [fp((2, -3))]),
+        ([fp((-6, -1), (3, 1))], [fp((-2, -1))]),
     ]
     for left, right in cases:
         assert_compares_as_materialized(left, right)
@@ -336,11 +381,17 @@ def test_canonical_text():
     assert TriPoly().text() == "0"
     f = FactoredPoly({2: 4}, [(A + B, 3), (A * B + A * C + B * C, 2)])
     assert f.text() == "2^4 * (a + b)^3 * (a*b + a*c + b*c)^2"
+    # a value base prints as its str
+    g = FactoredPoly({3: 1}, [(7, 2), (-5, -1), (Fraction(2, 9), 3)])
+    assert repr(g) == "FactoredPoly(3^1 * (7)^2 * (-5)^-1 * (2/9)^3)"
 
 
 def test_factored_invariants_enforced():
     with pytest.raises(ValueError):
         FactoredPoly(factors=[(TriPoly.const(3), 2)])
+    with pytest.raises(ValueError):  # a polynomial base has no negative power
+        FactoredPoly(factors=[(A + B, -1)])
+    assert FactoredPoly(factors=[(5, -2)]).factors == [(5, -2)]
     with pytest.raises(ValueError):
         FactoredPoly({7: 1})
     assert FactoredPoly(factors=[(A + B, 0)]).factors == []

@@ -113,7 +113,8 @@ def _schur_check(n: int, w):
     recursion and the decimation as products of powers, and the
     comparison of the two values it stands for."""
     lv = Level(HANOI, n)
-    return SCHUR_CHECK.left(lv, w) == SCHUR_CHECK.right(lv, w), lv.tree(w) == schur_pipeline(n, w)[0]
+    agree = SCHUR_CHECK.left(lv, w) == SCHUR_CHECK.right(lv, w)
+    return agree, lv.values(w)[0] == schur_pipeline(n, w)[0]
 
 
 def test_decimation_products_agree_with_the_values():
@@ -145,26 +146,25 @@ def test_decimation_products_catch_a_value_off_by_one(monkeypatch):
 
 def test_decimation_products_catch_an_exponent_off_by_one(monkeypatch):
     w, n = Weights.parse("1/3", "2/7", "5").clear_denominators()[0], 6
-    powers = kirchhoff.Decimation.powers
-    sides = powers(kirchhoff.decimation_run(n, w), w)
+    tree = kirchhoff.Decimation.tree
+    factors = tree(kirchhoff.decimation_run(n, w), w).factors
     lv = Level(HANOI, n)
     tried = 0
-    for side, pairs in enumerate(sides):
-        for i, (base, _) in enumerate(pairs):
-            if abs(base) == 1:  # delta_0 = 1 at integer weights
-                continue
+    for i, (base, _) in enumerate(factors):
+        if abs(base) == 1:  # delta_0 = 1 at integer weights
+            continue
 
-            def off_by_one(run, w, side=side, i=i):
-                out = powers(run, w)
-                base, exp = out[side][i]
-                out[side][i] = (base, exp + 1)
-                return out
+        def off_by_one(run, w, i=i):
+            out = tree(run, w)
+            base, exp = out.factors[i]
+            out.factors[i] = (base, exp + 1)
+            return out
 
-            monkeypatch.setattr(kirchhoff.Decimation, "powers", off_by_one)
-            left, right = SCHUR_CHECK.left(lv, w), SCHUR_CHECK.right(lv, w)
-            assert left != right, (side, i)
-            assert FactoredPoly.values(left) != FactoredPoly.values(right), (side, i)
-            tried += 1
+        monkeypatch.setattr(kirchhoff.Decimation, "tree", off_by_one)
+        left, right = SCHUR_CHECK.left(lv, w), SCHUR_CHECK.right(lv, w)
+        assert left != right, i
+        assert FactoredPoly.values(left) != FactoredPoly.values(right), i
+        tried += 1
     # four steps' D and delta_1..3, det's numerator and denominator, and a + b
     assert tried == 10
 

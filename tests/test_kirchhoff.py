@@ -516,7 +516,7 @@ def test_cofactor_equals_bundle_tree_under_the_vertex_cap():
         levels = [n for n in range(1, 9) if family.vertices(n) <= COFACTOR_VERTEX_CAP]
         assert levels
         for triple in triples:
-            iw, _scale = Weights.parse(*triple).clear_denominators()
+            iw = Weights.parse(*triple).clear_denominators()[0]
             for n in levels:
                 value = tree_gf_cofactor(family.graph(n, False), iw)
                 assert value == family.bundle(n, iw).T, (family.name, n, triple)

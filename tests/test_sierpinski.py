@@ -4,7 +4,7 @@ import math
 import pytest
 
 from fractal_forest import algebra, sierpinski
-from fractal_forest.algebra import FactoredPoly, TriPoly, Weights, power_products
+from fractal_forest.algebra import FactoredPoly, Products, TriPoly, Weights, power_products
 from fractal_forest.errors import CapabilityError
 from fractal_forest.families import FAMILIES, ROTATIONAL, Level
 from fractal_forest.hanoi import hanoi_bundle, hanoi_step
@@ -535,15 +535,38 @@ def test_closed_equals_recursion_multiplies_nothing_out(monkeypatch):
 
     monkeypatch.setattr(algebra, "_power_product", refuse)
     monkeypatch.setattr(sierpinski, "power_products", refuse)
-    checks = [(f, c) for f in FAMILIES.values() for c in f.checks if c.name == "closed = recursion"]
+    checks = [(f, c, (1, 2, 5, 9))
+              for f in FAMILIES.values() for c in f.checks if c.name == "closed = recursion"]
     assert len(checks) == 3
-    for family, check in checks:
-        for n in (1, 2, 5, 9):
+    hanoi = FAMILIES["hanoi"]
+    checks += [(hanoi, c, range(3, 10)) for c in hanoi.checks if c.name == "recursion=schur"]
+    assert len(checks) == 4
+    for family, check, levels in checks:
+        for n in levels:
             for w in positive_weight_list(n, 2):
                 lv, iw = Level(family, n), w.clear_denominators()[0]
                 assert check.left(lv, iw) == check.right(lv, iw), (family.name, n, w)
     with pytest.raises(AssertionError, match="product of powers"):
         rot_bundle(2, Weights(1, 2, 3))
+
+
+def test_every_check_side_has_a_repr():
+    # a failing assertion on a verify side prints it: values, tuples of
+    # values and products of powers of ints alike
+    sides = products = 0
+    for family in FAMILIES.values():
+        for n in (3, 4):
+            lv = Level(family, n)
+            for w in (ONES, Weights.parse("13/61", "44/17", "7/90")):
+                iw = w.clear_denominators()[0]
+                for check in family.checks:
+                    if n < check.first_level or family.skip_reason(check.route, n, w):
+                        continue
+                    for side in (check.left(lv, iw), check.right(lv, iw)):
+                        assert repr(side), (family.name, n, w, check.name)
+                        sides += 1
+                        products += isinstance(side, Products)
+    assert (sides, products) == (104, 32)
 
 
 def test_level_runs_and_forms_the_content_once_per_weights(monkeypatch):
@@ -557,13 +580,14 @@ def test_level_runs_and_forms_the_content_once_per_weights(monkeypatch):
             return f(*args)
         return wrapped
 
-    monkeypatch.setattr(sierpinski, "content", counting("content", sierpinski.content))
+    values = counting("values", FactoredPoly.values)
+    monkeypatch.setattr(FactoredPoly, "values", staticmethod(values))
     monkeypatch.setattr(sierpinski, "primitive_run", counting("run", sierpinski.primitive_run))
     lv = Level(FAMILIES["hanoi"], 6)
     assert lv.products(w1) and calls == ["run"]
-    assert lv.tree(w1) == full.T and calls == ["run", "content"]
-    assert lv.bundle(w1) == full and lv.tree(w1) == full.T and calls == ["run", "content"]
-    assert lv.tree(w2) == other.T and calls == ["run", "content"] * 2
+    assert lv.values(w1)[0] == full.T and calls == ["run", "values"]
+    assert lv.values(w1) == tuple(components(full).values()) and calls == ["run", "values"]
+    assert lv.values(w2)[0] == other.T and calls == ["run", "values"] * 2
 
 
 def test_all_zero_bundle_is_left_as_it_is():
