@@ -34,7 +34,6 @@ from .kirchhoff import (
     decimation_run,
     lambda_matrix,
     schur_denominator,
-    schur_denominator_rederived,
     schur_map,
     schur_map_divergence,
     schur_map_rederived,
@@ -68,7 +67,6 @@ from .stats import (
     label_moments,
     label_stat_closed,
     label_variance_gf,
-    mgf_normalized,
     normality_gap,
 )
 

@@ -12,10 +12,10 @@ Two representations are used throughout the package:
   with big-integer exponents and bases in the ring of the weights.  The
   closed forms of the generating functions live here, because their
   exponents grow like 3^n and an expanded form is hopeless past the
-  first few levels.  At integer weights it is also the one value both
-  recursions' runs produce: the gasket and hanoi bundles as their
-  contents to powers times a primitive part, and hanoi's decimation as
-  its denominators to negative powers.
+  first few levels.  At integer weights it is also the value in which
+  ``verify`` compares the runs, with neither multiplied out: the gasket
+  and hanoi bundles as their contents to powers times a primitive part,
+  and hanoi's decimation as its denominators to negative powers.
 
 A third, ``Jet``, is a ring of truncated jets ``c0 + c1 e + c2 e^2``:
 any recursion run at a weight ``1 + e`` gives its value with its first
@@ -28,7 +28,7 @@ an ``int``, so the evaluated routes run at the weights times the lcm of
 their denominators (``Weights.clear_denominators``) and never reduce a
 fraction.
 Every evaluated product of powers (the closed forms, the closed counts,
-the components of a run) goes through ``power_products``, which forms
+the content of a run) goes through ``power_products``, which forms
 each product by one squaring chain: its multiplications of full-size
 numbers number two per bit of the largest exponent, however many bases
 the product has.  Where only the equality of two products of powers of
@@ -423,19 +423,18 @@ class FactoredPoly:
         """The exact values of several products of values, each base's
         powers shared between the products (``power_products``).  A base
         is one object, however many products hold it, so a ring need not
-        hash its elements.  Where a product has a negative exponent, each
-        product is one chain over the rationals of its own, every base to
-        a negative power inverted."""
-        if any(e < 0 for p in products for _, e in p.factors):
-            return [_power_product(
-                [2, 3, 5, *(Fraction(1, b) if e < 0 else b for b, e in p.factors)],
-                [*p.primes.values(), *(abs(e) for _, e in p.factors)]) for p in products]
-        bases = {id(base): base for p in products for base, _ in p.factors}
+        hash its elements; to a negative power it enters once more, as
+        its inverse ``Fraction``."""
+        bases = {}
+        for p in products:
+            for base, exp in p.factors:
+                if (id(base), exp < 0) not in bases:
+                    bases[id(base), exp < 0] = Fraction(1, base) if exp < 0 else base
         rows = []
         for p in products:
             exps = dict.fromkeys(bases, 0)
             for base, exp in p.factors:
-                exps[id(base)] += exp
+                exps[id(base), exp < 0] += abs(exp)
             rows.append([p.primes[2], p.primes[3], p.primes[5], *exps.values()])
         return power_products([2, 3, 5, *bases.values()], rows)
 

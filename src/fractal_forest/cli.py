@@ -121,7 +121,7 @@ def run_gf(args) -> tuple[int, str]:
     if args.mode == "symbolic":
         if args.method != "all" and args.method not in symbolic_routes(family):
             raise UsageError(f"the {args.method} method has no symbolic mode for {family.name}")
-        bundle = family.parts(family.bundle(n, SYMBOLS))
+        bundle = dict(zip(family.components, Level(family, n).values(SYMBOLS)))
         report["components"] = {k: v.text() for k, v in bundle.items()}
         report["value"] = report["components"]["T"]
         if family.closed is not None:

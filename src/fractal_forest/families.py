@@ -6,18 +6,21 @@ builder and vertex/edge counts (so that a route's size cap is checked
 before a graph is built), its bundle recursion and closed forms, the gf
 routes that apply, and the pairs of routes that ``verify`` checks.
 
-At integer weights a product of powers is one value, a FactoredPoly of
-int bases.  A gasket's closed form is one set of FactoredPolys over the
-ring of the weights, read four ways: as values by the ``closed`` route
-(``FactoredPoly.values``), as products of powers by ``verify``, as text
-and expanded at ``SYMBOLS`` by symbolic gf, and as the factors of T at
-jet weights by the label statistics, which run the bundle where a
-family has no weighted closed form (``Family.stat_powers``).  The
-recursion's primitive run is one FactoredPoly per component
-(``Level.products``), and hanoi's decimation run one for T
-(``kirchhoff.Decimation.tree``).  ``verify`` compares the recursion's
-with the closed form's or the decimation's, powers against powers
-(``products_equal``), and multiplies both out only to report a
+A family's recursion runs in one place, ``Level``, in the ring of the
+weights: the gf recursion route and the components gf prints, symbolic
+gf at ``SYMBOLS`` and hanoi's label statistics at jet weights all read
+``Level.values``, the run multiplied out as ``sierpinski.iterate`` does
+it.  At integer weights a product of powers is one value, a
+FactoredPoly of int bases.  A gasket's closed form is one set of
+FactoredPolys over the ring of the weights, read four ways: as values
+by the ``closed`` route (``FactoredPoly.values``), as products of powers
+by ``verify``, as text and expanded at ``SYMBOLS`` by symbolic gf, and
+as the factors of T at jet weights by the label statistics
+(``Family.stat_powers``).  For ``verify`` the recursion's run is one
+FactoredPoly per component (``Level.products``), and hanoi's decimation
+run one for T (``kirchhoff.Decimation.tree``).  ``verify`` compares the
+recursion's with the closed form's or the decimation's, powers against
+powers (``products_equal``), and multiplies both out only to report a
 mismatch.
 ``ROUTES`` maps each gf method to its one function (Level, integer
 weights) -> T, ``symbolic_routes`` names those with a symbolic form, and
@@ -144,15 +147,6 @@ class Family:
             return "no decimation step below level 3"
         return None
 
-    def run(self, n: int, w: Weights):
-        """(contents, primitive bundle) of the recursion at level n and
-        weights w (``sierpinski.primitive_run``)."""
-        return sgf.primitive_run(self.step, self.initial(w), n)
-
-    def bundle(self, n: int, w: Weights):
-        """The level-n bundle at w, in full."""
-        return sgf.iterate(self.step, self.initial(w), n)
-
     def parts(self, bundle) -> dict:
         return {c: getattr(bundle, c) for c in self.components}
 
@@ -165,7 +159,7 @@ class Family:
             raise CapabilityError(f"{self.name} statistics are capped at level {self.stat_cap}")
         if self.closed is not None:
             return self.closed(n, w, ("T",)).T.factors
-        return [(self.bundle(n, w).T, 1)]
+        return [(Level(self, n).values(w)[0], 1)]
 
 
 _GRAPHS = {}  # (family name, level) -> its graph without loops; see Level
@@ -177,16 +171,17 @@ class Level:
     ``_GRAPHS``: only the cofactor and oracle routes read it, so their size
     caps bound that to 18 graphs of at most 123 vertices.
 
-    The recursion's run is kept for the last weights asked for, as one
-    product of powers per component (``products``), and so are, once
-    asked for, the components multiplied out (``values``): the contents
-    meet once for them."""
+    It is the one place where the family's recursion runs, in the ring of
+    the weights asked for.  The run is kept for the last weights asked
+    for: its contents and its primitive bundle
+    (``sierpinski.primitive_run``), and, once asked for, the components
+    multiplied out (``values``)."""
 
     def __init__(self, family: Family, n: int):
         self.family = family
         self.n = n
-        self._run = None  # (weights, products) of the last weights
-        self._values = None  # the values of those products, once formed
+        self._run = None  # (weights, contents, primitive bundle) of the last weights
+        self._values = None  # the components at those weights, once formed
         self.orbit = []  # the decimation's denominators, once the schur route ran
 
     @property
@@ -200,24 +195,30 @@ class Level:
     def counts(self):
         return self.family.counts(self.n)
 
-    def products(self, w) -> Products:
-        """Each component at w as a product of powers, not formed: the
-        contents of the primitive run to their powers times the
-        component's primitive part (``sierpinski.primitive_run``)."""
+    def _primitive_run(self, w) -> tuple:
         if self._run is None or self._run[0] != w:
-            contents, primitive = self.family.run(self.n, w)
-            powers = [*zip(contents, sgf.content_exponents(self.n))]
-            self._run = (w, Products(FactoredPoly(None, [*powers, (getattr(primitive, c), 1)])
-                                     for c in self.family.components))
+            family = self.family
+            self._run = (w, *sgf.primitive_run(family.step, family.initial(w), self.n))
             self._values = None
-        return self._run[1]
+        return self._run[1:]
+
+    def products(self, w) -> Products:
+        """Each component at integer weights w as a product of powers, not
+        formed, for ``products_equal``: the contents to their powers times
+        the component's primitive part."""
+        contents, primitive = self._primitive_run(w)
+        powers = [*zip(contents, sgf.content_exponents(self.n))]
+        return Products(FactoredPoly(None, [*powers, (getattr(primitive, c), 1)])
+                        for c in self.family.components)
 
     def values(self, w) -> tuple:
-        """The components at w, in the family's order, multiplied out in
-        one ``FactoredPoly.values``."""
-        products = self.products(w)
+        """The components at w, in the family's order, as ``iterate`` forms
+        them: the primitive bundle scaled by the content, which is formed
+        once."""
+        contents, primitive = self._primitive_run(w)
         if self._values is None:
-            self._values = tuple(FactoredPoly.values(products))
+            bundle = sgf.scaled(primitive, sgf.content(contents))
+            self._values = _pick(bundle, self.family.components)
         return self._values
 
 

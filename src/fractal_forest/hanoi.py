@@ -18,6 +18,7 @@ from .sierpinski import (
     CountsTriple,
     FiveBundle,
     _exact_div,
+    _five_products,
     check_level,
     five_initial,
     iterate,
@@ -37,17 +38,18 @@ def hanoi_step(bundle: FiveBundle) -> FiveBundle:
     and R', L' as U' under the corner permutations (U, b) -> (R, a) and
     (U, b) -> (L, c).  Every output is T times a sum of the products of T
     with each component and of two corner forests, except the cubic in
-    U, R, L of Q', which is formed as
-
-        U^2 (R + L) + ... + U R L = (U + R + L) R L + U (U R + U L + R^2 + L^2).
+    U, R, L of Q'.  That cubic, with the 4abc T Q (U + R + L) term, is abc
+    times the gaskets' new Q, so T^2, TQ, the six corner products and
+    the cubic are read off ``sierpinski._five_products``; T U, T R and
+    T L are formed here.
     """
     check_level(bundle.level + 1, bundle.weights)
     a, b, c = bundle.weights.as_tuple()
     e = a * b + a * c + b * c
     abc = a * b * c
-    T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
-    TT, TU, TR, TL, TQ = T * T, T * U, T * R, T * L, T * Q
-    UU, RR, LL, UR, UL, RL = U * U, R * R, L * L, U * R, U * L, R * L
+    T, U, R, L = bundle.T, bundle.U, bundle.R, bundle.L
+    TT, TQ, (UU, RR, LL, UR, UL, RL), gasket_Q = _five_products(bundle)
+    TU, TR, TL = T * U, T * R, T * L
     abcTQ = abc * TQ
     new_T = T * (e * TT + 2 * abc * (TU + TR + TL))
     new_U = T * (
@@ -71,7 +73,7 @@ def hanoi_step(bundle: FiveBundle) -> FiveBundle:
             + RL * (a * b + b * c + 2 * a * c)
             + b * (a + c) * UU + a * (b + c) * RR + c * (a + b) * LL
         )
-    ) + 2 * abc * ((U + R + L) * (2 * TQ + RL) + U * (UR + UL + RR + LL))
+    ) + abc * gasket_Q
     return FiveBundle(bundle.level + 1, new_T, new_U, new_R, new_L, new_Q, bundle.weights)
 
 

@@ -539,10 +539,6 @@ def schur_map_rederived(s: SchurState) -> SchurState:
     return _schur_complement(s, *_rederived(s))
 
 
-def schur_denominator_rederived(s: SchurState) -> Fraction:
-    return _rederived(s)[1]
-
-
 def schur_map_divergence(s: SchurState) -> dict:
     """Compare the term-table map against the rederived one at a state.
 
@@ -631,10 +627,9 @@ def decimation_run(n: int, w: Weights) -> Decimation:
     return Decimation(tuple(steps), clear_denominators(state)[1], lambda_matrix(2, state).det())
 
 
-def schur_pipeline(n: int, w: Weights, run: Decimation | None = None):
+def schur_pipeline(n: int, w: Weights):
     """Spanning-tree generating function of the level-n hanoi graph at w,
-    by repeated decimation; returns (value, denominator orbit).  ``run``
-    is ``decimation_run(n, w)`` where it was made already.
+    by repeated decimation; returns (value, denominator orbit).
 
     The value is an int at integer weights, at every level.  It folds the
     run: the factor prod_k D_k^(3^(n-k-2)) is the cube of a root built in
@@ -656,8 +651,7 @@ def schur_pipeline(n: int, w: Weights, run: Decimation | None = None):
     if n <= 2:
         value, orbit = tree_gf_cofactor(build_hanoi(n), w), []
     else:
-        if run is None:
-            run = decimation_run(n, w)
+        run = decimation_run(n, w)
         root = Fraction(1)
         for dt, delta in run.steps:
             root = (root / delta**2) ** 3 * dt

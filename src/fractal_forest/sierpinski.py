@@ -24,13 +24,14 @@ integer bundle steps on its primitive part: the primitive run
 each step and returns the contents g_0, ..., g_(n-1) with the last
 primitive bundle.  The level-n bundle is that bundle times the content
 ``prod g_k^(3^(n-1-k))``, which is nearly all of its size; ``iterate``
-is the primitive run and then that one product of powers, so the
-bundle it returns is exact and in full.  Elsewhere a run is read as one
-FactoredPoly per component, the contents to their powers times the
-primitive part (``families.Level.products``): ``verify`` compares that
-with a closed form without multiplying it out at all
-(``algebra.products_equal``), and ``gf`` multiplies all components out
-at once, the contents meeting once.
+is the primitive run, then that one product of powers (``content``),
+then the primitive bundle scaled by it (``scaled``), so the bundle it
+returns is exact and in full.  ``families.Level``, where a family's
+recursion runs, multiplies its run out the same way, and for ``verify``
+reads it as one FactoredPoly per component, the contents to their powers
+times the primitive part (``Level.products``), which
+``algebra.products_equal`` compares with a closed form without
+multiplying it out at all.
 
 Closed forms are FactoredPoly products over the ring of the weights
 too: their bases are the weights' images under the polynomial maps,
@@ -303,16 +304,6 @@ def _factors(iterates, n: int) -> list:
     sum of iterate k - 2."""
     a, b, c = iterates[0]
     return [a * b + a * c + b * c] + [x + y + z for x, y, z in iterates[: n - 1]]
-
-
-def phi_poly(k: int) -> TriPoly:
-    """k-th factor polynomial of the directional closed forms."""
-    return _factors(_iterates(F_map, SYMBOLS, k - 2), k)[-1]
-
-
-def psi_poly(k: int) -> TriPoly:
-    """k-th factor polynomial of the schreier closed forms."""
-    return _factors(_iterates(G_map, SYMBOLS, k - 2), k)[-1]
 
 
 # -- directional and schreier recursions -------------------------------------

@@ -125,13 +125,6 @@ def _mpf(t) -> mpmath.mpf:
     return mpmath.mpf(t)
 
 
-def mgf_normalized(n: int, t, label: str = "c") -> mpmath.mpf:
-    """MGF of the normalized label count, evaluated in log space; t is a
-    Fraction, int or mpf."""
-    with mpmath.workdps(LOG_DPS):
-        return +mpmath.exp(_log_mgf(n, label)(_mpf(t)))
-
-
 DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
 
 

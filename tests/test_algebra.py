@@ -173,8 +173,7 @@ def test_factored_evaluate_all_equals_each_evaluate():
 
 
 def test_signed_products_are_the_fraction_products():
-    # each signed product one chain over the rationals, its bases to
-    # negative powers inverted
+    # a base to a negative power enters the shared chain as its inverse
     products = [
         FactoredPoly({2: 1}, [(6, 3), (4, -1)]),  # an integral quotient, 108
         FactoredPoly(None, [(6, 1), (4, -1)]),  # a non-integral one, 3/2
@@ -193,6 +192,12 @@ def test_signed_products_are_the_fraction_products():
     assert want[:2] == [108, Fraction(3, 2)] and want[5] == 0
     assert [FactoredPoly.values([p])[0] for p in products] == want
     assert FactoredPoly.values(products) == want
+    # one base object to a positive power in one product and to a negative
+    # one in another, and to both in a third
+    x = 10**30 + 7
+    mixed = [FactoredPoly({2: 3}, [(x, 2), (6, 1)]), FactoredPoly(None, [(x, -1), (6, 2)]),
+             FactoredPoly(None, [(x, 3), (6, -1), (x, -1)])]
+    assert FactoredPoly.values(mixed) == [48 * x**2, Fraction(36, x), Fraction(x**2, 6)]
 
 
 # -- products of powers compared unexpanded ----------------------------------

@@ -7,7 +7,7 @@ import pytest
 from fractal_forest import kirchhoff
 from fractal_forest.algebra import Weights, clear_denominators
 from fractal_forest.errors import DecimationSingularError
-from fractal_forest.families import COFACTOR_VERTEX_CAP, FAMILIES
+from fractal_forest.families import COFACTOR_VERTEX_CAP, FAMILIES, Level
 from fractal_forest.graphs import (
     LABELS, LabelledEdge, LabelledGraph, apply_generator, build_hanoi, build_sierpinski,
 )
@@ -19,11 +19,11 @@ from fractal_forest.kirchhoff import (
     _D_SCHEME,
     _P_SCHEMES,
     _eval_scheme,
+    _rederived,
     _sparse_det,
     SchurState,
     lambda_matrix,
     schur_denominator,
-    schur_denominator_rederived,
     schur_map,
     schur_map_divergence,
     schur_map_rederived,
@@ -223,7 +223,7 @@ def test_generator_matrices_match_action():
 def test_denominator_at_initial_ones_state():
     s0 = SchurState.initial(ONES)
     assert schur_denominator(s0) == 320
-    assert schur_denominator_rederived(s0) == 320
+    assert _rederived(s0)[1] == 320
 
 
 def test_map_fixes_first_three_coordinates():
@@ -236,7 +236,7 @@ def test_map_equals_rederived_on_random_states():
     for s in random_states(59, 10):
         assert schur_map_divergence(s) == {}
         assert schur_map(s) == schur_map_rederived(s)
-        assert schur_denominator(s) == schur_denominator_rederived(s)
+        assert schur_denominator(s) == _rederived(s)[1]
 
 
 def test_lambda2_structure_at_initial_state():
@@ -336,7 +336,7 @@ def test_singular_denominator_raises():
     assert schur_denominator(s) == 0
     with pytest.raises(DecimationSingularError):
         schur_map(s)
-    assert schur_denominator_rederived(s) == 0
+    assert _rederived(s)[1] == 0
     with pytest.raises(DecimationSingularError):
         schur_map_rederived(s)
 
@@ -519,7 +519,7 @@ def test_cofactor_equals_bundle_tree_under_the_vertex_cap():
             iw = Weights.parse(*triple).clear_denominators()[0]
             for n in levels:
                 value = tree_gf_cofactor(family.graph(n, False), iw)
-                assert value == family.bundle(n, iw).T, (family.name, n, triple)
+                assert value == Level(family, n).values(iw)[0], (family.name, n, triple)
                 assert isinstance(value, Fraction) and value.denominator == 1
 
 

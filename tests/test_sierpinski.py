@@ -4,7 +4,7 @@ import math
 import pytest
 
 from fractal_forest import algebra, sierpinski
-from fractal_forest.algebra import FactoredPoly, Products, TriPoly, Weights, power_products
+from fractal_forest.algebra import FactoredPoly, Jet, Products, TriPoly, Weights, power_products
 from fractal_forest.errors import CapabilityError
 from fractal_forest.families import FAMILIES, ROTATIONAL, Level
 from fractal_forest.hanoi import hanoi_bundle, hanoi_step
@@ -24,8 +24,6 @@ from fractal_forest.sierpinski import (
     f_of,
     five_initial,
     iterate,
-    phi_poly,
-    psi_poly,
     rot_bundle,
     rot_closed,
     rot_counts,
@@ -132,14 +130,15 @@ def test_directional_initial_and_shift():
 
 
 def test_directional_closed_special_cases():
-    assert dir_closed(1).T.factors[0][0] == phi_poly(1)
+    phi1 = dir_closed(1).T.factors[0][0]
+    assert phi1 == E
     q2 = dir_closed(2).Q
     assert q2.primes[2] == 1
     assert q2.factors[0][0] == f_of(A, B, C)
     # proof identities: U2 = phi1*F2, Q3 = 2*phi1^3*f(F(a,b,c))
     f1, f2, f3 = F_map(A, B, C)
-    assert dir_bundle(2).U == phi_poly(1) * f2
-    assert dir_bundle(3).Q == 2 * phi_poly(1) ** 3 * f_of(f1, f2, f3)
+    assert dir_bundle(2).U == phi1 * f2
+    assert dir_bundle(3).Q == 2 * phi1 ** 3 * f_of(f1, f2, f3)
 
 
 def test_directional_closed_equals_recursion():
@@ -167,11 +166,13 @@ def test_schreier_initial_matches_directional():
 
 def test_schreier_proof_identities():
     g1, g2, g3 = G_map(A, B, C)
+    psi1 = schreier_closed(1).T.factors[0][0]
+    assert psi1 == E
     b2 = schreier_bundle(2)
-    assert b2.U == 2 * psi_poly(1) * g2
-    assert b2.R == 2 * psi_poly(1) * g1
-    assert b2.L == 2 * psi_poly(1) * g3
-    assert schreier_bundle(3).Q == 2**4 * psi_poly(1) ** 3 * f_of(g1, g2, g3)
+    assert b2.U == 2 * psi1 * g2
+    assert b2.R == 2 * psi1 * g1
+    assert b2.L == 2 * psi1 * g3
+    assert schreier_bundle(3).Q == 2**4 * psi1 ** 3 * f_of(g1, g2, g3)
     assert schreier_bundle(2, ONES).T == 54
     assert schreier_bundle(3, ONES).T == 524880
 
@@ -219,8 +220,11 @@ def test_f_equals_g_but_maps_differ():
     fx = tuple(p.evaluate(probe) for p in F_map(A, B, C))
     gx = tuple(p.evaluate(probe) for p in G_map(A, B, C))
     assert fx != gx
-    # hence the factor families differ too
-    assert phi_poly(3) != psi_poly(3)
+    # hence the factor families differ too: factor 3 of each is the sum of
+    # the map's first iterate
+    phi3, psi3 = (closed(3).T.factors[2][0] for closed in (dir_closed, schreier_closed))
+    assert phi3 == sum(F_map(A, B, C)) and psi3 == sum(G_map(A, B, C))
+    assert phi3 != psi3
 
 
 RATIONAL_TRIPLES = (
@@ -239,8 +243,8 @@ def test_components_are_homogeneous_integers_at_cleared_weights():
             iw, scale = w.clear_denominators()
             assert scale > 1 and all(type(x) is int for x in iw.as_tuple())
             for n in range(1, 6):
-                at_w = family.parts(family.bundle(n, w))
-                at_iw = family.parts(family.bundle(n, iw))
+                at_w = dict(zip(family.components, Level(family, n).values(w)))
+                at_iw = dict(zip(family.components, Level(family, n).values(iw)))
                 for name in family.components:
                     assert type(at_iw[name]) is int, (family.name, n, name)
                     assert at_iw[name] == scale ** family.degree(n, name) * at_w[name]
@@ -494,16 +498,16 @@ def test_bundles_and_closed_values_run_mod_p():
         exact_w, mod_w = Weights(*triple), Weights(*map(ModP, triple))
         for family in FAMILIES.values():
             for n in (1, 4, 9, 12):
-                exact = family.parts(family.bundle(n, exact_w))
-                got = family.parts(family.bundle(n, mod_w))
-                assert all(isinstance(x, ModP) for x in got.values()), (family.name, n)
+                exact = Level(family, n).values(exact_w)
+                got = Level(family, n).values(mod_w)
+                assert all(isinstance(x, ModP) for x in got), (family.name, n)
                 assert got == exact, (family.name, triple, n)
                 if family.closed is not None:
                     closed = family.closed_value(n, mod_w, family.components)
-                    assert closed == tuple(exact.values()), (family.name, triple, n)
+                    assert closed == exact, (family.name, triple, n)
     for family in FAMILIES.values():
         with pytest.raises(CapabilityError, match="^evaluated bundles are capped at level 12$"):
-            family.bundle(13, mod_w)
+            Level(family, 13).values(mod_w)
 
 
 def _run_values(family, n: int, w, ring=lambda x: x) -> list:
@@ -515,17 +519,29 @@ def _run_values(family, n: int, w, ring=lambda x: x) -> list:
 
 
 def test_primitive_run_multiplied_out_is_the_bundle():
-    # verify compares closed forms with the run unmultiplied; this holds the
-    # multiplication: over int at levels 1-9, and mod p at level 12
+    # verify compares closed forms with the run unmultiplied, and gf reads
+    # the run multiplied out by Level.values; this holds both against
+    # iterate's bundle: over int at levels 1-9, symbolically at levels
+    # 1-3, over jets at levels 1-6, and mod p at level 12
+    jets = Weights(Jet(2, 1), Jet(3, 0, 1), Jet(5, -1, 2))
     for family in FAMILIES.values():
+        def want(n, w):
+            return list(family.parts(iterate(family.step, family.initial(w), n)).values())
+
         for w in STEP_WEIGHTS:
             for n in range(1, 10):
-                want = list(family.parts(family.bundle(n, w)).values())
-                assert _run_values(family, n, w) == want, (family.name, w, n)
+                expected = want(n, w)
+                assert _run_values(family, n, w) == expected, (family.name, w, n)
+                assert list(Level(family, n).values(w)) == expected, (family.name, w, n)
+        for n in range(1, 4):
+            assert list(Level(family, n).values(SYMBOLS)) == want(n, SYMBOLS), (family.name, n)
+        for n in range(1, 7):
+            assert list(Level(family, n).values(jets)) == want(n, jets), (family.name, n)
         for w in STEP_WEIGHTS[-3:]:
-            want = family.parts(family.bundle(12, Weights(*map(ModP, w.as_tuple()))))
-            got = _run_values(family, 12, w, ModP)
-            assert got == list(want.values()), (family.name, w)
+            mod_w = Weights(*map(ModP, w.as_tuple()))
+            expected = want(12, mod_w)
+            assert _run_values(family, 12, w, ModP) == expected, (family.name, w)
+            assert list(Level(family, 12).values(mod_w)) == expected, (family.name, w)
 
 
 def test_closed_equals_recursion_multiplies_nothing_out(monkeypatch):
@@ -580,14 +596,17 @@ def test_level_runs_and_forms_the_content_once_per_weights(monkeypatch):
             return f(*args)
         return wrapped
 
-    values = counting("values", FactoredPoly.values)
-    monkeypatch.setattr(FactoredPoly, "values", staticmethod(values))
+    def refuse(products):
+        raise AssertionError("FactoredPoly.values multiplied the run out")
+
+    monkeypatch.setattr(FactoredPoly, "values", staticmethod(refuse))
+    monkeypatch.setattr(sierpinski, "content", counting("content", sierpinski.content))
     monkeypatch.setattr(sierpinski, "primitive_run", counting("run", sierpinski.primitive_run))
     lv = Level(FAMILIES["hanoi"], 6)
     assert lv.products(w1) and calls == ["run"]
-    assert lv.values(w1)[0] == full.T and calls == ["run", "values"]
-    assert lv.values(w1) == tuple(components(full).values()) and calls == ["run", "values"]
-    assert lv.values(w2)[0] == other.T and calls == ["run", "values"] * 2
+    assert lv.values(w1)[0] == full.T and calls == ["run", "content"]
+    assert lv.values(w1) == tuple(components(full).values()) and calls == ["run", "content"]
+    assert lv.values(w2)[0] == other.T and calls == ["run", "content"] * 2
 
 
 def test_all_zero_bundle_is_left_as_it_is():

@@ -3,17 +3,18 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from fractal_forest.algebra import VARS, FactoredPoly, Jet, Weights
+from fractal_forest.algebra import LOG_DPS, VARS, FactoredPoly, Jet, Weights
 from fractal_forest.errors import CapabilityError
-from fractal_forest.families import lookup
+from fractal_forest.families import Level, lookup
 from fractal_forest.kirchhoff import tree_gf_cofactor
 from fractal_forest.sierpinski import FIVE, SYMBOLS, rot_bundle, rot_vertex_count
 from fractal_forest.stats import (
+    _log_mgf,
+    _mpf,
     label_mean_gf,
     label_moments,
     label_stat_closed,
     label_variance_gf,
-    mgf_normalized,
     normality_gap,
 )
 
@@ -23,6 +24,13 @@ ROT = "sierpinski-rotational"
 OTHERS = ("hanoi", "sierpinski-directional", "sierpinski-schreier")
 MODELS = (ROT, *OTHERS)
 ONES = Weights.ones()
+
+
+def mgf_at(n: int, t, label: str = "c") -> mpmath.mpf:
+    """The MGF of the normalized label count that normality_gap evaluates,
+    at one argument t (Fraction, int or mpf)."""
+    with mpmath.workdps(LOG_DPS):
+        return +mpmath.exp(_log_mgf(n, label)(_mpf(t)))
 
 
 def test_spot_values_level1():
@@ -93,7 +101,7 @@ def _symbolic_tree(model: str, n: int) -> FactoredPoly:
     family = lookup(model)
     if family.closed is not None:
         return family.closed(n).T
-    return FactoredPoly(factors=[(family.bundle(n, SYMBOLS).T, 1)])
+    return FactoredPoly(factors=[(Level(family, n).values(SYMBOLS)[0], 1)])
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -140,19 +148,19 @@ def test_moments_equal_the_laplacian_past_the_old_cap(model, n):
 
 
 def test_mgf_basics():
-    assert mgf_normalized(5, 0) == 1
+    assert mgf_at(5, 0) == 1
     with mpmath.workdps(50):
-        v = mgf_normalized(12, 1)
+        v = mgf_at(12, 1)
         assert abs(v - mpmath.exp(mpmath.mpf(1) / 2)) < 0.05
         # a-count route exists too and converges
-        va = mgf_normalized(12, 1, label="a")
+        va = mgf_at(12, 1, label="a")
         assert abs(va - mpmath.exp(mpmath.mpf(1) / 2)) < 0.05
 
 
 def test_mgf_takes_fraction_int_and_mpf_arguments():
-    half = mgf_normalized(3, Fraction(1, 2))
-    assert half == mgf_normalized(3, mpmath.mpf(1) / 2)
-    assert mgf_normalized(3, Fraction(-2)) == mgf_normalized(3, -2) == mgf_normalized(3, mpmath.mpf(-2))
+    half = mgf_at(3, Fraction(1, 2))
+    assert half == mgf_at(3, mpmath.mpf(1) / 2)
+    assert mgf_at(3, Fraction(-2)) == mgf_at(3, -2) == mgf_at(3, mpmath.mpf(-2))
 
 
 def test_normality_gap_small_and_monotone():
@@ -180,7 +188,7 @@ def test_mgf_equals_the_symbolic_recursion():
                     w = Weights(**{v: mpmath.exp(s) if v == label else 1 for v in "abc"})
                     expected = (T.evaluate(w) / T.evaluate(ones)
                                 * mpmath.exp(-s * mean.numerator / mean.denominator))
-                    got = mgf_normalized(n, t, label)
+                    got = mgf_at(n, t, label)
                     assert abs(got - expected) < mpmath.mpf(10) ** -40 * expected, (n, label, t)
 
 
@@ -188,7 +196,7 @@ def _bundle_jet_moments(model: str, n: int, label: str):
     """Mean and variance read off the jet T of the bundle recursion, the
     route the gasket statistics took before they read the closed form."""
     w = Weights(**{v: Jet(1, int(v == label)) for v in VARS})
-    c0, c1, c2 = lookup(model).bundle(n, w).T.coefficients()
+    c0, c1, c2 = Level(lookup(model), n).values(w)[0].coefficients()
     mean = Fraction(c1, c0)
     return mean, Fraction(2 * c2, c0) - mean * mean + mean
 
@@ -210,5 +218,4 @@ def test_gasket_jets_by_recursion_equal_closed_forms(model):
     for label in "abc":
         w = Weights(**{v: Jet(1, 1) if v == label else 1 for v in VARS})
         for n in (1, 2, 3, 4, 7):
-            bundle = family.parts(family.bundle(n, w))
-            assert family.closed_value(n, w, FIVE) == tuple(bundle.values()), (n, label)
+            assert family.closed_value(n, w, FIVE) == Level(family, n).values(w), (n, label)
