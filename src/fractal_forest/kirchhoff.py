@@ -31,13 +31,18 @@ neither out.
 
 The map is given in closed form by the term tables below, kept as the
 paper's text and evaluated as Horner schemes built from them at import.
-``schur_map_rederived`` recomputes the same map from scratch by eliminating
-the six non-corner words of the level-2 network; the two routes must agree
-exactly on random states, and the determinant identity
+``schur_map_rederived`` recomputes the same map from scratch, on the state
+cleared to integers, by one fraction-free (Bareiss) elimination of the six
+non-corner words of the level-2 network: by Sylvester's identity its last
+pivot is the inner 6x6 determinant, which is D, and its corner entries are
+the bordered 7x7 ones, the new coordinates' numerators.  The two routes
+must agree exactly on random states (``schur_map_divergence`` compares
+them as integers), and the determinant identity
 ``det L_k(s) = D(s)^(3^(k-2)) det L_(k-1)(P(s))`` is the final arbiter for
-both.  Beware that the initial state satisfies x1=x4, x2=x5, x3=x6 and
-x7=x8=x9, so agreement along the nominal orbit alone would prove little;
-the guards run on fully generic states.
+both (``decimation_identity`` checks k = 3 on the cleared state).  Beware
+that the initial state satisfies x1=x4, x2=x5, x3=x6 and x7=x8=x9, so
+agreement along the nominal orbit alone would prove little; the guards run
+on fully generic states.
 """
 
 from __future__ import annotations
@@ -450,10 +455,14 @@ def _cleared_denominator(s: SchurState):
     return t, delta, _eval_scheme(_D_SCHEME, t)
 
 
+def _map_numerators(t, d: int) -> list[int]:
+    """The new x4..x9 times delta * D(t): integers, from t and d = D(t)."""
+    heads = (0, 0, 0, t[6] * d, t[7] * d, t[8] * d)
+    return [head + _eval_scheme(_P_SCHEMES[i], t) for i, head in enumerate(heads, start=4)]
+
+
 def _map_cleared(s: SchurState, t, delta: int, d: int) -> SchurState:
-    heads = {4: 0, 5: 0, 6: 0, 7: t[6] * d, 8: t[7] * d, 9: t[8] * d}
-    new = [Fraction(heads[i] + _eval_scheme(_P_SCHEMES[i], t), delta * d) for i in range(4, 10)]
-    return SchurState(s.x1, s.x2, s.x3, *new)
+    return SchurState(s.x1, s.x2, s.x3, *(Fraction(n, delta * d) for n in _map_numerators(t, d)))
 
 
 def schur_denominator(s: SchurState) -> Fraction:
@@ -486,10 +495,12 @@ def _state_network(k: int, s: SchurState, loops: bool):
 
     An edge inside a first-letter block weighs x1..x3 by its label, an
     edge between two blocks x4..x6; the diagonal holds x7..x9 by block,
-    less the weight of any loop.
+    less the weight of any loop.  The other entries are ``x1 * 0``: the
+    int 0 on a state cleared to integers, ``Fraction(0)`` on Fractions.
     """
     block, edges = _network_edges(k, loops)
-    rows = [[Fraction(0)] * len(block) for _ in block]
+    zero = s[0] * 0
+    rows = [[zero] * len(block) for _ in block]
     for i, b in enumerate(block):
         rows[i][i] = s[6 + b]
     for u, v, label, is_loop in edges:
@@ -506,57 +517,72 @@ def _state_network(k: int, s: SchurState, loops: bool):
 _INNER = (1, 2, 3, 5, 6, 7)
 
 
-def _det(rows, keep_rows, keep_cols) -> Fraction:
-    return RationalMatrix([[rows[i][j] for j in keep_cols] for i in keep_rows]).det()
+def _eliminate_inner(t) -> tuple[int, list[int] | None]:
+    """The inner determinant of the level-2 network at the integer state
+    t and the new x4..x9 times it, or (0, None) if it vanishes.
 
-
-def _rederived(s: SchurState):
-    """The level-2 network weighted by s, and the determinant of the block
-    of its six non-corner words."""
-    rows = _state_network(2, s, loops=False)
-    return rows, _det(rows, _INNER, _INNER)
-
-
-def _schur_complement(s: SchurState, rows, inner: Fraction) -> SchurState:
-    if inner == 0:
-        raise DecimationSingularError("elimination block is singular")
-
-    def entry(p, q):
-        # a bordered determinant over the inner one is a Schur-complement entry
-        return _det(rows, _INNER + (p,), _INNER + (q,)) / inner
-
-    return SchurState(
-        s.x1, s.x2, s.x3,
-        -entry(0, 4), -entry(0, 8), -entry(4, 8),
-        entry(0, 0), entry(4, 4), entry(8, 8),
-    )
+    One fraction-free elimination, inner rows and columns first: step k
+    pivots on a_kk, swapped with a later inner row if 0, and sets
+    ``a_ij <- (a_kk a_ij - a_ik a_kj) / p`` for i, j > k, p the pivot
+    before (Bareiss; the division is exact).  By Sylvester's identity the
+    sixth pivot is then the inner 6x6 determinant and each corner entry
+    the 7x7 one bordered by its row and column, up to the swaps' sign.
+    """
+    rows = _state_network(2, t, loops=False)
+    order = _INNER + (0, 4, 8)
+    a = [[rows[i][j] for j in order] for i in order]
+    sign = prev = 1
+    for k in range(6):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, 6) if a[i][k]), None)
+            if swap is None:
+                return 0, None
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, rest = a[k][k], a[k][k + 1 :]
+        for row in a[k + 1 :]:
+            factor = row[k]
+            row[k + 1 :] = [(pivot * x - factor * y) // prev for x, y in zip(row[k + 1 :], rest)]
+        prev = pivot
+    c = a[6:]  # the corner rows
+    numerators = (-c[0][7], -c[0][8], -c[1][8], c[0][6], c[1][7], c[2][8])
+    return sign * prev, [sign * x for x in numerators]
 
 
 def schur_map_rederived(s: SchurState) -> SchurState:
     """Recompute one decimation step by eliminating the six non-corner
-    words of the level-2 network; each new coordinate is an entry of the
-    Schur complement on the corners."""
-    return _schur_complement(s, *_rederived(s))
+    words of the level-2 network at t = delta s (``_eliminate_inner``);
+    each new coordinate is a Schur-complement entry on the corners."""
+    t, delta = clear_denominators(s)
+    inner, numerators = _eliminate_inner(t)
+    if inner == 0:
+        raise DecimationSingularError("elimination block is singular")
+    return SchurState(s.x1, s.x2, s.x3, *(Fraction(n, delta * inner) for n in numerators))
 
 
 def schur_map_divergence(s: SchurState) -> dict:
     """Compare the term-table map against the rederived one at a state.
 
-    Returns {} on exact agreement, otherwise the differing coordinates as
-    ``{"x4": (table value, rederived value), ...}`` plus any denominator
-    mismatch under key ``"D"``.  The level-2 network and its inner
-    determinant are built once, for the rederived denominator and map.
+    Both are read in integers on t = delta s, cleared once: the tables
+    give D(t) and the new x4..x9 over delta D(t), one elimination the
+    inner determinant and the same over delta times it.  The maps are
+    homogeneous, so this is the comparison at s.  Returns {} on exact
+    agreement, otherwise the differing coordinates as ``{"x4": (table
+    value, rederived value), ...}`` plus any denominator mismatch under
+    key ``"D"``, as fractions at s; a singular inner block is a mismatch
+    of D alone.  Raises ``DecimationSingularError`` where D vanishes.
     """
+    t, delta, d = _cleared_denominator(s)
+    if d == 0:
+        raise DecimationSingularError("decimation denominator vanished")
+    inner, rederived = _eliminate_inner(t)
     out = {}
-    rows, d_red = _rederived(s)
-    d_table = schur_denominator(s)
-    if d_table != d_red:
-        out["D"] = (str(d_table), str(d_red))
-    a = schur_map(s)
-    b = _schur_complement(s, rows, d_red)
-    for i, (x, y) in enumerate(zip(a, b), start=1):
-        if x != y:
-            out[f"x{i}"] = (str(x), str(y))
+    if d != inner:
+        out["D"] = (str(Fraction(d, delta**6)), str(Fraction(inner, delta**6)))
+    if inner:
+        for i, x, y in zip(range(4, 10), _map_numerators(t, d), rederived):
+            if x * inner != y * d:
+                out[f"x{i}"] = (str(Fraction(x, delta * d)), str(Fraction(y, delta * inner)))
     return out
 
 
@@ -572,10 +598,22 @@ def lambda_matrix(k: int, s: SchurState) -> RationalMatrix:
     if k < 2:
         raise ValueError("the masked matrix is defined for level >= 2")
     rows = _state_network(k, s, loops=True)
+    zero = s.x1 * 0
     for i in range(len(rows)):
-        rows[0][i] = rows[i][0] = Fraction(0)
+        rows[0][i] = rows[i][0] = zero
     rows[0][0] = s.x1 + s.x2
     return RationalMatrix(rows)
+
+
+def decimation_identity(s: SchurState) -> bool:
+    """Whether ``det lambda_3(s) = D(s)^3 det lambda_2(P(s))`` holds at s,
+    checked in integers on t = delta s: lambda_k is linear in the state,
+    so with u = delta D(t) P(s) it reads
+    ``det lambda_3(t) D(t)^6 = det lambda_2(u)``, a polynomial identity in
+    t that holds where D(t) = 0 too."""
+    t, _, d = _cleared_denominator(s)
+    u = SchurState(*(x * d for x in t[:3]), *_map_numerators(t, d))
+    return lambda_matrix(3, SchurState(*t)).det() * d**6 == lambda_matrix(2, u).det()
 
 
 # -- the full pipeline ----------------------------------------------------------

@@ -1,8 +1,12 @@
 import dataclasses
 import random
 
+from fractal_forest import kirchhoff
 from fractal_forest.algebra import VARS, TriPoly, Weights, positive_weights
-from fractal_forest.kirchhoff import SchurState, schur_denominator
+from fractal_forest.errors import DecimationSingularError
+from fractal_forest.kirchhoff import (
+    RationalMatrix, SchurState, schur_denominator, schur_map,
+)
 
 
 def positive_weight_list(seed: int, count: int):
@@ -29,6 +33,57 @@ def random_states(seed: int, count: int):
         s = SchurState.random(rng)
         if schur_denominator(s) != 0:
             out.append(s)
+    return out
+
+
+# -- the map rederived by seven separate determinants, the reference for the
+# one fraction-free elimination of kirchhoff.schur_map_rederived
+
+INNER = kirchhoff._INNER  # the six non-corner words of the level-2 network
+
+
+def _det(rows, keep_rows, keep_cols):
+    return RationalMatrix([[rows[i][j] for j in keep_cols] for i in keep_rows]).det()
+
+
+def reference_rederived(s: SchurState):
+    """The level-2 network weighted by s, and the determinant of the block
+    of its six non-corner words."""
+    rows = kirchhoff._state_network(2, s, loops=False)
+    return rows, _det(rows, INNER, INNER)
+
+
+def reference_schur_complement(s: SchurState, rows, inner) -> SchurState:
+    if inner == 0:
+        raise DecimationSingularError("elimination block is singular")
+
+    def entry(p, q):
+        # a bordered determinant over the inner one is a Schur-complement entry
+        return _det(rows, INNER + (p,), INNER + (q,)) / inner
+
+    return SchurState(
+        s.x1, s.x2, s.x3,
+        -entry(0, 4), -entry(0, 8), -entry(4, 8),
+        entry(0, 0), entry(4, 4), entry(8, 8),
+    )
+
+
+def reference_map_rederived(s: SchurState) -> SchurState:
+    return reference_schur_complement(s, *reference_rederived(s))
+
+
+def reference_divergence(s: SchurState) -> dict:
+    """The table map against the reference, compared at s in Fractions."""
+    out = {}
+    rows, d_red = reference_rederived(s)
+    d_table = schur_denominator(s)
+    if d_table != d_red:
+        out["D"] = (str(d_table), str(d_red))
+    a = schur_map(s)
+    b = reference_schur_complement(s, rows, d_red)
+    for i, (x, y) in enumerate(zip(a, b), start=1):
+        if x != y:
+            out[f"x{i}"] = (str(x), str(y))
     return out
 
 

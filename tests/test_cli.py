@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,8 @@ from fractal_forest import stats
 from fractal_forest.algebra import FactoredPoly, TriPoly, Weights
 from fractal_forest.errors import DecimationSingularError
 from fractal_forest.hanoi import hanoi_bundle
+
+from conftest import reference_divergence
 
 
 def run(capsys, *argv):
@@ -389,13 +393,94 @@ def test_level_caps_checked_before_any_work(capsys, monkeypatch):
     assert "graphs are capped at level 12" in capsys.readouterr().err
 
 
-def corrupt_map_term(monkeypatch, i: int, delta: int):
-    """Add delta to the first coefficient of the P_i table of the
-    decimation map, in the table and in the Horner scheme built from it."""
-    (coeff, exps), *rest = kirchhoff.P_TERMS[i]
+def corrupt_map_term(monkeypatch, i, delta: int):
+    """Add delta to the first coefficient of a table of the decimation map,
+    the denominator's for i = "D", else P_i's, in the table and in the
+    Horner scheme built from it."""
+    (coeff, exps), *rest = kirchhoff.D_TERMS if i == "D" else kirchhoff.P_TERMS[i]
     corrupted = ((coeff + delta, exps), *rest)
-    monkeypatch.setitem(kirchhoff.P_TERMS, i, corrupted)
-    monkeypatch.setitem(kirchhoff._P_SCHEMES, i, kirchhoff._horner(corrupted))
+    if i == "D":
+        monkeypatch.setattr(kirchhoff, "D_TERMS", corrupted)
+        monkeypatch.setattr(kirchhoff, "_D_SCHEME", kirchhoff._horner(corrupted))
+    else:
+        monkeypatch.setitem(kirchhoff.P_TERMS, i, corrupted)
+        monkeypatch.setitem(kirchhoff._P_SCHEMES, i, kirchhoff._horner(corrupted))
+
+
+def fraction_guards(levels, trials, rng):
+    """The map guards as written in Fractions, with the map rederived by
+    seven separate determinants: the reference for the draws, the kind
+    and number of the guards and their details."""
+    done = 0
+    while done < trials:
+        state = kirchhoff.SchurState.random(rng)
+        if kirchhoff.schur_denominator(state) == 0:
+            continue
+        div = reference_divergence(state)
+        yield "schur map = rederived", None, not div, div or None
+        done += 1
+    if max(levels) >= 3:
+        for _ in range(2):
+            state = kirchhoff.SchurState.random(rng)
+            d = kirchhoff.schur_denominator(state)
+            if d == 0:
+                continue
+            lhs = kirchhoff.lambda_matrix(3, state).det()
+            rhs = d**3 * kirchhoff.lambda_matrix(2, kirchhoff.schur_map(state)).det()
+            yield "decimation identity k=3", None, lhs == rhs, None
+
+
+# x4 = x5 = x6 = 0 and x9 = x1: both D and the inner block vanish
+SINGULAR_STATE = kirchhoff.SchurState(*map(Fraction, (1, 2, 3, 0, 0, 0, 5, 7, 1)))
+
+
+@pytest.mark.parametrize("redraw", (False, True))
+def test_map_guards_draw_and_report_as_the_fraction_guards(monkeypatch, redraw):
+    if redraw:
+        # a draw whose x1 has an even numerator becomes a state where D
+        # vanishes, which both guards draw again
+        draw = kirchhoff.SchurState.random.__func__
+
+        def draw_or_singular(cls, rng):
+            state = draw(cls, rng)
+            return state if state.x1.numerator % 2 else SINGULAR_STATE
+
+        monkeypatch.setattr(kirchhoff.SchurState, "random", classmethod(draw_or_singular))
+    for top in (2, 3):
+        for trials in range(1, 5):
+            rng, reference_rng = random.Random(trials), random.Random(trials)
+            got = list(families._schur_map_guards((1, top), trials, rng))
+            assert got == list(fraction_guards((1, top), trials, reference_rng))
+            assert rng.getstate() == reference_rng.getstate()
+            assert all(ok for _, _, ok, _ in got)
+            if not redraw:
+                assert len(got) == trials + 2 * (top == 3)
+
+
+@pytest.mark.parametrize("table", ("D", 4, 5, 6, 7, 8, 9))
+def test_both_map_guards_catch_one_coefficient_off(capsys, monkeypatch, table):
+    corrupt_map_term(monkeypatch, table, 1)
+    code, data = run_json(
+        capsys, "verify", "--family", "hanoi", "--levels", "3..3", "--trials", "2",
+        "--seed", "9",
+    )
+    assert code == 1
+    failed = {f["check"] for f in data["failures"]}
+    assert {"schur map = rederived", "decimation identity k=3"} <= failed
+    # the mismatch details are the reference's, byte for byte
+    rng, reference_rng = random.Random(9), random.Random(9)
+    got = list(families._schur_map_guards((3,), 2, rng))
+    assert got == list(fraction_guards((3,), 2, reference_rng))
+    assert not any(ok for _, _, ok, _ in got)
+
+
+def test_divergence_reports_a_singular_inner_block_as_a_mismatch(monkeypatch):
+    # one coefficient off in D makes the table's D nonzero where the inner
+    # block is singular: a mismatch of D, not an elimination error
+    corrupt_map_term(monkeypatch, "D", 1)
+    assert kirchhoff.schur_map_divergence(SINGULAR_STATE) == {"D": ("1225", "0")}
+    with pytest.raises(DecimationSingularError, match="elimination block is singular"):
+        kirchhoff.schur_map_rederived(SINGULAR_STATE)
 
 
 def test_verify_with_corrupted_map_term_fails(capsys, monkeypatch):

@@ -19,9 +19,9 @@ from fractal_forest.kirchhoff import (
     _D_SCHEME,
     _P_SCHEMES,
     _eval_scheme,
-    _rederived,
     _sparse_det,
     SchurState,
+    decimation_identity,
     lambda_matrix,
     schur_denominator,
     schur_map,
@@ -33,7 +33,9 @@ from fractal_forest.kirchhoff import (
 from fractal_forest.oracle import ForestSpec, enumerate_gf
 from fractal_forest.sierpinski import rot_counts
 
-from conftest import Counted, positive_weight_list, random_states
+from conftest import (
+    Counted, positive_weight_list, random_states, reference_map_rederived, reference_rederived,
+)
 
 ONES = Weights.ones()
 
@@ -223,7 +225,7 @@ def test_generator_matrices_match_action():
 def test_denominator_at_initial_ones_state():
     s0 = SchurState.initial(ONES)
     assert schur_denominator(s0) == 320
-    assert _rederived(s0)[1] == 320
+    assert reference_rederived(s0)[1] == 320
 
 
 def test_map_fixes_first_three_coordinates():
@@ -236,7 +238,7 @@ def test_map_equals_rederived_on_random_states():
     for s in random_states(59, 10):
         assert schur_map_divergence(s) == {}
         assert schur_map(s) == schur_map_rederived(s)
-        assert schur_denominator(s) == _rederived(s)[1]
+        assert schur_denominator(s) == reference_rederived(s)[1]
 
 
 def test_lambda2_structure_at_initial_state():
@@ -336,7 +338,7 @@ def test_singular_denominator_raises():
     assert schur_denominator(s) == 0
     with pytest.raises(DecimationSingularError):
         schur_map(s)
-    assert _rederived(s)[1] == 0
+    assert reference_rederived(s)[1] == 0
     with pytest.raises(DecimationSingularError):
         schur_map_rederived(s)
 
@@ -377,6 +379,45 @@ def test_decimation_matrices_pinned():
         for k, digest in enumerate(lambda_digests, start=2):
             assert sha256(lambda_matrix(k, s).rows) == digest, (values, k)
         assert sha256(tuple(schur_map_rederived(s))) == map_digest, values
+
+
+def test_rederived_map_matches_the_seven_determinant_reference():
+    # the one fraction-free elimination against the inner 6x6 and the six
+    # bordered 7x7 determinants taken one by one, at signed random states,
+    # the pinned states, and a state whose first inner pivot (the diagonal
+    # entry x7 of word 01) is 0 while the inner block is not singular
+    rng = random.Random(67)
+    states = []
+    while len(states) < 200:
+        s = SchurState(*(Fraction(rng.randint(-97, 97), rng.randint(1, 97)) for _ in range(9)))
+        if reference_rederived(s)[1] != 0:
+            states.append(s)
+    assert any(x < 0 for s in states for x in s)
+    states += [SchurState(*map(Fraction, values)) for values, _, _ in PINNED_STATES]
+    swapped = SchurState(*map(Fraction, (1, 2, 3, 4, 5, 6, 0, 7, 8)))
+    rows, inner = reference_rederived(swapped)
+    assert rows[1][1] == 0 and inner != 0
+    states.append(swapped)
+    for s in states:
+        assert schur_map_rederived(s) == reference_map_rederived(s), s
+        assert schur_map_divergence(s) == {}, s
+
+
+def test_decimation_identity_on_cleared_states_matches_the_fraction_form(monkeypatch):
+    # the identity in integers on t = delta s gives the verdict of
+    # det lambda_3(s) = D(s)^3 det lambda_2(P(s)) in Fractions: true under
+    # the paper's tables, false with one coefficient of P5 off by one
+    def fraction_form(s):
+        d = schur_denominator(s)
+        return lambda_matrix(3, s).det() == d**3 * lambda_matrix(2, schur_map(s)).det()
+
+    states = random_states(69, 50)
+    for s in states[:25]:
+        assert decimation_identity(s) is fraction_form(s) is True
+    (coeff, exps), *rest = P_TERMS[5]
+    monkeypatch.setitem(kirchhoff._P_SCHEMES, 5, kirchhoff._horner(((coeff + 1, exps), *rest)))
+    for s in states[25:]:
+        assert decimation_identity(s) is fraction_form(s) is False
 
 
 def test_lambda_matrix_validates_level():
