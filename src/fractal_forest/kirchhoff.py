@@ -1,8 +1,9 @@
 """Weighted matrix-tree machinery: exact Laplacian cofactors and the
 Schur-complement decimation pipeline for the hanoi graphs.
 
-Everything here is exact, never floating point.  Every determinant goes
-through one sparse elimination kernel, which takes ``int`` or
+Everything here is exact, never floating point.  One sparse elimination
+kernel does every elimination: each determinant, and the one Schur
+complement, of the rederived decimation map.  It takes ``int`` or
 ``Fraction`` entries and eliminates on integers: each row is held as its
 nonzero integer entries over one positive denominator, and a column is
 cleared from a row by cross-multiplication with the pivot row, never by
@@ -32,12 +33,11 @@ neither out.
 The map is given in closed form by the term tables below, kept as the
 paper's text and evaluated as Horner schemes built from them at import.
 ``schur_map_rederived`` recomputes the same map from scratch, on the state
-cleared to integers, by one fraction-free (Bareiss) elimination of the six
-non-corner words of the level-2 network: by Sylvester's identity its last
-pivot is the inner 6x6 determinant, which is D, and its corner entries are
-the bordered 7x7 ones, the new coordinates' numerators.  The two routes
-must agree exactly on random states (``schur_map_divergence`` compares
-them as integers), and the determinant identity
+cleared to integers: the kernel eliminates the six non-corner words of the
+level-2 network and keeps the three corners, so its determinant is D and
+the corner rows, the Schur complement, hold the new coordinates.  The two
+routes must agree exactly on random states (``schur_map_divergence``
+compares them as integers), and the determinant identity
 ``det L_k(s) = D(s)^(3^(k-2)) det L_(k-1)(P(s))`` is the final arbiter for
 both (``decimation_identity`` checks k = 3 on the cleared state).  Beware
 that the initial state satisfies x1=x4, x2=x5, x3=x6 and x7=x8=x9, so
@@ -60,7 +60,7 @@ from .graphs import LABELS, LabelledGraph, build_hanoi
 # -- the sparse exact elimination kernel -----------------------------------------
 
 
-def _sparse_det(rows: dict) -> Fraction:
+def _sparse_det(rows: dict, keep=()):
     """Determinant of a square matrix held as ``{row: {column: entry}}``.
 
     Rows and columns share one set of keys, and each row holds only its
@@ -77,6 +77,13 @@ def _sparse_det(rows: dict) -> Fraction:
     that empties out means the determinant is 0.  The determinant is the
     product of the pivots ``r_c / d_r``, formed once at the end, times the
     sign of the row -> pivot-column permutation.
+
+    Keys in ``keep`` are never pivoted on: the determinant is then the
+    eliminated block's, 0 once a row has entries in kept columns only,
+    and the kept rows, cleared of every pivot column, are the Schur
+    complement on the kept keys.  With a nonempty ``keep`` the kernel
+    returns ``(det, {k: (row, d_k)})``, each kept row as integers over
+    its denominator, meaningful only where det is nonzero.
     """
     dens = {}
     holders = {j: set() for j in rows}  # column -> live rows with an entry there
@@ -85,15 +92,17 @@ def _sparse_det(rows: dict) -> Fraction:
         rows[i] = dict(zip(row, ints))
         for j in row:
             holders[j].add(i)
-    live = dict.fromkeys(rows)  # the rows in the order given, for the tie rule
+    # the rows to pivot on, in the order given, for the tie rule
+    live = dict.fromkeys(i for i in rows if i not in keep)
     pivot_col = {}
     num = den = 1
     while live:
         p = min(live, key=lambda i: len(rows[i]))
         row = rows[p]
-        if not row:
-            return Fraction(0)
-        c = min(row, key=lambda j: (len(holders[j]), j != p))
+        c = min(row, key=lambda j: (j in keep, len(holders[j]), j != p), default=None)
+        if c is None or c in keep:
+            num, pivot_col = 0, {}
+            break
         del live[p]
         pivot_col[p] = c
         pivot = row[c]
@@ -135,7 +144,8 @@ def _sparse_det(rows: dict) -> Fraction:
         while j != start:
             j = pivot_col.pop(j)
             transpositions += 1
-    return Fraction(-num if transpositions % 2 else num, den)
+    det = Fraction(-num if transpositions % 2 else num, den)
+    return (det, {k: (rows[k], dens[k]) for k in keep}) if keep else det
 
 
 class RationalMatrix:
@@ -512,52 +522,35 @@ def _state_network(k: int, s: SchurState, loops: bool):
     return rows
 
 
-# a decimation step keeps the level-2 corners 00, 11, 22 (indices 0, 4, 8)
-# and eliminates the six other words
-_INNER = (1, 2, 3, 5, 6, 7)
+# a decimation step keeps the level-2 corners 00, 11, 22 and eliminates
+# the six other words
+_CORNERS = (0, 4, 8)
 
 
-def _eliminate_inner(t) -> tuple[int, list[int] | None]:
+def _rederive(t):
     """The inner determinant of the level-2 network at the integer state
-    t and the new x4..x9 times it, or (0, None) if it vanishes.
-
-    One fraction-free elimination, inner rows and columns first: step k
-    pivots on a_kk, swapped with a later inner row if 0, and sets
-    ``a_ij <- (a_kk a_ij - a_ik a_kj) / p`` for i, j > k, p the pivot
-    before (Bareiss; the division is exact).  By Sylvester's identity the
-    sixth pivot is then the inner 6x6 determinant and each corner entry
-    the 7x7 one bordered by its row and column, up to the swaps' sign.
-    """
+    t, and the new x4..x9 at t as (numerator, denominator) pairs, which
+    are meaningful only where it is nonzero: the Schur complement on the
+    corners, read off one kernel call."""
     rows = _state_network(2, t, loops=False)
-    order = _INNER + (0, 4, 8)
-    a = [[rows[i][j] for j in order] for i in order]
-    sign = prev = 1
-    for k in range(6):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, 6) if a[i][k]), None)
-            if swap is None:
-                return 0, None
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, rest = a[k][k], a[k][k + 1 :]
-        for row in a[k + 1 :]:
-            factor = row[k]
-            row[k + 1 :] = [(pivot * x - factor * y) // prev for x, y in zip(row[k + 1 :], rest)]
-        prev = pivot
-    c = a[6:]  # the corner rows
-    numerators = (-c[0][7], -c[0][8], -c[1][8], c[0][6], c[1][7], c[2][8])
-    return sign * prev, [sign * x for x in numerators]
+    inner, kept = _sparse_det(
+        {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}, _CORNERS
+    )
+    (r0, d0), (r4, d4), (r8, d8) = (kept[k] for k in _CORNERS)
+    pairs = ((-r0.get(4, 0), d0), (-r0.get(8, 0), d0), (-r4.get(8, 0), d4),
+             (r0.get(0, 0), d0), (r4.get(4, 0), d4), (r8.get(8, 0), d8))
+    return inner.numerator, pairs
 
 
 def schur_map_rederived(s: SchurState) -> SchurState:
     """Recompute one decimation step by eliminating the six non-corner
-    words of the level-2 network at t = delta s (``_eliminate_inner``);
+    words of the level-2 network at t = delta s (``_rederive``);
     each new coordinate is a Schur-complement entry on the corners."""
     t, delta = clear_denominators(s)
-    inner, numerators = _eliminate_inner(t)
+    inner, pairs = _rederive(t)
     if inner == 0:
         raise DecimationSingularError("elimination block is singular")
-    return SchurState(s.x1, s.x2, s.x3, *(Fraction(n, delta * inner) for n in numerators))
+    return SchurState(s.x1, s.x2, s.x3, *(Fraction(n, delta * q) for n, q in pairs))
 
 
 def schur_map_divergence(s: SchurState) -> dict:
@@ -565,24 +558,22 @@ def schur_map_divergence(s: SchurState) -> dict:
 
     Both are read in integers on t = delta s, cleared once: the tables
     give D(t) and the new x4..x9 over delta D(t), one elimination the
-    inner determinant and the same over delta times it.  The maps are
-    homogeneous, so this is the comparison at s.  Returns {} on exact
+    inner determinant and the Schur complement on the corners.  The maps
+    are homogeneous, so this is the comparison at s.  Returns {} on exact
     agreement, otherwise the differing coordinates as ``{"x4": (table
     value, rederived value), ...}`` plus any denominator mismatch under
-    key ``"D"``, as fractions at s; a singular inner block is a mismatch
-    of D alone.  Raises ``DecimationSingularError`` where D vanishes.
+    key ``"D"``, as fractions at s.  Where D or the inner determinant
+    vanishes the coordinates are undefined, and D is compared alone.
     """
     t, delta, d = _cleared_denominator(s)
-    if d == 0:
-        raise DecimationSingularError("decimation denominator vanished")
-    inner, rederived = _eliminate_inner(t)
+    inner, rederived = _rederive(t)
     out = {}
     if d != inner:
         out["D"] = (str(Fraction(d, delta**6)), str(Fraction(inner, delta**6)))
-    if inner:
-        for i, x, y in zip(range(4, 10), _map_numerators(t, d), rederived):
-            if x * inner != y * d:
-                out[f"x{i}"] = (str(Fraction(x, delta * d)), str(Fraction(y, delta * inner)))
+    if d and inner:
+        for i, x, (n, q) in zip(range(4, 10), _map_numerators(t, d), rederived):
+            if x * q != n * d:
+                out[f"x{i}"] = (str(Fraction(x, delta * d)), str(Fraction(n, delta * q)))
     return out
 
 

@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import random
+from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 from fractal_forest import kirchhoff
 from fractal_forest.algebra import VARS, TriPoly, Weights, positive_weights
@@ -7,6 +11,14 @@ from fractal_forest.errors import DecimationSingularError
 from fractal_forest.kirchhoff import (
     RationalMatrix, SchurState, schur_denominator, schur_map,
 )
+
+
+def src_env() -> dict:
+    """The environment for a subprocess that imports the package from
+    this checkout: src goes in front of the caller's path, which may be
+    where the dependencies come from."""
+    path = [str(Path(kirchhoff.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def positive_weight_list(seed: int, count: int):
@@ -37,9 +49,13 @@ def random_states(seed: int, count: int):
 
 
 # -- the map rederived by seven separate determinants, the reference for the
-# one fraction-free elimination of kirchhoff.schur_map_rederived
+# one Schur complement of kirchhoff.schur_map_rederived
 
-INNER = kirchhoff._INNER  # the six non-corner words of the level-2 network
+INNER = (1, 2, 3, 5, 6, 7)  # the six non-corner words of the level-2 network
+
+
+# x4 = x5 = x6 = 0 and x9 = x1: both D and the inner block vanish
+SINGULAR_STATE = SchurState(*map(Fraction, (1, 2, 3, 0, 0, 0, 5, 7, 1)))
 
 
 def _det(rows, keep_rows, keep_cols):
@@ -73,18 +89,30 @@ def reference_map_rederived(s: SchurState) -> SchurState:
 
 
 def reference_divergence(s: SchurState) -> dict:
-    """The table map against the reference, compared at s in Fractions."""
+    """The table map against the reference, compared at s in Fractions;
+    where either denominator vanishes, D alone."""
     out = {}
     rows, d_red = reference_rederived(s)
     d_table = schur_denominator(s)
     if d_table != d_red:
         out["D"] = (str(d_table), str(d_red))
-    a = schur_map(s)
-    b = reference_schur_complement(s, rows, d_red)
-    for i, (x, y) in enumerate(zip(a, b), start=1):
-        if x != y:
-            out[f"x{i}"] = (str(x), str(y))
+    if d_table and d_red:
+        a = schur_map(s)
+        b = reference_schur_complement(s, rows, d_red)
+        for i, (x, y) in enumerate(zip(a, b), start=1):
+            if x != y:
+                out[f"x{i}"] = (str(x), str(y))
     return out
+
+
+def table_numerators(s: SchurState):
+    """D(s) and the new x4..x9 times it, the tables of the map evaluated
+    term by term in Fractions."""
+    def value(terms):
+        return sum(c * prod(x**e for x, e in zip(s, exps)) for c, exps in terms)
+
+    d = value(kirchhoff.D_TERMS)
+    return d, [value(kirchhoff.P_TERMS[i]) + (s[i - 1] * d if i >= 7 else 0) for i in range(4, 10)]
 
 
 # the weights at which each recursion step is checked against its paper

@@ -1,12 +1,10 @@
 import dataclasses
 import hashlib
 import json
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -20,7 +18,7 @@ from fractal_forest.algebra import FactoredPoly, TriPoly, Weights
 from fractal_forest.errors import DecimationSingularError
 from fractal_forest.hanoi import hanoi_bundle
 
-from conftest import reference_divergence
+from conftest import SINGULAR_STATE, reference_divergence, src_env, table_numerators
 
 
 def run(capsys, *argv):
@@ -409,36 +407,30 @@ def corrupt_map_term(monkeypatch, i, delta: int):
 
 def fraction_guards(levels, trials, rng):
     """The map guards as written in Fractions, with the map rederived by
-    seven separate determinants: the reference for the draws, the kind
-    and number of the guards and their details."""
-    done = 0
-    while done < trials:
-        state = kirchhoff.SchurState.random(rng)
-        if kirchhoff.schur_denominator(state) == 0:
-            continue
-        div = reference_divergence(state)
+    seven separate determinants and the tables evaluated term by term:
+    the reference for the draws, the kind and number of the guards and
+    their details."""
+    for _ in range(trials):
+        div = reference_divergence(kirchhoff.SchurState.random(rng))
         yield "schur map = rederived", None, not div, div or None
-        done += 1
     if max(levels) >= 3:
         for _ in range(2):
             state = kirchhoff.SchurState.random(rng)
-            d = kirchhoff.schur_denominator(state)
-            if d == 0:
-                continue
-            lhs = kirchhoff.lambda_matrix(3, state).det()
-            rhs = d**3 * kirchhoff.lambda_matrix(2, kirchhoff.schur_map(state)).det()
-            yield "decimation identity k=3", None, lhs == rhs, None
+            # det lambda_3(s) = D^3 det lambda_2(P(s)) times D^6, with
+            # D^9 det lambda_2(P(s)) = det lambda_2(D P(s)): an identity of
+            # polynomials, which holds where D vanishes too
+            d, numerators = table_numerators(state)
+            lhs = kirchhoff.lambda_matrix(3, state).det() * d**6
+            scaled = kirchhoff.SchurState(*(x * d for x in state[:3]), *numerators)
+            yield "decimation identity k=3", None, lhs == kirchhoff.lambda_matrix(2, scaled).det(), None
 
 
-# x4 = x5 = x6 = 0 and x9 = x1: both D and the inner block vanish
-SINGULAR_STATE = kirchhoff.SchurState(*map(Fraction, (1, 2, 3, 0, 0, 0, 5, 7, 1)))
-
-
-@pytest.mark.parametrize("redraw", (False, True))
-def test_map_guards_draw_and_report_as_the_fraction_guards(monkeypatch, redraw):
-    if redraw:
+@pytest.mark.parametrize("singular", (False, True))
+def test_map_guards_draw_and_report_as_the_fraction_guards(monkeypatch, singular):
+    if singular:
         # a draw whose x1 has an even numerator becomes a state where D
-        # vanishes, which both guards draw again
+        # vanishes, which both guards take as drawn: D and the inner
+        # determinant agree at 0, and the identity holds
         draw = kirchhoff.SchurState.random.__func__
 
         def draw_or_singular(cls, rng):
@@ -453,8 +445,7 @@ def test_map_guards_draw_and_report_as_the_fraction_guards(monkeypatch, redraw):
             assert got == list(fraction_guards((1, top), trials, reference_rng))
             assert rng.getstate() == reference_rng.getstate()
             assert all(ok for _, _, ok, _ in got)
-            if not redraw:
-                assert len(got) == trials + 2 * (top == 3)
+            assert len(got) == trials + 2 * (top == 3)
 
 
 @pytest.mark.parametrize("table", ("D", 4, 5, 6, 7, 8, 9))
@@ -481,6 +472,20 @@ def test_divergence_reports_a_singular_inner_block_as_a_mismatch(monkeypatch):
     assert kirchhoff.schur_map_divergence(SINGULAR_STATE) == {"D": ("1225", "0")}
     with pytest.raises(DecimationSingularError, match="elimination block is singular"):
         kirchhoff.schur_map_rederived(SINGULAR_STATE)
+
+
+def test_verify_reports_a_vanishing_d_table_without_drawing_again():
+    # a D table that vanishes everywhere is a mismatch of D at the one
+    # drawn state, reported at once; the run must not draw without end
+    script = ("import sys; from fractal_forest import cli, kirchhoff; "
+              "kirchhoff._D_SCHEME = 0; sys.exit(cli.main(sys.argv[1:]))")
+    argv = ["verify", "--family", "hanoi", "--levels", "1..1", "--trials", "1", "--seed", "1"]
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=src_env(), timeout=60)
+    assert done.returncode == 1
+    (failure,) = json.loads(done.stdout)["failures"]
+    assert failure["check"] == "schur map = rederived"
+    assert list(failure["detail"]) == ["D"] and failure["detail"]["D"][0] == "0"
 
 
 def test_verify_with_corrupted_map_term_fails(capsys, monkeypatch):
@@ -647,10 +652,7 @@ def test_requests_in_one_process_match_fresh_interpreters(capsys):
         ["verify", "--family", "sierpinski-schreier", "--levels", "5..5", "--trials", "2",
          "--seed", "9"],
     )
-    # src goes in front of the caller's path, which may be where the
-    # dependencies come from
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = src_env()
     codes = []
     for argv in requests:
         code = cli.main(list(argv))

@@ -34,7 +34,8 @@ from fractal_forest.oracle import ForestSpec, enumerate_gf
 from fractal_forest.sierpinski import rot_counts
 
 from conftest import (
-    Counted, positive_weight_list, random_states, reference_map_rederived, reference_rederived,
+    SINGULAR_STATE, Counted, _det, positive_weight_list, random_states, reference_map_rederived,
+    reference_rederived,
 )
 
 ONES = Weights.ones()
@@ -420,6 +421,19 @@ def test_decimation_identity_on_cleared_states_matches_the_fraction_form(monkeyp
         assert decimation_identity(s) is fraction_form(s) is False
 
 
+def test_decimation_identity_holds_where_d_vanishes():
+    # the identity in integers is one of polynomials, so it holds at the
+    # states where D, and with it P, vanishes
+    rng = random.Random(71)
+    states = [SINGULAR_STATE]
+    for _ in range(20):
+        s = SchurState.random(rng)
+        states.append(s._replace(x4=Fraction(0), x5=Fraction(0), x6=Fraction(0), x9=s.x1))
+    for s in states:
+        assert schur_denominator(s) == 0
+        assert decimation_identity(s) is True, s
+
+
 def test_lambda_matrix_validates_level():
     with pytest.raises(ValueError):
         lambda_matrix(1, SchurState.initial(ONES))
@@ -438,6 +452,49 @@ def test_sparse_det_exact_on_integer_entries():
         ints = [clear_denominators(row)[0] for row in rows]
         det = _sparse_det({i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(ints)})
         assert isinstance(det, Fraction) and det == laplace_det(ints), ints
+
+
+def test_sparse_det_keeps_rows_as_their_schur_complement():
+    # with kept keys the kernel returns the determinant of the block it
+    # eliminates, and the kept rows as the Schur complement on them: each
+    # entry the determinant bordered by its row and column over the block's
+    rng = random.Random(73)
+    singular = 0
+    for _shape, fracs in random_sparse_matrices(73, 200):
+        n = len(fracs)
+        for rows in (fracs, [clear_denominators(row)[0] for row in fracs]):
+            keep = sorted(rng.sample(range(n), rng.randint(1, n)))
+            inner = [i for i in range(n) if i not in keep]
+            det, kept = _sparse_det(sparse(rows), frozenset(keep))
+            block = _det(rows, inner, inner)
+            assert isinstance(det, Fraction) and det == block, (rows, keep)
+            if block == 0:
+                singular += 1
+                continue
+            for k in keep:
+                row, d = kept[k]
+                assert set(row) <= set(keep) and type(d) is int and d > 0
+                for j in keep:
+                    bordered = _det(rows, inner + [k], inner + [j])
+                    assert Fraction(row.get(j, 0), d) == bordered / block, (rows, keep, k, j)
+    assert 0 < singular < 400
+
+
+def test_sparse_det_with_no_kept_keys_is_the_determinant():
+    for _shape, rows in random_sparse_matrices(75, 100):
+        assert _sparse_det(sparse(rows), frozenset()) == _sparse_det(sparse(rows)) == laplace_det(rows)
+
+
+def test_sparse_det_returns_0_for_a_singular_eliminated_block():
+    # inner rows 0 and 1 are dependent: once row 0 is pivoted on, row 1
+    # has an entry only in the kept column 2; the full matrix is regular
+    rows = [[1, 2, 5], [2, 4, 1], [3, 1, 1]]
+    assert laplace_det(rows) != 0 == _det(rows, (0, 1), (0, 1))
+    det, _ = _sparse_det(sparse(rows), {2})
+    assert det == 0
+    # an inner row with no entry but in the kept column
+    det, _ = _sparse_det(sparse([[0, 0, 3], [0, 2, 1], [4, 1, 1]]), {2})
+    assert det == 0
 
 
 def test_routes_scale_homogeneously_at_cleared_weights():
