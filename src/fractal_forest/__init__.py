@@ -33,7 +33,6 @@ from .kirchhoff import (
     SchurState,
     decimation_run,
     lambda_matrix,
-    schur_denominator,
     schur_map,
     schur_map_divergence,
     schur_map_rederived,

@@ -5,16 +5,18 @@ Everything here is exact, never floating point.  One sparse elimination
 kernel does every elimination: each determinant, and the one Schur
 complement, of the rederived decimation map.  It takes ``int`` or
 ``Fraction`` entries and eliminates on integers: each row is held as its
-nonzero integer entries over one positive denominator, and a column is
-cleared from a row by cross-multiplication with the pivot row, never by
-division.  Each step pivots on the shortest remaining row, the first
-given among rows of one length, in its column with the fewest remaining
-entries, preferring the diagonal.  A reduced Laplacian has at most five
-entries per row, and this order keeps the fill-in small.  A cofactor
-gives its rows farthest from the deleted vertex first, so that ties
-sweep toward it (the reverse Cuthill-McKee order); a dense matrix gives
-them in index order.  At integer weights a cofactor is a ``Fraction``
-with denominator 1, and the decimation pipeline returns an ``int``.
+nonzero integer entries over one positive denominator (a row of ``int``s
+as given, over 1, any other cleared once), and a column is cleared from
+a row by cross-multiplication with the pivot row, never by division.
+Each step pivots on the shortest remaining row, the first given among
+rows of one length (off a heap of length and order given, stale entries
+skipped), in its column with the fewest remaining entries, preferring
+the diagonal.  A reduced Laplacian has at most five entries per row, and
+this order keeps the fill-in small.  A cofactor gives its rows farthest
+from the deleted vertex first, so that ties sweep toward it (the reverse
+Cuthill-McKee order); a dense matrix gives them in index order.  At
+integer weights a cofactor is a ``Fraction`` with denominator 1, and the
+decimation pipeline returns an ``int``.
 
 The decimation map P acts on a 9-component state
 ``(x1..x3, x4..x6, x7..x9)`` = (original weights, current off-diagonal
@@ -50,6 +52,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import NamedTuple
 
@@ -65,18 +68,23 @@ def _sparse_det(rows: dict, keep=()):
 
     Rows and columns share one set of keys, and each row holds only its
     nonzero ``int`` or ``Fraction`` entries; the argument is consumed.
-    A row is kept as integers over one positive denominator, cleared once
-    by the lcm of its entries' denominators.  Each step pivots on the
+    A row is kept as integers over one positive denominator: a row of
+    ``int``s is taken as given, over 1, and any other is cleared once by
+    the lcm of its entries' denominators.  Each step pivots on the
     shortest remaining row r (the first in the order given on a tie), in
     its column c with the fewest remaining entries (the diagonal on a
     tie, then the row's own order), and clears c from every other row t
     by cross-multiplication, ``t <- r_c t - t_c r`` over ``d_t r_c``,
-    then divides out the gcd of t and its denominator.  The rows stand
-    for the same rationals as in division-based elimination, so an entry
-    cancels to zero, and is dropped, exactly where it would there; a row
-    that empties out means the determinant is 0.  The determinant is the
-    product of the pivots ``r_c / d_r``, formed once at the end, times the
-    sign of the row -> pivot-column permutation.
+    then divides out the gcd of t and its denominator.  The shortest row
+    is popped from a heap of ``(length, rank in the order given, key)``:
+    a row whose length an elimination changes is pushed again, and an
+    entry whose row has been pivoted on or has another length by now is
+    skipped.  The rows stand for the same rationals as in division-based
+    elimination, so an entry cancels to zero, and is dropped, exactly
+    where it would there; a row that empties out means the determinant
+    is 0.  The determinant is the product of the pivots ``r_c / d_r``,
+    formed once at the end, times the sign of the row -> pivot-column
+    permutation.
 
     Keys in ``keep`` are never pivoted on: the determinant is then the
     eliminated block's, 0 once a row has entries in kept columns only,
@@ -87,37 +95,50 @@ def _sparse_det(rows: dict, keep=()):
     """
     dens = {}
     holders = {j: set() for j in rows}  # column -> live rows with an entry there
+    rank = {}  # the rows to pivot on -> their place in the order given
     for i, row in rows.items():
-        ints, dens[i] = clear_denominators(row.values())
-        rows[i] = dict(zip(row, ints))
+        if any(type(x) is not int for x in row.values()):
+            ints, dens[i] = clear_denominators(row.values())
+            rows[i] = row = dict(zip(row, ints))
+        else:
+            dens[i] = 1
         for j in row:
             holders[j].add(i)
-    # the rows to pivot on, in the order given, for the tie rule
-    live = dict.fromkeys(i for i in rows if i not in keep)
+        if i not in keep:
+            rank[i] = len(rank)
+    heap = [(len(rows[i]), r, i) for i, r in rank.items()]
+    heapify(heap)
     pivot_col = {}
     num = den = 1
-    while live:
-        p = min(live, key=lambda i: len(rows[i]))
+    while rank:
+        length, _, p = heappop(heap)
         row = rows[p]
-        c = min(row, key=lambda j: (j in keep, len(holders[j]), j != p), default=None)
-        if c is None or c in keep:
+        if p not in rank or len(row) != length:
+            continue
+        c = None
+        for j in row:
+            if j not in keep:
+                count = len(holders[j])
+                if c is None or count < fewest or (count == fewest and j == p):
+                    c, fewest = j, count
+        if c is None:
             num, pivot_col = 0, {}
             break
-        del live[p]
+        del rank[p]
         pivot_col[p] = c
         pivot = row[c]
         num *= pivot
         den *= dens[p]
         for j in row:
             holders[j].discard(p)
+        rest = [(j, x) for j, x in row.items() if j != c]
         for i in holders[c]:
             target = rows[i]
+            before = len(target)
             factor = target.pop(c)
-            for j in target:
-                target[j] *= pivot
-            for j, x in row.items():
-                if j == c:
-                    continue
+            if pivot != 1:
+                target = rows[i] = {j: y * pivot for j, y in target.items()}
+            for j, x in rest:
                 y = target.get(j)
                 if y is None:
                     target[j] = -factor * x
@@ -134,9 +155,10 @@ def _sparse_det(rows: dict, keep=()):
             if d < 0:
                 g = -g
             if g != 1:
-                for j in target:
-                    target[j] //= g
+                target = rows[i] = {j: y // g for j, y in target.items()}
             dens[i] = d // g
+            if len(target) != before and i in rank:
+                heappush(heap, (len(target), rank[i], i))
     # a cycle of length L in the permutation is L - 1 transpositions
     transpositions = 0
     while pivot_col:
@@ -473,11 +495,6 @@ def _map_numerators(t, d: int) -> list[int]:
 
 def _map_cleared(s: SchurState, t, delta: int, d: int) -> SchurState:
     return SchurState(s.x1, s.x2, s.x3, *(Fraction(n, delta * d) for n in _map_numerators(t, d)))
-
-
-def schur_denominator(s: SchurState) -> Fraction:
-    _, delta, d = _cleared_denominator(s)
-    return Fraction(d, delta**6)
 
 
 def schur_map(s: SchurState) -> SchurState:

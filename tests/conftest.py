@@ -2,14 +2,14 @@ import dataclasses
 import os
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 from fractal_forest import kirchhoff
-from fractal_forest.algebra import VARS, TriPoly, Weights, positive_weights
+from fractal_forest.algebra import VARS, TriPoly, Weights, clear_denominators, positive_weights
 from fractal_forest.errors import DecimationSingularError
 from fractal_forest.kirchhoff import (
-    RationalMatrix, SchurState, schur_denominator, schur_map,
+    RationalMatrix, SchurState, schur_map,
 )
 
 
@@ -37,6 +37,13 @@ def derivative(p: TriPoly, label: str) -> TriPoly:
     return TriPoly(t)
 
 
+def schur_denominator(s: SchurState) -> Fraction:
+    """D(s), the decimation map's denominator, from the table on the
+    state cleared to integers: D(t) / delta^6."""
+    _, delta, d = kirchhoff._cleared_denominator(s)
+    return Fraction(d, delta**6)
+
+
 def random_states(seed: int, count: int):
     """Generic decimation states with nonvanishing denominator."""
     rng = random.Random(seed)
@@ -46,6 +53,72 @@ def random_states(seed: int, count: int):
         if schur_denominator(s) != 0:
             out.append(s)
     return out
+
+
+def reference_sparse_det(rows: dict, keep=()):
+    """The elimination kernel as it was before its pivot heap, the
+    reference for its pivot order: every row cleared, and the shortest
+    live row found by a scan of all of them.  Same contract and return
+    as ``kirchhoff._sparse_det``."""
+    dens = {}
+    holders = {j: set() for j in rows}
+    for i, row in rows.items():
+        ints, dens[i] = clear_denominators(row.values())
+        rows[i] = dict(zip(row, ints))
+        for j in row:
+            holders[j].add(i)
+    live = dict.fromkeys(i for i in rows if i not in keep)
+    pivot_col = {}
+    num = den = 1
+    while live:
+        p = min(live, key=lambda i: len(rows[i]))
+        row = rows[p]
+        c = min(row, key=lambda j: (j in keep, len(holders[j]), j != p), default=None)
+        if c is None or c in keep:
+            num, pivot_col = 0, {}
+            break
+        del live[p]
+        pivot_col[p] = c
+        pivot = row[c]
+        num *= pivot
+        den *= dens[p]
+        for j in row:
+            holders[j].discard(p)
+        for i in holders[c]:
+            target = rows[i]
+            factor = target.pop(c)
+            for j in target:
+                target[j] *= pivot
+            for j, x in row.items():
+                if j == c:
+                    continue
+                y = target.get(j)
+                if y is None:
+                    target[j] = -factor * x
+                    holders[j].add(i)
+                else:
+                    y -= factor * x
+                    if y:
+                        target[j] = y
+                    else:
+                        del target[j]
+                        holders[j].discard(i)
+            d = dens[i] * pivot
+            g = gcd(d, *target.values())
+            if d < 0:
+                g = -g
+            if g != 1:
+                for j in target:
+                    target[j] //= g
+            dens[i] = d // g
+    transpositions = 0
+    while pivot_col:
+        start, j = pivot_col.popitem()
+        while j != start:
+            j = pivot_col.pop(j)
+            transpositions += 1
+    det = Fraction(-num if transpositions % 2 else num, den)
+    return (det, {k: (rows[k], dens[k]) for k in keep}) if keep else det
 
 
 # -- the map rederived by seven separate determinants, the reference for the

@@ -22,7 +22,6 @@ from fractal_forest.hanoi import (
 from fractal_forest.kirchhoff import (
     SchurState,
     lambda_matrix,
-    schur_denominator,
     schur_map,
     schur_map_divergence,
     schur_pipeline,
@@ -49,7 +48,7 @@ from fractal_forest.stats import (
     normality_gap,
 )
 
-from conftest import positive_weight_list, random_states
+from conftest import positive_weight_list, random_states, schur_denominator
 
 ONES = Weights.ones()
 A, B, C = TriPoly.variables()

@@ -23,7 +23,6 @@ from fractal_forest.kirchhoff import (
     SchurState,
     decimation_identity,
     lambda_matrix,
-    schur_denominator,
     schur_map,
     schur_map_divergence,
     schur_map_rederived,
@@ -35,7 +34,7 @@ from fractal_forest.sierpinski import rot_counts
 
 from conftest import (
     SINGULAR_STATE, Counted, _det, positive_weight_list, random_states, reference_map_rederived,
-    reference_rederived,
+    reference_rederived, reference_sparse_det, schur_denominator,
 )
 
 ONES = Weights.ones()
@@ -495,6 +494,78 @@ def test_sparse_det_returns_0_for_a_singular_eliminated_block():
     # an inner row with no entry but in the kept column
     det, _ = _sparse_det(sparse([[0, 0, 3], [0, 2, 1], [4, 1, 1]]), {2})
     assert det == 0
+
+
+def assert_same_elimination(rows: dict, keep=()):
+    """The kernel and its reference (``conftest.reference_sparse_det``)
+    on copies of the rows: the same determinant, the same kept rows and
+    denominators, int for int, and every row left as it stood when it was
+    pivoted on, which fixes the pivot sequence and not just the value."""
+    got_rows = {i: dict(row) for i, row in rows.items()}
+    want_rows = {i: dict(row) for i, row in rows.items()}
+    got = _sparse_det(got_rows, keep)
+    want = reference_sparse_det(want_rows, keep)
+    (got, got_kept), (want, want_kept) = (got, want) if keep else ((got, {}), (want, {}))
+    assert type(got) is Fraction and got == want, (rows, keep)
+    for k in keep:
+        (row, d), (ref_row, ref_d) = got_kept[k], want_kept[k]
+        assert list(row.items()) == list(ref_row.items()) and d == ref_d, (rows, keep, k)
+        assert type(d) is int and all(type(x) is int for x in row.values())
+    assert [list(row.items()) for row in got_rows.values()] == [
+        list(row.items()) for row in want_rows.values()], (rows, keep)
+    return got
+
+
+def random_kernel_inputs(seed: int, count: int):
+    """Seeded sparse matrices of 1-12 rows, keyed in a shuffled order,
+    about 30% nonzero signed entries, in turn all ints, all Fractions and
+    mixed; one in five has an empty row, and each keeps 0-3 keys."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(1, 12)
+        kind = k % 3
+
+        def entry():
+            x = rng.choice((-1, 1)) * rng.randint(1, 9)
+            if kind == 0 or (kind == 2 and rng.random() < 0.5):
+                return x
+            return Fraction(x, rng.randint(1, 9))
+
+        keys = rng.sample(range(n), n)
+        rows = {i: {j: entry() for j in keys if rng.random() < 0.3} for i in keys}
+        if rng.random() < 0.2:
+            rows[rng.choice(keys)] = {}
+        yield rows, rng.sample(keys, min(n, rng.randint(0, 3)))
+
+
+def test_sparse_det_pivots_as_the_scan_of_every_row():
+    # the pivot heap pops the row the scan found, and an int row taken as
+    # given is the row the clearing made
+    seen = {"kept": 0, "empty row": 0, "singular": 0, "regular": 0}
+    for rows, keep in random_kernel_inputs(83, 400):
+        det = assert_same_elimination(rows, keep)
+        seen["kept"] += bool(keep)
+        seen["empty row"] += any(not row for row in rows.values())
+        seen["singular" if det == 0 else "regular"] += 1
+    assert all(count >= 40 for count in seen.values()), seen
+
+
+def test_cofactor_minors_pivot_as_the_scan_of_every_row():
+    # the Laplacian minor of every graph under the cofactor cap, as
+    # tree_gf_cofactor hands it to the kernel
+    for triple in (("1", "1", "1"), ("6", "9", "5"), ("13/61", "44/17", "7/90")):
+        iw = Weights.parse(*triple).clear_denominators()[0]
+        for family in FAMILIES.values():
+            for n in range(1, 9):
+                if family.vertices(n) > COFACTOR_VERTEX_CAP:
+                    continue
+                g = family.graph(n, False)
+                rows = kirchhoff._laplacian(g, iw, 0)
+                del rows[0]
+                for row in rows.values():
+                    row.pop(0, None)
+                det = assert_same_elimination(rows)
+                assert det == tree_gf_cofactor(g, iw), (family.name, n, triple)
 
 
 def test_routes_scale_homogeneously_at_cleared_weights():
