@@ -29,7 +29,6 @@ from .hanoi import (
 )
 from .kirchhoff import (
     Decimation,
-    RationalMatrix,
     SchurState,
     decimation_run,
     lambda_matrix,

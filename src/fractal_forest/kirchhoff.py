@@ -14,9 +14,10 @@ skipped), in its column with the fewest remaining entries, preferring
 the diagonal.  A reduced Laplacian has at most five entries per row, and
 this order keeps the fill-in small.  A cofactor gives its rows farthest
 from the deleted vertex first, so that ties sweep toward it (the reverse
-Cuthill-McKee order); a dense matrix gives them in index order.  At
-integer weights a cofactor is a ``Fraction`` with denominator 1, and the
-decimation pipeline returns an ``int``.
+Cuthill-McKee order); lambda and the decimation network give theirs in
+index order.  A cofactor clears its weights to integers once; at integer
+weights it is a ``Fraction`` with denominator 1, and the decimation
+pipeline returns an ``int``.
 
 The decimation map P acts on a 9-component state
 ``(x1..x3, x4..x6, x7..x9)`` = (original weights, current off-diagonal
@@ -170,29 +171,6 @@ def _sparse_det(rows: dict, keep=()):
     return (det, {k: (rows[k], dens[k]) for k in keep}) if keep else det
 
 
-class RationalMatrix:
-    """Small dense matrix of exact rationals, ``int`` or ``Fraction`` entries
-    kept as given; its determinant goes through the sparse elimination
-    kernel."""
-
-    __slots__ = ("rows", "n")
-
-    def __init__(self, rows):
-        self.rows = [list(row) for row in rows]
-        self.n = len(self.rows)
-        for row in self.rows:
-            if len(row) != self.n:
-                raise ValueError("matrix must be square")
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def det(self) -> Fraction:
-        return _sparse_det(
-            {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(self.rows)}
-        )
-
-
 # -- Laplacians and cofactors --------------------------------------------------
 
 
@@ -218,16 +196,20 @@ def tree_gf_cofactor(g: LabelledGraph, w: Weights, index: int = 0) -> Fraction:
     """Weighted spanning-tree generating function at w, via the cofactor
     that deletes vertex ``index``.
 
-    The rows go to the kernel farthest from the deleted vertex first, so
-    that on a tie the elimination sweeps toward it; on the 123-vertex
-    gaskets this halves the fill-in."""
+    The weights are cleared once, to the integers L w, and the minor
+    there, homogeneous of degree |V| - 1, divided by L^(|V| - 1).  The
+    rows go to the kernel farthest from the deleted vertex first, so that
+    on a tie the elimination sweeps toward it; on the 123-vertex gaskets
+    this halves the fill-in."""
     if len(g.vertices) == 1:
         return Fraction(1)
-    rows = _laplacian(g, w, index)
+    iw, scale = w.clear_denominators()
+    rows = _laplacian(g, iw, index)
     del rows[index]
     for row in rows.values():
         row.pop(index, None)
-    return _sparse_det(rows)
+    det = _sparse_det(rows)
+    return det if scale == 1 else det / scale ** (len(g.vertices) - 1)
 
 
 # -- the decimation state and the closed-form rational map ---------------------
@@ -518,25 +500,22 @@ def _network_edges(k: int, loops: bool):
 
 
 def _state_network(k: int, s: SchurState, loops: bool):
-    """Rows of the level-k hanoi graph weighted by a decimation state.
+    """Rows of the level-k hanoi graph weighted by a decimation state, as
+    the kernel's ``{row: {column: entry}}`` with only the nonzero entries,
+    rows and the columns within each in index order.
 
     An edge inside a first-letter block weighs x1..x3 by its label, an
     edge between two blocks x4..x6; the diagonal holds x7..x9 by block,
-    less the weight of any loop.  The other entries are ``x1 * 0``: the
-    int 0 on a state cleared to integers, ``Fraction(0)`` on Fractions.
+    less the weight of any loop.
     """
     block, edges = _network_edges(k, loops)
-    zero = s[0] * 0
-    rows = [[zero] * len(block) for _ in block]
-    for i, b in enumerate(block):
-        rows[i][i] = s[6 + b]
+    rows = [{i: s[6 + b]} for i, b in enumerate(block)]
     for u, v, label, is_loop in edges:
         if is_loop:
             rows[u][u] -= s[label]
         else:
-            weight = s[label if block[u] == block[v] else 3 + label]
-            rows[u][v] = rows[v][u] = -weight
-    return rows
+            rows[u][v] = rows[v][u] = -s[label if block[u] == block[v] else 3 + label]
+    return {i: {j: row[j] for j in sorted(row) if row[j]} for i, row in enumerate(rows)}
 
 
 # a decimation step keeps the level-2 corners 00, 11, 22 and eliminates
@@ -549,10 +528,7 @@ def _rederive(t):
     t, and the new x4..x9 at t as (numerator, denominator) pairs, which
     are meaningful only where it is nonzero: the Schur complement on the
     corners, read off one kernel call."""
-    rows = _state_network(2, t, loops=False)
-    inner, kept = _sparse_det(
-        {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}, _CORNERS
-    )
+    inner, kept = _sparse_det(_state_network(2, t, loops=False), _CORNERS)
     (r0, d0), (r4, d4), (r8, d8) = (kept[k] for k in _CORNERS)
     pairs = ((-r0.get(4, 0), d0), (-r0.get(8, 0), d0), (-r4.get(8, 0), d4),
              (r0.get(0, 0), d0), (r4.get(4, 0), d4), (r8.get(8, 0), d8))
@@ -597,8 +573,9 @@ def schur_map_divergence(s: SchurState) -> dict:
 # -- the masked matrices ----------------------------------------------------------
 
 
-def lambda_matrix(k: int, s: SchurState) -> RationalMatrix:
-    """Masked 3^k x 3^k matrix whose determinant drives the decimation.
+def lambda_matrix(k: int, s: SchurState) -> dict:
+    """Masked 3^k x 3^k matrix whose determinant drives the decimation,
+    as the kernel's rows (``_state_network``).
 
     At the initial state this is the Laplacian of the level-k hanoi graph
     with the first row and column cleared down to the single (a+b) entry.
@@ -606,11 +583,11 @@ def lambda_matrix(k: int, s: SchurState) -> RationalMatrix:
     if k < 2:
         raise ValueError("the masked matrix is defined for level >= 2")
     rows = _state_network(k, s, loops=True)
-    zero = s.x1 * 0
-    for i in range(len(rows)):
-        rows[0][i] = rows[i][0] = zero
-    rows[0][0] = s.x1 + s.x2
-    return RationalMatrix(rows)
+    for row in rows.values():
+        row.pop(0, None)
+    corner = s.x1 + s.x2
+    rows[0] = {0: corner} if corner else {}
+    return rows
 
 
 def decimation_identity(s: SchurState) -> bool:
@@ -621,7 +598,7 @@ def decimation_identity(s: SchurState) -> bool:
     t that holds where D(t) = 0 too."""
     t, _, d = _cleared_denominator(s)
     u = SchurState(*(x * d for x in t[:3]), *_map_numerators(t, d))
-    return lambda_matrix(3, SchurState(*t)).det() * d**6 == lambda_matrix(2, u).det()
+    return _sparse_det(lambda_matrix(3, SchurState(*t))) * d**6 == _sparse_det(lambda_matrix(2, u))
 
 
 # -- the full pipeline ----------------------------------------------------------
@@ -670,7 +647,8 @@ def decimation_run(n: int, w: Weights) -> Decimation:
             )
         steps.append((dt, delta))
         state = _map_cleared(state, t, delta, dt)
-    return Decimation(tuple(steps), clear_denominators(state)[1], lambda_matrix(2, state).det())
+    return Decimation(tuple(steps), clear_denominators(state)[1],
+                      _sparse_det(lambda_matrix(2, state)))
 
 
 def schur_pipeline(n: int, w: Weights):

@@ -8,9 +8,7 @@ from pathlib import Path
 from fractal_forest import kirchhoff
 from fractal_forest.algebra import VARS, TriPoly, Weights, clear_denominators, positive_weights
 from fractal_forest.errors import DecimationSingularError
-from fractal_forest.kirchhoff import (
-    RationalMatrix, SchurState, schur_map,
-)
+from fractal_forest.kirchhoff import SchurState, schur_map
 
 
 def src_env() -> dict:
@@ -121,6 +119,44 @@ def reference_sparse_det(rows: dict, keep=()):
     return (det, {k: (rows[k], dens[k]) for k in keep}) if keep else det
 
 
+def sparse(rows) -> dict:
+    """A dense matrix in the kernel's ``{row: {column: entry}}`` form."""
+    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
+
+
+# -- the decimation network and lambda as dense rows, the reference for the
+# sparse rows kirchhoff builds
+
+
+def reference_state_network(k: int, s, loops: bool):
+    """Dense rows of the level-k hanoi graph weighted by a decimation
+    state, the entries off the graph ``x1 * 0``: the int 0 on a state
+    cleared to integers, ``Fraction(0)`` on Fractions."""
+    block, edges = kirchhoff._network_edges(k, loops)
+    zero = s[0] * 0
+    rows = [[zero] * len(block) for _ in block]
+    for i, b in enumerate(block):
+        rows[i][i] = s[6 + b]
+    for u, v, label, is_loop in edges:
+        if is_loop:
+            rows[u][u] -= s[label]
+        else:
+            weight = s[label if block[u] == block[v] else 3 + label]
+            rows[u][v] = rows[v][u] = -weight
+    return rows
+
+
+def reference_lambda(k: int, s: SchurState):
+    """Dense masked matrix: the network with its loops, the first row
+    and column cleared down to the single x1 + x2 entry."""
+    rows = reference_state_network(k, s, loops=True)
+    zero = s.x1 * 0
+    for i in range(len(rows)):
+        rows[0][i] = rows[i][0] = zero
+    rows[0][0] = s.x1 + s.x2
+    return rows
+
+
 # -- the map rederived by seven separate determinants, the reference for the
 # one Schur complement of kirchhoff.schur_map_rederived
 
@@ -132,13 +168,13 @@ SINGULAR_STATE = SchurState(*map(Fraction, (1, 2, 3, 0, 0, 0, 5, 7, 1)))
 
 
 def _det(rows, keep_rows, keep_cols):
-    return RationalMatrix([[rows[i][j] for j in keep_cols] for i in keep_rows]).det()
+    return kirchhoff._sparse_det(sparse([[rows[i][j] for j in keep_cols] for i in keep_rows]))
 
 
 def reference_rederived(s: SchurState):
     """The level-2 network weighted by s, and the determinant of the block
     of its six non-corner words."""
-    rows = kirchhoff._state_network(2, s, loops=False)
+    rows = reference_state_network(2, s, loops=False)
     return rows, _det(rows, INNER, INNER)
 
 

@@ -15,7 +15,6 @@ from fractal_forest.hanoi import hanoi_bundle, hanoi_counts_closed
 from fractal_forest.kirchhoff import (
     D_TERMS,
     P_TERMS,
-    RationalMatrix,
     _D_SCHEME,
     _P_SCHEMES,
     _eval_scheme,
@@ -33,20 +32,18 @@ from fractal_forest.oracle import ForestSpec, enumerate_gf
 from fractal_forest.sierpinski import rot_counts
 
 from conftest import (
-    SINGULAR_STATE, Counted, _det, positive_weight_list, random_states, reference_map_rederived,
-    reference_rederived, reference_sparse_det, schur_denominator,
+    SINGULAR_STATE, Counted, _det, positive_weight_list, random_states, reference_lambda,
+    reference_map_rederived, reference_rederived, reference_sparse_det,
+    reference_state_network, schur_denominator, sparse,
 )
 
 ONES = Weights.ones()
 
 
 def test_bareiss_determinant_basics():
-    m = RationalMatrix([[Fraction(1, 2), 1], [1, Fraction(3)]])
-    assert m.det() == Fraction(1, 2)
-    singular = RationalMatrix([[1, 2], [2, 4]])
-    assert singular.det() == 0
-    permuted = RationalMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    assert permuted.det() == -1
+    assert _sparse_det(sparse([[Fraction(1, 2), 1], [1, Fraction(3)]])) == Fraction(1, 2)
+    assert _sparse_det(sparse([[1, 2], [2, 4]])) == 0
+    assert _sparse_det(sparse([[0, 1, 0], [1, 0, 0], [0, 0, 1]])) == -1
 
 
 def laplace_det(rows) -> Fraction:
@@ -95,7 +92,7 @@ def test_det_matches_laplace_expansion():
     seen = dict.fromkeys(kinds, 0)
     for shape, rows in random_sparse_matrices(67, 400):
         ref = laplace_det(rows)
-        assert RationalMatrix(rows).det() == ref, rows
+        assert _sparse_det(sparse(rows)) == ref, rows
         seen["invertible, zero diagonal"] += ref != 0 and not any(
             rows[i][i] for i in range(len(rows))
         )
@@ -106,7 +103,7 @@ def test_det_matches_laplace_expansion():
     assert all(count >= 20 for count in seen.values()), seen
 
 
-def weighted_laplacian(g: LabelledGraph, w: Weights) -> RationalMatrix:
+def weighted_laplacian(g: LabelledGraph, w: Weights) -> list:
     """Dense loop-stripped weighted Laplacian in the graph's canonical
     order, written straight from its edges."""
     n = len(g.vertices)
@@ -117,17 +114,17 @@ def weighted_laplacian(g: LabelledGraph, w: Weights) -> RationalMatrix:
         rows[e.v][e.v] += x
         rows[e.u][e.v] -= x
         rows[e.v][e.u] -= x
-    return RationalMatrix(rows)
+    return rows
 
 
 def test_laplacian_examples():
     L = weighted_laplacian(build_hanoi(1), ONES)
-    assert L.rows == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    assert L == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
     L123 = weighted_laplacian(build_hanoi(1), Weights.of(1, 2, 3))
-    assert L123[0, 0] == 3  # vertex 0 carries the a and b edges
-    assert all(sum(row) == 0 for row in L123.rows)
+    assert L123[0][0] == 3  # vertex 0 carries the a and b edges
+    assert all(sum(row) == 0 for row in L123)
     degrees = [
-        weighted_laplacian(build_sierpinski(1, "rotational"), ONES)[i, i]
+        weighted_laplacian(build_sierpinski(1, "rotational"), ONES)[i][i]
         for i in range(6)
     ]
     assert degrees == [2, 4, 4, 2, 4, 2]
@@ -244,15 +241,14 @@ def test_map_equals_rederived_on_random_states():
 def test_lambda2_structure_at_initial_state():
     s0 = SchurState.initial(ONES)
     lam = lambda_matrix(2, s0)
-    assert lam[0, 0] == 2
-    assert all(lam[0, j] == 0 for j in range(1, 9))
-    assert all(lam[i, 0] == 0 for i in range(1, 9))
-    assert lam.det() == 2 * 135
+    assert lam[0] == {0: 2}
+    assert all(0 not in lam[i] for i in range(1, 9))
     # masked matrix equals the Laplacian away from the first row/column
     L = weighted_laplacian(build_hanoi(2), ONES)
     for i in range(1, 9):
         for j in range(1, 9):
-            assert lam[i, j] == L[i, j]
+            assert lam[i].get(j, 0) == L[i][j]
+    assert _sparse_det(lam) == 2 * 135
     # block pattern: generator matrices on the diagonal blocks
     w123 = Weights.of(1, 2, 3)
     s = SchurState.initial(w123)
@@ -261,26 +257,25 @@ def test_lambda2_structure_at_initial_state():
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert lam[i, j] == -C1[i][j]
-                assert lam[3 + i, 3 + j] == -B1[i][j]
-                assert lam[6 + i, 6 + j] == -A1[i][j]
+                assert lam[i].get(j, 0) == -C1[i][j]
+                assert lam[3 + i].get(3 + j, 0) == -B1[i][j]
+                assert lam[6 + i].get(6 + j, 0) == -A1[i][j]
 
 
 def test_decimation_identity_on_weight_orbits():
     for w in positive_weight_list(61, 10):
         s0 = SchurState.initial(w)
-        lhs = lambda_matrix(3, s0).det()
-        rhs = schur_denominator(s0) ** 3 * lambda_matrix(2, schur_map(s0)).det()
+        lhs = _sparse_det(lambda_matrix(3, s0))
+        rhs = schur_denominator(s0) ** 3 * _sparse_det(lambda_matrix(2, schur_map(s0)))
         assert lhs == rhs
 
 
 def test_decimation_identity_on_generic_states():
     for k, seed in ((3, 63), (4, 65)):
         for s in random_states(seed, 2):
-            lhs = lambda_matrix(k, s).det()
-            rhs = schur_denominator(s) ** (3 ** (k - 2)) * lambda_matrix(
-                k - 1, schur_map(s)
-            ).det()
+            lhs = _sparse_det(lambda_matrix(k, s))
+            rhs = schur_denominator(s) ** (3 ** (k - 2)) * _sparse_det(
+                lambda_matrix(k - 1, schur_map(s)))
             assert lhs == rhs
 
 
@@ -325,7 +320,7 @@ def test_lambda2_determinant_ties_the_tables_together():
     # independently of the rederived map
     for s in random_states(89, 6):
         p = schur_map(s)
-        lhs = lambda_matrix(2, s).det()
+        lhs = _sparse_det(lambda_matrix(2, s))
         assert lhs != 0
         assert lhs == (s.x1 + s.x2) * schur_denominator(s) * (
             (p.x8 - s.x2) * (p.x9 - s.x1) - p.x6**2)
@@ -347,8 +342,9 @@ def sha256(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-# sha256 of lambda_matrix(k, s).rows for k = 2, 3, 4 and of the rederived
-# map at two fixed generic states; the second has negative coordinates
+# sha256 of lambda_matrix(k, s) for k = 2, 3, 4, densified with x1 * 0,
+# and of the rederived map at two fixed generic states; the second has
+# negative coordinates
 PINNED_STATES = (
     (
         (Fraction(3, 7), Fraction(5, 2), Fraction(11, 13), Fraction(2, 9), Fraction(17, 5),
@@ -377,8 +373,41 @@ def test_decimation_matrices_pinned():
     for values, lambda_digests, map_digest in PINNED_STATES:
         s = SchurState(*map(Fraction, values))
         for k, digest in enumerate(lambda_digests, start=2):
-            assert sha256(lambda_matrix(k, s).rows) == digest, (values, k)
+            rows = lambda_matrix(k, s)
+            dense = [[row.get(j, s.x1 * 0) for j in range(len(rows))] for row in rows.values()]
+            assert sha256(dense) == digest, (values, k)
         assert sha256(tuple(schur_map_rederived(s))) == map_digest, values
+
+
+def held(rows: dict):
+    """Rows as held: each key with its entries, in the order given, and
+    each entry with its type."""
+    return [(i, [(j, type(x), x) for j, x in row.items()]) for i, row in rows.items()]
+
+
+def test_sparse_builders_hand_the_kernel_the_dense_rows():
+    # lambda and the level-2 network, built sparse, are the dense matrices
+    # with their zeros dropped, rows and columns in index order, so the
+    # kernel pivots as it did on the dense ones; at Fraction states and at
+    # the same states cleared to integers, as the map guards build them
+    rng = random.Random(97)
+    states = [SchurState(*map(Fraction, values)) for values, _, _ in PINNED_STATES]
+    states += [SchurState(*(Fraction(rng.randint(-97, 97), rng.randint(1, 97)) for _ in range(9)))
+               for _ in range(400)]
+    # the diagonal of word 2..2 is x9 less its loop x1, which cancels here
+    assert all(3**k - 1 not in lambda_matrix(k, SINGULAR_STATE)[3**k - 1] for k in (2, 3))
+    opposite = SchurState(*map(Fraction, (2, -2, 3, 5, 7, 11, 13, 17, 19)))  # x1 + x2 = 0
+    for k in (2, 3):
+        assert lambda_matrix(k, opposite)[0] == {} and _sparse_det(lambda_matrix(k, opposite)) == 0
+    states += [SINGULAR_STATE, opposite]
+    assert any(x < 0 for s in states for x in s) and any(x == 0 for s in states for x in s)
+    for s in states:
+        for state in (s, SchurState(*clear_denominators(s)[0])):
+            for k in (2, 3):
+                want = held(sparse(reference_lambda(k, state)))
+                assert held(lambda_matrix(k, state)) == want, (state, k)
+            want = held(sparse(reference_state_network(2, state, False)))
+            assert held(kirchhoff._state_network(2, state, False)) == want, state
 
 
 def test_rederived_map_matches_the_seven_determinant_reference():
@@ -409,7 +438,8 @@ def test_decimation_identity_on_cleared_states_matches_the_fraction_form(monkeyp
     # the paper's tables, false with one coefficient of P5 off by one
     def fraction_form(s):
         d = schur_denominator(s)
-        return lambda_matrix(3, s).det() == d**3 * lambda_matrix(2, schur_map(s)).det()
+        lhs = _sparse_det(lambda_matrix(3, s))
+        return lhs == d**3 * _sparse_det(lambda_matrix(2, schur_map(s)))
 
     states = random_states(69, 50)
     for s in states[:25]:
@@ -449,7 +479,7 @@ def test_sparse_det_exact_on_integer_entries():
     # the kernel divides integer entries as fractions, never as floats
     for _shape, rows in random_sparse_matrices(71, 200):
         ints = [clear_denominators(row)[0] for row in rows]
-        det = _sparse_det({i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(ints)})
+        det = _sparse_det(sparse(ints))
         assert isinstance(det, Fraction) and det == laplace_det(ints), ints
 
 
@@ -568,6 +598,24 @@ def test_cofactor_minors_pivot_as_the_scan_of_every_row():
                 assert det == tree_gf_cofactor(g, iw), (family.name, n, triple)
 
 
+def test_cofactor_at_fraction_weights_equals_the_kernel_on_the_fraction_minor():
+    # the cofactor clears the weights once and divides by L^(|V| - 1); the
+    # kernel on the Laplacian minor in Fractions clears each row instead
+    for triple in (("1", "1", "1"), ("13/61", "44/17", "7/90"), ("-1/2", "0", "3/4")):
+        w = Weights.parse(*triple)
+        for family in FAMILIES.values():
+            for n in range(1, 9):
+                if family.vertices(n) > COFACTOR_VERTEX_CAP:
+                    continue
+                g = family.graph(n, False)
+                rows = kirchhoff._laplacian(g, w, 0)
+                del rows[0]
+                for row in rows.values():
+                    row.pop(0, None)
+                value = tree_gf_cofactor(g, w)
+                assert type(value) is Fraction and value == _sparse_det(rows), (family.name, n, w)
+
+
 def test_routes_scale_homogeneously_at_cleared_weights():
     # T on |V| vertices has degree |V| - 1 and D has degree 6; at the
     # integer weights L*w every value is an integer, and no route returns
@@ -605,11 +653,6 @@ def test_map_terms_are_homogeneous():
     assert all(sum(exps) == 7 for terms in P_TERMS.values() for _, exps in terms)
 
 
-def sparse(rows) -> dict:
-    """A dense matrix in the kernel's ``{row: {column: entry}}`` form."""
-    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
-
-
 def test_sparse_det_rows_mixing_int_and_fraction_entries():
     rows = [
         [2, Fraction(1, 2), 0, -1],
@@ -617,7 +660,7 @@ def test_sparse_det_rows_mixing_int_and_fraction_entries():
         [0, Fraction(5, 4), 7, Fraction(1, 6)],
         [1, 0, Fraction(9, 2), 4],
     ]
-    assert _sparse_det(sparse(rows)) == laplace_det(rows) == RationalMatrix(rows).det()
+    assert _sparse_det(sparse(rows)) == laplace_det(rows) == reference_sparse_det(sparse(rows))
     rng = random.Random(73)
     for _shape, fracs in random_sparse_matrices(73, 200):
         # every other entry becomes an int where it is one
@@ -648,7 +691,7 @@ def test_sparse_det_negative_pivots():
     # at positive weights every pivot of a negated Laplacian minor is
     # negative
     for w in RATIONAL_TRIPLES + (Weights.of(1, 2, 3),):
-        rows = weighted_laplacian(build_hanoi(2), w).rows
+        rows = weighted_laplacian(build_hanoi(2), w)
         minor = [[-x for x in row[1:]] for row in rows[1:]]
         det = _sparse_det(sparse(minor))
         assert det == (-1) ** len(minor) * tree_gf_cofactor(build_hanoi(2), w)
@@ -668,7 +711,7 @@ def test_sparse_det_row_cancelling_to_empty():
     for rows in ([a, b, c, d, combo], [combo, c, a, d, b]):
         assert laplace_det(rows) == 0
         assert _sparse_det(sparse(rows)) == 0
-        assert RationalMatrix(rows).det() == 0
+        assert reference_sparse_det(sparse(rows)) == 0
 
 
 def test_cofactor_equals_bundle_tree_under_the_vertex_cap():
