@@ -1,11 +1,12 @@
 """Weighted and unweighted tree/forest recursions on the hanoi graphs.
 
 The five weighted recursions mix the bundle components with the raw edge
-weights a, b, c, which every step reads off the bundle's weights.
-The component meanings match the two directional-style gasket models:
-U isolates the top corner (1^n), R the right corner (2^n), L the left
-corner (0^n).  As on the gaskets, a step forms each distinct product of
-two bundle components once and stays subtraction-free.
+weights a, b, c, which every step reads off the bundle's weights.  The
+components match the directional-style gasket models: U isolates the top
+corner (1^n), R the right corner (2^n), L the left corner (0^n).  The
+unweighted counts (tau, s, q) step as a RotBundle's (T, S, Q), on their
+primitive part through ``iterate``.  Every step forms each distinct
+product of two components once and stays subtraction-free.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .sierpinski import (
     SYMBOLS,
     CountsTriple,
     FiveBundle,
+    RotBundle,
     _exact_div,
     _five_products,
     check_level,
@@ -81,23 +83,21 @@ def hanoi_bundle(n: int, w: Weights = SYMBOLS) -> FiveBundle:
     return iterate(hanoi_step, five_initial(w), n)
 
 
+def _counts_step(bundle: RotBundle) -> RotBundle:
+    """T' = 3 T^3 + 6 T^2 S, S' = T^3 + 7 T^2 S + 7 T S^2 + T^2 Q and
+    Q' = 3 T^2 Q + 12 T S Q + 14 S^3 + 12 T^2 S + T^3 + 36 T S^2."""
+    check_level(bundle.level + 1, bundle.weights)
+    T, S, Q = bundle.T, bundle.S, bundle.Q
+    TT, TS, SS, TQ = T * T, T * S, S * S, T * Q
+    new = (T * (3 * TT + 6 * TS), T * (TT + 7 * (TS + SS) + TQ),
+           T * (TT + 12 * TS + 36 * SS + 3 * TQ) + S * (12 * TQ + 14 * SS))
+    return RotBundle(bundle.level + 1, *new, bundle.weights)
+
+
 def hanoi_counts_recursive(n: int) -> CountsTriple:
-    """Iterate the unweighted recursion from (3, 1, 1)."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    tau, s, q = 3, 1, 1
-    for _ in range(n - 1):
-        tau, s, q = (
-            3 * tau**3 + 6 * tau**2 * s,
-            tau**3 + 7 * tau**2 * s + 7 * tau * s**2 + tau**2 * q,
-            3 * tau**2 * q
-            + 12 * tau * s * q
-            + 14 * s**3
-            + 12 * tau**2 * s
-            + tau**3
-            + 36 * tau * s**2,
-        )
-    return CountsTriple(tau, s, q)
+    """Iterate the unweighted recursion from (3, 1, 1) on its primitive part."""
+    b = iterate(_counts_step, RotBundle(1, 3, 1, 1, Weights(1, 1, 1)), n)
+    return CountsTriple(b.T, b.S, b.Q)
 
 
 def hanoi_counts_closed(n: int) -> CountsTriple:

@@ -492,30 +492,31 @@ def schur_map(s: SchurState) -> SchurState:
 
 @cache
 def _network_edges(k: int, loops: bool):
-    """First letters of the level-k hanoi words and the graph's edges as
-    ``(u, v, label index, is_loop)``, built once per level."""
+    """First letters of the level-k hanoi words, the edges as ``(u, v, label
+    index, is_loop)`` and each row's columns in index order, once per level."""
     g = build_hanoi(k, include_loops=loops)
     block = tuple(int(word[0]) for word in g.vertices)
-    return block, tuple((e.u, e.v, LABELS.index(e.label), e.is_loop) for e in g.edges)
+    order = tuple(tuple(sorted({i}.union(*({e.u, e.v} for e in g.edges if i in (e.u, e.v)))))
+                  for i in range(len(block)))
+    return block, tuple((e.u, e.v, LABELS.index(e.label), e.is_loop) for e in g.edges), order
 
 
 def _state_network(k: int, s: SchurState, loops: bool):
     """Rows of the level-k hanoi graph weighted by a decimation state, as
     the kernel's ``{row: {column: entry}}`` with only the nonzero entries,
-    rows and the columns within each in index order.
+    rows and the columns within each in index order (``_network_edges``).
 
     An edge inside a first-letter block weighs x1..x3 by its label, an
     edge between two blocks x4..x6; the diagonal holds x7..x9 by block,
-    less the weight of any loop.
-    """
-    block, edges = _network_edges(k, loops)
+    less the weight of any loop."""
+    block, edges, order = _network_edges(k, loops)
     rows = [{i: s[6 + b]} for i, b in enumerate(block)]
     for u, v, label, is_loop in edges:
         if is_loop:
             rows[u][u] -= s[label]
         else:
             rows[u][v] = rows[v][u] = -s[label if block[u] == block[v] else 3 + label]
-    return {i: {j: row[j] for j in sorted(row) if row[j]} for i, row in enumerate(rows)}
+    return {i: {j: row[j] for j in order[i] if row[j]} for i, row in enumerate(rows)}
 
 
 # a decimation step keeps the level-2 corners 00, 11, 22 and eliminates

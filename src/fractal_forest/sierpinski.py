@@ -3,7 +3,8 @@
 Three labelling models share the same machinery:
 
 * rotational -- bundle (T, S, Q): trees, 2-forests separating one corner
-  (independent of which, by symmetry), 3-forests separating all corners.
+  (independent of which, by symmetry), 3-forests separating all corners;
+  it also carries hanoi's unweighted counts (``hanoi``).
 * directional and schreier -- bundle (T, U, R, L, Q) where U, R, L are the
   2-forests isolating the top, right and left corner respectively.
 
@@ -26,12 +27,10 @@ primitive bundle.  The level-n bundle is that bundle times the content
 ``prod g_k^(3^(n-1-k))``, which is nearly all of its size; ``iterate``
 is the primitive run, then that one product of powers (``content``),
 then the primitive bundle scaled by it (``scaled``), so the bundle it
-returns is exact and in full.  ``families.Level``, where a family's
-recursion runs, multiplies its run out the same way, and for ``verify``
-reads it as one FactoredPoly per component, the contents to their powers
-times the primitive part (``Level.products``), which
-``algebra.products_equal`` compares with a closed form without
-multiplying it out at all.
+returns is exact and in full.  Every recursion runs through
+``primitive_run``: the bundles here and in ``hanoi``, hanoi's unweighted
+counts, and ``families.Level``, which for ``verify`` also reads the run
+unmultiplied, the contents to their powers (``Level.products``).
 
 Closed forms are FactoredPoly products over the ring of the weights
 too: their bases are the weights' images under the polynomial maps,

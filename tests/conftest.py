@@ -9,6 +9,7 @@ from fractal_forest import kirchhoff
 from fractal_forest.algebra import VARS, TriPoly, Weights, clear_denominators, positive_weights
 from fractal_forest.errors import DecimationSingularError
 from fractal_forest.kirchhoff import SchurState, schur_map
+from fractal_forest.sierpinski import CountsTriple
 
 
 def src_env() -> dict:
@@ -51,6 +52,26 @@ def random_states(seed: int, count: int):
         if schur_denominator(s) != 0:
             out.append(s)
     return out
+
+
+def reference_hanoi_counts(n: int) -> CountsTriple:
+    """The unweighted hanoi counts (tau, s, q) at level n by a plain loop
+    on full-size integers, with no content divided out."""
+    if n < 1:
+        raise ValueError("level must be >= 1")
+    tau, s, q = 3, 1, 1
+    for _ in range(n - 1):
+        tau, s, q = (
+            3 * tau**3 + 6 * tau**2 * s,
+            tau**3 + 7 * tau**2 * s + 7 * tau * s**2 + tau**2 * q,
+            3 * tau**2 * q
+            + 12 * tau * s * q
+            + 14 * s**3
+            + 12 * tau**2 * s
+            + tau**3
+            + 36 * tau * s**2,
+        )
+    return CountsTriple(tau, s, q)
 
 
 def reference_sparse_det(rows: dict, keep=()):
@@ -132,7 +153,7 @@ def reference_state_network(k: int, s, loops: bool):
     """Dense rows of the level-k hanoi graph weighted by a decimation
     state, the entries off the graph ``x1 * 0``: the int 0 on a state
     cleared to integers, ``Fraction(0)`` on Fractions."""
-    block, edges = kirchhoff._network_edges(k, loops)
+    block, edges, _ = kirchhoff._network_edges(k, loops)
     zero = s[0] * 0
     rows = [[zero] * len(block) for _ in block]
     for i, b in enumerate(block):

@@ -1,0 +1,128 @@
+"""Seeded mutants: each one changes one exact snippet of the program, and
+the tests named with it must fail on the changed copy.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py           # every mutant
+    python tests/mutants.py NAME ...  # the named ones
+
+For each mutant, ``src/`` and ``tests/`` are copied to a temporary
+directory, the snippet is replaced there, and the named tests run on the
+copy with ``pytest -x -q``.  A mutant is killed when pytest reports a
+failed test (exit code 1).  The run fails if a mutant's tests pass, if
+pytest ends any other way (a test id that names no test, say), or if a
+snippet is not found exactly once in its file.  The checkout itself is
+never written to.  The file is not named ``test_*.py``, so the tier-1
+suite does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+KERNEL = "src/fractal_forest/kirchhoff.py"
+HANOI = "src/fractal_forest/hanoi.py"
+RUNNER = "src/fractal_forest/sierpinski.py"
+PIVOTS = "tests/test_kirchhoff.py::test_sparse_det_pivots_as_the_scan_of_every_row"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # found exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("pivot heap tie rank reversed", KERNEL,
+           "heap = [(len(rows[i]), r, i) for i, r in rank.items()]",
+           "heap = [(len(rows[i]), -r, i) for i, r in rank.items()]",
+           (PIVOTS,)),
+    Mutant("stale heap entry skipped only once pivoted", KERNEL,
+           "if p not in rank or len(row) != length:",
+           "if p not in rank:",
+           (PIVOTS,)),
+    Mutant("decimation delta to the power -3 e", KERNEL,
+           "(delta, -6 * e)",
+           "(delta, -3 * e)",
+           ("tests/test_hanoi.py::test_decimation_products_agree_with_the_values",)),
+    Mutant("hanoi step's gasket 3-forests doubled", HANOI,
+           "+ abc * gasket_Q",
+           "+ 2 * abc * gasket_Q",
+           ("tests/test_hanoi.py::test_step_equals_the_paper_equations",)),
+    Mutant("network column order reversed", KERNEL,
+           "sorted({i}.union(*({e.u, e.v} for e in g.edges if i in (e.u, e.v))))",
+           "sorted({i}.union(*({e.u, e.v} for e in g.edges if i in (e.u, e.v))), reverse=True)",
+           ("tests/test_kirchhoff.py::test_sparse_builders_hand_the_kernel_the_dense_rows",)),
+    Mutant("counts step coefficient 36 to 35", HANOI,
+           "36 * SS",
+           "35 * SS",
+           ("tests/test_hanoi.py::test_counts_step_equals_the_paper_equations",
+            "tests/test_hanoi.py::test_counts_recursive_equals_the_full_size_loop")),
+    Mutant("primitive run keeps no content past level 1", RUNNER,
+           "contents.append(g)",
+           "contents.append(1)",
+           ("tests/test_hanoi.py::test_counts_recursive_equals_the_full_size_loop",
+            "tests/test_sierpinski.py::test_primitive_run_multiplied_out_is_the_bundle")),
+)
+
+
+def mutated(mutant: Mutant) -> str:
+    """The mutant's file with its snippet replaced; an error unless the
+    snippet is found exactly once."""
+    text = (ROOT / mutant.path).read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        raise SystemExit(f"{mutant.name}: {mutant.old!r} is found {found} times in {mutant.path}")
+    return text.replace(mutant.old, mutant.new)
+
+
+def run(mutant: Mutant) -> int:
+    """pytest's exit code on the mutant's tests, run on a mutated copy."""
+    text = mutated(mutant)
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+        (copy / mutant.path).write_text(text)
+        path = [str(copy / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                   PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--rootdir", str(copy), *mutant.tests],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    for mutant in chosen:
+        mutated(mutant)  # every snippet is checked before any test runs
+    bad = 0
+    for mutant in chosen:
+        start = time.perf_counter()
+        code = run(mutant)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+        bad += code != 1
+        print(f"{verdict:>8}  {mutant.name}  ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

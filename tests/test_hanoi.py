@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fractal_forest import kirchhoff
+from fractal_forest import hanoi, kirchhoff, sierpinski
 from fractal_forest.algebra import FactoredPoly, TriPoly, Weights
 from fractal_forest.errors import CapabilityError
 from fractal_forest.graphs import build_hanoi
@@ -18,7 +18,14 @@ from fractal_forest.hanoi import (
 from fractal_forest.families import HANOI, Level
 from fractal_forest.kirchhoff import schur_pipeline, tree_gf_cofactor
 from fractal_forest.oracle import ForestSpec, enumerate_gf
-from fractal_forest.sierpinski import SYMBOLS, CountsTriple, FiveBundle, check_level, five_initial
+from fractal_forest.sierpinski import (
+    SYMBOLS,
+    CountsTriple,
+    FiveBundle,
+    RotBundle,
+    check_level,
+    five_initial,
+)
 
 from conftest import (
     STEP_WEIGHTS,
@@ -26,6 +33,7 @@ from conftest import (
     count_products,
     plain_fold,
     positive_weight_list,
+    reference_hanoi_counts,
     signed_bundles,
 )
 
@@ -65,8 +73,84 @@ def test_counts_closed_examples():
 
 
 def test_counts_recursive_equals_closed_up_to_8():
-    for n in range(1, 9):
-        assert hanoi_counts_recursive(n) == hanoi_counts_closed(n)
+    # and on through the evaluated cap, level 12
+    for n in range(1, 13):
+        assert hanoi_counts_recursive(n) == hanoi_counts_closed(n), n
+
+
+def test_counts_recursive_equals_the_full_size_loop():
+    for n in range(1, 10):
+        assert hanoi_counts_recursive(n) == reference_hanoi_counts(n), n
+
+
+def paper_counts_step(bundle: RotBundle) -> RotBundle:
+    """The unweighted recursion on (T, S, Q) = (tau, s, q) as first
+    transcribed, term by term; the counts step must equal this copy."""
+    check_level(bundle.level + 1, bundle.weights)
+    T, S, Q = bundle.T, bundle.S, bundle.Q
+    return RotBundle(
+        bundle.level + 1,
+        3 * T**3 + 6 * T**2 * S,
+        T**3 + 7 * T**2 * S + 7 * T * S**2 + T**2 * Q,
+        3 * T**2 * Q + 12 * T * S * Q + 14 * S**3 + 12 * T**2 * S + T**3 + 36 * T * S**2,
+        bundle.weights,
+    )
+
+
+def _signed_counts(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [RotBundle(1, *(rng.randint(-10**6, 10**6) for _ in range(3)), ONES)
+            for _ in range(count)]
+
+
+def test_counts_step_equals_the_paper_equations():
+    for bundle in _signed_counts(73, 200):
+        assert hanoi._counts_step(bundle) == paper_counts_step(bundle), bundle
+    # each distinct product of two components once: 24 in the copy above
+    bundle = RotBundle(1, 7, 11, 13, ONES)
+    count, value = count_products(hanoi._counts_step, bundle)
+    assert count_products(paper_counts_step, bundle) == (24, value)
+    assert count <= 8
+
+
+def test_counts_step_is_a_homogeneous_cubic():
+    # what stepping on the primitive part rests on
+    bundles = _signed_counts(79, 5)
+    assert_homogeneous_cubic(hanoi._counts_step, bundles)
+    assert_homogeneous_cubic(paper_counts_step, bundles)
+
+
+def test_counts_cap_is_checked_before_any_step(monkeypatch):
+    def refuse(bundle):
+        raise AssertionError("a counts step ran")
+
+    monkeypatch.setattr(hanoi, "_counts_step", refuse)
+    with pytest.raises(AssertionError):
+        hanoi_counts_recursive(2)
+    with pytest.raises(CapabilityError, match="^evaluated bundles are capped at level 12$"):
+        hanoi_counts_recursive(13)
+    with pytest.raises(ValueError, match="^level must be >= 1$"):
+        hanoi_counts_recursive(0)
+    assert hanoi_counts_recursive(1) == CountsTriple(3, 1, 1)
+
+
+def test_counts_run_divides_out_a_nontrivial_content(monkeypatch):
+    # clock-free: the level-12 counts come from one primitive run whose
+    # contents are not all 1, so a fall-back to full-size steps fails here
+    runs = []
+    primitive_run = sierpinski.primitive_run
+
+    def recording(step, initial, n):
+        out = primitive_run(step, initial, n)
+        runs.append((step, n, out))
+        return out
+
+    monkeypatch.setattr(sierpinski, "primitive_run", recording)
+    assert hanoi_counts_recursive(12) == reference_hanoi_counts(12)
+    [(step, n, (contents, primitive))] = runs
+    assert (step, n) == (hanoi._counts_step, 12)
+    assert len(contents) == 12 and contents != [1] * 12
+    assert contents[1] == 5  # gcd(135, 120, 320)
 
 
 def test_bundle_at_ones_reproduces_counts_up_to_6():
