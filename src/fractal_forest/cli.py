@@ -292,11 +292,7 @@ def _parser() -> argparse.ArgumentParser:
     f.add_argument("--level", type=int, required=True)
     f.add_argument("--weights", nargs=3, default=("1", "1", "1"), metavar=("A", "B", "C"))
     f.add_argument("--mode", choices=("symbolic", "evaluated"), default="evaluated")
-    f.add_argument(
-        "--method",
-        choices=("recursion", "closed", "cofactor", "schur", "oracle", "all"),
-        default="recursion",
-    )
+    f.add_argument("--method", choices=(*ROUTES, "all"), default="recursion")
     f.add_argument("--seed", type=int, help="recorded in the report; no gf route draws from it")
     f.add_argument("--format", choices=("json", "text", "csv"), default="json")
 

@@ -22,12 +22,12 @@ run one for T (``kirchhoff.Decimation.tree``).  ``verify`` compares the
 recursion's with the closed form's or the decimation's, powers against
 powers (``products_equal``), and multiplies both out only to report a
 mismatch.
-``ROUTES`` maps each gf method to its one function (Level, integer
-weights) -> T, ``symbolic_routes`` names those with a symbolic form, and
-``Family.skip_reason`` is the one rule for where ``gf --method all``
-leaves a route out and ``verify`` the checks that run it.  The
-``schur`` route folds the decimation run into a value
-(``kirchhoff.schur_pipeline``).
+``ROUTES`` maps each gf method, in the order ``gf --method`` lists them,
+to its one function (Level, integer weights) -> T; ``symbolic_routes``
+names those with a symbolic form, and ``Family.skip_reason`` is the one
+rule for where ``gf --method all`` leaves a route out and ``verify`` the
+checks that run it.  The ``schur`` route folds the decimation run into a
+value (``kirchhoff.schur_pipeline``).
 
 Route functions are looked up through their modules when they are
 called, not bound when this module is imported, so that a patched or
@@ -310,8 +310,8 @@ def _decimation_tree(lv, w):
     return Products([kirchhoff.decimation_run(lv.n, w).tree(w)])
 
 
-ROUTES = {"recursion": _tree, "cofactor": _cofactor, "schur": _schur, "oracle": _oracle,
-          "closed": lambda lv, w: lv.family.closed_value(lv.n, w, ("T",))[0]}
+ROUTES = {"recursion": _tree, "closed": lambda lv, w: lv.family.closed_value(lv.n, w, ("T",))[0],
+          "cofactor": _cofactor, "schur": _schur, "oracle": _oracle}
 
 
 def symbolic_routes(family: Family) -> tuple[str, ...]:

@@ -5,8 +5,9 @@ weights a, b, c, which every step reads off the bundle's weights.  The
 components match the directional-style gasket models: U isolates the top
 corner (1^n), R the right corner (2^n), L the left corner (0^n).  The
 unweighted counts (tau, s, q) step as a RotBundle's (T, S, Q), on their
-primitive part through ``iterate``.  Every step forms each distinct
-product of two components once and stays subtraction-free.
+primitive part through ``iterate``, which checks the level cap.  A step
+is its map alone: it forms each distinct product of two components once
+and stays subtraction-free.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .sierpinski import (
     RotBundle,
     _exact_div,
     _five_products,
-    check_level,
     five_initial,
     iterate,
 )
@@ -45,7 +45,6 @@ def hanoi_step(bundle: FiveBundle) -> FiveBundle:
     the cubic are read off ``sierpinski._five_products``; T U, T R and
     T L are formed here.
     """
-    check_level(bundle.level + 1, bundle.weights)
     a, b, c = bundle.weights.as_tuple()
     e = a * b + a * c + b * c
     abc = a * b * c
@@ -76,7 +75,7 @@ def hanoi_step(bundle: FiveBundle) -> FiveBundle:
             + b * (a + c) * UU + a * (b + c) * RR + c * (a + b) * LL
         )
     ) + abc * gasket_Q
-    return FiveBundle(bundle.level + 1, new_T, new_U, new_R, new_L, new_Q, bundle.weights)
+    return FiveBundle(new_T, new_U, new_R, new_L, new_Q, bundle.weights)
 
 
 def hanoi_bundle(n: int, w: Weights = SYMBOLS) -> FiveBundle:
@@ -86,17 +85,16 @@ def hanoi_bundle(n: int, w: Weights = SYMBOLS) -> FiveBundle:
 def _counts_step(bundle: RotBundle) -> RotBundle:
     """T' = 3 T^3 + 6 T^2 S, S' = T^3 + 7 T^2 S + 7 T S^2 + T^2 Q and
     Q' = 3 T^2 Q + 12 T S Q + 14 S^3 + 12 T^2 S + T^3 + 36 T S^2."""
-    check_level(bundle.level + 1, bundle.weights)
     T, S, Q = bundle.T, bundle.S, bundle.Q
     TT, TS, SS, TQ = T * T, T * S, S * S, T * Q
     new = (T * (3 * TT + 6 * TS), T * (TT + 7 * (TS + SS) + TQ),
            T * (TT + 12 * TS + 36 * SS + 3 * TQ) + S * (12 * TQ + 14 * SS))
-    return RotBundle(bundle.level + 1, *new, bundle.weights)
+    return RotBundle(*new, bundle.weights)
 
 
 def hanoi_counts_recursive(n: int) -> CountsTriple:
     """Iterate the unweighted recursion from (3, 1, 1) on its primitive part."""
-    b = iterate(_counts_step, RotBundle(1, 3, 1, 1, Weights(1, 1, 1)), n)
+    b = iterate(_counts_step, RotBundle(3, 1, 1, Weights(1, 1, 1)), n)
     return CountsTriple(b.T, b.S, b.Q)
 
 

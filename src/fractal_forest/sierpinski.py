@@ -14,10 +14,11 @@ carries its weights.  At ``SYMBOLS``, the variables a, b, c, the
 components are TriPolys, capped at low levels because expanded sizes
 explode like 3^n; integer weights give ``int`` components, rational ones
 ``Fraction`` components and jet weights (``algebra.Jet``, for the label
-statistics) jet components.  Every level cap reads its ring off the
-weights (``check_level``).  Each step forms each distinct product of two
-bundle components once and stays subtraction-free; the tests hold the
-equations as first transcribed, term by term, and compare.
+statistics) jet components.  A run is capped when it starts, by the
+ring of the weights (``check_level``); a step is its map alone.  Each
+step forms each distinct product of two bundle components once and stays
+subtraction-free; the tests hold the equations as first transcribed,
+term by term, and compare.
 
 Every step is a homogeneous cubic in the components, so an evaluated
 integer bundle steps on its primitive part: the primitive run
@@ -63,7 +64,6 @@ FIVE = ("T", "U", "R", "L", "Q")  # the components of a FiveBundle
 
 @dataclass(frozen=True)
 class RotBundle:
-    level: int
     T: object
     S: object
     Q: object
@@ -72,7 +72,6 @@ class RotBundle:
 
 @dataclass(frozen=True)
 class FiveBundle:
-    level: int
     T: object
     U: object
     R: object
@@ -100,8 +99,9 @@ def _symbolic(w: Weights) -> bool:
 
 
 def check_level(n: int, w: Weights) -> None:
-    """The level cap of bundles and evaluated closed forms, by the ring of
-    the weights: symbolic if an entry is a TriPoly, else evaluated."""
+    """The level cap of a run, by the ring of the weights: symbolic if an
+    entry is a TriPoly, else evaluated.  Checked before any work by its four
+    callers: ``primitive_run``, ``_evaluated``, ``cli.run_gf`` and ``cli.run_verify``."""
     symbolic = _symbolic(w)
     cap = SYMBOLIC_LEVEL_CAP if symbolic else EVALUATED_LEVEL_CAP
     if n > cap:
@@ -186,16 +186,14 @@ def rot_initial(w: Weights = SYMBOLS) -> RotBundle:
     a, b, c = w.as_tuple()
     e = a * b + a * c + b * c
     s = a + b + 3 * c
-    return RotBundle(1, 3 * (a + b) * e**2, (a + b) * s * e, (a + b) * s**2, w)
+    return RotBundle(3 * (a + b) * e**2, (a + b) * s * e, (a + b) * s**2, w)
 
 
 def rot_step(bundle: RotBundle) -> RotBundle:
     """T' = 6 T^2 S, S' = 7 T S^2 + T^2 Q, Q' = 12 T S Q + 14 S^3."""
-    check_level(bundle.level + 1, bundle.weights)
     T, S, Q = bundle.T, bundle.S, bundle.Q
     SS, TQ = S * S, T * Q
     return RotBundle(
-        bundle.level + 1,
         6 * (T * T) * S,
         T * (7 * SS + TQ),
         S * (12 * TQ + 14 * SS),
@@ -228,7 +226,7 @@ def rot_closed(n: int, w: Weights = SYMBOLS) -> RotBundle:
         {2: e2, 3: _exact_div(3**n - 6 * n + 3, 4), 5: _exact_div(pw3 + 6 * n - 7, 4)},
         [(p, pw3), (s, _exact_div(pw3 + 3, 2)), (e, _exact_div(3**n - 3, 2))],
     )
-    return RotBundle(n, T, S, Q, w)
+    return RotBundle(T, S, Q, w)
 
 
 def rot_counts(n: int) -> CountsTriple:
@@ -312,7 +310,7 @@ def five_initial(w: Weights = SYMBOLS) -> FiveBundle:
     """The level-1 bundle of the directional, schreier and hanoi
     recursions, in the ring of the weights."""
     a, b, c = w.as_tuple()
-    return FiveBundle(1, a * b + a * c + b * c, b, a, c, a**0, w)
+    return FiveBundle(a * b + a * c + b * c, b, a, c, a**0, w)
 
 
 def _five_products(bundle: FiveBundle):
@@ -334,11 +332,9 @@ def _five_products(bundle: FiveBundle):
 def dir_step(bundle: FiveBundle) -> FiveBundle:
     """T' = 2 T^2 (U + R + L), U' = T U (2 R + 2 L + 3 U) + T^2 Q, and R',
     L' alike, each corner's quadratic read off the shared products."""
-    check_level(bundle.level + 1, bundle.weights)
     T, U, R, L = bundle.T, bundle.U, bundle.R, bundle.L
     TT, TQ, (UU, RR, LL, UR, UL, RL), new_Q = _five_products(bundle)
     return FiveBundle(
-        bundle.level + 1,
         2 * TT * (U + R + L),
         T * (2 * (UR + UL) + 3 * UU + TQ),
         T * (2 * (RL + UR) + 3 * RR + TQ),
@@ -351,11 +347,9 @@ def dir_step(bundle: FiveBundle) -> FiveBundle:
 def schreier_step(bundle: FiveBundle) -> FiveBundle:
     """T' = 2 T^2 (U + R + L), U' = T (3 L R + U R + U L + 2 U^2) + T^2 Q,
     and R', L' alike; Q' is the directional one."""
-    check_level(bundle.level + 1, bundle.weights)
     T, U, R, L = bundle.T, bundle.U, bundle.R, bundle.L
     TT, TQ, (UU, RR, LL, UR, UL, RL), new_Q = _five_products(bundle)
     return FiveBundle(
-        bundle.level + 1,
         2 * TT * (U + R + L),
         T * (3 * RL + UR + UL + 2 * UU + TQ),
         T * (3 * UL + UR + RL + 2 * RR + TQ),
@@ -421,7 +415,7 @@ def _closed_five(model: str, n: int, w: Weights, names=FIVE) -> FiveBundle:
         x, y, z = iterates[n - 1]
         return product(two_corner, -3, n - 1, {"U": y, "R": x, "L": z}[name])
 
-    return FiveBundle(n, *(build(name) if name in names else None for name in FIVE), w)
+    return FiveBundle(*(build(name) if name in names else None for name in FIVE), w)
 
 
 def _evaluated(closed, n: int, w: Weights, names) -> FiveBundle:

@@ -345,7 +345,7 @@ def full_size_products(bases, rows, power_products):
 def components(bundle) -> dict:
     """A bundle's components by name."""
     return {f.name: getattr(bundle, f.name)
-            for f in dataclasses.fields(bundle) if f.name not in ("level", "weights")}
+            for f in dataclasses.fields(bundle) if f.name != "weights"}
 
 
 def signed_bundles(seed: int, make, count: int = 3):

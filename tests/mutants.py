@@ -74,6 +74,11 @@ MUTANTS = (
            "contents.append(1)",
            ("tests/test_hanoi.py::test_counts_recursive_equals_the_full_size_loop",
             "tests/test_sierpinski.py::test_primitive_run_multiplied_out_is_the_bundle")),
+    Mutant("primitive run checks no level cap", RUNNER,
+           "check_level(n, initial.weights)",
+           "pass",
+           ("tests/test_sierpinski.py::test_variables_as_weights_keep_the_symbolic_cap",
+            "tests/test_hanoi.py::test_counts_cap_is_checked_before_any_step")),
 )
 
 

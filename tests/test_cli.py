@@ -353,6 +353,18 @@ def test_every_family_route_is_in_the_route_table():
         assert set(family.routes) <= set(families.ROUTES), family.name
 
 
+def test_every_family_route_is_a_method_choice(capsys):
+    for family in families.FAMILIES.values():
+        for route in family.routes:
+            args = cli._parser().parse_args(
+                ["gf", "--family", family.name, "--level", "1", "--method", route])
+            assert args.method == route, (family.name, route)
+    # the choices are the route table's keys, in the order gf --help lists them
+    with pytest.raises(SystemExit):
+        cli._parser().parse_args(["gf", "--help"])
+    assert "--method {recursion,closed,cofactor,schur,oracle,all}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("family", ["hanoi", "sierpinski-rot", "sierpinski-dir",
                                     "sierpinski-schreier"])
 def test_each_route_alone_gives_its_value_under_all(capsys, family):

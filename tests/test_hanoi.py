@@ -23,7 +23,6 @@ from fractal_forest.sierpinski import (
     CountsTriple,
     FiveBundle,
     RotBundle,
-    check_level,
     five_initial,
 )
 
@@ -86,10 +85,8 @@ def test_counts_recursive_equals_the_full_size_loop():
 def paper_counts_step(bundle: RotBundle) -> RotBundle:
     """The unweighted recursion on (T, S, Q) = (tau, s, q) as first
     transcribed, term by term; the counts step must equal this copy."""
-    check_level(bundle.level + 1, bundle.weights)
     T, S, Q = bundle.T, bundle.S, bundle.Q
     return RotBundle(
-        bundle.level + 1,
         3 * T**3 + 6 * T**2 * S,
         T**3 + 7 * T**2 * S + 7 * T * S**2 + T**2 * Q,
         3 * T**2 * Q + 12 * T * S * Q + 14 * S**3 + 12 * T**2 * S + T**3 + 36 * T * S**2,
@@ -99,7 +96,7 @@ def paper_counts_step(bundle: RotBundle) -> RotBundle:
 
 def _signed_counts(seed: int, count: int) -> list:
     rng = random.Random(seed)
-    return [RotBundle(1, *(rng.randint(-10**6, 10**6) for _ in range(3)), ONES)
+    return [RotBundle(*(rng.randint(-10**6, 10**6) for _ in range(3)), ONES)
             for _ in range(count)]
 
 
@@ -107,7 +104,7 @@ def test_counts_step_equals_the_paper_equations():
     for bundle in _signed_counts(73, 200):
         assert hanoi._counts_step(bundle) == paper_counts_step(bundle), bundle
     # each distinct product of two components once: 24 in the copy above
-    bundle = RotBundle(1, 7, 11, 13, ONES)
+    bundle = RotBundle(7, 11, 13, ONES)
     count, value = count_products(hanoi._counts_step, bundle)
     assert count_products(paper_counts_step, bundle) == (24, value)
     assert count <= 8
@@ -267,10 +264,10 @@ def test_growth_constant():
 
 
 def test_symbolic_cap():
-    b3 = hanoi_bundle(3)
-    with pytest.raises(CapabilityError):
-        hanoi_step(b3)
-    with pytest.raises(CapabilityError):
+    hanoi_bundle(3)  # the symbolic cap; the runs past the caps are refused
+    with pytest.raises(CapabilityError, match="^symbolic bundles are capped at level 3$"):
+        hanoi_bundle(4)
+    with pytest.raises(CapabilityError, match="^evaluated bundles are capped at level 12$"):
         hanoi_bundle(13, ONES)
 
 
@@ -278,7 +275,6 @@ def paper_hanoi_step(bundle: FiveBundle) -> FiveBundle:
     """The five weighted recursions as first transcribed, term by term;
     hanoi_step forms each product of bundle components once and must
     equal this copy."""
-    check_level(bundle.level + 1, bundle.weights)
     a, b, c = bundle.weights.as_tuple()
     e = a * b + a * c + b * c
     abc = a * b * c
@@ -320,7 +316,7 @@ def paper_hanoi_step(bundle: FiveBundle) -> FiveBundle:
             + c * L**2 * (a + b)
         )
     )
-    return FiveBundle(bundle.level + 1, new_T, new_U, new_R, new_L, new_Q, bundle.weights)
+    return FiveBundle(new_T, new_U, new_R, new_L, new_Q, bundle.weights)
 
 
 def test_step_equals_the_paper_equations():
@@ -336,7 +332,7 @@ def test_step_equals_the_paper_equations():
 def test_step_products_formed_once():
     # products of two bundle components in one step: 38 in the paper's
     # equations above, each distinct product once in hanoi_step
-    bundle = FiveBundle(1, 7, 11, 13, 17, 19, Weights(2, 3, 5))
+    bundle = FiveBundle(7, 11, 13, 17, 19, Weights(2, 3, 5))
     count, value = count_products(hanoi_step, bundle)
     assert count_products(paper_hanoi_step, bundle) == (38, value)
     assert count <= 18
@@ -344,7 +340,7 @@ def test_step_products_formed_once():
 
 def test_step_is_a_homogeneous_cubic():
     # in the bundle's components; the weights a, b, c stay fixed
-    bundles = signed_bundles(2, lambda w, x: FiveBundle(1, *x, w))
+    bundles = signed_bundles(2, lambda w, x: FiveBundle(*x, w))
     bundles += [plain_fold(hanoi_step, five_initial(w), 3) for w in STEP_WEIGHTS]
     assert_homogeneous_cubic(hanoi_step, bundles)
     assert_homogeneous_cubic(paper_hanoi_step, bundles)

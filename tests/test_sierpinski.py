@@ -3,18 +3,17 @@ import math
 
 import pytest
 
-from fractal_forest import algebra, sierpinski
+from fractal_forest import algebra, hanoi, sierpinski
 from fractal_forest.algebra import FactoredPoly, Jet, Products, TriPoly, Weights, power_products
 from fractal_forest.errors import CapabilityError
 from fractal_forest.families import FAMILIES, ROTATIONAL, Level
-from fractal_forest.hanoi import hanoi_bundle, hanoi_step
+from fractal_forest.hanoi import hanoi_bundle, hanoi_counts_closed, hanoi_step
 from fractal_forest.sierpinski import (
     FIVE,
     SYMBOLS,
     FiveBundle,
     RotBundle,
     _iterates,
-    check_level,
     F_map,
     G_map,
     dir_bundle,
@@ -108,9 +107,9 @@ def test_rotational_counts_and_growth():
 
 
 def test_rotational_symbolic_cap():
-    b = rot_bundle(3)  # symbolic cap
-    with pytest.raises(CapabilityError):
-        rot_step(b)
+    rot_bundle(3)  # the symbolic cap; the run past it is refused
+    with pytest.raises(CapabilityError, match="^symbolic bundles are capped at level 3$"):
+        rot_bundle(4)
 
 
 def test_tree_monomials_have_spanning_degree():
@@ -208,8 +207,8 @@ def test_collapsing_corner_forests_recovers_rotational_step():
     # schreier step is exactly one rotational step
     t, s, q = A, B, C  # reuse the three variables as stand-ins
     for step in (dir_step, schreier_step):
-        five = step(FiveBundle(1, t, s, s, s, q))
-        rot = rot_step(RotBundle(1, t, s, q))
+        five = step(FiveBundle(t, s, s, s, q))
+        rot = rot_step(RotBundle(t, s, q))
         assert five.T == rot.T
         assert five.U == five.R == five.L == rot.S
         assert five.Q == rot.Q
@@ -276,10 +275,8 @@ def test_closed_value_builds_only_the_named_components():
 
 
 def paper_rot_step(bundle: RotBundle) -> RotBundle:
-    check_level(bundle.level + 1, bundle.weights)
     T, S, Q = bundle.T, bundle.S, bundle.Q
     return RotBundle(
-        bundle.level + 1,
         6 * T**2 * S,
         7 * T * S**2 + T**2 * Q,
         12 * T * S * Q + 14 * S**3,
@@ -288,10 +285,8 @@ def paper_rot_step(bundle: RotBundle) -> RotBundle:
 
 
 def paper_dir_step(bundle: FiveBundle) -> FiveBundle:
-    check_level(bundle.level + 1, bundle.weights)
     T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
     return FiveBundle(
-        bundle.level + 1,
         2 * T**2 * (U + R + L),
         T * U * (2 * R + 2 * L + 3 * U) + T**2 * Q,
         T * R * (2 * L + 2 * U + 3 * R) + T**2 * Q,
@@ -304,10 +299,8 @@ def paper_dir_step(bundle: FiveBundle) -> FiveBundle:
 
 
 def paper_schreier_step(bundle: FiveBundle) -> FiveBundle:
-    check_level(bundle.level + 1, bundle.weights)
     T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q
     return FiveBundle(
-        bundle.level + 1,
         2 * T**2 * (U + R + L),
         T * (3 * L * R + U * R + U * L + 2 * U**2) + T**2 * Q,
         T * (3 * U * L + U * R + R * L + 2 * R**2) + T**2 * Q,
@@ -341,9 +334,9 @@ def test_step_products_formed_once():
     # products of two bundle components in one step: the paper's equations
     # above form 10, 24 and 33, the steps each distinct product once
     w = Weights(2, 3, 5)
-    five = FiveBundle(1, 7, 11, 13, 17, 19, w)
+    five = FiveBundle(7, 11, 13, 17, 19, w)
     for step, paper, bundle, paper_count, pin in (
-        (rot_step, paper_rot_step, RotBundle(1, 7, 11, 13, w), 10, 6),
+        (rot_step, paper_rot_step, RotBundle(7, 11, 13, w), 10, 6),
         (dir_step, paper_dir_step, five, 24, 14),
         (schreier_step, paper_schreier_step, five, 33, 14),
     ):
@@ -452,9 +445,9 @@ def test_shared_powers_equal_plain_products():
 def test_steps_are_homogeneous_cubics():
     for step, paper, initial in STEPS:
         if initial is rot_initial:
-            bundles = signed_bundles(1, lambda w, x: RotBundle(1, *x[:3], w))
+            bundles = signed_bundles(1, lambda w, x: RotBundle(*x[:3], w))
         else:
-            bundles = signed_bundles(1, lambda w, x: FiveBundle(1, *x, w))
+            bundles = signed_bundles(1, lambda w, x: FiveBundle(*x, w))
         bundles += [plain_fold(step, initial(w), 3) for w in STEP_WEIGHTS]
         assert_homogeneous_cubic(step, bundles)
         assert_homogeneous_cubic(paper, bundles)
@@ -508,6 +501,32 @@ def test_bundles_and_closed_values_run_mod_p():
     for family in FAMILIES.values():
         with pytest.raises(CapabilityError, match="^evaluated bundles are capped at level 12$"):
             Level(family, 13).values(mod_w)
+
+
+def test_steps_run_past_the_evaluated_cap_mod_p():
+    # a step is its map alone: over ModP, whose elements do not grow, the
+    # steps run to level 13 and meet the closed forms there; only the
+    # runners refuse level 13.  The closed forms' prime prefactors are
+    # plain ints, so the level stays where 2^(3^12) is cheap
+    n, refused = 13, "^evaluated bundles are capped at level 12$"
+    for triple in ((2, 3, 5), (1, -1, 3)):
+        mod_w = Weights(*map(ModP, triple))
+        rot = plain_fold(rot_step, rot_initial(mod_w), n)
+        closed = rot_closed(n, mod_w)
+        assert [rot.T, rot.S, rot.Q] == FactoredPoly.values([closed.T, closed.S, closed.Q])
+        for step, closed in ((dir_step, dir_closed), (schreier_step, schreier_closed)):
+            five = plain_fold(step, five_initial(mod_w), n)
+            forms = closed(n, mod_w)
+            expected = FactoredPoly.values([getattr(forms, k) for k in FIVE])
+            assert [getattr(five, k) for k in FIVE] == expected, (step.__name__, triple)
+        with pytest.raises(CapabilityError, match=refused):
+            rot_bundle(n, mod_w)
+        for family in FAMILIES.values():
+            with pytest.raises(CapabilityError, match=refused):
+                Level(family, n).values(mod_w)
+    counts = plain_fold(hanoi._counts_step, RotBundle(*map(ModP, (3, 1, 1)), ONES), n)
+    expected = hanoi_counts_closed(n)
+    assert (counts.T, counts.S, counts.Q) == (expected.tau, expected.s, expected.q)
 
 
 def _run_values(family, n: int, w, ring=lambda x: x) -> list:
