@@ -24,7 +24,6 @@ from .hanoi import (
     hanoi_bundle,
     hanoi_counts_closed,
     hanoi_counts_recursive,
-    hanoi_growth,
     hanoi_step,
 )
 from .kirchhoff import (
@@ -51,7 +50,6 @@ from .sierpinski import (
     rot_bundle,
     rot_closed,
     rot_counts,
-    rot_growth,
     rot_initial,
     rot_step,
     schreier_bundle,

@@ -149,8 +149,8 @@ def run_gf(args) -> tuple[int, str]:
     values = {}
     fallbacks = []
     for name in methods:
-        if name == "schur" and n < 3:
-            fallbacks.append("no decimation step below level 3; used cofactor")
+        if name == "schur" and (why := family.skip_reason(name, n, w)):
+            fallbacks.append(f"{why}; used cofactor")
         try:
             values[name] = ROUTES[name](level, iw)
         except DecimationSingularError as exc:

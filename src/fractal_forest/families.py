@@ -27,7 +27,9 @@ to its one function (Level, integer weights) -> T; ``symbolic_routes``
 names those with a symbolic form, and ``Family.skip_reason`` is the one
 rule for where ``gf --method all`` leaves a route out and ``verify`` the
 checks that run it.  The ``schur`` route folds the decimation run into a
-value (``kirchhoff.schur_pipeline``).
+value (``kirchhoff.schur_pipeline``); below level 3, where
+``skip_reason`` leaves it out, there is no decimation step and it is the
+``cofactor`` route on the level's graph.
 
 Route functions are looked up through their modules when they are
 called, not bound when this module is imported, so that a patched or
@@ -302,6 +304,8 @@ def _oracle(lv, w):
 
 
 def _schur(lv, w):
+    if lv.family.skip_reason("schur", lv.n, w):
+        return _cofactor(lv, w)
     value, lv.orbit = kirchhoff.schur_pipeline(lv.n, w)
     return value
 

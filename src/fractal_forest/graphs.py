@@ -100,15 +100,6 @@ class LabelledGraph:
     def loops(self):
         return [e for e in self.edges if e.is_loop]
 
-    def without_loops(self) -> "LabelledGraph":
-        return LabelledGraph(
-            family=self.family,
-            level=self.level,
-            vertices=self.vertices,
-            edges=tuple(self.nonloop_edges()),
-            corners=self.corners,
-        )
-
     def degrees(self):
         """Incidence counts; a loop adds one (its single generator slot)."""
         deg = [0] * len(self.vertices)

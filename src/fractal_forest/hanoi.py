@@ -12,9 +12,7 @@ and stays subtraction-free.
 
 from __future__ import annotations
 
-import mpmath
-
-from .algebra import LOG_DPS, Weights, power_products
+from .algebra import Weights, power_products
 from .sierpinski import (
     SYMBOLS,
     CountsTriple,
@@ -108,9 +106,3 @@ def hanoi_counts_closed(n: int) -> CountsTriple:
         [_exact_div(3**n - 2 * n - 1, 4), five, 1],
         [_exact_div(3**n - 6 * n + 3, 4), five, 2],
     ]))
-
-
-def hanoi_growth() -> float:
-    """Asymptotic growth constant of the hanoi tree counts."""
-    with mpmath.workdps(LOG_DPS):
-        return float((mpmath.log(3) + mpmath.log(5)) / 4)

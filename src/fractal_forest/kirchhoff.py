@@ -17,7 +17,7 @@ from the deleted vertex first, so that ties sweep toward it (the reverse
 Cuthill-McKee order); lambda and the decimation network give theirs in
 index order.  A cofactor clears its weights to integers once; at integer
 weights it is a ``Fraction`` with denominator 1, and the decimation
-pipeline returns an ``int``.
+pipeline, which runs from level 3, returns an ``int``.
 
 The decimation map P acts on a 9-component state
 ``(x1..x3, x4..x6, x7..x9)`` = (original weights, current off-diagonal
@@ -29,7 +29,9 @@ A decimation run (``decimation_run``) keeps, per step, the integer D of
 the state cleared to integers and the clearing denominator, and at the
 end det lambda_2; the generating function is one product of their
 powers, the denominators to negative ones (``Decimation.tree``, a
-``FactoredPoly``).  ``schur_pipeline`` folds a run into that value, and
+``FactoredPoly``).  A run starts at level 3: below it there is no step
+to take, and the ``schur`` route of ``gf`` is the cofactor route
+(``families``).  ``schur_pipeline`` folds a run into that value, and
 ``verify`` compares the product with the recursion's, multiplying
 neither out.
 
@@ -654,14 +656,15 @@ def decimation_run(n: int, w: Weights) -> Decimation:
 
 def schur_pipeline(n: int, w: Weights):
     """Spanning-tree generating function of the level-n hanoi graph at w,
-    by repeated decimation; returns (value, denominator orbit).
+    n >= 3, by repeated decimation; returns (value, denominator orbit).
 
-    The value is an int at integer weights, at every level.  It folds the
-    run: the factor prod_k D_k^(3^(n-k-2)) is the cube of a root built in
-    Horner order, root <- root^3 D_k.  Each step divides the root by
-    delta_k^2 before the cube and multiplies in the integer D(t_k) after
-    it: a denominator cancels against a number a third the size of the
-    factor, while it is small.  The determinant at the end, homogeneous
+    The value is an int at integer weights.  It folds the run
+    (``decimation_run``, which refuses levels below 3): the factor
+    prod_k D_k^(3^(n-k-2)) is the cube of a root built in Horner order,
+    root <- root^3 D_k.  Each step divides the root by delta_k^2 before
+    the cube and multiplies in the integer D(t_k) after it: a denominator
+    cancels against a number a third the size of the factor, while it is
+    small.  The determinant at the end, homogeneous
     of degree 9 in the state, is scaled to an integer by delta^9 in the
     same way.
 
@@ -671,17 +674,12 @@ def schur_pipeline(n: int, w: Weights):
     refining the bases into coprime ones was twice as fast from level 9
     up but 2-4 times slower at levels 3-6.
     """
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    if n <= 2:
-        value, orbit = tree_gf_cofactor(build_hanoi(n), w), []
-    else:
-        run = decimation_run(n, w)
-        root = Fraction(1)
-        for dt, delta in run.steps:
-            root = (root / delta**2) ** 3 * dt
-        cube = run.delta**3
-        det = run.det * cube**3
-        orbit = [Fraction(dt, delta**6) for dt, delta in run.steps]
-        value = (root / cube) ** 3 * det / (w.a + w.b)
+    run = decimation_run(n, w)
+    root = Fraction(1)
+    for dt, delta in run.steps:
+        root = (root / delta**2) ** 3 * dt
+    cube = run.delta**3
+    det = run.det * cube**3
+    orbit = [Fraction(dt, delta**6) for dt, delta in run.steps]
+    value = (root / cube) ** 3 * det / (w.a + w.b)
     return (value.numerator if value.denominator == 1 else value), orbit

@@ -52,7 +52,6 @@ def _find(parent, x):
 
 def enumerate_gf(g: LabelledGraph, spec: ForestSpec) -> TriPoly:
     """Exact generating function of the requested spanning subgraphs."""
-    g = g.without_loops()
     edges = sorted(g.nonloop_edges(), key=lambda e: (e.u, e.v, e.label))
     if len(edges) > EDGE_CAP:
         raise CapabilityError(

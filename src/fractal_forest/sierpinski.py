@@ -48,9 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import mpmath
-
-from .algebra import LOG_DPS, FactoredPoly, TriPoly, Weights, power_products
+from .algebra import FactoredPoly, TriPoly, Weights, power_products
 from .errors import CapabilityError
 
 SYMBOLIC_LEVEL_CAP = 3
@@ -243,14 +241,6 @@ def rot_counts(n: int) -> CountsTriple:
 
 def rot_vertex_count(n: int) -> int:
     return 3 * (3**n + 1) // 2
-
-
-def rot_growth() -> float:
-    """Asymptotic growth constant of the rotational tree counts."""
-    with mpmath.workdps(LOG_DPS):
-        return float(
-            mpmath.log(2) / 3 + mpmath.log(3) / 2 + mpmath.log(5) / 6
-        )
 
 
 # -- the two polynomial maps and their iterates ------------------------------

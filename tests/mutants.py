@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 KERNEL = "src/fractal_forest/kirchhoff.py"
 HANOI = "src/fractal_forest/hanoi.py"
 RUNNER = "src/fractal_forest/sierpinski.py"
+FAMILIES = "src/fractal_forest/families.py"
 PIVOTS = "tests/test_kirchhoff.py::test_sparse_det_pivots_as_the_scan_of_every_row"
 
 
@@ -52,6 +53,23 @@ MUTANTS = (
            "if p not in rank or len(row) != length:",
            "if p not in rank:",
            (PIVOTS,)),
+    Mutant("row not pushed again when its length changes", KERNEL,
+           "heappush(heap, (len(target), rank[i], i))",
+           "pass",
+           (PIVOTS,)),
+    Mutant("pivot column prefers no diagonal on a tie", KERNEL,
+           "if c is None or count < fewest or (count == fewest and j == p):",
+           "if c is None or count < fewest:",
+           (PIVOTS,)),
+    Mutant("pivot -1 taken as a unit", KERNEL,
+           "if pivot != 1:",
+           "if pivot not in (1, -1):",
+           ("tests/test_kirchhoff.py::test_sparse_det_exact_on_integer_entries",)),
+    Mutant("cofactor divided by scale^|V|", KERNEL,
+           "det / scale ** (len(g.vertices) - 1)",
+           "det / scale ** len(g.vertices)",
+           ("tests/test_kirchhoff.py::"
+            "test_cofactor_at_fraction_weights_equals_the_kernel_on_the_fraction_minor",)),
     Mutant("decimation delta to the power -3 e", KERNEL,
            "(delta, -6 * e)",
            "(delta, -3 * e)",
@@ -79,6 +97,10 @@ MUTANTS = (
            "pass",
            ("tests/test_sierpinski.py::test_variables_as_weights_keep_the_symbolic_cap",
             "tests/test_hanoi.py::test_counts_cap_is_checked_before_any_step")),
+    Mutant("schur route decimates from level 2", FAMILIES,
+           'if route == "schur" and n < 3:',
+           'if route == "schur" and n < 2:',
+           ("tests/test_cli.py::test_gf_schur_below_level_3_records_cofactor",)),
 )
 
 

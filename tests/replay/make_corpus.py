@@ -9,12 +9,15 @@ Each request runs ``cli.main`` in process, with FRACTAL_FOREST_SEED
 unset, and the corpus keeps its argv, exit code, the sha256 of its
 stdout and its stderr verbatim.  The requests cover every family: the
 symbolic ``gf`` routes (level 3 in every format), ``gf --method all`` at six weight triples
-(degenerate and signed ones included), ``stats`` on both sides of each
+(degenerate and signed ones included) and at levels 6-10 at
+``13/61 44/17 7/90``, each gf method alone (hanoi's ``schur`` at levels 1
+and 2, where it stands in for the cofactor), ``stats`` on both sides of each
 statistics cap, the rotational normality gap at every level 1-20 for
 each label, ``verify`` (hanoi also at levels 7-9, with one and three
 draws), ``generate`` in every format, and the usage
-and capability errors the CLI raises itself.  No ``gf``, ``verify`` or
-``generate`` request goes past level 9 except the cap refusals.
+and capability errors the CLI raises itself.  No ``gf`` request goes past
+level 10, and no ``verify`` or ``generate`` request past level 9, except
+the cap refusals.
 
 Errors that argparse reports (a missing or unknown option, a bad choice)
 are left out: their usage text differs between Python versions.  So is
@@ -65,11 +68,21 @@ def requests() -> list[list[str]]:
                 out.append(["gf", "--family", family, "--level", str(level),
                             "--weights", *triple, "--method", "all"])
     for family in FAMILIES:
+        for level in (6, 7, 9, 10):  # levels 9 and 10 take about 52 s together
+            out.append(["gf", "--family", family, "--level", str(level),
+                        "--weights", *TRIPLES[2], "--method", "all"])
+    for family in FAMILIES:
         for method in ("recursion", "closed", "cofactor", "schur", "oracle"):
-            level = "1" if method == "oracle" else "2"  # the rotational level-2 oracle takes 5 s
-            for triple in (TRIPLES[0], TRIPLES[2]):
-                out.append(["gf", "--family", family, "--level", level,
-                            "--weights", *triple, "--method", method])
+            if method == "oracle":
+                levels = ("1",)  # the rotational level-2 oracle takes 5 s
+            elif (family, method) == ("hanoi", "schur"):
+                levels = ("1", "2")  # the decimation runs from level 3
+            else:
+                levels = ("2",)
+            for level in levels:
+                for triple in (TRIPLES[0], TRIPLES[2]):
+                    out.append(["gf", "--family", family, "--level", level,
+                                "--weights", *triple, "--method", method])
     for family in FAMILIES:
         levels = (1, 3, 20, 21) if family == "sierpinski-rot" else (1, 3, 12, 13)
         for level in levels:

@@ -17,7 +17,6 @@ from fractal_forest.hanoi import (
     hanoi_bundle,
     hanoi_counts_closed,
     hanoi_counts_recursive,
-    hanoi_growth,
 )
 from fractal_forest.kirchhoff import (
     SchurState,
@@ -38,7 +37,6 @@ from fractal_forest.sierpinski import (
     rot_bundle,
     rot_closed,
     rot_counts,
-    rot_growth,
     schreier_bundle,
     schreier_closed_value,
 )
@@ -148,8 +146,8 @@ def test_criterion_5_directional_and_schreier():
 
 
 def test_criterion_6_growth_constants():
-    rot_target = rot_growth()
-    hanoi_target = hanoi_growth()
+    rot_target = math.log(2) / 3 + math.log(3) / 2 + math.log(5) / 6
+    hanoi_target = (math.log(3) + math.log(5)) / 4
     log_tau_rot6 = float(rot_closed(6).T.log_evaluate(ONES))
     tau_sigma6 = hanoi_counts_closed(6).tau
     with mpmath.workdps(60):

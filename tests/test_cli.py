@@ -16,6 +16,7 @@ from fractal_forest import sierpinski
 from fractal_forest import stats
 from fractal_forest.algebra import FactoredPoly, TriPoly, Weights
 from fractal_forest.errors import DecimationSingularError
+from fractal_forest.graphs import LabelledGraph
 from fractal_forest.hanoi import hanoi_bundle
 
 from conftest import SINGULAR_STATE, reference_divergence, src_env, table_numerators
@@ -316,6 +317,26 @@ def test_gf_schur_below_level_3_records_cofactor(capsys):
     assert code == 0
     assert data["methods"] == {"schur": "23353"}
     assert data["fallbacks"] == ["no decimation step below level 3; used cofactor"]
+
+
+def test_gf_routes_read_one_graph_per_level(capsys, monkeypatch):
+    # the schur route below level 3, the cofactor and the oracle all read
+    # the Level's graph, built once per family and level in a process
+    built = []
+    post_init = LabelledGraph.__post_init__
+
+    def counted(self):
+        built.append((self.family, self.level))
+        post_init(self)
+
+    monkeypatch.setattr(LabelledGraph, "__post_init__", counted)
+    monkeypatch.setattr(families, "_GRAPHS", {})
+    for level in ("1", "2"):
+        for method in ("schur", "cofactor", "oracle"):
+            code, data = run_json(capsys, "gf", "--family", "hanoi", "--level", level,
+                                  "--weights", "1", "2", "3", "--method", method)
+            assert code == 0 and data["value"] == {"1": "11", "2": "23353"}[level]
+    assert built == [("hanoi", 1), ("hanoi", 2)]
 
 
 @pytest.mark.parametrize(

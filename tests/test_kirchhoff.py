@@ -7,7 +7,7 @@ import pytest
 from fractal_forest import kirchhoff
 from fractal_forest.algebra import Weights, clear_denominators
 from fractal_forest.errors import DecimationSingularError
-from fractal_forest.families import COFACTOR_VERTEX_CAP, FAMILIES, Level
+from fractal_forest.families import COFACTOR_VERTEX_CAP, FAMILIES, HANOI, ROUTES, Level
 from fractal_forest.graphs import (
     LABELS, LabelledEdge, LabelledGraph, apply_generator, build_hanoi, build_sierpinski,
 )
@@ -286,17 +286,32 @@ def test_schur_pipeline_examples():
     assert schur_pipeline(3, w)[0] == hanoi_bundle(3, w).T
     value, orbit = schur_pipeline(3, ONES)
     assert value == 20503125 and orbit == [320]
-    # small levels delegate to the direct cofactor
-    assert schur_pipeline(1, ONES)[0] == 3
-    assert schur_pipeline(2, Weights.of(1, 2, 3))[0] == hanoi_bundle(2, Weights.of(1, 2, 3)).T
+    # below level 3 the gf schur route is the cofactor on the level's graph
+    assert _schur_route(1, ONES) == (3, [])
+    assert _schur_route(2, Weights.of(1, 2, 3)) == (hanoi_bundle(2, Weights.of(1, 2, 3)).T, [])
+
+
+def _schur_route(n, w):
+    """The gf schur route's value at level n and weights w, and the
+    denominator orbit it leaves on its Level."""
+    lv = Level(HANOI, n)
+    return ROUTES["schur"](lv, w), lv.orbit
+
+
+def test_pipeline_refuses_levels_below_3():
+    for n in (1, 2):
+        for w in (ONES, Weights.of(1, 2, 3)):
+            with pytest.raises(ValueError, match="the decimation runs from level 3"):
+                schur_pipeline(n, w)
 
 
 def test_pipeline_value_is_an_int_at_every_level():
-    # levels 1-2 go through the cofactor, which returns a Fraction
+    # below level 3 the gf route is the cofactor, which returns a Fraction
     for w in (ONES, Weights.of(1, 2, 3), Weights.parse("13/61", "44/17", "7/90").clear_denominators()[0]):
         for n in range(1, 6):
-            value, _ = schur_pipeline(n, w)
-            assert type(value) is int and value == hanoi_bundle(n, w).T, (w, n)
+            value, _ = (schur_pipeline if n >= 3 else _schur_route)(n, w)
+            assert value == hanoi_bundle(n, w).T, (w, n)
+            assert type(value) is int if n >= 3 else value.denominator == 1, (w, n)
 
 
 def test_pipeline_orbit_is_the_public_denominator_and_map():
@@ -637,8 +652,9 @@ def test_routes_scale_homogeneously_at_cleared_weights():
             assert type(value) is int
             assert value == scale ** (len(g.vertices) - 1) * gf.evaluate(w)
         for n in range(1, 7):
-            value, orbit = schur_pipeline(n, iw)
-            value_w, orbit_w = schur_pipeline(n, w)
+            pipeline = schur_pipeline if n >= 3 else _schur_route
+            value, orbit = pipeline(n, iw)
+            value_w, orbit_w = pipeline(n, w)
             assert type(value) is int if n >= 3 else value.denominator == 1
             assert value == scale ** (3**n - 1) * value_w == scale ** (3**n - 1) * hanoi_bundle(n, w).T
             assert len(orbit) == len(orbit_w) == max(n - 2, 0)

@@ -26,7 +26,6 @@ from fractal_forest.sierpinski import (
     rot_bundle,
     rot_closed,
     rot_counts,
-    rot_growth,
     rot_initial,
     rot_step,
     rot_vertex_count,
@@ -99,11 +98,9 @@ def test_rotational_counts_and_growth():
     assert rot_counts(1) == rot_counts(1).__class__(54, 30, 50)
     assert rot_counts(2).tau == 524880
     assert rot_vertex_count(6) == 1095
-    import math
-
-    # log2/3 + log3/2 + log5/6
-    assert abs(rot_growth() - (math.log(2) / 3 + math.log(3) / 2 + math.log(5) / 6)) < 1e-12
-    assert abs(rot_growth() - 1.0485949) < 1e-7
+    growth = math.log(2) / 3 + math.log(3) / 2 + math.log(5) / 6
+    assert abs(growth - 1.0485949) < 1e-7
+    assert abs(float(rot_closed(6).T.log_evaluate(ONES)) / 1095 - growth) < 0.01
 
 
 def test_rotational_symbolic_cap():
