@@ -34,7 +34,8 @@ numbers number two per bit of the largest exponent, however many bases
 the product has.  Where only the equality of two products of powers of
 integers is wanted, ``products_equal`` decides it with neither formed.
 High-precision real work (logs of astronomically large exact values)
-goes through mpmath.
+goes through mpmath, which is imported only in the functions that do it,
+so the exact routes never load it.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .errors import CapabilityError
 
@@ -440,6 +439,8 @@ class FactoredPoly:
 
     def log_evaluate(self, w: Weights) -> mpmath.mpf:
         """Natural log of the value at positive weights, in high precision."""
+        import mpmath
+
         if not w.all_positive():
             raise ValueError("log evaluation requires strictly positive weights")
         with mpmath.workdps(LOG_DPS):
@@ -533,6 +534,8 @@ class Jet:
 
 
 def _log_fraction(q: Fraction) -> mpmath.mpf:
+    import mpmath
+
     return mpmath.log(mpmath.mpf(q.numerator)) - mpmath.log(mpmath.mpf(q.denominator))
 
 

@@ -20,14 +20,15 @@ closed form; both routes are exposed and must agree exactly.  The normalized cou
 asymptotically standard normal; its moment generating function comes
 from the same closed form rot_closed(n).T, is evaluated in log space
 (exponents grow like 3^n) and is compared against exp(t^2/2) on a grid.
+That comparison is the only real-number work here: it runs in mpmath,
+which the functions that do it import when they run, so the exact
+statistics never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .algebra import LOG_DPS, VARS, Jet, Weights
 from .families import lookup
@@ -90,6 +91,8 @@ def _log_mgf(n: int, label: str):
     weight, the other two weights at 1, and evaluated at e^s by Horner
     (``mpmath.polyval``).
     Build and call it at LOG_DPS."""
+    import mpmath
+
     stat = label_stat_closed(n, label)
     mean = mpmath.mpf(stat.mean.numerator) / stat.mean.denominator
     sigma = mpmath.sqrt(mpmath.mpf(stat.variance.numerator) / stat.variance.denominator)
@@ -120,6 +123,8 @@ def _along(base, label: str) -> list[int]:
 def _mpf(t) -> mpmath.mpf:
     """An MGF argument (Fraction, int or mpf) as an mpf at the working
     precision."""
+    import mpmath
+
     if isinstance(t, Fraction):
         return mpmath.mpf(t.numerator) / t.denominator
     return mpmath.mpf(t)
@@ -130,6 +135,8 @@ DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
 
 def normality_gap(n: int, t_grid=DEFAULT_GRID, label: str = "c") -> float:
     """Max distance between the normalized MGF and exp(t^2/2) on a grid."""
+    import mpmath
+
     with mpmath.workdps(LOG_DPS):
         log_mgf = _log_mgf(n, label)
         gap = mpmath.mpf(0)

@@ -33,6 +33,7 @@ KERNEL = "src/fractal_forest/kirchhoff.py"
 HANOI = "src/fractal_forest/hanoi.py"
 RUNNER = "src/fractal_forest/sierpinski.py"
 FAMILIES = "src/fractal_forest/families.py"
+STATS = "src/fractal_forest/stats.py"
 PIVOTS = "tests/test_kirchhoff.py::test_sparse_det_pivots_as_the_scan_of_every_row"
 
 
@@ -101,6 +102,10 @@ MUTANTS = (
            'if route == "schur" and n < 3:',
            'if route == "schur" and n < 2:',
            ("tests/test_cli.py::test_gf_schur_below_level_3_records_cofactor",)),
+    Mutant("mpmath imported with the package", STATS,
+           "from fractions import Fraction\n\nfrom .algebra",
+           "from fractions import Fraction\n\nimport mpmath\n\nfrom .algebra",
+           ("tests/test_cli.py::test_exact_commands_never_load_mpmath",)),
 )
 
 

@@ -522,6 +522,31 @@ def test_verify_reports_a_vanishing_d_table_without_drawing_again():
     assert list(failure["detail"]) == ["D"] and failure["detail"]["D"][0] == "0"
 
 
+def test_exact_commands_never_load_mpmath():
+    # only the normality gap and log_evaluate do real-number work; the
+    # package and the exact commands start without mpmath, in a fresh
+    # interpreter, and the first real-number call loads it
+    script = """if True:
+        import sys
+        from fractal_forest import cli
+        from fractal_forest.algebra import Weights
+        from fractal_forest.sierpinski import rot_closed
+        for argv in (["gf", "--family", "hanoi", "--level", "3", "--method", "all"],
+                     ["verify", "--family", "sierpinski-rot", "--levels", "1..2",
+                      "--trials", "1", "--seed", "1"],
+                     ["stats", "--level", "2", "--label", "a"]):
+            assert cli.main(argv) == 0, argv
+        assert "mpmath" not in sys.modules
+        assert cli.main(["stats", "--level", "3", "--label", "c", "--normality"]) == 0
+        assert rot_closed(2).T.log_evaluate(Weights.ones()) > 0
+        assert "mpmath" in sys.modules
+    """
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=src_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert '"normality_gap"' in done.stdout
+
+
 def test_verify_with_corrupted_map_term_fails(capsys, monkeypatch):
     corrupt_map_term(monkeypatch, 4, 1)
     code, data = run_json(
