@@ -45,7 +45,7 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CapabilityError
@@ -76,15 +76,13 @@ _SCHOOLBOOK_PAIRS = 200
 _DIVIDE_ONLY_BITS = 1024
 
 
-@dataclass(frozen=True)
-class Weights:
+class Weights(namedtuple("Weights", VARS)):
     """The weights of the three edge labels.  Each entry is an element of
     the ring a recursion runs in: int, Fraction, TriPoly (the variables,
-    ``sierpinski.SYMBOLS``, for symbolic results) or Jet."""
+    ``sierpinski.SYMBOLS``, for symbolic results) or Jet.  Indexed by
+    label, not by position."""
 
-    a: object
-    b: object
-    c: object
+    __slots__ = ()
 
     @classmethod
     def of(cls, a, b, c) -> "Weights":

@@ -40,11 +40,10 @@ and oracle routes ask for it, so those caps bound what is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from typing import Callable
 
 from . import graphs, kirchhoff, oracle
 from . import hanoi as hgf
@@ -66,21 +65,22 @@ TREES = {"T": 1, "S": 2, "U": 2, "R": 2, "L": 2, "Q": 3}
 ONES_ONLY, TRIAL, DRAW = "ones", "trial", "draw"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", (
+    "name",
+    "left",
+    "right",
+    "weights",  # ONES_ONLY, TRIAL or DRAW
+    "route",  # the gf route whose skip rule it follows, if any
+    "first_level",
+    "detail",
+), defaults=(ONES_ONLY, None, 1, ()))):
     """Two routes, each (Level, weights) -> value, that must agree exactly.
 
     ``detail`` lists what a mismatch reports: "weights", then labels for
     the left and right values.
     """
 
-    name: str
-    left: Callable
-    right: Callable
-    weights: str = ONES_ONLY
-    route: str | None = None  # the gf route whose skip rule it follows, if any
-    first_level: int = 1
-    detail: tuple[str, ...] = ()
+    __slots__ = ()
 
     def mismatch_detail(self, w, left, right, unscale):
         """What a mismatch at the drawn weights w reports; ``unscale``
@@ -96,31 +96,32 @@ class Check:
         return {k: str(w) if k == "weights" else next(values) for k in self.detail} or None
 
 
-@dataclass(frozen=True)
-class Family:
-    """One labelled graph family; its callables take the level first."""
-
-    name: str  # as reported
-    aliases: tuple[str, ...]  # accepted by the CLI
-    graph: Callable  # (n, loops) -> LabelledGraph
-    vertices: Callable[[int], int]
-    edges: Callable[[int], int]  # non-loop edges
-    components: tuple[str, ...]  # of a bundle: trees, corner forests, 3-forests
+class Family(namedtuple("Family", (
+    "name",  # as reported
+    "aliases",  # accepted by the CLI
+    "graph",  # (n, loops) -> LabelledGraph
+    "vertices",  # n -> vertex count
+    "edges",  # n -> non-loop edge count
+    "components",  # of a bundle: trees, corner forests, 3-forests
     # the recursion: its step, bundle -> bundle, and its level-1 bundle,
     # w -> bundle in the ring of w (SYMBOLS gives symbolic components)
-    step: Callable
-    initial: Callable
+    "step",
+    "initial",
     # (n, w=SYMBOLS, names) -> the closed-form bundle, FactoredPolys over
     # the ring of w; None: unweighted only
-    closed: Callable | None
+    "closed",
     # (n, w, names) -> the named components by the closed form; only these
     # are evaluated, because evaluating a factored component is costly
-    closed_value: Callable
-    checks: tuple[Check, ...]
-    counts: Callable | None = None  # n -> CountsTriple at weights 1 1 1
-    routes: tuple[str, ...] = ("recursion", "closed", "cofactor", "oracle")
-    stat_cap: int = sgf.EVALUATED_LEVEL_CAP  # the evaluated bundles' cap
-    extra_checks: Callable | None = None  # (levels, trials, rng) -> results
+    "closed_value",
+    "checks",  # Check records
+    "counts",  # n -> CountsTriple at weights 1 1 1, or None
+    "routes",
+    "stat_cap",  # by default the evaluated bundles' cap
+    "extra_checks",  # (levels, trials, rng) -> results, or None
+), defaults=(None, ("recursion", "closed", "cofactor", "oracle"), sgf.EVALUATED_LEVEL_CAP, None))):
+    """One labelled graph family; its callables take the level first."""
+
+    __slots__ = ()
 
     def degree(self, n: int, component: str) -> int:
         """Total degree of a component at level n: a spanning forest with

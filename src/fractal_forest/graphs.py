@@ -31,7 +31,7 @@ bottom-right corner.  For hanoi graphs top = 1^n, left = 0^n, right = 2^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from types import MappingProxyType
 
@@ -60,33 +60,27 @@ def apply_generator(label: str, word: str) -> str:
     return word
 
 
-@dataclass(frozen=True)
-class LabelledEdge:
-    u: int
-    v: int
-    label: str
-    is_loop: bool = False
+class LabelledEdge(namedtuple("LabelledEdge", "u v label is_loop")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.u == self.v) != self.is_loop:
+    def __new__(cls, u: int, v: int, label: str, is_loop: bool = False):
+        if (u == v) != is_loop:
             raise ValueError("loop flag inconsistent with endpoints")
-        if self.u > self.v:
+        if u > v:
             raise ValueError("edges are stored with u <= v")
+        return tuple.__new__(cls, (u, v, label, is_loop))
 
 
-@dataclass(frozen=True)
-class LabelledGraph:
+class LabelledGraph(namedtuple("LabelledGraph", "family level vertices edges corners")):
     """A read-only graph, so that one built graph can be shared by every
-    request in a process."""
+    request in a process: its fields cannot be assigned, and its
+    ``corners``, ``{"top": idx, "left": idx, "right": idx}``, are a
+    read-only copy of the mapping given."""
 
-    family: str
-    level: int
-    vertices: tuple
-    edges: tuple
-    corners: MappingProxyType  # {"top": idx, "left": idx, "right": idx}, read-only
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "corners", MappingProxyType(dict(self.corners)))
+    def __new__(cls, family: str, level: int, vertices: tuple, edges: tuple, corners):
+        return tuple.__new__(cls, (family, level, vertices, edges, MappingProxyType(dict(corners))))
 
     def vertex_name(self, i: int) -> str:
         v = self.vertices[i]

@@ -36,7 +36,8 @@ to take, and the ``schur`` route of ``gf`` is the cofactor route
 neither out.
 
 The map is given in closed form by the term tables below, kept as the
-paper's text and evaluated as Horner schemes built from them at import.
+paper's text and evaluated as Horner schemes built from them when a
+decimation first runs (``_map_tables``), not at import.
 ``schur_map_rederived`` recomputes the same map from scratch, on the state
 cleared to integers: the kernel eliminates the six non-corner words of the
 level-2 network and keeps the three corners, so its determinant is D and
@@ -53,11 +54,11 @@ on fully generic states.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import NamedTuple
 
 from .algebra import SAMPLE_BOUND, FactoredPoly, Weights, clear_denominators
 from .errors import DecimationSingularError
@@ -217,16 +218,10 @@ def tree_gf_cofactor(g: LabelledGraph, w: Weights, index: int = 0) -> Fraction:
 # -- the decimation state and the closed-form rational map ---------------------
 
 
-class SchurState(NamedTuple):
-    x1: Fraction
-    x2: Fraction
-    x3: Fraction
-    x4: Fraction
-    x5: Fraction
-    x6: Fraction
-    x7: Fraction
-    x8: Fraction
-    x9: Fraction
+class SchurState(namedtuple("SchurState", [f"x{i}" for i in range(1, 10)])):
+    """The 9-component decimation state (see the module docstring)."""
+
+    __slots__ = ()
 
     @classmethod
     def initial(cls, w: Weights) -> "SchurState":
@@ -268,9 +263,8 @@ def _parse_terms(text: str):
 
 
 # Denominator D of the decimation map, 19 terms, in the paper's text; the
-# tables are evaluated through the Horner schemes built from them below.
-D_TERMS = _parse_terms(
-    """
+# tables are parsed and built into Horner schemes on first use (_map_tables).
+D_TEXT = """
     + x7^2 x8^2 x9^2
     - x3^2 x8^2 x9^2
     - x4^2 x7 x8 x9^2
@@ -291,12 +285,10 @@ D_TERMS = _parse_terms(
     + x1^2 x2^2 x7^2
     - x4^2 x5^2 x6^2
     """
-)
 
 # Numerators of P4..P9 over D (P7..P9 additionally carry the x7/x8/x9 head).
-P_TERMS = {
-    4: _parse_terms(
-        """
+P_TEXT = {
+    4: """
         + 2 x2 x3 x4^2 x5 x6 x9
         + x1 x4 x5^2 x7 x8^2
         - x1 x4^3 x5^2 x8
@@ -312,10 +304,8 @@ P_TERMS = {
         - x1 x3^2 x4 x6^2 x8
         + x1 x4 x6^2 x7^2 x8
         - x1 x4^3 x6^2 x7
-        """
-    ),
-    5: _parse_terms(
-        """
+        """,
+    5: """
         + x1 x3 x5^3 x8^2
         - x1 x2^2 x3 x5^3
         - x2 x4 x5^4 x6
@@ -331,10 +321,8 @@ P_TERMS = {
         - x1^2 x2 x4 x6 x7^2
         + x1 x3 x4^2 x5 x6^2
         + x1^2 x2 x3^2 x4 x6
-        """
-    ),
-    6: _parse_terms(
-        """
+        """,
+    6: """
         + x3 x4 x5 x8^2 x9^2
         - x2^2 x3 x4 x5 x9^2
         - x1^2 x3 x4 x5 x8^2
@@ -350,10 +338,8 @@ P_TERMS = {
         - x3 x4 x5 x6^4
         + x1 x2 x6^3 x7^2
         - x1 x2 x3^2 x6^3
-        """
-    ),
-    7: _parse_terms(
-        """
+        """,
+    7: """
         - x5^2 x7^2 x8^2 x9
         + x3^2 x5^2 x8^2 x9
         + x2^2 x5^2 x7^2 x9
@@ -375,10 +361,8 @@ P_TERMS = {
         + 2 x4 x5^3 x6 x7 x8
         - 2 x4^3 x5^3 x6
         - 2 x1 x2 x3 x4^2 x5^2
-        """
-    ),
-    8: _parse_terms(
-        """
+        """,
+    8: """
         - x4^2 x6^4 x7
         - x3^2 x6^4 x8
         - 2 x4^3 x5 x6^3
@@ -400,10 +384,8 @@ P_TERMS = {
         - x6^2 x7^2 x8^2 x9
         + x2^2 x6^2 x7^2 x9
         + x6^4 x7^2 x8
-        """
-    ),
-    9: _parse_terms(
-        """
+        """,
+    9: """
         + x5^4 x8^2 x9
         - x2^2 x5^4 x9
         - x5^4 x6^2 x8
@@ -425,8 +407,7 @@ P_TERMS = {
         - x6^2 x7^2 x8 x9^2
         + x3^2 x6^2 x8 x9^2
         + x6^4 x7^2 x9
-        """
-    ),
+        """,
 }
 
 
@@ -455,26 +436,35 @@ def _eval_scheme(scheme, xs):
     return xs[v] * _eval_scheme(inner, xs) + _eval_scheme(rest, xs)
 
 
-# The tables are evaluated as Horner schemes, built once here; a scheme
-# forms about half the products the terms one by one would.  They are
-# evaluated on integers t = delta * s, where delta is the lcm of the
-# state's denominators.  D is homogeneous of degree 6 and each P
-# numerator of degree 7, so D(s) = D(t) / delta^6, and a new coordinate
-# is an integer over delta * D(t), reduced once.
-_D_SCHEME = _horner(D_TERMS)
-_P_SCHEMES = {i: _horner(terms) for i, terms in P_TERMS.items()}
+# The tables are evaluated as Horner schemes; a scheme forms about half the
+# products the terms one by one would.  They are evaluated on integers
+# t = delta * s, where delta is the lcm of the state's denominators.  D is
+# homogeneous of degree 6 and each P numerator of degree 7, so D(s) =
+# D(t) / delta^6, and a new coordinate is an integer over delta * D(t),
+# reduced once.
+@cache
+def _map_tables() -> dict:
+    """The tables of the map as ``{"D": (terms, scheme), 4: (terms,
+    scheme), ..., 9: ...}``, each text parsed and built into its Horner
+    scheme once, when a decimation first needs it, and not at import."""
+    tables = {}
+    for key, text in {"D": D_TEXT, **P_TEXT}.items():
+        terms = _parse_terms(text)
+        tables[key] = terms, _horner(terms)
+    return tables
 
 
 def _cleared_denominator(s: SchurState):
     """The state cleared to integers t over delta, and D(t)."""
     t, delta = clear_denominators(s)
-    return t, delta, _eval_scheme(_D_SCHEME, t)
+    return t, delta, _eval_scheme(_map_tables()["D"][1], t)
 
 
 def _map_numerators(t, d: int) -> list[int]:
     """The new x4..x9 times delta * D(t): integers, from t and d = D(t)."""
+    tables = _map_tables()
     heads = (0, 0, 0, t[6] * d, t[7] * d, t[8] * d)
-    return [head + _eval_scheme(_P_SCHEMES[i], t) for i, head in enumerate(heads, start=4)]
+    return [head + _eval_scheme(tables[i][1], t) for i, head in enumerate(heads, start=4)]
 
 
 def _map_cleared(s: SchurState, t, delta: int, d: int) -> SchurState:
@@ -607,17 +597,16 @@ def decimation_identity(s: SchurState) -> bool:
 # -- the full pipeline ----------------------------------------------------------
 
 
-class Decimation(NamedTuple):
+class Decimation(namedtuple("Decimation", "steps delta det")):
     """A decimation run to level n >= 3 at weights w.  Step k = 0..n-3
     cleared the state s_k to integers t_k over delta_k and took D(t_k),
-    so D_k = D(t_k) / delta_k^6; ``delta`` clears the last state
-    s_(n-2), and ``det`` is det lambda_2 there.  The spanning-tree
-    generating function is
+    so D_k = D(t_k) / delta_k^6; ``steps`` holds the pairs (D(t_k),
+    delta_k).  ``delta`` clears the last state s_(n-2), and ``det``, a
+    Fraction, is det lambda_2 there.  The spanning-tree generating
+    function is
     ``prod_k (D(t_k) / delta_k^6)^(3^(n-2-k)) * det / (a+b)`` (``tree``)."""
 
-    steps: tuple[tuple[int, int], ...]  # (D(t_k), delta_k) for each step k
-    delta: int
-    det: Fraction
+    __slots__ = ()
 
     def tree(self, w: Weights) -> FactoredPoly:
         """The generating function as one product of powers, not formed:

@@ -10,7 +10,7 @@ Desk scale only; graphs beyond 30 edges are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import TriPoly
 from .errors import CapabilityError
@@ -21,26 +21,25 @@ EDGE_CAP = 30
 KINDS = ("tree", "two-forest", "three-forest")
 
 
-@dataclass(frozen=True)
-class ForestSpec:
+class ForestSpec(namedtuple("ForestSpec", "kind isolated")):
     """Which spanning subgraphs to sum over.
 
     ``tree``: spanning trees.  ``two-forest``: spanning 2-forests where the
-    ``isolated`` corner is cut off from the other two corners.
+    ``isolated`` corner (its name) is cut off from the other two corners.
     ``three-forest``: spanning 3-forests separating all three corners.
     """
 
-    kind: str
-    isolated: str | None = None  # corner name for two-forest
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "two-forest":
-            if self.isolated not in ("top", "left", "right"):
+    def __new__(cls, kind: str, isolated: str | None = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        if kind == "two-forest":
+            if isolated not in ("top", "left", "right"):
                 raise ValueError("two-forest needs an isolated corner")
-        elif self.isolated is not None:
+        elif isolated is not None:
             raise ValueError("isolated corner only applies to two-forest")
+        return tuple.__new__(cls, (kind, isolated))
 
 
 def _find(parent, x):

@@ -46,7 +46,7 @@ and the content are products of powers formed by one squaring chain each
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .algebra import FactoredPoly, TriPoly, Weights, power_products
 from .errors import CapabilityError
@@ -60,29 +60,16 @@ SYMBOLS = Weights(*TriPoly.variables())  # the weights of symbolic bundles
 FIVE = ("T", "U", "R", "L", "Q")  # the components of a FiveBundle
 
 
-@dataclass(frozen=True)
-class RotBundle:
-    T: object
-    S: object
-    Q: object
-    weights: Weights = SYMBOLS
+class RotBundle(namedtuple("RotBundle", "T S Q weights", defaults=(SYMBOLS,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FiveBundle:
-    T: object
-    U: object
-    R: object
-    L: object
-    Q: object
-    weights: Weights = SYMBOLS
+class FiveBundle(namedtuple("FiveBundle", (*FIVE, "weights"), defaults=(SYMBOLS,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CountsTriple:
-    tau: int
-    s: int
-    q: int
+class CountsTriple(namedtuple("CountsTriple", "tau s q")):
+    __slots__ = ()
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -107,19 +94,17 @@ def check_level(n: int, w: Weights) -> None:
         raise CapabilityError(f"{mode} bundles are capped at level {cap}")
 
 
-def _components(bundle) -> tuple[str, ...]:
-    return ("T", "S", "Q") if isinstance(bundle, RotBundle) else FIVE
-
-
 def _map_components(bundle, f):
-    return replace(bundle, **{k: f(getattr(bundle, k)) for k in _components(bundle)})
+    """f of each component; a bundle's last field is its weights."""
+    *parts, w = bundle
+    return bundle._make((*map(f, parts), w))
 
 
 def split_content(bundle):
     """(content, primitive part) of a bundle of ``int`` components, the
     content being the gcd of the components.  Any other bundle, and one
     whose components are all 0, is its own primitive part, of content 1."""
-    parts = [getattr(bundle, k) for k in _components(bundle)]
+    parts = bundle[:-1]
     g = math.gcd(*parts) if all(type(x) is int for x in parts) else 0
     if g <= 1:
         return 1, bundle
@@ -414,7 +399,7 @@ def _evaluated(closed, n: int, w: Weights, names) -> FiveBundle:
     check_level(n, w)
     forms = closed(n, w, names)
     values = FactoredPoly.values([getattr(forms, k) for k in names])
-    return replace(forms, **dict(zip(names, values)))
+    return forms._replace(**dict(zip(names, values)))
 
 
 def dir_closed(n: int, w: Weights = SYMBOLS, names=FIVE) -> FiveBundle:

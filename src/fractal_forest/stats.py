@@ -27,7 +27,7 @@ statistics never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import LOG_DPS, VARS, Jet, Weights
@@ -35,12 +35,8 @@ from .families import lookup
 from .sierpinski import rot_closed
 
 
-@dataclass(frozen=True)
-class LabelStat:
-    n: int
-    label: str
-    mean: Fraction
-    variance: Fraction
+class LabelStat(namedtuple("LabelStat", "n label mean variance")):
+    __slots__ = ()
 
 
 def label_moments(model: str, n: int, label: str) -> tuple[Fraction, Fraction]:

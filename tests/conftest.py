@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 from fractions import Fraction
@@ -241,8 +240,9 @@ def table_numerators(s: SchurState):
     def value(terms):
         return sum(c * prod(x**e for x, e in zip(s, exps)) for c, exps in terms)
 
-    d = value(kirchhoff.D_TERMS)
-    return d, [value(kirchhoff.P_TERMS[i]) + (s[i - 1] * d if i >= 7 else 0) for i in range(4, 10)]
+    tables = kirchhoff._map_tables()
+    d = value(tables["D"][0])
+    return d, [value(tables[i][0]) + (s[i - 1] * d if i >= 7 else 0) for i in range(4, 10)]
 
 
 # the weights at which each recursion step is checked against its paper
@@ -344,8 +344,7 @@ def full_size_products(bases, rows, power_products):
 
 def components(bundle) -> dict:
     """A bundle's components by name."""
-    return {f.name: getattr(bundle, f.name)
-            for f in dataclasses.fields(bundle) if f.name != "weights"}
+    return {name: getattr(bundle, name) for name in bundle._fields if name != "weights"}
 
 
 def signed_bundles(seed: int, make, count: int = 3):
@@ -362,8 +361,7 @@ def assert_homogeneous_cubic(step, bundles):
     for bundle in bundles:
         out = components(step(bundle))
         for k in (2, -3, 7 * 11):
-            scaled = dataclasses.replace(
-                bundle, **{name: k * x for name, x in components(bundle).items()})
+            scaled = bundle._replace(**{name: k * x for name, x in components(bundle).items()})
             got = components(step(scaled))
             for name, x in out.items():
                 assert got[name] == k**3 * x, (step.__name__, bundle, k, name)
@@ -381,8 +379,7 @@ def count_products(step, bundle):
     """The products of two bundle-sized values that one step forms, and
     the step's value, from the same bundle over Counted components."""
     tally = [0]
-    counted = dataclasses.replace(
-        bundle, **{name: Counted(x, tally) for name, x in components(bundle).items()})
+    counted = bundle._replace(**{name: Counted(x, tally) for name, x in components(bundle).items()})
     out = step(counted)
-    values = {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
+    values = out._asdict()
     return tally[0], {k: v.value if isinstance(v, Counted) else v for k, v in values.items()}

@@ -34,7 +34,10 @@ HANOI = "src/fractal_forest/hanoi.py"
 RUNNER = "src/fractal_forest/sierpinski.py"
 FAMILIES = "src/fractal_forest/families.py"
 STATS = "src/fractal_forest/stats.py"
+GRAPHS = "src/fractal_forest/graphs.py"
 PIVOTS = "tests/test_kirchhoff.py::test_sparse_det_pivots_as_the_scan_of_every_row"
+START_UP = ("tests/test_cli.py::"
+            "test_cli_starts_without_dataclasses_and_builds_the_map_tables_on_first_use")
 
 
 class Mutant(NamedTuple):
@@ -106,6 +109,14 @@ MUTANTS = (
            "from fractions import Fraction\n\nfrom .algebra",
            "from fractions import Fraction\n\nimport mpmath\n\nfrom .algebra",
            ("tests/test_cli.py::test_exact_commands_never_load_mpmath",)),
+    Mutant("dataclasses imported with the graphs", GRAPHS,
+           "from itertools import product\n",
+           "import dataclasses\nfrom itertools import product\n",
+           (START_UP,)),
+    Mutant("decimation tables built at import", KERNEL,
+           "def _cleared_denominator(s: SchurState):",
+           "_map_tables()\n\n\ndef _cleared_denominator(s: SchurState):",
+           (START_UP,)),
 )
 
 

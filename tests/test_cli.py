@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -180,8 +179,7 @@ def test_gf_symbolic_disagreement_exits_1(capsys, monkeypatch):
 
     def doubled_tree(n, w=sierpinski.SYMBOLS, names=sierpinski.FIVE):
         b = dir_closed(n, w, names)
-        return dataclasses.replace(b, T=FactoredPoly({**b.T.primes, 2: b.T.primes[2] + 1},
-                                                     b.T.factors))
+        return b._replace(T=FactoredPoly({**b.T.primes, 2: b.T.primes[2] + 1}, b.T.factors))
 
     monkeypatch.setattr(sierpinski, "dir_closed", doubled_tree)
     code, data = run_json(
@@ -197,7 +195,7 @@ def _rot_tree_exponent_off_by_one(monkeypatch):
     def wrong(n, w=sierpinski.SYMBOLS):
         b = rot_closed(n, w)
         (base, exp), *rest = b.T.factors
-        return dataclasses.replace(b, T=FactoredPoly(b.T.primes, [(base, exp + 1), *rest]))
+        return b._replace(T=FactoredPoly(b.T.primes, [(base, exp + 1), *rest]))
 
     monkeypatch.setattr(sierpinski, "rot_closed", wrong)
 
@@ -220,7 +218,7 @@ def _schreier_corner_base_exponent_off_by_one(monkeypatch):
         if b.U is None:
             return b
         *rest, (corner, exp) = b.U.factors
-        return dataclasses.replace(b, U=FactoredPoly(b.U.primes, [*rest, (corner, exp + 1)]))
+        return b._replace(U=FactoredPoly(b.U.primes, [*rest, (corner, exp + 1)]))
 
     monkeypatch.setattr(sierpinski, "schreier_closed", wrong)
 
@@ -323,13 +321,13 @@ def test_gf_routes_read_one_graph_per_level(capsys, monkeypatch):
     # the schur route below level 3, the cofactor and the oracle all read
     # the Level's graph, built once per family and level in a process
     built = []
-    post_init = LabelledGraph.__post_init__
+    new = LabelledGraph.__new__
 
-    def counted(self):
-        built.append((self.family, self.level))
-        post_init(self)
+    def counted(cls, family, level, *rest):
+        built.append((family, level))
+        return new(cls, family, level, *rest)
 
-    monkeypatch.setattr(LabelledGraph, "__post_init__", counted)
+    monkeypatch.setattr(LabelledGraph, "__new__", counted)
     monkeypatch.setattr(families, "_GRAPHS", {})
     for level in ("1", "2"):
         for method in ("schur", "cofactor", "oracle"):
@@ -428,14 +426,11 @@ def corrupt_map_term(monkeypatch, i, delta: int):
     """Add delta to the first coefficient of a table of the decimation map,
     the denominator's for i = "D", else P_i's, in the table and in the
     Horner scheme built from it."""
-    (coeff, exps), *rest = kirchhoff.D_TERMS if i == "D" else kirchhoff.P_TERMS[i]
+    tables = dict(kirchhoff._map_tables())
+    (coeff, exps), *rest = tables[i][0]
     corrupted = ((coeff + delta, exps), *rest)
-    if i == "D":
-        monkeypatch.setattr(kirchhoff, "D_TERMS", corrupted)
-        monkeypatch.setattr(kirchhoff, "_D_SCHEME", kirchhoff._horner(corrupted))
-    else:
-        monkeypatch.setitem(kirchhoff.P_TERMS, i, corrupted)
-        monkeypatch.setitem(kirchhoff._P_SCHEMES, i, kirchhoff._horner(corrupted))
+    tables[i] = corrupted, kirchhoff._horner(corrupted)
+    monkeypatch.setattr(kirchhoff, "_map_tables", lambda: tables)
 
 
 def fraction_guards(levels, trials, rng):
@@ -512,7 +507,7 @@ def test_verify_reports_a_vanishing_d_table_without_drawing_again():
     # a D table that vanishes everywhere is a mismatch of D at the one
     # drawn state, reported at once; the run must not draw without end
     script = ("import sys; from fractal_forest import cli, kirchhoff; "
-              "kirchhoff._D_SCHEME = 0; sys.exit(cli.main(sys.argv[1:]))")
+              "kirchhoff._map_tables()['D'] = ((), 0); sys.exit(cli.main(sys.argv[1:]))")
     argv = ["verify", "--family", "hanoi", "--levels", "1..1", "--trials", "1", "--seed", "1"]
     done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, env=src_env(), timeout=60)
@@ -545,6 +540,34 @@ def test_exact_commands_never_load_mpmath():
                           text=True, env=src_env(), timeout=60)
     assert done.returncode == 0, done.stderr
     assert '"normality_gap"' in done.stdout
+
+
+def test_cli_starts_without_dataclasses_and_builds_the_map_tables_on_first_use():
+    # the records are tuples, so no command loads dataclasses (or the
+    # inspect module it imports); the decimation map's tables are parsed
+    # and built into Horner schemes by the first decimation, once
+    script = """if True:
+        import sys
+        from fractal_forest import cli, kirchhoff
+
+        def loaded():
+            return {"dataclasses", "inspect"} & set(sys.modules)
+
+        def builds():
+            return kirchhoff._map_tables.cache_info().misses
+
+        assert not loaded() and builds() == 0
+        for argv in (["gf", "--family", "sierpinski-rot", "--level", "3", "--method", "all"],
+                     ["generate", "--family", "hanoi", "--level", "2"]):
+            assert cli.main(argv) == 0, argv
+        assert not loaded() and builds() == 0
+        assert cli.main(["gf", "--family", "hanoi", "--level", "3", "--method", "all"]) == 0
+        assert not loaded() and builds() == 1
+    """
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=src_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert '"schur": "20503125"' in done.stdout
 
 
 def test_verify_with_corrupted_map_term_fails(capsys, monkeypatch):

@@ -1,11 +1,15 @@
 import hashlib
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from fractal_forest.families import FAMILIES, Level
+from fractal_forest.algebra import Weights
+from fractal_forest.families import FAMILIES, HANOI, Level
 from fractal_forest.graphs import (
     _REFLECT,
+    LabelledEdge,
+    LabelledGraph,
     _corners,
     _make_graph,
     apply_generator,
@@ -14,6 +18,9 @@ from fractal_forest.graphs import (
     export_dot,
     graph_census,
 )
+from fractal_forest.oracle import ForestSpec
+from fractal_forest.sierpinski import CountsTriple, FiveBundle, RotBundle
+from fractal_forest.stats import LabelStat
 
 
 def edge_set(g, with_labels=True):
@@ -199,6 +206,39 @@ def test_graphs_are_read_only_and_built_once_per_level():
         assert Level(family, 3).graph is Level(family, 3).graph
         with pytest.raises(TypeError):
             Level(family, 3).graph.corners["top"] = 0
+
+
+def test_records_validate_stay_read_only_and_compare_by_value():
+    # the records are tuples; what callers rely on holds as it did
+    for bad, match in (((0, 1, "a", True), "loop flag"), ((2, 2, "a"), "loop flag"),
+                       ((1, 0, "a"), "u <= v")):
+        with pytest.raises(ValueError, match=match):
+            LabelledEdge(*bad)
+    for bad, match in ((("forest",), "unknown kind"), (("two-forest",), "isolated corner"),
+                       (("tree", "top"), "only applies to two-forest")):
+        with pytest.raises(ValueError, match=match):
+            ForestSpec(*bad)
+    corners = {"top": 1, "left": 0, "right": 2}
+    g = LabelledGraph("hanoi", 1, ("0", "1", "2"), (LabelledEdge(0, 1, "a"),), corners)
+    corners["top"] = 2
+    assert g.corners == {"top": 1, "left": 0, "right": 2}
+    with pytest.raises(TypeError):
+        g.corners["top"] = 0
+    records = (Weights.ones(), LabelledEdge(1, 1, "b", True), g, RotBundle(1, 2, 3),
+               FiveBundle(1, 2, 3, 4, 5), CountsTriple(3, 1, 1), ForestSpec("two-forest", "top"),
+               LabelStat(1, "a", Fraction(1), Fraction(2)), HANOI.checks[0], HANOI)
+    for record in records:
+        for name in (*record._fields, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    assert Weights.parse("2/4", "1", "3") == Weights.of(Fraction(1, 2), 1, 3)
+    assert hash(Weights.parse("2/4", "1", "3")) == hash(Weights.of(Fraction(1, 2), 1, 3))
+    assert Weights.of(1, 2, 3) != Weights.of(1, 3, 2)
+    # a verify mismatch prints these
+    assert repr(Weights.parse("1", "1/2", "3")) == (
+        "Weights(a=Fraction(1, 1), b=Fraction(1, 2), c=Fraction(3, 1))")
+    assert str(Weights.parse("1", "1/2", "3")) == "(1,1/2,3)"
+    assert repr(CountsTriple(3, 1, 1)) == "CountsTriple(tau=3, s=1, q=1)"
 
 
 def test_unlabelled_agreement_of_the_three_gaskets():

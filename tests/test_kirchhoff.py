@@ -13,10 +13,6 @@ from fractal_forest.graphs import (
 )
 from fractal_forest.hanoi import hanoi_bundle, hanoi_counts_closed
 from fractal_forest.kirchhoff import (
-    D_TERMS,
-    P_TERMS,
-    _D_SCHEME,
-    _P_SCHEMES,
     _eval_scheme,
     _sparse_det,
     SchurState,
@@ -459,8 +455,11 @@ def test_decimation_identity_on_cleared_states_matches_the_fraction_form(monkeyp
     states = random_states(69, 50)
     for s in states[:25]:
         assert decimation_identity(s) is fraction_form(s) is True
-    (coeff, exps), *rest = P_TERMS[5]
-    monkeypatch.setitem(kirchhoff._P_SCHEMES, 5, kirchhoff._horner(((coeff + 1, exps), *rest)))
+    tables = dict(kirchhoff._map_tables())
+    terms = tables[5][0]
+    (coeff, exps), *rest = terms
+    tables[5] = terms, kirchhoff._horner(((coeff + 1, exps), *rest))
+    monkeypatch.setattr(kirchhoff, "_map_tables", lambda: tables)
     for s in states[25:]:
         assert decimation_identity(s) is fraction_form(s) is False
 
@@ -665,8 +664,9 @@ def test_routes_scale_homogeneously_at_cleared_weights():
 def test_map_terms_are_homogeneous():
     # schur_map evaluates the tables on the state times its common
     # denominator, which is exact only for these degrees
-    assert all(sum(exps) == 6 for _, exps in D_TERMS)
-    assert all(sum(exps) == 7 for terms in P_TERMS.values() for _, exps in terms)
+    tables = kirchhoff._map_tables()
+    assert all(sum(exps) == 6 for _, exps in tables["D"][0])
+    assert all(sum(exps) == 7 for i in range(4, 10) for _, exps in tables[i][0])
 
 
 def test_sparse_det_rows_mixing_int_and_fraction_entries():
@@ -823,7 +823,7 @@ def eval_terms(terms, xs):
     return total
 
 
-TABLES = ((D_TERMS, _D_SCHEME), *((P_TERMS[i], _P_SCHEMES[i]) for i in range(4, 10)))
+TABLES = tuple(kirchhoff._map_tables()[i] for i in ("D", 4, 5, 6, 7, 8, 9))
 
 
 def test_horner_schemes_equal_the_terms():
