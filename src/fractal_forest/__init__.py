@@ -33,7 +33,6 @@ from .kirchhoff import (
     lambda_matrix,
     schur_map,
     schur_map_divergence,
-    schur_map_rederived,
     schur_pipeline,
     tree_gf_cofactor,
 )

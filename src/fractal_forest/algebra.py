@@ -79,8 +79,8 @@ _DIVIDE_ONLY_BITS = 1024
 class Weights(namedtuple("Weights", VARS)):
     """The weights of the three edge labels.  Each entry is an element of
     the ring a recursion runs in: int, Fraction, TriPoly (the variables,
-    ``sierpinski.SYMBOLS``, for symbolic results) or Jet.  Indexed by
-    label, not by position."""
+    ``sierpinski.SYMBOLS``, for symbolic results) or Jet.  A tuple
+    ``(a, b, c)``: read by label as ``w.a`` and by position as ``w[0]``."""
 
     __slots__ = ()
 
@@ -104,16 +104,8 @@ class Weights(namedtuple("Weights", VARS)):
         """The weights times the lcm L of their denominators, as integers,
         and L.  A polynomial homogeneous of degree d takes L^d times its
         value at w there."""
-        ints, scale = clear_denominators(self.as_tuple())
+        ints, scale = clear_denominators(self)
         return Weights(*ints), scale
-
-    def __getitem__(self, label: str):
-        if label not in VARS:
-            raise ValueError(f"unknown label {label!r}")
-        return getattr(self, label)
-
-    def as_tuple(self):
-        return (self.a, self.b, self.c)
 
     def all_positive(self) -> bool:
         return self.a > 0 and self.b > 0 and self.c > 0

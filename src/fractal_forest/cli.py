@@ -125,14 +125,14 @@ def run_gf(args) -> tuple[int, str]:
         report["components"] = {k: v.text() for k, v in bundle.items()}
         report["value"] = report["components"]["T"]
         if family.closed is not None:
-            closed = family.parts(family.closed(n, SYMBOLS, family.components))
-            report["closed"] = {k: v.text() for k, v in closed.items()}
-            report["agreement"] = all(closed[k].expand() == bundle[k] for k in family.components)
+            closed = family.closed(n, SYMBOLS, family.components)
+            report["closed"] = {k: getattr(closed, k).text() for k in bundle}
+            report["agreement"] = all(getattr(closed, k).expand() == v for k, v in bundle.items())
         code = EXIT_OK if report.get("agreement", True) else EXIT_MISMATCH
         return code, _emit(report, args.format)
 
     w = Weights.parse(*args.weights)
-    report["weights"] = [str(x) for x in w.as_tuple()]
+    report["weights"] = [str(x) for x in w]
     methods, skipped = _gf_methods(family, n, w, args.method)
     # before any route runs, because the decimation and the rotational
     # closed form have no level cap of their own

@@ -150,9 +150,6 @@ class Family(namedtuple("Family", (
             return "no decimation step below level 3"
         return None
 
-    def parts(self, bundle) -> dict:
-        return {c: getattr(bundle, c) for c in self.components}
-
     def stat_powers(self, n: int, w: Weights) -> list:
         """(value, exponent) pairs at w whose product is T up to a constant
         factor, for the label statistics: the factors of the closed form's T
@@ -336,6 +333,10 @@ def _schur_map_guards(levels, trials, rng):
 
 
 _COFACTOR_CHECK = Check("cofactor = recursion", _cofactor, _tree, DRAW, route="cofactor")
+_ORACLE_CHECK = Check("oracle tree count", _oracle, _counts_tree, route="oracle")
+# a mismatch reports the weights alone: neither side is multiplied out
+_CLOSED_CHECK = Check("closed = recursion", _closed_products, Level.products, TRIAL,
+                      detail=("weights",))
 
 HANOI = Family(
     name="hanoi",
@@ -354,7 +355,7 @@ HANOI = Family(
         Check("counts recursive=closed", lambda lv, w: lv.counts,
               lambda lv, w: hgf.hanoi_counts_closed(lv.n), detail=("recursive", "closed")),
         Check("bundle at ones = counts", Level.values, _counts),
-        Check("oracle tree count", _oracle, _counts_tree, route="oracle"),
+        _ORACLE_CHECK,
         Check("recursion=schur", _tree_products, _decimation_tree, TRIAL, route="schur",
               detail=("weights", "recursion", "schur")),
         Check("recursion=cofactor", _tree, _cofactor, TRIAL, route="cofactor",
@@ -378,16 +379,14 @@ ROTATIONAL = Family(
     stat_cap=20,  # the closed form has no level cap and keeps the statistics cheap
     checks=(
         Check("closed at ones = counts", _closed, _counts),
-        Check("closed = recursion", _closed_products, Level.products, TRIAL,
-              detail=("weights",)),
+        _CLOSED_CHECK,
         _COFACTOR_CHECK,
-        Check("oracle tree count", _oracle, _counts_tree, route="oracle"),
+        _ORACLE_CHECK,
     ),
 )
 
 _DIRECTIONAL_CHECKS = (
-    Check("closed = recursion", Level.products, _closed_products, TRIAL,
-          detail=("weights",)),
+    _CLOSED_CHECK,
     Check("T at ones = rotational shift", _tree, lambda lv, w: sgf.rot_bundle(lv.n - 1, w).T,
           first_level=2),
     _COFACTOR_CHECK,

@@ -43,7 +43,7 @@ def hanoi_step(bundle: FiveBundle) -> FiveBundle:
     the cubic are read off ``sierpinski._five_products``; T U, T R and
     T L are formed here.
     """
-    a, b, c = bundle.weights.as_tuple()
+    a, b, c = bundle.weights
     e = a * b + a * c + b * c
     abc = a * b * c
     T, U, R, L = bundle.T, bundle.U, bundle.R, bundle.L

@@ -38,7 +38,7 @@ neither out.
 The map is given in closed form by the term tables below, kept as the
 paper's text and evaluated as Horner schemes built from them when a
 decimation first runs (``_map_tables``), not at import.
-``schur_map_rederived`` recomputes the same map from scratch, on the state
+``_rederive`` recomputes the same map from scratch, on the state
 cleared to integers: the kernel eliminates the six non-corner words of the
 level-2 network and keeps the three corners, so its determinant is D and
 the corner rows, the Schur complement, hold the new coordinates.  The two
@@ -187,7 +187,7 @@ def _laplacian(g: LabelledGraph, w: Weights, root: int) -> dict:
         raise ValueError("graph must be connected ignoring loops")
     rows = {i: {} for i in reversed(order)}
     for e in g.nonloop_edges():
-        weight = w[e.label]
+        weight = getattr(w, e.label)
         for u, v in ((e.u, e.v), (e.v, e.u)):
             row = rows[u]
             row[u] = row.get(u, 0) + weight
@@ -526,17 +526,6 @@ def _rederive(t):
     pairs = ((-r0.get(4, 0), d0), (-r0.get(8, 0), d0), (-r4.get(8, 0), d4),
              (r0.get(0, 0), d0), (r4.get(4, 0), d4), (r8.get(8, 0), d8))
     return inner.numerator, pairs
-
-
-def schur_map_rederived(s: SchurState) -> SchurState:
-    """Recompute one decimation step by eliminating the six non-corner
-    words of the level-2 network at t = delta s (``_rederive``);
-    each new coordinate is a Schur-complement entry on the corners."""
-    t, delta = clear_denominators(s)
-    inner, pairs = _rederive(t)
-    if inner == 0:
-        raise DecimationSingularError("elimination block is singular")
-    return SchurState(s.x1, s.x2, s.x3, *(Fraction(n, delta * q) for n, q in pairs))
 
 
 def schur_map_divergence(s: SchurState) -> dict:

@@ -60,16 +60,9 @@ SYMBOLS = Weights(*TriPoly.variables())  # the weights of symbolic bundles
 FIVE = ("T", "U", "R", "L", "Q")  # the components of a FiveBundle
 
 
-class RotBundle(namedtuple("RotBundle", "T S Q weights", defaults=(SYMBOLS,))):
-    __slots__ = ()
-
-
-class FiveBundle(namedtuple("FiveBundle", (*FIVE, "weights"), defaults=(SYMBOLS,))):
-    __slots__ = ()
-
-
-class CountsTriple(namedtuple("CountsTriple", "tau s q")):
-    __slots__ = ()
+RotBundle = namedtuple("RotBundle", "T S Q weights", defaults=(SYMBOLS,))
+FiveBundle = namedtuple("FiveBundle", (*FIVE, "weights"), defaults=(SYMBOLS,))
+CountsTriple = namedtuple("CountsTriple", "tau s q")
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -80,7 +73,7 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def _symbolic(w: Weights) -> bool:
-    return any(isinstance(x, TriPoly) for x in w.as_tuple())
+    return any(isinstance(x, TriPoly) for x in w)
 
 
 def check_level(n: int, w: Weights) -> None:
@@ -166,7 +159,7 @@ def iterate(step, initial, n: int):
 
 
 def rot_initial(w: Weights = SYMBOLS) -> RotBundle:
-    a, b, c = w.as_tuple()
+    a, b, c = w
     e = a * b + a * c + b * c
     s = a + b + 3 * c
     return RotBundle(3 * (a + b) * e**2, (a + b) * s * e, (a + b) * s**2, w)
@@ -193,7 +186,7 @@ def rot_closed(n: int, w: Weights = SYMBOLS) -> RotBundle:
     big integers.  It has no level cap of its own."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    a, b, c = w.as_tuple()
+    a, b, c = w
     p, s, e = a + b, a + b + 3 * c, a * b + a * c + b * c
     pw3 = 3 ** (n - 1)
     e2 = _exact_div(pw3 - 1, 2)
@@ -265,7 +258,7 @@ def _iterates(mapping, w: Weights, times: int) -> list:
     ITERATE_SYMBOLIC_CAP of them."""
     if times > ITERATE_SYMBOLIC_CAP and _symbolic(w):
         raise CapabilityError(f"symbolic map iterates are capped at {ITERATE_SYMBOLIC_CAP}")
-    out = [w.as_tuple()]
+    out = [w]
     for _ in range(times):
         out.append(mapping(*out[-1]))
     return out
@@ -284,7 +277,7 @@ def _factors(iterates, n: int) -> list:
 def five_initial(w: Weights = SYMBOLS) -> FiveBundle:
     """The level-1 bundle of the directional, schreier and hanoi
     recursions, in the ring of the weights."""
-    a, b, c = w.as_tuple()
+    a, b, c = w
     return FiveBundle(a * b + a * c + b * c, b, a, c, a**0, w)
 
 

@@ -35,8 +35,7 @@ from .families import lookup
 from .sierpinski import rot_closed
 
 
-class LabelStat(namedtuple("LabelStat", "n label mean variance")):
-    __slots__ = ()
+LabelStat = namedtuple("LabelStat", "n label mean variance")
 
 
 def label_moments(model: str, n: int, label: str) -> tuple[Fraction, Fraction]:

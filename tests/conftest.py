@@ -178,7 +178,7 @@ def reference_lambda(k: int, s: SchurState):
 
 
 # -- the map rederived by seven separate determinants, the reference for the
-# one Schur complement of kirchhoff.schur_map_rederived
+# one Schur complement of kirchhoff._rederive
 
 INNER = (1, 2, 3, 5, 6, 7)  # the six non-corner words of the level-2 network
 

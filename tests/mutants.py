@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
+ALGEBRA = "src/fractal_forest/algebra.py"
 KERNEL = "src/fractal_forest/kirchhoff.py"
 HANOI = "src/fractal_forest/hanoi.py"
 RUNNER = "src/fractal_forest/sierpinski.py"
@@ -117,6 +118,14 @@ MUTANTS = (
            "def _cleared_denominator(s: SchurState):",
            "_map_tables()\n\n\ndef _cleared_denominator(s: SchurState):",
            (START_UP,)),
+    Mutant("weights indexed by label", ALGEBRA,
+           "    def all_positive(self) -> bool:\n",
+           "    def __getitem__(self, label):\n"
+           "        if label not in VARS:\n"
+           "            raise ValueError(f\"unknown label {label!r}\")\n"
+           "        return getattr(self, label)\n\n"
+           "    def all_positive(self) -> bool:\n",
+           ("tests/test_algebra.py::test_weights_read_by_position_like_any_tuple",)),
 )
 
 

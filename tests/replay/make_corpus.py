@@ -8,16 +8,17 @@ Run from the repository root:
 Each request runs ``cli.main`` in process, with FRACTAL_FOREST_SEED
 unset, and the corpus keeps its argv, exit code, the sha256 of its
 stdout and its stderr verbatim.  The requests cover every family: the
-symbolic ``gf`` routes (level 3 in every format), ``gf --method all`` at six weight triples
-(degenerate and signed ones included) and at levels 6-10 at
-``13/61 44/17 7/90``, each gf method alone (hanoi's ``schur`` at levels 1
-and 2, where it stands in for the cofactor), ``stats`` on both sides of each
-statistics cap, the rotational normality gap at every level 1-20 for
-each label, ``verify`` (hanoi also at levels 7-9, with one and three
-draws), ``generate`` in every format, and the usage
-and capability errors the CLI raises itself.  No ``gf`` request goes past
-level 10, and no ``verify`` or ``generate`` request past level 9, except
-the cap refusals.
+symbolic ``gf`` routes (level 3 in every format), ``gf --method all`` at
+six weight triples (degenerate and signed ones included) and at levels
+6-10 at ``13/61 44/17 7/90``, each of a family's gf routes alone at
+levels 1-5 and the six weight triples (the explicit oracle on the
+27-edge graphs at ``1 1 1`` only), the ``schur`` method refused on the
+gaskets, ``stats`` on both sides of each statistics cap, the rotational
+normality gap at every level 1-20 for each label, ``verify`` (hanoi also
+at levels 7-9, with one and three draws), ``generate`` in every format,
+and the usage and capability errors the CLI raises itself.  No ``gf``
+request goes past level 10, and no ``verify`` or ``generate`` request
+past level 9, except the cap refusals.
 
 Errors that argparse reports (a missing or unknown option, a bad choice)
 are left out: their usage text differs between Python versions.  So is
@@ -42,7 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "src"))
 
-from fractal_forest import cli  # noqa: E402
+from fractal_forest import cli, families  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parent / "corpus.json"
 
@@ -52,6 +53,9 @@ TRIPLES = (
     ("0", "1", "1"), ("1", "-1", "1"), ("-2", "3", "5"),
 )
 FORMATS = ("json", "text", "csv")
+# the explicit oracle on the 27-edge graphs takes 4.9-7.0 s a request, so
+# it runs at weights 1 1 1 only
+SLOW_ORACLES = (("sierpinski-rot", "2"), ("sierpinski-dir", "3"), ("sierpinski-schreier", "3"))
 
 
 def requests() -> list[list[str]]:
@@ -63,7 +67,7 @@ def requests() -> list[list[str]]:
                 out.append(["gf", "--family", family, "--level", str(level),
                             "--mode", "symbolic", "--method", method])
     for family in FAMILIES:
-        for level in (1, 2, 3, 5, 8, 13):  # the evaluated cap is 12
+        for level in (1, 2, 3, 4, 5, 8, 13):  # the evaluated cap is 12
             for triple in TRIPLES:
                 out.append(["gf", "--family", family, "--level", str(level),
                             "--weights", *triple, "--method", "all"])
@@ -83,6 +87,19 @@ def requests() -> list[list[str]]:
                 for triple in (TRIPLES[0], TRIPLES[2]):
                     out.append(["gf", "--family", family, "--level", level,
                                 "--weights", *triple, "--method", method])
+    for family in FAMILIES:  # each of the family's routes alone, at levels 1-5
+        for method in families.lookup(family).routes:
+            for level in map(str, range(1, 6)):
+                if method == "oracle" and (family, level) in SLOW_ORACLES:
+                    continue
+                for triple in TRIPLES:
+                    argv = ["gf", "--family", family, "--level", level,
+                            "--weights", *triple, "--method", method]
+                    if argv not in out:
+                        out.append(argv)
+    for family, level in SLOW_ORACLES:
+        out.append(["gf", "--family", family, "--level", level,
+                    "--weights", *TRIPLES[0], "--method", "oracle"])
     for family in FAMILIES:
         levels = (1, 3, 20, 21) if family == "sierpinski-rot" else (1, 3, 12, 13)
         for level in levels:

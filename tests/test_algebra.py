@@ -35,6 +35,16 @@ def test_weights_parse_rationals_only():
         Weights.parse("1/0", "1", "1")
 
 
+def test_weights_read_by_position_like_any_tuple():
+    w = Weights.parse("3/7", "2", "1/2")
+    assert (w[0], w[1], w[-1]) == (w.a, w.b, w.c)
+    assert w[1:] == (2, Fraction(1, 2)) and w[::-1] == (w.c, w.b, w.a)
+    a, b, c = w
+    assert (a, b, c) == tuple(w) == w
+    with pytest.raises(IndexError):
+        w[3]
+
+
 def test_eval_examples():
     e = A * B + A * C + B * C
     assert e.evaluate(ONES) == 3

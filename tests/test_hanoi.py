@@ -278,7 +278,7 @@ def paper_hanoi_step(bundle: FiveBundle) -> FiveBundle:
     """The five weighted recursions as first transcribed, term by term;
     hanoi_step forms each product of bundle components once and must
     equal this copy."""
-    a, b, c = bundle.weights.as_tuple()
+    a, b, c = bundle.weights
     e = a * b + a * c + b * c
     abc = a * b * c
     T, U, R, L, Q = bundle.T, bundle.U, bundle.R, bundle.L, bundle.Q

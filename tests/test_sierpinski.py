@@ -237,7 +237,7 @@ def test_components_are_homogeneous_integers_at_cleared_weights():
     for family in FAMILIES.values():
         for w in RATIONAL_TRIPLES:
             iw, scale = w.clear_denominators()
-            assert scale > 1 and all(type(x) is int for x in iw.as_tuple())
+            assert scale > 1 and all(type(x) is int for x in iw)
             for n in range(1, 6):
                 at_w = dict(zip(family.components, Level(family, n).values(w)))
                 at_iw = dict(zip(family.components, Level(family, n).values(iw)))
@@ -542,7 +542,8 @@ def test_primitive_run_multiplied_out_is_the_bundle():
     jets = Weights(Jet(2, 1), Jet(3, 0, 1), Jet(5, -1, 2))
     for family in FAMILIES.values():
         def want(n, w):
-            return list(family.parts(iterate(family.step, family.initial(w), n)).values())
+            bundle = iterate(family.step, family.initial(w), n)
+            return [getattr(bundle, c) for c in family.components]
 
         for w in STEP_WEIGHTS:
             for n in range(1, 10):
@@ -554,7 +555,7 @@ def test_primitive_run_multiplied_out_is_the_bundle():
         for n in range(1, 7):
             assert list(Level(family, n).values(jets)) == want(n, jets), (family.name, n)
         for w in STEP_WEIGHTS[-3:]:
-            mod_w = Weights(*map(ModP, w.as_tuple()))
+            mod_w = Weights(*map(ModP, w))
             expected = want(12, mod_w)
             assert _run_values(family, 12, w, ModP) == expected, (family.name, w)
             assert list(Level(family, 12).values(mod_w)) == expected, (family.name, w)
