@@ -33,9 +33,10 @@ value (``kirchhoff.schur_pipeline``); below level 3, where
 
 Route functions are looked up through their modules when they are
 called, not bound when this module is imported, so that a patched or
-traced module function takes effect here too.  A ``Level`` builds its
-graph once per family and level in a process; only the capped cofactor
-and oracle routes ask for it, so those caps bound what is kept.
+traced module function takes effect here too.  A ``Level`` keeps its
+graph and the oracle's tree polynomial on it, each built once per family
+and level in a process; only the capped cofactor and oracle routes ask
+for them, so those caps bound what is kept.
 """
 
 from __future__ import annotations
@@ -163,13 +164,17 @@ class Family(namedtuple("Family", (
 
 
 _GRAPHS = {}  # (family name, level) -> its graph without loops; see Level
+_TREE_POLYNOMIALS = {}  # (family name, level) -> the oracle's tree polynomial
 
 
 class Level:
     """One family at one level; keeps what several routes share.  Its graph
     is built once per family and level in a process and kept in
     ``_GRAPHS``: only the cofactor and oracle routes read it, so their size
-    caps bound that to 18 graphs of at most 123 vertices.
+    caps bound that to 18 graphs of at most 123 vertices.  Its tree
+    polynomial, the oracle's enumeration on that graph, is kept the same
+    way in ``_TREE_POLYNOMIALS``; the oracle's 30-edge cap bounds that to
+    10 polynomials.
 
     It is the one place where the family's recursion runs, in the ring of
     the weights asked for.  The run is kept for the last weights asked
@@ -190,6 +195,15 @@ class Level:
         if key not in _GRAPHS:
             _GRAPHS[key] = self.family.graph(self.n, False)
         return _GRAPHS[key]
+
+    @property
+    def tree_polynomial(self):
+        """The weight-free spanning-tree polynomial, enumerated by the
+        oracle on the first request and kept in ``_TREE_POLYNOMIALS``."""
+        key = (self.family.name, self.n)
+        if key not in _TREE_POLYNOMIALS:
+            _TREE_POLYNOMIALS[key] = oracle.enumerate_gf(self.graph, oracle.ForestSpec("tree"))
+        return _TREE_POLYNOMIALS[key]
 
     @cached_property
     def counts(self):
@@ -298,7 +312,7 @@ def _cofactor(lv, w):
 
 
 def _oracle(lv, w):
-    return oracle.enumerate_gf(lv.graph, oracle.ForestSpec("tree")).evaluate(w)
+    return lv.tree_polynomial.evaluate(w)
 
 
 def _schur(lv, w):

@@ -36,8 +36,9 @@ to take, and the ``schur`` route of ``gf`` is the cofactor route
 neither out.
 
 The map is given in closed form by the term tables below, kept as the
-paper's text and evaluated as Horner schemes built from them when a
-decimation first runs (``_map_tables``), not at import.
+paper's text.  When a decimation first runs (``_map_tables``), not at
+import, each is built into a Horner scheme and the scheme compiled into
+its kernel, one straight-line Python expression over x0..x8.
 ``_rederive`` recomputes the same map from scratch, on the state
 cleared to integers: the kernel eliminates the six non-corner words of the
 level-2 network and keeps the three corners, so its determinant is D and
@@ -263,7 +264,8 @@ def _parse_terms(text: str):
 
 
 # Denominator D of the decimation map, 19 terms, in the paper's text; the
-# tables are parsed and built into Horner schemes on first use (_map_tables).
+# tables are parsed, built into Horner schemes and compiled to kernels on
+# first use (_map_tables).
 D_TEXT = """
     + x7^2 x8^2 x9^2
     - x3^2 x8^2 x9^2
@@ -429,42 +431,54 @@ def _horner(terms):
     return v, _horner(inner), _horner(rest)
 
 
-def _eval_scheme(scheme, xs):
+def _source(scheme) -> str:
+    """A Horner scheme as one Python expression over x0..x8 that forms
+    the scheme's products and no others; a factor 1 and a remainder 0
+    are left out."""
     if type(scheme) is int:
-        return scheme
+        return str(scheme)
     v, inner, rest = scheme
-    return xs[v] * _eval_scheme(inner, xs) + _eval_scheme(rest, xs)
+    product = f"x{v}" if inner == 1 else f"x{v} * ({_source(inner)})"
+    return product if rest == 0 else f"{product} + ({_source(rest)})"
 
 
-# The tables are evaluated as Horner schemes; a scheme forms about half the
-# products the terms one by one would.  They are evaluated on integers
-# t = delta * s, where delta is the lcm of the state's denominators.  D is
-# homogeneous of degree 6 and each P numerator of degree 7, so D(s) =
-# D(t) / delta^6, and a new coordinate is an integer over delta * D(t),
-# reduced once.
+def _compile(scheme):
+    """A Horner scheme as a kernel: a function of the nine coordinates,
+    compiled once into straight-line code."""
+    return eval(f"lambda {', '.join(f'x{i}' for i in range(9))}: {_source(scheme)}")
+
+
+# The tables are evaluated as Horner schemes, compiled to straight-line
+# kernels; a scheme forms about half the products the terms one by one
+# would, and its kernel makes no Python call per node.  They are
+# evaluated on integers t = delta * s, where delta is the lcm of the
+# state's denominators.  D is homogeneous of degree 6 and each P numerator
+# of degree 7, so D(s) = D(t) / delta^6, and a new coordinate is an
+# integer over delta * D(t), reduced once.
 @cache
 def _map_tables() -> dict:
-    """The tables of the map as ``{"D": (terms, scheme), 4: (terms,
-    scheme), ..., 9: ...}``, each text parsed and built into its Horner
-    scheme once, when a decimation first needs it, and not at import."""
+    """The tables of the map as ``{"D": (terms, kernel), 4: (terms,
+    kernel), ..., 9: ...}``, each text parsed, built into its Horner scheme
+    and compiled once, when a decimation first needs it, and not at
+    import."""
     tables = {}
     for key, text in {"D": D_TEXT, **P_TEXT}.items():
         terms = _parse_terms(text)
-        tables[key] = terms, _horner(terms)
+        tables[key] = terms, _compile(_horner(terms))
     return tables
 
 
 def _cleared_denominator(s: SchurState):
     """The state cleared to integers t over delta, and D(t)."""
     t, delta = clear_denominators(s)
-    return t, delta, _eval_scheme(_map_tables()["D"][1], t)
+    return t, delta, _map_tables()["D"][1](*t)
 
 
 def _map_numerators(t, d: int) -> list[int]:
     """The new x4..x9 times delta * D(t): integers, from t and d = D(t)."""
     tables = _map_tables()
     heads = (0, 0, 0, t[6] * d, t[7] * d, t[8] * d)
-    return [head + _eval_scheme(tables[i][1], t) for i, head in enumerate(heads, start=4)]
+    return [head + tables[i][1](*t) for i, head in enumerate(heads, start=4)]
 
 
 def _map_cleared(s: SchurState, t, delta: int, d: int) -> SchurState:

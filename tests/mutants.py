@@ -118,6 +118,14 @@ MUTANTS = (
            "def _cleared_denominator(s: SchurState):",
            "_map_tables()\n\n\ndef _cleared_denominator(s: SchurState):",
            (START_UP,)),
+    Mutant("kernel drops the remainder", KERNEL,
+           'return product if rest == 0 else f"{product} + ({_source(rest)})"',
+           "return product",
+           ("tests/test_kirchhoff.py::test_horner_schemes_equal_the_terms",)),
+    Mutant("tree polynomial kept per family", FAMILIES,
+           "key = (self.family.name, self.n)\n        if key not in _TREE_POLYNOMIALS:",
+           "key = self.family.name\n        if key not in _TREE_POLYNOMIALS:",
+           ("tests/test_cli.py::test_oracle_enumerates_one_tree_polynomial_per_level",)),
     Mutant("weights indexed by label", ALGEBRA,
            "    def all_positive(self) -> bool:\n",
            "    def __getitem__(self, label):\n"

@@ -11,6 +11,7 @@ from fractal_forest import cli
 from fractal_forest import families
 from fractal_forest import hanoi
 from fractal_forest import kirchhoff
+from fractal_forest import oracle
 from fractal_forest import sierpinski
 from fractal_forest import stats
 from fractal_forest.algebra import FactoredPoly, TriPoly, Weights, clear_denominators
@@ -337,6 +338,36 @@ def test_gf_routes_read_one_graph_per_level(capsys, monkeypatch):
     assert built == [("hanoi", 1), ("hanoi", 2)]
 
 
+def test_oracle_enumerates_one_tree_polynomial_per_level(capsys, monkeypatch):
+    # the oracle route and verify's oracle tree count evaluate the level's
+    # weight-free tree polynomial, enumerated once per family and level in
+    # a process
+    enumerate_gf = oracle.enumerate_gf
+    enumerated = []
+
+    def counted(g, spec):
+        enumerated.append((g.family, g.level))
+        return enumerate_gf(g, spec)
+
+    monkeypatch.setattr(oracle, "enumerate_gf", counted)
+    monkeypatch.setattr(families, "_TREE_POLYNOMIALS", {})
+    levels = (("sierpinski-rotational", 1), ("hanoi", 1), ("hanoi", 2))
+    for family, level in levels:
+        g = families.FAMILIES[family].graph(level, False)
+        for weights in (("1", "2", "3"), ("1/3", "2", "5")):
+            code, data = run_json(capsys, "gf", "--family", family, "--level", str(level),
+                                  "--weights", *weights, "--method", "all")
+            fresh = enumerate_gf(g, oracle.ForestSpec("tree")).evaluate(Weights.parse(*weights))
+            assert code == 0 and data["methods"]["oracle"] == str(fresh)
+    code, data = run_json(capsys, "verify", "--family", "hanoi", "--levels", "1..2",
+                          "--trials", "1")
+    assert code == 0 and data["checks_run"] == 9
+    assert enumerated == list(levels) == list(families._TREE_POLYNOMIALS)
+    for (family, level), poly in families._TREE_POLYNOMIALS.items():
+        g = families.FAMILIES[family].graph(level, False)
+        assert poly == enumerate_gf(g, oracle.ForestSpec("tree"))
+
+
 @pytest.mark.parametrize(
     "family, checks_run",
     [("hanoi", 26), ("sierpinski-rot", 17), ("sierpinski-dir", 15), ("sierpinski-schreier", 15)],
@@ -425,11 +456,11 @@ def test_level_caps_checked_before_any_work(capsys, monkeypatch):
 def corrupt_map_term(monkeypatch, i, delta: int):
     """Add delta to the first coefficient of a table of the decimation map,
     the denominator's for i = "D", else P_i's, in the table and in the
-    Horner scheme built from it."""
+    kernel compiled from it."""
     tables = dict(kirchhoff._map_tables())
     (coeff, exps), *rest = tables[i][0]
     corrupted = ((coeff + delta, exps), *rest)
-    tables[i] = corrupted, kirchhoff._horner(corrupted)
+    tables[i] = corrupted, kirchhoff._compile(kirchhoff._horner(corrupted))
     monkeypatch.setattr(kirchhoff, "_map_tables", lambda: tables)
 
 
@@ -506,7 +537,8 @@ def test_verify_reports_a_vanishing_d_table_without_drawing_again():
     # a D table that vanishes everywhere is a mismatch of D at the one
     # drawn state, reported at once; the run must not draw without end
     script = ("import sys; from fractal_forest import cli, kirchhoff; "
-              "kirchhoff._map_tables()['D'] = ((), 0); sys.exit(cli.main(sys.argv[1:]))")
+              "kirchhoff._map_tables()['D'] = ((), kirchhoff._compile(0)); "
+              "sys.exit(cli.main(sys.argv[1:]))")
     argv = ["verify", "--family", "hanoi", "--levels", "1..1", "--trials", "1", "--seed", "1"]
     done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, env=src_env(), timeout=60)
@@ -543,11 +575,21 @@ def test_exact_commands_never_load_mpmath():
 
 def test_cli_starts_without_dataclasses_and_builds_the_map_tables_on_first_use():
     # the records are tuples, so no command loads dataclasses (or the
-    # inspect module it imports); the decimation map's tables are parsed
-    # and built into Horner schemes by the first decimation, once
+    # inspect module it imports); the decimation map's tables are parsed,
+    # built into Horner schemes and compiled to kernels by the first
+    # decimation, once
     script = """if True:
         import sys
         from fractal_forest import cli, kirchhoff
+
+        compiled = []
+        compile_scheme = kirchhoff._compile
+
+        def counted(scheme):
+            compiled.append(scheme)
+            return compile_scheme(scheme)
+
+        kirchhoff._compile = counted
 
         def loaded():
             return {"dataclasses", "inspect"} & set(sys.modules)
@@ -559,9 +601,11 @@ def test_cli_starts_without_dataclasses_and_builds_the_map_tables_on_first_use()
         for argv in (["gf", "--family", "sierpinski-rot", "--level", "3", "--method", "all"],
                      ["generate", "--family", "hanoi", "--level", "2"]):
             assert cli.main(argv) == 0, argv
-        assert not loaded() and builds() == 0
+        assert not loaded() and builds() == 0 and not compiled
         assert cli.main(["gf", "--family", "hanoi", "--level", "3", "--method", "all"]) == 0
-        assert not loaded() and builds() == 1
+        assert not loaded() and builds() == 1 and len(compiled) == 7
+        assert cli.main(["gf", "--family", "hanoi", "--level", "4", "--method", "schur"]) == 0
+        assert builds() == 1 and len(compiled) == 7
     """
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=src_env(), timeout=60)

@@ -13,7 +13,6 @@ from fractal_forest.graphs import (
 )
 from fractal_forest.hanoi import hanoi_bundle, hanoi_counts_closed
 from fractal_forest.kirchhoff import (
-    _eval_scheme,
     _sparse_det,
     SchurState,
     decimation_identity,
@@ -457,7 +456,7 @@ def test_decimation_identity_on_cleared_states_matches_the_fraction_form(monkeyp
     tables = dict(kirchhoff._map_tables())
     terms = tables[5][0]
     (coeff, exps), *rest = terms
-    tables[5] = terms, kirchhoff._horner(((coeff + 1, exps), *rest))
+    tables[5] = terms, kirchhoff._compile(kirchhoff._horner(((coeff + 1, exps), *rest)))
     monkeypatch.setattr(kirchhoff, "_map_tables", lambda: tables)
     for s in states[25:]:
         assert decimation_identity(s) is fraction_form(s) is False
@@ -806,7 +805,7 @@ def test_cofactor_rows_keep_the_fill_small(monkeypatch):
         assert replay_elimination(dict(sorted(pattern.items())))[0] == in_index_order, name
 
 
-# -- the tables as Horner schemes ------------------------------------------------
+# -- the tables as Horner schemes, compiled to kernels ---------------------------
 
 
 def eval_terms(terms, xs):
@@ -831,25 +830,26 @@ def test_horner_schemes_equal_the_terms():
     states += [[rng.randint(-50, 50) for _ in range(9)] for _ in range(20)]
     states += [[rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(9)] for _ in range(20)]
     for xs in states:
-        for terms, scheme in TABLES:
-            assert _eval_scheme(scheme, xs) == eval_terms(terms, xs), xs
+        for terms, kernel in TABLES:
+            assert kernel(*xs) == eval_terms(terms, xs), xs
     # the cleared states along the decimation orbit of level 9
     state = SchurState.initial(Weights.parse("13/61", "44/17", "7/90"))
     for _ in range(7):
         xs = clear_denominators(state)[0]
-        for terms, scheme in TABLES:
-            assert _eval_scheme(scheme, xs) == eval_terms(terms, xs), xs
+        for terms, kernel in TABLES:
+            assert kernel(*xs) == eval_terms(terms, xs), xs
         state = schur_map(state)
     assert max(x.bit_length() for x in xs) > 3000
 
 
 def test_horner_schemes_form_fewer_products():
-    # products of two state-sized values over all seven tables; the 127
-    # products with a coefficient are scalar and not counted
+    # products of two state-sized values over all seven kernels, which form
+    # the products of their Horner schemes and no others; the products with
+    # a coefficient are scalar and not counted
     tally = [0]
     xs = [Counted(x, tally) for x in (3, -5, 7, 11, -13, 17, 19, 23, -29)]
-    for terms, scheme in TABLES:
-        assert _eval_scheme(scheme, xs).value == eval_terms(terms, [x.value for x in xs])
+    for terms, kernel in TABLES:
+        assert kernel(*xs).value == eval_terms(terms, [x.value for x in xs])
     assert tally[0] == 338
     tally[0] = 0
     for terms, _ in TABLES:
