@@ -34,9 +34,9 @@ value (``kirchhoff.schur_pipeline``); below level 3, where
 Route functions are looked up through their modules when they are
 called, not bound when this module is imported, so that a patched or
 traced module function takes effect here too.  A ``Level`` keeps its
-graph and the oracle's tree polynomial on it, each built once per family
-and level in a process; only the capped cofactor and oracle routes ask
-for them, so those caps bound what is kept.
+graph, the oracle's tree polynomial and the cofactor's plan on it, each
+built once per family and level in a process; only the capped cofactor
+and oracle routes ask for them, so those caps bound what is kept.
 """
 
 from __future__ import annotations
@@ -165,6 +165,7 @@ class Family(namedtuple("Family", (
 
 _GRAPHS = {}  # (family name, level) -> its graph without loops; see Level
 _TREE_POLYNOMIALS = {}  # (family name, level) -> the oracle's tree polynomial
+_COFACTOR_PLANS = {}  # (family name, level) -> the cofactor's plan on its graph
 
 
 class Level:
@@ -174,7 +175,10 @@ class Level:
     caps bound that to 18 graphs of at most 123 vertices.  Its tree
     polynomial, the oracle's enumeration on that graph, is kept the same
     way in ``_TREE_POLYNOMIALS``; the oracle's 30-edge cap bounds that to
-    10 polynomials.
+    10 polynomials.  The plan of its cofactor (``kirchhoff.CofactorPlan``:
+    the row template and the kernel's pivot order on it) is kept in
+    ``_COFACTOR_PLANS``, which the cofactor cap bounds to the 18 plans of
+    those graphs; a graph built outside a Level gets a plan for one call.
 
     It is the one place where the family's recursion runs, in the ring of
     the weights asked for.  The run is kept for the last weights asked
@@ -204,6 +208,15 @@ class Level:
         if key not in _TREE_POLYNOMIALS:
             _TREE_POLYNOMIALS[key] = oracle.enumerate_gf(self.graph, oracle.ForestSpec("tree"))
         return _TREE_POLYNOMIALS[key]
+
+    @property
+    def cofactor_plan(self):
+        """The plan of the cofactor that deletes vertex 0 of the graph,
+        built on the first request and kept in ``_COFACTOR_PLANS``."""
+        key = (self.family.name, self.n)
+        if key not in _COFACTOR_PLANS:
+            _COFACTOR_PLANS[key] = kirchhoff.CofactorPlan(self.graph)
+        return _COFACTOR_PLANS[key]
 
     @cached_property
     def counts(self):
@@ -308,7 +321,7 @@ def _counts_tree(lv, w):
 
 
 def _cofactor(lv, w):
-    return kirchhoff.tree_gf_cofactor(lv.graph, w)
+    return kirchhoff.tree_gf_cofactor(lv.graph, w, plan=lv.cofactor_plan)
 
 
 def _oracle(lv, w):

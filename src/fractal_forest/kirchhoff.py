@@ -19,6 +19,16 @@ index order.  A cofactor clears its weights to integers once; at integer
 weights it is a ``Fraction`` with denominator 1, and the decimation
 pipeline, which runs from level 3, returns an ``int``.
 
+A cofactor's sparsity pattern is fixed by its graph, and only the three
+weights change, so it is planned once per graph and deleted vertex
+(``CofactorPlan``, the symbolic half of a sparse factorization): a row
+template whose entries are integer combinations of a, b and c, and the
+kernel's own pivot order and fill on it, recorded from the kernel's
+first elimination of the template's whole pattern and compiled into
+flat index maps.  A planned cofactor replays them on lists of ints, with
+the kernel's arithmetic, and hands its rows to the kernel where a
+planned pivot comes out zero.
+
 The decimation map P acts on a 9-component state
 ``(x1..x3, x4..x6, x7..x9)`` = (original weights, current off-diagonal
 couplings, current diagonal entries); the initial state is
@@ -60,6 +70,7 @@ from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import itemgetter
 
 from .algebra import SAMPLE_BOUND, FactoredPoly, Weights, clear_denominators
 from .errors import DecimationSingularError
@@ -68,7 +79,7 @@ from .graphs import LABELS, LabelledGraph, build_hanoi
 # -- the sparse exact elimination kernel -----------------------------------------
 
 
-def _sparse_det(rows: dict, keep=()):
+def _sparse_det(rows: dict, keep=(), pivots=None):
     """Determinant of a square matrix held as ``{row: {column: entry}}``.
 
     Rows and columns share one set of keys, and each row holds only its
@@ -97,6 +108,10 @@ def _sparse_det(rows: dict, keep=()):
     complement on the kept keys.  With a nonempty ``keep`` the kernel
     returns ``(det, {k: (row, d_k)})``, each kept row as integers over
     its denominator, meaningful only where det is nonzero.
+
+    Given a dict as ``pivots``, an elimination in which no entry
+    cancelled and every row found a pivot leaves its pivot order there,
+    ``{row: column}`` in the order pivoted on (``CofactorPlan``).
     """
     dens = {}
     holders = {j: set() for j in rows}  # column -> live rows with an entry there
@@ -115,6 +130,7 @@ def _sparse_det(rows: dict, keep=()):
     heapify(heap)
     pivot_col = {}
     num = den = 1
+    cancelled = False
     while rank:
         length, _, p = heappop(heap)
         row = rows[p]
@@ -155,6 +171,7 @@ def _sparse_det(rows: dict, keep=()):
                     else:
                         del target[j]
                         holders[j].discard(i)
+                        cancelled = True
             d = dens[i] * pivot
             g = gcd(d, *target.values())
             if d < 0:
@@ -164,6 +181,15 @@ def _sparse_det(rows: dict, keep=()):
             dens[i] = d // g
             if len(target) != before and i in rank:
                 heappush(heap, (len(target), rank[i], i))
+    if pivots is not None and not cancelled:
+        pivots.update(pivot_col)
+    det = Fraction(num * _sign(pivot_col), den)
+    return (det, {k: (rows[k], dens[k]) for k in keep}) if keep else det
+
+
+def _sign(pivot_col: dict) -> int:
+    """The sign of the row -> pivot-column permutation ``{row: column}``,
+    which it consumes."""
     # a cycle of length L in the permutation is L - 1 transpositions
     transpositions = 0
     while pivot_col:
@@ -171,48 +197,202 @@ def _sparse_det(rows: dict, keep=()):
         while j != start:
             j = pivot_col.pop(j)
             transpositions += 1
-    det = Fraction(-num if transpositions % 2 else num, den)
-    return (det, {k: (rows[k], dens[k]) for k in keep}) if keep else det
+    return -1 if transpositions % 2 else 1
 
 
 # -- Laplacians and cofactors --------------------------------------------------
 
 
-def _laplacian(g: LabelledGraph, w: Weights, root: int) -> dict:
-    """Loop-stripped weighted Laplacian as ``{row: {column: entry}}`` with
-    only the nonzero entries.  Its rows run in decreasing breadth-first
-    distance from ``root``, measured on the graph's edges whatever their
-    weights, so a zero weight drops entries but never a row."""
-    order = g.breadth_first(root)
-    if len(order) != len(g.vertices):
-        raise ValueError("graph must be connected ignoring loops")
-    rows = {i: {} for i in reversed(order)}
-    for e in g.nonloop_edges():
-        weight = getattr(w, e.label)
-        for u, v in ((e.u, e.v), (e.v, e.u)):
-            row = rows[u]
-            row[u] = row.get(u, 0) + weight
-            row[v] = row.get(v, 0) - weight
-    return {i: {j: x for j, x in row.items() if x} for i, row in rows.items()}
+class CofactorPlan:
+    """The reduced Laplacian of a graph without vertex ``index``, planned
+    once for elimination at any weights.
+
+    Its template holds the rows farthest from the deleted vertex first,
+    so that on a tie the elimination sweeps toward it (on the 123-vertex
+    gaskets this halves the fill-in), and each row's columns, itself
+    first and then its neighbours in edge order.  Each entry is read
+    from every non-loop edge, whatever its weight, as an integer
+    combination of a, b and c, so a zero weight drops entries from the
+    kernel's rows (``rows``) but never a row.
+
+    Until its pivots are recorded, a request runs the kernel on its rows.
+    The first whose weights make no template entry zero lets the kernel
+    record its pivot order in ``pivots``, unless an entry cancelled: the
+    kernel's order on the template's pattern, with no second copy of its
+    rule.  The next request compiles that order into index maps
+    (``_compile``): per pivot, its row and slot, and per row it clears,
+    the slot of the pivot column and two ``itemgetter``s that line the
+    row and the pivot row up on the row's next columns; ``fill`` counts
+    the entries the elimination creates.  From then on a request fills
+    the template and replays the plan on lists of ints over per-row
+    denominators, with the kernel's arithmetic, and hands its rows to the
+    kernel where a planned pivot comes out zero.  So a plan used once
+    costs one elimination, as the kernel alone does.
+    """
+
+    __slots__ = ("keys", "columns", "triples", "codes", "pivots", "fill", "sign", "steps")
+
+    def __init__(self, g: LabelledGraph, index: int = 0):
+        order = g.breadth_first(index)
+        if len(order) != len(g.vertices):
+            raise ValueError("graph must be connected ignoring loops")
+        rows = {i: {} for i in reversed(order)}
+        for e in g.nonloop_edges():
+            unit = 1 << _FIELD * LABELS.index(e.label)
+            for u, v in ((e.u, e.v), (e.v, e.u)):
+                row = rows[u]
+                row[u] = row.get(u, 0) + unit
+                row[v] = row.get(v, 0) - unit
+        del rows[index]
+        for row in rows.values():
+            row.pop(index, None)
+        slots = {}  # entry -> its slot in the values; slot 0 holds 0
+        getters = {}
+        self.keys = tuple(rows)
+        self.columns = tuple(map(tuple, rows.values()))
+        self.codes = tuple(
+            _getter(getters, *(slots.setdefault(x, len(slots) + 1) for x in row.values()), 0)
+            for row in rows.values())
+        self.triples = tuple(map(_edge_counts, slots))
+        self.pivots = self.steps = None
+
+    def rows(self, w: Weights) -> dict:
+        """The kernel's rows at integer weights w, only the nonzero entries."""
+        return self._rows(self._values(w))
+
+    def det(self, w: Weights) -> Fraction:
+        """The reduced Laplacian's determinant at integer weights w."""
+        values = self._values(w)
+        if self.steps is None:
+            if self.pivots is None:
+                # only the template's whole pattern gives the kernel's order on it
+                pivots = {} if all(values[1:]) else None
+                det = _sparse_det(self._rows(values), pivots=pivots)
+                self.pivots = pivots or None
+                return det
+            self._compile()
+        det = self._replay(values)
+        return _sparse_det(self._rows(values)) if det is None else det
+
+    def _values(self, w) -> list:
+        """Each template entry at w, in its slot; 0 in slot 0."""
+        a, b, c = w
+        return [0, *(a * x + b * y + c * z for x, y, z in self.triples)]
+
+    def _rows(self, values) -> dict:
+        return {k: {j: x for j, x in zip(cols, get(values)) if x}
+                for k, cols, get in zip(self.keys, self.columns, self.codes)}
+
+    def _compile(self):
+        """Compile the recorded pivot order into the plan's index maps,
+        following the elimination on the template's pattern, where
+        nothing cancels.  A row is laid out as its live columns and one 0
+        slot after them, which each getter reads for a column the row
+        lacks."""
+        at = {k: n for n, k in enumerate(self.keys)}
+        layouts = list(map(list, self.columns))
+        holders = {k: set() for k in self.keys}  # column -> live rows holding it
+        for n, cols in enumerate(layouts):
+            for j in cols:
+                holders[j].add(n)
+        getters = {}
+        steps = []
+        fill = 0
+        for key, c in self.pivots.items():
+            p = at[key]
+            row = layouts[p]
+            for j in row:
+                holders[j].discard(p)
+            targets = []
+            for i in sorted(holders[c]):
+                old = layouts[i]
+                added = [j for j in row if j not in old]
+                new = [j for j in old if j != c] + added
+                for j in added:
+                    holders[j].add(i)
+                fill += len(added)
+                targets += i, old.index(c), _lineup(getters, old, new), _lineup(getters, row, new)
+                layouts[i] = new
+            steps.append((p, row.index(c), tuple(targets)))
+        self.sign = _sign(dict(self.pivots))
+        self.fill = fill
+        self.steps = tuple(steps)
+
+    def _replay(self, values):
+        """The determinant by the plan, or None where a pivot is zero."""
+        rows = [get(values) for get in self.codes]
+        dens = [1] * len(rows)
+        num = den = 1
+        for p, c, targets in self.steps:
+            row = rows[p]
+            pivot = row[c]
+            if not pivot:
+                return None
+            num *= pivot
+            den *= dens[p]
+            flat = iter(targets)
+            for i, ic, own, other in zip(flat, flat, flat, flat):
+                target = rows[i]
+                factor = target[ic]
+                target = [pivot * y - factor * x for y, x in zip(own(target), other(row))]
+                d = dens[i] * pivot
+                g = gcd(d, *target)
+                if d < 0:
+                    g = -g
+                if g != 1:
+                    target = [y // g for y in target]
+                rows[i] = target
+                dens[i] = d // g
+        return Fraction(num * self.sign, den)
 
 
-def tree_gf_cofactor(g: LabelledGraph, w: Weights, index: int = 0) -> Fraction:
+# a template entry counts the edges it sums by label, in fields of 16 bits,
+# negated off the diagonal
+_FIELD = 16
+
+
+def _edge_counts(entry: int) -> tuple:
+    """A template entry as its coefficients of a, b and c."""
+    sign, counts = (1, entry) if entry > 0 else (-1, -entry)
+    mask = (1 << _FIELD) - 1
+    return tuple(sign * (counts >> _FIELD * k & mask) for k in range(3))
+
+
+def _getter(seen: dict, *slots):
+    """One ``itemgetter`` per tuple of slots, shared through ``seen``."""
+    get = seen.get(slots)
+    if get is None:
+        get = seen[slots] = itemgetter(*slots)
+    return get
+
+
+def _lineup(seen: dict, layout: list, columns: list):
+    """The getter that reads a row laid out as ``layout``, with its 0 slot
+    after it, at ``columns`` and then at the 0 slot; a column the row
+    lacks reads the 0 slot."""
+    zero = len(layout)
+    return _getter(seen, *(layout.index(j) if j in layout else zero for j in columns), zero)
+
+
+def tree_gf_cofactor(g: LabelledGraph, w: Weights, index: int = 0,
+                     plan: CofactorPlan | None = None) -> Fraction:
     """Weighted spanning-tree generating function at w, via the cofactor
     that deletes vertex ``index``.
 
     The weights are cleared once, to the integers L w, and the minor
     there, homogeneous of degree |V| - 1, divided by L^(|V| - 1).  The
-    rows go to the kernel farthest from the deleted vertex first, so that
-    on a tie the elimination sweeps toward it; on the 123-vertex gaskets
-    this halves the fill-in."""
-    if len(g.vertices) == 1:
-        return Fraction(1)
+    minor is taken by ``plan``, which must be the graph's without
+    ``index`` (``families.Level`` keeps one per graph), or else by a plan
+    built for this call, which runs the kernel once
+    (``CofactorPlan``): a kept plan is replayed from its second
+    request on, and falls back to the kernel where a planned pivot
+    vanishes."""
+    if not 0 <= index < len(g.vertices):
+        raise ValueError(f"index {index} is not a vertex of a graph on {len(g.vertices)} vertices")
     iw, scale = w.clear_denominators()
-    rows = _laplacian(g, iw, index)
-    del rows[index]
-    for row in rows.values():
-        row.pop(index, None)
-    det = _sparse_det(rows)
+    if plan is None:
+        plan = CofactorPlan(g, index)
+    det = plan.det(iw)
     return det if scale == 1 else det / scale ** (len(g.vertices) - 1)
 
 

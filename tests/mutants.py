@@ -126,6 +126,14 @@ MUTANTS = (
            "key = (self.family.name, self.n)\n        if key not in _TREE_POLYNOMIALS:",
            "key = self.family.name\n        if key not in _TREE_POLYNOMIALS:",
            ("tests/test_cli.py::test_oracle_enumerates_one_tree_polynomial_per_level",)),
+    Mutant("zero planned pivot not handed to the kernel", KERNEL,
+           "if not pivot:\n                return None\n            num *= pivot",
+           "num *= pivot",
+           ("tests/test_kirchhoff.py::test_planned_cofactor_equals_the_kernel_on_the_same_rows",)),
+    Mutant("plan kept under a key without the family", FAMILIES,
+           "key = (self.family.name, self.n)\n        if key not in _COFACTOR_PLANS:",
+           "key = self.n\n        if key not in _COFACTOR_PLANS:",
+           ("tests/test_cli.py::test_cofactor_plans_are_kept_per_family_and_level",)),
     Mutant("weights indexed by label", ALGEBRA,
            "    def all_positive(self) -> bool:\n",
            "    def __getitem__(self, label):\n"

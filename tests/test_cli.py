@@ -368,6 +368,27 @@ def test_oracle_enumerates_one_tree_polynomial_per_level(capsys, monkeypatch):
         assert poly == enumerate_gf(g, oracle.ForestSpec("tree"))
 
 
+def test_cofactor_plans_are_kept_per_family_and_level(capsys, monkeypatch):
+    # rot-4, dir-5 and schreier-5 share one sparsity pattern under three
+    # labellings: a plan must be kept per family and level, for its
+    # template holds the labels
+    monkeypatch.setattr(families, "_COFACTOR_PLANS", {})
+    cells = (("sierpinski-rot", 4), ("sierpinski-dir", 5), ("sierpinski-schreier", 5))
+    weights = ("13/61", "44/17", "7/90")
+    plans = [kirchhoff.CofactorPlan(families.lookup(name).graph(n, False)) for name, n in cells]
+    assert len({plan.columns for plan in plans}) == 1
+    expected = [kirchhoff._sparse_det(plan.rows(Weights.parse(*weights))) for plan in plans]
+    assert len(set(expected)) == 3
+    for _ in range(2):
+        for (name, n), value in zip(cells, expected):
+            code, data = run_json(capsys, "gf", "--family", name, "--level", str(n),
+                                  "--weights", *weights, "--method", "all")
+            assert code == 0 and data["methods"]["cofactor"] == str(value), (name, n)
+    kept = families._COFACTOR_PLANS
+    assert list(kept) == [(families.lookup(name).name, n) for name, n in cells]
+    assert all(plan.steps is not None for plan in kept.values())
+
+
 @pytest.mark.parametrize(
     "family, checks_run",
     [("hanoi", 26), ("sierpinski-rot", 17), ("sierpinski-dir", 15), ("sierpinski-schreier", 15)],

@@ -141,12 +141,20 @@ def test_cofactor_examples():
     assert tree_gf_cofactor(single, ONES) == 1
 
 
-def test_cofactor_invariant_under_index_choice():
+def test_cofactor_invariant_under_index_choice(monkeypatch):
     for g in (build_hanoi(2), build_sierpinski(1, "rotational")):
         for w in positive_weight_list(53, 5):
             ref = tree_gf_cofactor(g, w, index=0)
             for i in range(1, len(g.vertices)):
                 assert tree_gf_cofactor(g, w, index=i) == ref
+    # an index that is no vertex is refused before any plan is built
+    def refuse(*args):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(kirchhoff, "CofactorPlan", refuse)
+    for index in (-1, 9, 10):
+        with pytest.raises(ValueError, match=rf"index {index} .* 9 vertices"):
+            tree_gf_cofactor(build_hanoi(2), ONES, index)
 
 
 # tree_gf_cofactor at 0 0 0, 1 -1 1, 0 1 1 and 1 1 -2, which force zero
@@ -602,10 +610,7 @@ def test_cofactor_minors_pivot_as_the_scan_of_every_row():
                 if family.vertices(n) > COFACTOR_VERTEX_CAP:
                     continue
                 g = family.graph(n, False)
-                rows = kirchhoff._laplacian(g, iw, 0)
-                del rows[0]
-                for row in rows.values():
-                    row.pop(0, None)
+                rows = kirchhoff.CofactorPlan(g).rows(iw)
                 det = assert_same_elimination(rows)
                 assert det == tree_gf_cofactor(g, iw), (family.name, n, triple)
 
@@ -620,10 +625,7 @@ def test_cofactor_at_fraction_weights_equals_the_kernel_on_the_fraction_minor():
                 if family.vertices(n) > COFACTOR_VERTEX_CAP:
                     continue
                 g = family.graph(n, False)
-                rows = kirchhoff._laplacian(g, w, 0)
-                del rows[0]
-                for row in rows.values():
-                    row.pop(0, None)
+                rows = kirchhoff.CofactorPlan(g).rows(w)
                 value = tree_gf_cofactor(g, w)
                 assert type(value) is Fraction and value == _sparse_det(rows), (family.name, n, w)
 
@@ -754,7 +756,7 @@ def replay_elimination(rows):
     where nothing cancels: the shortest live row first, the first given on
     a tie; in it the column with the fewest live entries, the diagonal and
     then the row's own order on a tie.  Returns the number of entries the
-    elimination creates, and each row's columns when it was pivoted on."""
+    elimination creates and the pivots as (row, column) in the order taken."""
     rows = {i: dict.fromkeys(row) for i, row in rows.items()}
     holders = {j: set() for j in rows}
     for i, row in rows.items():
@@ -762,10 +764,12 @@ def replay_elimination(rows):
             holders[j].add(i)
     live = dict.fromkeys(rows)
     fill = 0
+    pivots = []
     while live:
         p = min(live, key=lambda i: len(rows[i]))
         row = rows[p]
         c = min(row, key=lambda j: (len(holders[j]), j != p))
+        pivots.append((p, c))
         del live[p]
         for j in row:
             holders[j].discard(p)
@@ -777,32 +781,69 @@ def replay_elimination(rows):
                     target[j] = None
                     holders[j].add(i)
                     fill += 1
-    return fill, {i: set(row) for i, row in rows.items()}
+    return fill, pivots
 
 
-def test_cofactor_rows_keep_the_fill_small(monkeypatch):
-    calls = []
-
-    def record(rows):
-        pattern = {i: list(row) for i, row in rows.items()}
-        det = _sparse_det(rows)
-        calls.append((pattern, rows))  # the kernel leaves each row as it pivoted on it
-        return det
-
-    monkeypatch.setattr(kirchhoff, "_sparse_det", record)
-    # the three 123-vertex gaskets share one pattern; in index order, as
-    # the kernel took them before the sweep toward the deleted vertex, they
-    # fill 674 entries
+def test_cofactor_rows_keep_the_fill_small():
+    # the plan's pivots are the kernel's on the template's pattern, and
+    # its fill is what they create there; the three 123-vertex gaskets
+    # share one pattern, and in index order, as the kernel took the rows
+    # before the sweep toward the deleted vertex, they fill 674 entries
     bounds = {("hanoi", 4): (238, 238), ("sierpinski-rotational", 4): (360, 674),
               ("sierpinski-directional", 5): (360, 674), ("sierpinski-schreier", 5): (360, 674)}
+    w = Weights(2, 3, 5)
     for (name, n), (bound, in_index_order) in bounds.items():
-        calls.clear()
-        tree_gf_cofactor(FAMILIES[name].graph(n, False), Weights.of(2, 3, 5))
-        ((pattern, pivoted),) = calls
-        fill, replayed = replay_elimination(pattern)
-        assert replayed == {i: set(row) for i, row in pivoted.items()}, name
-        assert fill <= bound, name
+        plan = kirchhoff.CofactorPlan(FAMILIES[name].graph(n, False))
+        assert plan.det(w) == plan.det(w)  # records the pivots, then compiles them
+        pattern = dict(zip(plan.keys, plan.columns))
+        fill, pivots = replay_elimination(pattern)
+        assert list(plan.pivots.items()) == pivots, name
+        assert plan.fill == fill <= bound, name
         assert replay_elimination(dict(sorted(pattern.items())))[0] == in_index_order, name
+
+
+# weights of the planned cofactor: positive, where every pivot of the
+# positive definite minor is positive, and degenerate, where a planned
+# pivot can vanish and the rows go to the kernel; at 0 1 1 a zero weight
+# drops entries but the minor stays positive definite
+PLANNED_WEIGHTS = ("1 1 1", "2 3 5", "13/61 44/17 7/90")
+FALLBACK_WEIGHTS = {"0 1 1": 0, "1 -1 1": 18, "-2 3 5": 4, "1 -1 0": 14, "0 0 0": 18}
+
+
+def test_planned_cofactor_equals_the_kernel_on_the_same_rows(monkeypatch):
+    kernel = kirchhoff._sparse_det
+    handed = []
+
+    def counted(rows, **kwargs):
+        handed.append(len(rows))
+        return kernel(rows, **kwargs)
+
+    monkeypatch.setattr(kirchhoff, "_sparse_det", counted)
+    fallbacks = dict.fromkeys(PLANNED_WEIGHTS + tuple(FALLBACK_WEIGHTS), 0)
+    graphs = 0
+    for family in FAMILIES.values():
+        for n in range(1, 9):
+            if family.vertices(n) > COFACTOR_VERTEX_CAP:
+                continue
+            graphs += 1
+            g = family.graph(n, False)
+            plan = kirchhoff.CofactorPlan(g)
+            plan.det(Weights(6, 9, 5))
+            plan.det(Weights(6, 9, 5))
+            assert plan.steps is not None, (family.name, n)
+            for text in fallbacks:
+                iw = Weights.parse(*text.split()).clear_denominators()[0]
+                rows = plan.rows(iw)
+                # the template against the Laplacian written from the edges
+                dense = weighted_laplacian(g, iw)
+                assert rows == {i: {j: x for j, x in enumerate(row) if x and j}
+                                for i, row in enumerate(dense) if i}, (family.name, n, text)
+                handed.clear()
+                value = plan.det(iw)
+                assert value == kernel(rows), (family.name, n, text)
+                fallbacks[text] += len(handed)
+    assert graphs == 18
+    assert fallbacks == dict.fromkeys(PLANNED_WEIGHTS, 0) | FALLBACK_WEIGHTS
 
 
 # -- the tables as Horner schemes, compiled to kernels ---------------------------
