@@ -34,7 +34,7 @@ value (``kirchhoff.schur_pipeline``); below level 3, where
 Route functions are looked up through their modules when they are
 called, not bound when this module is imported, so that a patched or
 traced module function takes effect here too.  A ``Level`` keeps its
-graph, the oracle's tree polynomial and the cofactor's plan on it, each
+graph, the oracle's tree polynomial and the cofactor's template on it, each
 built once per family and level in a process; only the capped cofactor
 and oracle routes ask for them, so those caps bound what is kept.
 """
@@ -165,7 +165,7 @@ class Family(namedtuple("Family", (
 
 _GRAPHS = {}  # (family name, level) -> its graph without loops; see Level
 _TREE_POLYNOMIALS = {}  # (family name, level) -> the oracle's tree polynomial
-_COFACTOR_PLANS = {}  # (family name, level) -> the cofactor's plan on its graph
+_COFACTOR_TEMPLATES = {}  # (family name, level) -> the cofactor's planned template
 
 
 class Level:
@@ -175,10 +175,11 @@ class Level:
     caps bound that to 18 graphs of at most 123 vertices.  Its tree
     polynomial, the oracle's enumeration on that graph, is kept the same
     way in ``_TREE_POLYNOMIALS``; the oracle's 30-edge cap bounds that to
-    10 polynomials.  The plan of its cofactor (``kirchhoff.CofactorPlan``:
-    the row template and the kernel's pivot order on it) is kept in
-    ``_COFACTOR_PLANS``, which the cofactor cap bounds to the 18 plans of
-    those graphs; a graph built outside a Level gets a plan for one call.
+    10 polynomials.  Its cofactor's template (``kirchhoff.cofactor_template``:
+    the reduced Laplacian in a, b and c, planned once on its pattern) is
+    kept in ``_COFACTOR_TEMPLATES``, which the cofactor cap bounds to the
+    18 templates of those graphs; a graph built outside a Level is planned
+    for one call.
 
     It is the one place where the family's recursion runs, in the ring of
     the weights asked for.  The run is kept for the last weights asked
@@ -210,13 +211,14 @@ class Level:
         return _TREE_POLYNOMIALS[key]
 
     @property
-    def cofactor_plan(self):
-        """The plan of the cofactor that deletes vertex 0 of the graph,
-        built on the first request and kept in ``_COFACTOR_PLANS``."""
+    def cofactor_template(self):
+        """The planned template of the cofactor that deletes vertex 0 of
+        the graph, built on the first request and kept in
+        ``_COFACTOR_TEMPLATES``."""
         key = (self.family.name, self.n)
-        if key not in _COFACTOR_PLANS:
-            _COFACTOR_PLANS[key] = kirchhoff.CofactorPlan(self.graph)
-        return _COFACTOR_PLANS[key]
+        if key not in _COFACTOR_TEMPLATES:
+            _COFACTOR_TEMPLATES[key] = kirchhoff.cofactor_template(self.graph)
+        return _COFACTOR_TEMPLATES[key]
 
     @cached_property
     def counts(self):
@@ -321,7 +323,7 @@ def _counts_tree(lv, w):
 
 
 def _cofactor(lv, w):
-    return kirchhoff.tree_gf_cofactor(lv.graph, w, plan=lv.cofactor_plan)
+    return kirchhoff.tree_gf_cofactor(lv.graph, w, template=lv.cofactor_template)
 
 
 def _oracle(lv, w):

@@ -1,33 +1,19 @@
 """Weighted matrix-tree machinery: exact Laplacian cofactors and the
 Schur-complement decimation pipeline for the hanoi graphs.
 
-Everything here is exact, never floating point.  One sparse elimination
-kernel does every elimination: each determinant, and the one Schur
-complement, of the rederived decimation map.  It takes ``int`` or
-``Fraction`` entries and eliminates on integers: each row is held as its
-nonzero integer entries over one positive denominator (a row of ``int``s
-as given, over 1, any other cleared once), and a column is cleared from
-a row by cross-multiplication with the pivot row, never by division.
-Each step pivots on the shortest remaining row, the first given among
-rows of one length (off a heap of length and order given, stale entries
-skipped), in its column with the fewest remaining entries, preferring
-the diagonal.  A reduced Laplacian has at most five entries per row, and
-this order keeps the fill-in small.  A cofactor gives its rows farthest
-from the deleted vertex first, so that ties sweep toward it (the reverse
-Cuthill-McKee order); lambda and the decimation network give theirs in
-index order.  A cofactor clears its weights to integers once; at integer
-weights it is a ``Fraction`` with denominator 1, and the decimation
-pipeline, which runs from level 3, returns an ``int``.
-
-A cofactor's sparsity pattern is fixed by its graph, and only the three
-weights change, so it is planned once per graph and deleted vertex
-(``CofactorPlan``, the symbolic half of a sparse factorization): a row
-template whose entries are integer combinations of a, b and c, and the
-kernel's own pivot order and fill on it, recorded from the kernel's
-first elimination of the template's whole pattern and compiled into
-flat index maps.  A planned cofactor replays them on lists of ints, with
-the kernel's arithmetic, and hands its rows to the kernel where a
-planned pivot comes out zero.
+Everything here is exact, never floating point.  Every determinant, and
+the one Schur complement of the rederived decimation map, is one sparse
+elimination on integers: planned on the sparsity pattern alone
+(``_steps``, the one pivot rule, compiled with its fill into index maps
+and kept by ``_plan``), then replayed on rows of ints over positive
+denominators by cross-multiplication, never by division (``_replay``);
+where a planned pivot comes out 0, the live rows are planned again from
+their nonzero entries.  A ``Template`` is planned once: a cofactor's
+reduced Laplacian in a, b and c, kept per graph (``families.Level``),
+and the decimation networks in x1..x9, kept per level.  A cofactor
+clears its weights to integers once; at integer weights it is a
+``Fraction`` with denominator 1, and the decimation pipeline, which runs
+from level 3, returns an ``int``.
 
 The decimation map P acts on a 9-component state
 ``(x1..x3, x4..x6, x7..x9)`` = (original weights, current off-diagonal
@@ -50,7 +36,7 @@ paper's text.  When a decimation first runs (``_map_tables``), not at
 import, each is built into a Horner scheme and the scheme compiled into
 its kernel, one straight-line Python expression over x0..x8.
 ``_rederive`` recomputes the same map from scratch, on the state
-cleared to integers: the kernel eliminates the six non-corner words of the
+cleared to integers: one elimination takes the six non-corner words of the
 level-2 network and keeps the three corners, so its determinant is D and
 the corner rows, the Schur complement, hold the new coordinates.  The two
 routes must agree exactly on random states (``schur_map_divergence``
@@ -76,258 +62,140 @@ from .algebra import SAMPLE_BOUND, FactoredPoly, Weights, clear_denominators
 from .errors import DecimationSingularError
 from .graphs import LABELS, LabelledGraph, build_hanoi
 
-# -- the sparse exact elimination kernel -----------------------------------------
+# -- the sparse exact elimination: one pivot rule, planned and replayed ---------
 
 
-def _sparse_det(rows: dict, keep=(), pivots=None):
-    """Determinant of a square matrix held as ``{row: {column: entry}}``.
+_Plan = namedtuple("_Plan", "keys layouts steps pivots sign keep")
 
-    Rows and columns share one set of keys, and each row holds only its
-    nonzero ``int`` or ``Fraction`` entries; the argument is consumed.
-    A row is kept as integers over one positive denominator: a row of
-    ``int``s is taken as given, over 1, and any other is cleared once by
-    the lcm of its entries' denominators.  Each step pivots on the
-    shortest remaining row r (the first in the order given on a tie), in
-    its column c with the fewest remaining entries (the diagonal on a
-    tie, then the row's own order), and clears c from every other row t
-    by cross-multiplication, ``t <- r_c t - t_c r`` over ``d_t r_c``,
-    then divides out the gcd of t and its denominator.  The shortest row
-    is popped from a heap of ``(length, rank in the order given, key)``:
-    a row whose length an elimination changes is pushed again, and an
-    entry whose row has been pivoted on or has another length by now is
-    skipped.  The rows stand for the same rationals as in division-based
-    elimination, so an entry cancels to zero, and is dropped, exactly
-    where it would there; a row that empties out means the determinant
-    is 0.  The determinant is the product of the pivots ``r_c / d_r``,
-    formed once at the end, times the sign of the row -> pivot-column
-    permutation.
 
-    Keys in ``keep`` are never pivoted on: the determinant is then the
-    eliminated block's, 0 once a row has entries in kept columns only,
-    and the kept rows, cleared of every pivot column, are the Schur
-    complement on the kept keys.  With a nonempty ``keep`` the kernel
-    returns ``(det, {k: (row, d_k)})``, each kept row as integers over
-    its denominator, meaningful only where det is nonzero.
+def _plan(pattern: dict, keep=()) -> _Plan:
+    """The ``_steps`` on the sparsity ``pattern``, ``{row: [column, ...]}``, kept."""
+    pivots = []
+    steps = tuple(_steps(pattern, keep, pivots, {}))
+    return _Plan(tuple(pattern), tuple(map(tuple, pattern.values())), steps, tuple(pivots),
+                 _sign(pivots, pattern, keep), keep)
 
-    Given a dict as ``pivots``, an elimination in which no entry
-    cancelled and every row found a pivot leaves its pivot order there,
-    ``{row: column}`` in the order pivoted on (``CofactorPlan``).
-    """
-    dens = {}
-    holders = {j: set() for j in rows}  # column -> live rows with an entry there
+
+def _steps(pattern: dict, keep, pivots: list, dropped: dict):
+    """The elimination's steps on the sparsity ``pattern`` alone (rows
+    and columns keys of one kind), each planned when it is asked for.  A
+    step pivots on the shortest remaining row p, the first given on a tie
+    (off a heap of ``(length, rank, row)``, stale entries skipped), in its
+    column c with the fewest remaining entries, the diagonal and then the
+    row's own order on a tie; keys in ``keep`` are never pivoted on.  Each
+    other row t holding c loses c and gains the columns of p it lacks, in
+    p's order.  The steps end early where a row has no column to pivot
+    on: the matrix is singular at any entries.  A step is ``(p, slot of c
+    in p, targets, new layouts)``, four items per target t: t, the slot of
+    c in t, and getters that line t and p up on t's new columns, each row
+    laid out as its columns and a 0 slot.  Once the next step is asked
+    for, a step's ``(row, column)`` keys join ``pivots``, unless its row is
+    in ``dropped`` by then, as the slots it keeps: the step is then not
+    taken, and the row keeps only those entries."""
+    keys = tuple(pattern)
+    layouts = [dict(zip(cols, range(len(cols)))) for cols in pattern.values()]  # column -> slot
+    holders = {}  # column -> live rows holding it
     rank = {}  # the rows to pivot on -> their place in the order given
-    for i, row in rows.items():
-        if any(type(x) is not int for x in row.values()):
-            ints, dens[i] = clear_denominators(row.values())
-            rows[i] = row = dict(zip(row, ints))
-        else:
-            dens[i] = 1
-        for j in row:
-            holders[j].add(i)
-        if i not in keep:
+    for i, (key, layout) in enumerate(zip(keys, layouts)):
+        for j in layout:
+            holders.setdefault(j, set()).add(i)
+        if key not in keep:
             rank[i] = len(rank)
-    heap = [(len(rows[i]), r, i) for i, r in rank.items()]
+    heap = [(len(layouts[i]), r, i) for i, r in rank.items()]
     heapify(heap)
-    pivot_col = {}
-    num = den = 1
-    cancelled = False
+    getters = {}
     while rank:
         length, _, p = heappop(heap)
-        row = rows[p]
+        row = layouts[p]
         if p not in rank or len(row) != length:
             continue
         c = None
         for j in row:
             if j not in keep:
                 count = len(holders[j])
-                if c is None or count < fewest or (count == fewest and j == p):
+                if c is None or count < fewest or (count == fewest and j == keys[p]):
                     c, fewest = j, count
         if c is None:
-            num, pivot_col = 0, {}
-            break
+            return
+        targets, changed = [], []
+        zero = len(row)
+        for i in holders[c] - {p}:
+            old = layouts[i]
+            new = [j for j in old if j != c]
+            other = [row.get(j, zero) for j in new]  # p's slots on t's new columns
+            for j, slot in row.items():
+                if j not in old:
+                    new.append(j)
+                    other.append(slot)
+            ic, end = old[c], len(old)
+            own = _getter(getters, *range(ic), *range(ic + 1, end), *[end] * (len(new) + 2 - end))
+            targets += i, ic, own, _getter(getters, *other, zero)
+            changed.append(new)
+        yield p, row[c], tuple(targets), tuple(map(tuple, changed))
+        if p in dropped:
+            columns = list(row)
+            layouts[p] = {columns[n]: m for m, n in enumerate(dropped.pop(p))}
+            for j in row.keys() - layouts[p].keys():
+                holders[j].discard(p)
+            heappush(heap, (len(layouts[p]), rank[p], p))
+            continue
         del rank[p]
-        pivot_col[p] = c
-        pivot = row[c]
-        num *= pivot
-        den *= dens[p]
+        pivots.append((keys[p], c))
         for j in row:
             holders[j].discard(p)
-        rest = [(j, x) for j, x in row.items() if j != c]
-        for i in holders[c]:
-            target = rows[i]
-            before = len(target)
-            factor = target.pop(c)
-            if pivot != 1:
-                target = rows[i] = {j: y * pivot for j, y in target.items()}
-            for j, x in rest:
-                y = target.get(j)
-                if y is None:
-                    target[j] = -factor * x
-                    holders[j].add(i)
-                else:
-                    y -= factor * x
-                    if y:
-                        target[j] = y
-                    else:
-                        del target[j]
-                        holders[j].discard(i)
-                        cancelled = True
-            d = dens[i] * pivot
-            g = gcd(d, *target.values())
-            if d < 0:
-                g = -g
-            if g != 1:
-                target = rows[i] = {j: y // g for j, y in target.items()}
-            dens[i] = d // g
-            if len(target) != before and i in rank:
-                heappush(heap, (len(target), rank[i], i))
-    if pivots is not None and not cancelled:
-        pivots.update(pivot_col)
-    det = Fraction(num * _sign(pivot_col), den)
-    return (det, {k: (rows[k], dens[k]) for k in keep}) if keep else det
+        for i, new in zip(targets[::4], changed):
+            end = len(layouts[i])
+            for j in new[end - 1:]:  # the columns t gained
+                holders[j].add(i)
+            if len(new) != end and i in rank:
+                heappush(heap, (len(new), rank[i], i))
+            layouts[i] = dict(zip(new, range(len(new))))
 
 
-def _sign(pivot_col: dict) -> int:
-    """The sign of the row -> pivot-column permutation ``{row: column}``,
-    which it consumes."""
-    # a cycle of length L in the permutation is L - 1 transpositions
-    transpositions = 0
-    while pivot_col:
-        start, j = pivot_col.popitem()
-        while j != start:
-            j = pivot_col.pop(j)
-            transpositions += 1
-    return -1 if transpositions % 2 else 1
+def _getter(seen: dict, *slots):
+    """The ``itemgetter`` of the slots, shared through ``seen``; a slice for one slot."""
+    get = seen.get(slots)
+    if get is None:
+        one = slice(slots[0], slots[0] + 1)
+        get = seen[slots] = itemgetter(*slots) if len(slots) > 1 else itemgetter(one)
+    return get
 
 
-# -- Laplacians and cofactors --------------------------------------------------
+def _layouts(layouts, steps) -> list:
+    """The rows' layouts after the steps."""
+    layouts = list(layouts)
+    for _, _, targets, changed in steps:
+        for i, layout in zip(targets[::4], changed):
+            layouts[i] = layout
+    return layouts
 
 
-class CofactorPlan:
-    """The reduced Laplacian of a graph without vertex ``index``, planned
-    once for elimination at any weights.
-
-    Its template holds the rows farthest from the deleted vertex first,
-    so that on a tie the elimination sweeps toward it (on the 123-vertex
-    gaskets this halves the fill-in), and each row's columns, itself
-    first and then its neighbours in edge order.  Each entry is read
-    from every non-loop edge, whatever its weight, as an integer
-    combination of a, b and c, so a zero weight drops entries from the
-    kernel's rows (``rows``) but never a row.
-
-    Until its pivots are recorded, a request runs the kernel on its rows.
-    The first whose weights make no template entry zero lets the kernel
-    record its pivot order in ``pivots``, unless an entry cancelled: the
-    kernel's order on the template's pattern, with no second copy of its
-    rule.  The next request compiles that order into index maps
-    (``_compile``): per pivot, its row and slot, and per row it clears,
-    the slot of the pivot column and two ``itemgetter``s that line the
-    row and the pivot row up on the row's next columns; ``fill`` counts
-    the entries the elimination creates.  From then on a request fills
-    the template and replays the plan on lists of ints over per-row
-    denominators, with the kernel's arithmetic, and hands its rows to the
-    kernel where a planned pivot comes out zero.  So a plan used once
-    costs one elimination, as the kernel alone does.
-    """
-
-    __slots__ = ("keys", "columns", "triples", "codes", "pivots", "fill", "sign", "steps")
-
-    def __init__(self, g: LabelledGraph, index: int = 0):
-        order = g.breadth_first(index)
-        if len(order) != len(g.vertices):
-            raise ValueError("graph must be connected ignoring loops")
-        rows = {i: {} for i in reversed(order)}
-        for e in g.nonloop_edges():
-            unit = 1 << _FIELD * LABELS.index(e.label)
-            for u, v in ((e.u, e.v), (e.v, e.u)):
-                row = rows[u]
-                row[u] = row.get(u, 0) + unit
-                row[v] = row.get(v, 0) - unit
-        del rows[index]
-        for row in rows.values():
-            row.pop(index, None)
-        slots = {}  # entry -> its slot in the values; slot 0 holds 0
-        getters = {}
-        self.keys = tuple(rows)
-        self.columns = tuple(map(tuple, rows.values()))
-        self.codes = tuple(
-            _getter(getters, *(slots.setdefault(x, len(slots) + 1) for x in row.values()), 0)
-            for row in rows.values())
-        self.triples = tuple(map(_edge_counts, slots))
-        self.pivots = self.steps = None
-
-    def rows(self, w: Weights) -> dict:
-        """The kernel's rows at integer weights w, only the nonzero entries."""
-        return self._rows(self._values(w))
-
-    def det(self, w: Weights) -> Fraction:
-        """The reduced Laplacian's determinant at integer weights w."""
-        values = self._values(w)
-        if self.steps is None:
-            if self.pivots is None:
-                # only the template's whole pattern gives the kernel's order on it
-                pivots = {} if all(values[1:]) else None
-                det = _sparse_det(self._rows(values), pivots=pivots)
-                self.pivots = pivots or None
-                return det
-            self._compile()
-        det = self._replay(values)
-        return _sparse_det(self._rows(values)) if det is None else det
-
-    def _values(self, w) -> list:
-        """Each template entry at w, in its slot; 0 in slot 0."""
-        a, b, c = w
-        return [0, *(a * x + b * y + c * z for x, y, z in self.triples)]
-
-    def _rows(self, values) -> dict:
-        return {k: {j: x for j, x in zip(cols, get(values)) if x}
-                for k, cols, get in zip(self.keys, self.columns, self.codes)}
-
-    def _compile(self):
-        """Compile the recorded pivot order into the plan's index maps,
-        following the elimination on the template's pattern, where
-        nothing cancels.  A row is laid out as its live columns and one 0
-        slot after them, which each getter reads for a column the row
-        lacks."""
-        at = {k: n for n, k in enumerate(self.keys)}
-        layouts = list(map(list, self.columns))
-        holders = {k: set() for k in self.keys}  # column -> live rows holding it
-        for n, cols in enumerate(layouts):
-            for j in cols:
-                holders[j].add(n)
-        getters = {}
-        steps = []
-        fill = 0
-        for key, c in self.pivots.items():
-            p = at[key]
-            row = layouts[p]
-            for j in row:
-                holders[j].discard(p)
-            targets = []
-            for i in sorted(holders[c]):
-                old = layouts[i]
-                added = [j for j in row if j not in old]
-                new = [j for j in old if j != c] + added
-                for j in added:
-                    holders[j].add(i)
-                fill += len(added)
-                targets += i, old.index(c), _lineup(getters, old, new), _lineup(getters, row, new)
-                layouts[i] = new
-            steps.append((p, row.index(c), tuple(targets)))
-        self.sign = _sign(dict(self.pivots))
-        self.fill = fill
-        self.steps = tuple(steps)
-
-    def _replay(self, values):
-        """The determinant by the plan, or None where a pivot is zero."""
-        rows = [get(values) for get in self.codes]
-        dens = [1] * len(rows)
-        num = den = 1
-        for p, c, targets in self.steps:
+def _replay(plan: _Plan, rows: list, dens: list):
+    """The determinant of the rows, lists of ints laid out as the plan's,
+    over the positive ``dens`` (both consumed): a pivot row p clears its
+    column c from each target t by ``t <- p_c t - t_c p`` over ``d_t p_c``,
+    the gcd divided out.  At a planned pivot 0, the live rows are planned
+    again from their nonzero entries, a step at a time, and a pivot 0
+    after that drops its row's zero entries (``_steps``).  With kept keys
+    the result is ``(det, {k: (row, d_k)})``, each kept row's nonzero
+    entries as ints over its denominator: where det is nonzero, the Schur
+    complement."""
+    keys, layouts, steps, pivots = plan.keys, plan.layouts, plan.steps, []
+    dropped = {}  # a row whose pivot was 0 -> the slots of its nonzero entries
+    num = den = 1
+    while True:
+        done = []
+        for step in steps:
+            p, c, targets, _ = step
             row = rows[p]
             pivot = row[c]
             if not pivot:
-                return None
+                if steps is plan.steps:
+                    break
+                dropped[p] = [n for n, x in enumerate(row) if x]
+                rows[p] = [x for x in row if x] + [0]
+                continue
+            done.append(step)
             num *= pivot
             den *= dens[p]
             flat = iter(targets)
@@ -343,56 +211,137 @@ class CofactorPlan:
                     target = [y // g for y in target]
                 rows[i] = target
                 dens[i] = d // g
-        return Fraction(num * self.sign, den)
+        else:
+            break
+        pivots = list(plan.pivots[:len(done)])
+        pivoted = {step[0] for step in done}
+        live = {keys[i]: [(j, x) for j, x in zip(layout, rows[i]) if x]
+                for i, layout in enumerate(_layouts(layouts, done)) if i not in pivoted}
+        dens = [d for i, d in enumerate(dens) if i not in pivoted]
+        rows = [[x for _, x in row] + [0] for row in live.values()]
+        keys, layouts = tuple(live), [[j for j, _ in row] for row in live.values()]
+        steps = _steps(dict(zip(keys, layouts)), plan.keep, pivots, dropped)
+    sign = plan.sign if steps is plan.steps else _sign(pivots, plan.keys, plan.keep)
+    det = Fraction(num * sign, den)
+    if not plan.keep:
+        return det
+    return det, {key: ({j: x for j, x in zip(layout, rows[i]) if x}, dens[i])
+                 for i, (key, layout) in enumerate(zip(keys, _layouts(layouts, done)))
+                 if key in plan.keep}
 
 
-# a template entry counts the edges it sums by label, in fields of 16 bits,
-# negated off the diagonal
-_FIELD = 16
+def _sparse_det(rows: dict, keep=()):
+    """Determinant of a square matrix held as ``{row: {column: entry}}``,
+    only its nonzero ``int`` or ``Fraction`` entries, by the plan of its
+    pattern, with keys in ``keep`` never pivoted on (``_replay``)."""
+    plan = _plan({key: list(row) for key, row in rows.items()}, keep)
+    return _replay(plan, *_cleared([[*row.values(), 0] for row in rows.values()]))
 
 
-def _edge_counts(entry: int) -> tuple:
-    """A template entry as its coefficients of a, b and c."""
-    sign, counts = (1, entry) if entry > 0 else (-1, -entry)
-    mask = (1 << _FIELD) - 1
-    return tuple(sign * (counts >> _FIELD * k & mask) for k in range(3))
+def _cleared(rows: list) -> tuple:
+    """Rows of ``int``s over 1, and any other cleared once by its lcm."""
+    dens = [1] * len(rows)
+    for n, row in enumerate(rows):
+        if any(type(x) is not int for x in row):
+            rows[n], dens[n] = clear_denominators(row)
+    return rows, dens
 
 
-def _getter(seen: dict, *slots):
-    """One ``itemgetter`` per tuple of slots, shared through ``seen``."""
-    get = seen.get(slots)
-    if get is None:
-        get = seen[slots] = itemgetter(*slots)
-    return get
+def _sign(pivots, keys, keep) -> int:
+    """The sign of the permutation of the pivots' ``(row, column)`` keys,
+    0 where a row of ``keys`` not in ``keep`` took no pivot."""
+    if len(pivots) < sum(key not in keep for key in keys):
+        return 0
+    pivot_col = dict(pivots)
+    # a cycle of length L in the permutation is L - 1 transpositions
+    transpositions = 0
+    while pivot_col:
+        start, j = pivot_col.popitem()
+        while j != start:
+            j = pivot_col.pop(j)
+            transpositions += 1
+    return -1 if transpositions % 2 else 1
 
 
-def _lineup(seen: dict, layout: list, columns: list):
-    """The getter that reads a row laid out as ``layout``, with its 0 slot
-    after it, at ``columns`` and then at the 0 slot; a column the row
-    lacks reads the 0 slot."""
-    zero = len(layout)
-    return _getter(seen, *(layout.index(j) if j in layout else zero for j in columns), zero)
+class Template:
+    """Rows ``{row: {column: form}}`` whose entries are integer linear
+    forms in a tuple of parameters, one coefficient each, planned once on
+    their whole pattern with ``keep`` as ``_sparse_det`` takes it.  Each
+    distinct form is evaluated once, into a slot of the values, and each
+    row read off them by one getter; a form that comes out 0 stays."""
+
+    __slots__ = ("forms", "row_getters", "plan")
+
+    def __init__(self, rows: dict, keep=()):
+        slots = {}  # form -> its slot in the values; slot 0 holds 0
+        getters = {}
+        self.row_getters = tuple(
+            _getter(getters, *(slots.setdefault(form, len(slots) + 1) for form in row.values()), 0)
+            for row in rows.values())
+        self.forms = tuple(tuple((i, k) for i, k in enumerate(form) if k) for form in slots)
+        self.plan = _plan({key: list(row) for key, row in rows.items()}, keep)
+
+    def values(self, params) -> list:
+        """Each form at the parameters, in its slot; 0 in slot 0."""
+        values = [0]
+        for (i, k), *rest in self.forms:
+            x = params[i] if k == 1 else k * params[i]
+            for i, k in rest:
+                x += params[i] if k == 1 else k * params[i]
+            values.append(x)
+        return values
+
+    def rows(self, params) -> dict:
+        """The rows at the parameters, only their nonzero entries."""
+        values = self.values(params)
+        return {key: {j: x for j, x in zip(cols, get(values)) if x}
+                for key, cols, get in zip(self.plan.keys, self.plan.layouts, self.row_getters)}
+
+    def det(self, params):
+        """The determinant at the parameters; rows not all ``int`` cleared once."""
+        values = self.values(params)
+        rows = [get(values) for get in self.row_getters]
+        if all(type(x) is int for x in values):
+            return _replay(self.plan, rows, [1] * len(rows))
+        return _replay(self.plan, *_cleared(rows))
+
+
+# -- Laplacians and cofactors --------------------------------------------------
+
+
+def cofactor_template(g: LabelledGraph, index: int = 0) -> Template:
+    """The reduced Laplacian of a graph without vertex ``index``, a
+    template in (a, b, c) whose entries count the non-loop edges they sum
+    by label, negated off the diagonal, whatever the weights; rows run
+    farthest from the deleted vertex first (this halves the fill-in on the
+    123-vertex gaskets), each itself and then its neighbours in edge order."""
+    order = g.breadth_first(index)
+    if len(order) != len(g.vertices):
+        raise ValueError("graph must be connected ignoring loops")
+    rows = {i: {} for i in reversed(order)}
+    for e in g.nonloop_edges():
+        label = LABELS.index(e.label)
+        for u, v in ((e.u, e.v), (e.v, e.u)):
+            rows[u].setdefault(u, [0, 0, 0])[label] += 1
+            rows[u].setdefault(v, [0, 0, 0])[label] -= 1
+    del rows[index]
+    return Template({i: {j: tuple(form) for j, form in row.items() if j != index}
+                     for i, row in rows.items()})
 
 
 def tree_gf_cofactor(g: LabelledGraph, w: Weights, index: int = 0,
-                     plan: CofactorPlan | None = None) -> Fraction:
+                     template: Template | None = None) -> Fraction:
     """Weighted spanning-tree generating function at w, via the cofactor
-    that deletes vertex ``index``.
-
-    The weights are cleared once, to the integers L w, and the minor
-    there, homogeneous of degree |V| - 1, divided by L^(|V| - 1).  The
-    minor is taken by ``plan``, which must be the graph's without
-    ``index`` (``families.Level`` keeps one per graph), or else by a plan
-    built for this call, which runs the kernel once
-    (``CofactorPlan``): a kept plan is replayed from its second
-    request on, and falls back to the kernel where a planned pivot
-    vanishes."""
+    that deletes vertex ``index``: the determinant of ``template``, which
+    must be the graph's without ``index`` (``families.Level`` keeps one
+    per graph), or else of one planned for this call, at the integers L w,
+    divided by L^(|V| - 1), for it is homogeneous of degree |V| - 1."""
     if not 0 <= index < len(g.vertices):
         raise ValueError(f"index {index} is not a vertex of a graph on {len(g.vertices)} vertices")
     iw, scale = w.clear_denominators()
-    if plan is None:
-        plan = CofactorPlan(g, index)
-    det = plan.det(iw)
+    if template is None:
+        template = cofactor_template(g, index)
+    det = template.det(iw)
     return det if scale == 1 else det / scale ** (len(g.vertices) - 1)
 
 
@@ -673,36 +622,34 @@ def schur_map(s: SchurState) -> SchurState:
     return _map_cleared(s, t, delta, d)
 
 
-# -- the decimation network and the independent rederivation of the map --------
+# -- the decimation networks: the rederived map and the masked matrices ------------
 
 
 @cache
-def _network_edges(k: int, loops: bool):
-    """First letters of the level-k hanoi words, the edges as ``(u, v, label
-    index, is_loop)`` and each row's columns in index order, once per level."""
+def _network(k: int, loops: bool, masked: bool, keep=()) -> Template:
+    """The level-k hanoi graph weighted by a decimation state, a template
+    in x1..x9 kept per level, loops, mask and kept keys: an edge inside a
+    first-letter block weighs x1..x3 by its label, one between blocks
+    x4..x6, and the diagonal x7..x9 by block, less any loop.  Masked, the
+    first row and column are cleared down to one x1 + x2 entry
+    (``lambda_matrix``).  Rows, and columns in each, are in index order."""
     g = build_hanoi(k, include_loops=loops)
-    block = tuple(int(word[0]) for word in g.vertices)
-    order = tuple(tuple(sorted({i}.union(*({e.u, e.v} for e in g.edges if i in (e.u, e.v)))))
-                  for i in range(len(block)))
-    return block, tuple((e.u, e.v, LABELS.index(e.label), e.is_loop) for e in g.edges), order
-
-
-def _state_network(k: int, s: SchurState, loops: bool):
-    """Rows of the level-k hanoi graph weighted by a decimation state, as
-    the kernel's ``{row: {column: entry}}`` with only the nonzero entries,
-    rows and the columns within each in index order (``_network_edges``).
-
-    An edge inside a first-letter block weighs x1..x3 by its label, an
-    edge between two blocks x4..x6; the diagonal holds x7..x9 by block,
-    less the weight of any loop."""
-    block, edges, order = _network_edges(k, loops)
-    rows = [{i: s[6 + b]} for i, b in enumerate(block)]
-    for u, v, label, is_loop in edges:
-        if is_loop:
-            rows[u][u] -= s[label]
+    block = [int(word[0]) for word in g.vertices]
+    rows = [{i: [int(n == 6 + b) for n in range(9)]} for i, b in enumerate(block)]
+    for e in g.edges:
+        label = LABELS.index(e.label)
+        if e.is_loop:
+            rows[e.u][e.u][label] -= 1
         else:
-            rows[u][v] = rows[v][u] = -s[label if block[u] == block[v] else 3 + label]
-    return {i: {j: row[j] for j in order[i] if row[j]} for i, row in enumerate(rows)}
+            form = [0] * 9
+            form[label if block[e.u] == block[e.v] else 3 + label] = -1
+            rows[e.u][e.v] = rows[e.v][e.u] = form
+    if masked:
+        for row in rows:
+            row.pop(0, None)
+        rows[0] = {0: [1, 1, 0, 0, 0, 0, 0, 0, 0]}
+    return Template({i: {j: tuple(row[j]) for j in sorted(row)} for i, row in enumerate(rows)},
+                    keep)
 
 
 # a decimation step keeps the level-2 corners 00, 11, 22 and eliminates
@@ -714,8 +661,8 @@ def _rederive(t):
     """The inner determinant of the level-2 network at the integer state
     t, and the new x4..x9 at t as (numerator, denominator) pairs, which
     are meaningful only where it is nonzero: the Schur complement on the
-    corners, read off one kernel call."""
-    inner, kept = _sparse_det(_state_network(2, t, loops=False), _CORNERS)
+    corners, read off one elimination."""
+    inner, kept = _network(2, False, False, _CORNERS).det(t)
     (r0, d0), (r4, d4), (r8, d8) = (kept[k] for k in _CORNERS)
     pairs = ((-r0.get(4, 0), d0), (-r0.get(8, 0), d0), (-r4.get(8, 0), d4),
              (r0.get(0, 0), d0), (r4.get(4, 0), d4), (r8.get(8, 0), d8))
@@ -746,24 +693,17 @@ def schur_map_divergence(s: SchurState) -> dict:
     return out
 
 
-# -- the masked matrices ----------------------------------------------------------
-
-
 def lambda_matrix(k: int, s: SchurState) -> dict:
     """Masked 3^k x 3^k matrix whose determinant drives the decimation,
-    as the kernel's rows (``_state_network``).
+    as ``{row: {column: entry}}`` with only the nonzero entries, read off
+    its template (``_network``).
 
     At the initial state this is the Laplacian of the level-k hanoi graph
     with the first row and column cleared down to the single (a+b) entry.
     """
     if k < 2:
         raise ValueError("the masked matrix is defined for level >= 2")
-    rows = _state_network(k, s, loops=True)
-    for row in rows.values():
-        row.pop(0, None)
-    corner = s.x1 + s.x2
-    rows[0] = {0: corner} if corner else {}
-    return rows
+    return _network(k, True, True).rows(s)
 
 
 def decimation_identity(s: SchurState) -> bool:
@@ -773,8 +713,8 @@ def decimation_identity(s: SchurState) -> bool:
     ``det lambda_3(t) D(t)^6 = det lambda_2(u)``, a polynomial identity in
     t that holds where D(t) = 0 too."""
     t, _, d = _cleared_denominator(s)
-    u = SchurState(*(x * d for x in t[:3]), *_map_numerators(t, d))
-    return _sparse_det(lambda_matrix(3, SchurState(*t))) * d**6 == _sparse_det(lambda_matrix(2, u))
+    u = (*(x * d for x in t[:3]), *_map_numerators(t, d))
+    return _network(3, True, True).det(t) * d**6 == _network(2, True, True).det(u)
 
 
 # -- the full pipeline ----------------------------------------------------------
@@ -823,7 +763,7 @@ def decimation_run(n: int, w: Weights) -> Decimation:
         steps.append((dt, delta))
         state = _map_cleared(state, t, delta, dt)
     return Decimation(tuple(steps), clear_denominators(state)[1],
-                      _sparse_det(lambda_matrix(2, state)))
+                      _network(2, True, True).det(state))
 
 
 def schur_pipeline(n: int, w: Weights):

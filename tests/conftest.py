@@ -7,6 +7,7 @@ from pathlib import Path
 from fractal_forest import kirchhoff
 from fractal_forest.algebra import VARS, TriPoly, Weights, clear_denominators, positive_weights
 from fractal_forest.errors import DecimationSingularError
+from fractal_forest.graphs import LABELS, build_hanoi
 from fractal_forest.kirchhoff import SchurState, schur_map
 from fractal_forest.sierpinski import CountsTriple
 
@@ -152,17 +153,19 @@ def reference_state_network(k: int, s, loops: bool):
     """Dense rows of the level-k hanoi graph weighted by a decimation
     state, the entries off the graph ``x1 * 0``: the int 0 on a state
     cleared to integers, ``Fraction(0)`` on Fractions."""
-    block, edges, _ = kirchhoff._network_edges(k, loops)
+    g = build_hanoi(k, include_loops=loops)
+    block = [int(word[0]) for word in g.vertices]
     zero = s[0] * 0
     rows = [[zero] * len(block) for _ in block]
     for i, b in enumerate(block):
         rows[i][i] = s[6 + b]
-    for u, v, label, is_loop in edges:
-        if is_loop:
-            rows[u][u] -= s[label]
+    for e in g.edges:
+        label = LABELS.index(e.label)
+        if e.is_loop:
+            rows[e.u][e.u] -= s[label]
         else:
-            weight = s[label if block[u] == block[v] else 3 + label]
-            rows[u][v] = rows[v][u] = -weight
+            weight = s[label if block[e.u] == block[e.v] else 3 + label]
+            rows[e.u][e.v] = rows[e.v][e.u] = -weight
     return rows
 
 

@@ -51,25 +51,25 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("pivot heap tie rank reversed", KERNEL,
-           "heap = [(len(rows[i]), r, i) for i, r in rank.items()]",
-           "heap = [(len(rows[i]), -r, i) for i, r in rank.items()]",
+           "heap = [(len(layouts[i]), r, i) for i, r in rank.items()]",
+           "heap = [(len(layouts[i]), -r, i) for i, r in rank.items()]",
            (PIVOTS,)),
     Mutant("stale heap entry skipped only once pivoted", KERNEL,
            "if p not in rank or len(row) != length:",
            "if p not in rank:",
            (PIVOTS,)),
     Mutant("row not pushed again when its length changes", KERNEL,
-           "heappush(heap, (len(target), rank[i], i))",
+           "heappush(heap, (len(new), rank[i], i))",
            "pass",
            (PIVOTS,)),
     Mutant("pivot column prefers no diagonal on a tie", KERNEL,
-           "if c is None or count < fewest or (count == fewest and j == p):",
+           "if c is None or count < fewest or (count == fewest and j == keys[p]):",
            "if c is None or count < fewest:",
            (PIVOTS,)),
-    Mutant("pivot -1 taken as a unit", KERNEL,
-           "if pivot != 1:",
-           "if pivot not in (1, -1):",
-           ("tests/test_kirchhoff.py::test_sparse_det_exact_on_integer_entries",)),
+    Mutant("pivot row's denominator left out", KERNEL,
+           "den *= dens[p]",
+           "pass",
+           ("tests/test_kirchhoff.py::test_sparse_det_rows_with_different_denominators",)),
     Mutant("cofactor divided by scale^|V|", KERNEL,
            "det / scale ** (len(g.vertices) - 1)",
            "det / scale ** len(g.vertices)",
@@ -84,8 +84,8 @@ MUTANTS = (
            "+ 2 * abc * gasket_Q",
            ("tests/test_hanoi.py::test_step_equals_the_paper_equations",)),
     Mutant("network column order reversed", KERNEL,
-           "sorted({i}.union(*({e.u, e.v} for e in g.edges if i in (e.u, e.v))))",
-           "sorted({i}.union(*({e.u, e.v} for e in g.edges if i in (e.u, e.v))), reverse=True)",
+           "{j: tuple(row[j]) for j in sorted(row)}",
+           "{j: tuple(row[j]) for j in sorted(row, reverse=True)}",
            ("tests/test_kirchhoff.py::test_sparse_builders_hand_the_kernel_the_dense_rows",)),
     Mutant("counts step coefficient 36 to 35", HANOI,
            "36 * SS",
@@ -126,13 +126,22 @@ MUTANTS = (
            "key = (self.family.name, self.n)\n        if key not in _TREE_POLYNOMIALS:",
            "key = self.family.name\n        if key not in _TREE_POLYNOMIALS:",
            ("tests/test_cli.py::test_oracle_enumerates_one_tree_polynomial_per_level",)),
-    Mutant("zero planned pivot not handed to the kernel", KERNEL,
-           "if not pivot:\n                return None\n            num *= pivot",
-           "num *= pivot",
+    Mutant("zero pivot not planned again", KERNEL,
+           "if steps is plan.steps:\n                    break",
+           "if steps is plan.steps:\n                    pass",
+           ("tests/test_kirchhoff.py::test_sparse_det_plans_again_at_a_zero_pivot",)),
+    Mutant("row dropped at a pivot 0 not pushed again", KERNEL,
+           "heappush(heap, (len(layouts[p]), rank[p], p))",
+           "pass",
            ("tests/test_kirchhoff.py::test_planned_cofactor_equals_the_kernel_on_the_same_rows",)),
-    Mutant("plan kept under a key without the family", FAMILIES,
-           "key = (self.family.name, self.n)\n        if key not in _COFACTOR_PLANS:",
-           "key = self.n\n        if key not in _COFACTOR_PLANS:",
+    Mutant("template planned again on every det", KERNEL,
+           "return _replay(self.plan, rows, [1] * len(rows))",
+           "return _replay(_plan(dict(zip(self.plan.keys, self.plan.layouts)), self.plan.keep),"
+           " rows, [1] * len(rows))",
+           ("tests/test_cli.py::test_each_decimation_template_is_planned_once",)),
+    Mutant("template kept under a key without the family", FAMILIES,
+           "key = (self.family.name, self.n)\n        if key not in _COFACTOR_TEMPLATES:",
+           "key = self.n\n        if key not in _COFACTOR_TEMPLATES:",
            ("tests/test_cli.py::test_cofactor_plans_are_kept_per_family_and_level",)),
     Mutant("weights indexed by label", ALGEBRA,
            "    def all_positive(self) -> bool:\n",

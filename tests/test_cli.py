@@ -370,23 +370,52 @@ def test_oracle_enumerates_one_tree_polynomial_per_level(capsys, monkeypatch):
 
 def test_cofactor_plans_are_kept_per_family_and_level(capsys, monkeypatch):
     # rot-4, dir-5 and schreier-5 share one sparsity pattern under three
-    # labellings: a plan must be kept per family and level, for its
-    # template holds the labels
-    monkeypatch.setattr(families, "_COFACTOR_PLANS", {})
+    # labellings: a template must be kept per family and level, for it
+    # holds the labels
+    monkeypatch.setattr(families, "_COFACTOR_TEMPLATES", {})
     cells = (("sierpinski-rot", 4), ("sierpinski-dir", 5), ("sierpinski-schreier", 5))
     weights = ("13/61", "44/17", "7/90")
-    plans = [kirchhoff.CofactorPlan(families.lookup(name).graph(n, False)) for name, n in cells]
-    assert len({plan.columns for plan in plans}) == 1
-    expected = [kirchhoff._sparse_det(plan.rows(Weights.parse(*weights))) for plan in plans]
+    templates = [kirchhoff.cofactor_template(families.lookup(name).graph(n, False))
+                 for name, n in cells]
+    assert len({template.plan.layouts for template in templates}) == 1
+    expected = [kirchhoff._sparse_det(template.rows(Weights.parse(*weights)))
+                for template in templates]
     assert len(set(expected)) == 3
+    kept = families._COFACTOR_TEMPLATES
+    first = None
     for _ in range(2):
         for (name, n), value in zip(cells, expected):
             code, data = run_json(capsys, "gf", "--family", name, "--level", str(n),
                                   "--weights", *weights, "--method", "all")
             assert code == 0 and data["methods"]["cofactor"] == str(value), (name, n)
-    kept = families._COFACTOR_PLANS
+        first = first or dict(kept)
     assert list(kept) == [(families.lookup(name).name, n) for name, n in cells]
-    assert all(plan.steps is not None for plan in kept.values())
+    assert all(kept[key] is template for key, template in first.items())
+
+
+def test_each_decimation_template_is_planned_once(capsys, monkeypatch):
+    # in one process, verify at levels 3-4 and a level-5 decimation plan
+    # each template once: the network of the rederived map, lambda_3 and
+    # lambda_2 for the decimation identity and the run, and the cofactors
+    # of hanoi-3 and hanoi-4; no planned pivot vanishes at these states
+    monkeypatch.setattr(families, "_COFACTOR_TEMPLATES", {})
+    kirchhoff._network.cache_clear()
+    plan = kirchhoff._plan
+    planned = []
+
+    def counted(pattern, keep=(), *args):
+        planned.append((len(pattern), tuple(keep)))
+        return plan(pattern, keep, *args)
+
+    monkeypatch.setattr(kirchhoff, "_plan", counted)
+    code, data = run_json(capsys, "verify", "--family", "hanoi", "--levels", "3..4",
+                          "--trials", "3", "--seed", "5")
+    assert code == 0 and data["checks_run"] > 0
+    code, data = run_json(capsys, "gf", "--family", "hanoi", "--level", "5",
+                          "--method", "schur")
+    assert code == 0 and data["methods"]["schur"]
+    corners = kirchhoff._CORNERS
+    assert sorted(planned) == [(9, ()), (9, corners), (26, ()), (27, ()), (80, ())], planned
 
 
 @pytest.mark.parametrize(

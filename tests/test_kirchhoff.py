@@ -151,7 +151,7 @@ def test_cofactor_invariant_under_index_choice(monkeypatch):
     def refuse(*args):
         raise AssertionError("a plan was built")
 
-    monkeypatch.setattr(kirchhoff, "CofactorPlan", refuse)
+    monkeypatch.setattr(kirchhoff, "cofactor_template", refuse)
     for index in (-1, 9, 10):
         with pytest.raises(ValueError, match=rf"index {index} .* 9 vertices"):
             tree_gf_cofactor(build_hanoi(2), ONES, index)
@@ -424,7 +424,8 @@ def test_sparse_builders_hand_the_kernel_the_dense_rows():
                 want = held(sparse(reference_lambda(k, state)))
                 assert held(lambda_matrix(k, state)) == want, (state, k)
             want = held(sparse(reference_state_network(2, state, False)))
-            assert held(kirchhoff._state_network(2, state, False)) == want, state
+            network = kirchhoff._network(2, False, False, kirchhoff._CORNERS)
+            assert held(network.rows(state)) == want, state
 
 
 def test_rederived_map_matches_the_seven_determinant_reference():
@@ -548,21 +549,22 @@ def test_sparse_det_returns_0_for_a_singular_eliminated_block():
 
 def assert_same_elimination(rows: dict, keep=()):
     """The kernel and its reference (``conftest.reference_sparse_det``)
-    on copies of the rows: the same determinant, the same kept rows and
-    denominators, int for int, and every row left as it stood when it was
-    pivoted on, which fixes the pivot sequence and not just the value."""
-    got_rows = {i: dict(row) for i, row in rows.items()}
-    want_rows = {i: dict(row) for i, row in rows.items()}
-    got = _sparse_det(got_rows, keep)
-    want = reference_sparse_det(want_rows, keep)
+    on copies of the rows: the same determinant and, where it is nonzero,
+    the same kept rows as rationals; the rows are left as given, and the
+    kernel's plan pivots as the rule replayed on the pattern."""
+    given = {i: dict(row) for i, row in rows.items()}
+    got = _sparse_det(rows, keep)
+    want = reference_sparse_det({i: dict(row) for i, row in rows.items()}, keep)
+    assert rows == given
     (got, got_kept), (want, want_kept) = (got, want) if keep else ((got, {}), (want, {}))
     assert type(got) is Fraction and got == want, (rows, keep)
-    for k in keep:
+    for k in keep if got else ():
         (row, d), (ref_row, ref_d) = got_kept[k], want_kept[k]
-        assert list(row.items()) == list(ref_row.items()) and d == ref_d, (rows, keep, k)
-        assert type(d) is int and all(type(x) is int for x in row.values())
-    assert [list(row.items()) for row in got_rows.values()] == [
-        list(row.items()) for row in want_rows.values()], (rows, keep)
+        assert type(d) is int and d > 0 and all(type(x) is int for x in row.values())
+        assert {j: Fraction(x, d) for j, x in row.items()} == {
+            j: Fraction(x, ref_d) for j, x in ref_row.items()}, (rows, keep, k)
+    pattern = {i: list(row) for i, row in rows.items()}
+    assert list(kirchhoff._plan(pattern, keep).pivots) == replay_elimination(pattern, keep)[1]
     return got
 
 
@@ -589,8 +591,8 @@ def random_kernel_inputs(seed: int, count: int):
 
 
 def test_sparse_det_pivots_as_the_scan_of_every_row():
-    # the pivot heap pops the row the scan found, and an int row taken as
-    # given is the row the clearing made
+    # the plan's pivot heap pops the row the scan found, and its replay
+    # gives the reference's determinant and Schur complement
     seen = {"kept": 0, "empty row": 0, "singular": 0, "regular": 0}
     for rows, keep in random_kernel_inputs(83, 400):
         det = assert_same_elimination(rows, keep)
@@ -610,7 +612,7 @@ def test_cofactor_minors_pivot_as_the_scan_of_every_row():
                 if family.vertices(n) > COFACTOR_VERTEX_CAP:
                     continue
                 g = family.graph(n, False)
-                rows = kirchhoff.CofactorPlan(g).rows(iw)
+                rows = kirchhoff.cofactor_template(g).rows(iw)
                 det = assert_same_elimination(rows)
                 assert det == tree_gf_cofactor(g, iw), (family.name, n, triple)
 
@@ -625,7 +627,7 @@ def test_cofactor_at_fraction_weights_equals_the_kernel_on_the_fraction_minor():
                 if family.vertices(n) > COFACTOR_VERTEX_CAP:
                     continue
                 g = family.graph(n, False)
-                rows = kirchhoff.CofactorPlan(g).rows(w)
+                rows = kirchhoff.cofactor_template(g).rows(w)
                 value = tree_gf_cofactor(g, w)
                 assert type(value) is Fraction and value == _sparse_det(rows), (family.name, n, w)
 
@@ -751,24 +753,29 @@ def test_cofactor_equals_bundle_tree_under_the_vertex_cap():
                 assert isinstance(value, Fraction) and value.denominator == 1
 
 
-def replay_elimination(rows):
+def replay_elimination(rows, keep=()):
     """The kernel's pivot rule replayed on the pattern of the rows alone,
-    where nothing cancels: the shortest live row first, the first given on
-    a tie; in it the column with the fewest live entries, the diagonal and
-    then the row's own order on a tie.  Returns the number of entries the
-    elimination creates and the pivots as (row, column) in the order taken."""
+    by a scan of every row, which is the kernel's order where nothing
+    cancels: the shortest live row not kept first, the first given on a
+    tie; in it the column not kept with the fewest live entries, the
+    diagonal and then the row's own order on a tie; until a row has no
+    such column.  Returns the number of entries the elimination creates
+    and the pivots as (row, column) in the order taken."""
     rows = {i: dict.fromkeys(row) for i, row in rows.items()}
     holders = {j: set() for j in rows}
     for i, row in rows.items():
         for j in row:
             holders[j].add(i)
-    live = dict.fromkeys(rows)
+    live = dict.fromkeys(i for i in rows if i not in keep)
     fill = 0
     pivots = []
     while live:
         p = min(live, key=lambda i: len(rows[i]))
         row = rows[p]
-        c = min(row, key=lambda j: (len(holders[j]), j != p))
+        c = min((j for j in row if j not in keep), key=lambda j: (len(holders[j]), j != p),
+                default=None)
+        if c is None:
+            break
         pivots.append((p, c))
         del live[p]
         for j in row:
@@ -785,41 +792,54 @@ def replay_elimination(rows):
 
 
 def test_cofactor_rows_keep_the_fill_small():
-    # the plan's pivots are the kernel's on the template's pattern, and
-    # its fill is what they create there; the three 123-vertex gaskets
-    # share one pattern, and in index order, as the kernel took the rows
-    # before the sweep toward the deleted vertex, they fill 674 entries
+    # the template's plan pivots as the rule replayed on its pattern, so
+    # its fill is what the replayed pivots create there; the three
+    # 123-vertex gaskets share one pattern, and in index order, as the
+    # kernel took the rows before the sweep toward the deleted vertex,
+    # they fill 674 entries
     bounds = {("hanoi", 4): (238, 238), ("sierpinski-rotational", 4): (360, 674),
               ("sierpinski-directional", 5): (360, 674), ("sierpinski-schreier", 5): (360, 674)}
-    w = Weights(2, 3, 5)
     for (name, n), (bound, in_index_order) in bounds.items():
-        plan = kirchhoff.CofactorPlan(FAMILIES[name].graph(n, False))
-        assert plan.det(w) == plan.det(w)  # records the pivots, then compiles them
-        pattern = dict(zip(plan.keys, plan.columns))
+        plan = kirchhoff.cofactor_template(FAMILIES[name].graph(n, False)).plan
+        pattern = dict(zip(plan.keys, plan.layouts))
         fill, pivots = replay_elimination(pattern)
-        assert list(plan.pivots.items()) == pivots, name
-        assert plan.fill == fill <= bound, name
+        assert list(plan.pivots) == pivots, name
+        assert fill <= bound, name
         assert replay_elimination(dict(sorted(pattern.items())))[0] == in_index_order, name
 
 
 # weights of the planned cofactor: positive, where every pivot of the
 # positive definite minor is positive, and degenerate, where a planned
-# pivot can vanish and the rows go to the kernel; at 0 1 1 a zero weight
-# drops entries but the minor stays positive definite
+# pivot can vanish and the live rows are planned again, after which a
+# pivot 0 drops its row's zero entries; at 0 1 1 a zero weight makes
+# entries 0 but the minor stays positive definite.  Each with the counts
+# of plans again and of rows dropped over the 18 graphs
 PLANNED_WEIGHTS = ("1 1 1", "2 3 5", "13/61 44/17 7/90")
-FALLBACK_WEIGHTS = {"0 1 1": 0, "1 -1 1": 18, "-2 3 5": 4, "1 -1 0": 14, "0 0 0": 18}
+REPLANNED_WEIGHTS = {"0 1 1": (0, 0), "1 -1 1": (18, 89), "-2 3 5": (4, 0), "1 -1 0": (14, 8),
+                     "0 0 0": (18, 0)}
+
+
+def counted_plans(monkeypatch) -> tuple:
+    """Patch ``kirchhoff._steps`` to record the size of each pattern it
+    plans, once or again, and the row of each step dropped for a pivot 0;
+    returns both records."""
+    steps = kirchhoff._steps
+    planned, drops = [], []
+
+    def counted(pattern, keep, pivots, dropped):
+        planned.append(len(pattern))
+        for step in steps(pattern, keep, pivots, dropped):
+            yield step
+            if step[0] in dropped:
+                drops.append(step[0])
+
+    monkeypatch.setattr(kirchhoff, "_steps", counted)
+    return planned, drops
 
 
 def test_planned_cofactor_equals_the_kernel_on_the_same_rows(monkeypatch):
-    kernel = kirchhoff._sparse_det
-    handed = []
-
-    def counted(rows, **kwargs):
-        handed.append(len(rows))
-        return kernel(rows, **kwargs)
-
-    monkeypatch.setattr(kirchhoff, "_sparse_det", counted)
-    fallbacks = dict.fromkeys(PLANNED_WEIGHTS + tuple(FALLBACK_WEIGHTS), 0)
+    planned, drops = counted_plans(monkeypatch)
+    counts = dict.fromkeys(PLANNED_WEIGHTS + tuple(REPLANNED_WEIGHTS), (0, 0))
     graphs = 0
     for family in FAMILIES.values():
         for n in range(1, 9):
@@ -827,23 +847,43 @@ def test_planned_cofactor_equals_the_kernel_on_the_same_rows(monkeypatch):
                 continue
             graphs += 1
             g = family.graph(n, False)
-            plan = kirchhoff.CofactorPlan(g)
-            plan.det(Weights(6, 9, 5))
-            plan.det(Weights(6, 9, 5))
-            assert plan.steps is not None, (family.name, n)
-            for text in fallbacks:
+            template = kirchhoff.cofactor_template(g)
+            assert planned == [len(g.vertices) - 1]
+            for text in counts:
                 iw = Weights.parse(*text.split()).clear_denominators()[0]
-                rows = plan.rows(iw)
+                rows = template.rows(iw)
                 # the template against the Laplacian written from the edges
                 dense = weighted_laplacian(g, iw)
                 assert rows == {i: {j: x for j, x in enumerate(row) if x and j}
                                 for i, row in enumerate(dense) if i}, (family.name, n, text)
-                handed.clear()
-                value = plan.det(iw)
-                assert value == kernel(rows), (family.name, n, text)
-                fallbacks[text] += len(handed)
+                planned.clear()
+                drops.clear()
+                value = template.det(iw)
+                assert value == reference_sparse_det(rows), (family.name, n, text)
+                replans, dropped = counts[text]
+                counts[text] = replans + len(planned), dropped + len(drops)
+            planned.clear()
     assert graphs == 18
-    assert fallbacks == dict.fromkeys(PLANNED_WEIGHTS, 0) | FALLBACK_WEIGHTS
+    assert counts == dict.fromkeys(PLANNED_WEIGHTS, (0, 0)) | REPLANNED_WEIGHTS
+
+
+def test_sparse_det_plans_again_at_a_zero_pivot(monkeypatch):
+    # entries in -1, 1 and 2 at half density cancel often: where a planned
+    # pivot comes out 0 the live rows are planned again, and the result is
+    # the reference's, with and without kept keys
+    planned, _ = counted_plans(monkeypatch)
+    rng = random.Random(89)
+    replans = kept = 0
+    for k in range(1500):
+        n = rng.randint(2, 9)
+        rows = {i: {j: rng.choice((-1, 1, 2)) for j in range(n) if rng.random() < 0.5}
+                for i in range(n)}
+        keep = rng.sample(range(n), rng.randint(1, 2)) if k % 2 else ()
+        planned.clear()
+        det = assert_same_elimination(rows, keep)
+        replans += len(planned) - 2  # the kernel's plan and the test's own
+        kept += bool(keep and det)
+    assert replans >= 100 and kept >= 100, (replans, kept)
 
 
 # -- the tables as Horner schemes, compiled to kernels ---------------------------
