@@ -40,9 +40,6 @@ so the exact routes never load it.
 
 from __future__ import annotations
 
-import bisect
-import heapq
-import itertools
 import math
 import random
 from collections import namedtuple
@@ -68,12 +65,6 @@ EXPANSION_DEGREE_CAP = 60
 # formed term by term, a larger one packed into ints: over the products
 # that symbolic gf forms at levels 1-3, the total time was least here
 _SCHOOLBOOK_PAIRS = 200
-
-# in the first pass of products_equal, two values of at least this many
-# bits are compared by division alone: comparing a gasket's closed form
-# with its recursion at levels 8, 9 and 12 took least time from 256 to
-# 1024 bits, 15-35% less than with gcds everywhere
-_DIVIDE_ONLY_BITS = 1024
 
 
 class Weights(namedtuple("Weights", VARS)):
@@ -576,21 +567,23 @@ def products_equal(left, right) -> bool:
     Zeros and signs are settled first, row by row.  What is left is one
     equation per row, ``prod v^E_v[r] == 1``, over the distinct absolute
     values v > 1 of the bases, with E_v[r] the exponent of v on the left
-    minus that on the right.  Refining keeps every row's product: two
-    values x and y with g = gcd(x, y) > 1 become x/g, g and y/g, g taking
-    the sum of their exponent vectors, and a value whose vector is zero,
-    or which is 1, is dropped.  When no two values left share a factor,
-    each has a prime that divides no other, and the power of that prime
-    in row r is E_v[r] times its power in v; so, by unique factorization,
-    every row holds if and only if no value is left.  Equality over a
-    pairwise-coprime base is equality of exponent vectors (Bernstein,
-    *Factoring into coprimes in essentially linear time*, 2005).
+    minus that on the right.  Two steps rewrite these values, each
+    keeping every row's product:
 
-    The refinement runs twice.  The first pass compares two values of
-    at least _DIVIDE_ONLY_BITS bits by exact division alone: a gcd of two
-    such coprime values is the costliest step, and the large bases of a
-    closed form and of a recursion cancel by division.  If anything is
-    left, a second pass with gcds everywhere decides from there.
+    * ``_divide_through`` divides each value by the smaller ones that
+      divide it, which needs no gcd.  The bases of the two sides mostly
+      divide one another: in the comparisons below, division took away
+      two thirds of their bits.  If every vector is then zero, the rows
+      are equal.
+    * ``_coprime`` splits what is left by gcds until no two values share
+      a factor.  Each value then has a prime that divides no other, and
+      the power of that prime in row r is E_v[r] times its power in v;
+      so, by unique factorization, every row holds if and only if no
+      value is left (Bernstein, *Factoring into coprimes in essentially
+      linear time*, 2005).  The split stays because division alone does
+      not decide: of the 84 comparisons that ``verify --levels 3..9
+      --trials 3 --seed 1`` makes over the four families, 59 left values
+      that only a gcd splits.
     """
     rows = len(left)
     exps = {}
@@ -607,8 +600,8 @@ def products_equal(left, right) -> bool:
             for b, e in ps:
                 if abs(b) != 1:
                     exps.setdefault(abs(b), [0] * rows)[r] += sign * e
-    left_over = _refine(exps, _DIVIDE_ONLY_BITS)
-    return not (left_over and _refine(left_over, None))
+    left_over = _divide_through(exps)
+    return not (left_over and _coprime(left_over))
 
 
 class Products(tuple):
@@ -628,91 +621,58 @@ class Products(tuple):
         return equal if equal is NotImplemented else not equal
 
 
-def _refine(exps: dict, divide_only) -> dict:
-    """The values and exponent vectors left by refining ``exps`` (see
-    ``products_equal``).  With ``divide_only`` None they are pairwise
-    coprime.  Otherwise two values of at least that many bits are
-    compared by exact division alone, and what is left need not be
-    coprime; every step still keeps each row's product.
-
-    Values are taken smallest first, and each is compared with the kept
-    values from the smallest up, so that it sheds its small factors
-    before it meets a large value.  A value carries the set of kept
-    values it need not be compared with: those found coprime to it and,
-    for a part of a kept value that splits, the other kept values.  With
-    ``divide_only`` set, a pair compared by division alone may still
-    share a factor, which only leaves more behind.
-    """
-    kept = {}  # value -> exponent vector
-    order = []  # (bit length, value) of the kept values, ascending
-    queue = []  # (bit length, tiebreak, value, vector, values known coprime to it)
-    count = itertools.count()
-
-    def push(x, vec, known):
-        if x != 1 and any(vec):
-            heapq.heappush(queue, (x.bit_length(), next(count), x, vec, known))
-
-    def add(y, vec, times=1):
-        # y's vector gains ``times`` x vec; y is dropped at zero
-        total = [a + times * b for a, b in zip(kept[y], vec)]
-        if any(total):
-            kept[y] = total
-        else:
-            del kept[y]
-            order.remove((y.bit_length(), y))
-
-    def by_division(x, size):
-        return divide_only is not None and min(x.bit_length(), size) >= divide_only
-
-    for x, vec in exps.items():
-        push(x, vec, frozenset())
-    while queue:
-        _, _, x, vec, known = heapq.heappop(queue)
-        coprime = []
-        for size, y in list(order):
-            if x in kept:
-                add(x, vec)
+def _divide_through(exps: dict) -> dict:
+    """The values of ``exps`` (value -> exponent vector) divided by each
+    other, every row's product kept: the values left with a nonzero
+    vector.  Values are taken smallest first.  Each is divided by every
+    kept value not above it whose vector is nonzero, largest first, as
+    often as that value divides it, and the divisor's vector gains the
+    value's as often.  What is left of the value is kept."""
+    kept = {}
+    for x in sorted(exps):
+        vec = exps[x]
+        if not any(vec):
+            continue
+        for y in sorted(kept, reverse=True):
+            if y > x or not any(kept[y]):
+                continue
+            q, r = divmod(x, y)
+            if r:
+                continue
+            x, times = _divide_out(q, y)
+            kept[y] = [a + (times + 1) * b for a, b in zip(kept[y], vec)]
+            if x == 1:
                 break
-            if y in known or y not in kept:
-                continue
-            if by_division(x, size):
-                if x % y:
-                    continue
-                g = y
-            else:
-                g = math.gcd(x, y)
-            if g == y:
-                x, times = _divide_out(x, y)
-                add(y, vec, times)
-                if x == 1:
-                    break
-                # y may be gone, its vector fallen to zero
-                if y not in kept or by_division(x, size):
-                    continue
-                g = math.gcd(x, y)
-            if g == 1:
-                coprime.append(y)
-                continue
-            # split y, coprime to every other kept value (see above)
-            y_vec = kept.pop(y)
-            order.remove((size, y))
-            others = frozenset(kept)
-            if g == x:
-                y, times = _divide_out(y, x)
-                push(y, y_vec, others)
-                push(x, [a + times * b for a, b in zip(vec, y_vec)], others)
-            else:
-                push(y // g, y_vec, others)
-                push(g, [a + b for a, b in zip(vec, y_vec)], others)
-                push(x // g, vec, known.union(coprime))
-            break
+        if x > 1:
+            kept[x] = vec
+    return {y: vec for y, vec in kept.items() if any(vec)}
+
+
+def _coprime(exps: dict) -> dict:
+    """The values of ``exps`` split into pairwise coprime ones, every row's
+    product kept: the values left with a nonzero vector.  Two values x
+    and y with g = gcd(x, y) > 1 become x/g^i, y/g^j and g, for the
+    largest such i and j, and g takes i times x's vector plus j times
+    y's, until no two share a factor.  Taking out each power of g at
+    once, rather than g alone, keeps a value that holds a high power of
+    a shared factor from going round once per power."""
+    done = {}
+    work = list(exps.items())
+    while work:
+        x, vec = work.pop()
+        if x == 1 or not any(vec):
+            continue
+        for y in done:
+            g = math.gcd(x, y)
+            if g > 1:
+                y_vec = done.pop(y)
+                x, i = _divide_out(x, g)
+                y, j = _divide_out(y, g)
+                work += [(x, vec), (y, y_vec), (g, [i * a + j * b for a, b in zip(vec, y_vec)])]
+                break
         else:
-            if x in kept:
-                add(x, vec)
-            else:
-                kept[x] = vec
-                bisect.insort(order, (x.bit_length(), x))
-    return kept
+            done[x] = vec
+    return done
 
 
 def _divide_out(x: int, y: int) -> tuple[int, int]:

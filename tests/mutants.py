@@ -143,6 +143,16 @@ MUTANTS = (
            "key = (self.family.name, self.n)\n        if key not in _COFACTOR_TEMPLATES:",
            "key = self.n\n        if key not in _COFACTOR_TEMPLATES:",
            ("tests/test_cli.py::test_cofactor_plans_are_kept_per_family_and_level",)),
+    Mutant("power moved onto the divisor once", ALGEBRA,
+           "kept[y] = [a + (times + 1) * b for a, b in zip(kept[y], vec)]",
+           "kept[y] = [a + b for a, b in zip(kept[y], vec)]",
+           ("tests/test_algebra.py::test_products_equal_perfect_powers[default]",
+            "tests/test_algebra.py::test_division_and_split_keep_every_row_product")),
+    Mutant("value left over after division dropped", ALGEBRA,
+           "        if x > 1:\n            kept[x] = vec\n",
+           "",
+           ("tests/test_algebra.py::test_products_equal_swapped_and_shifted_exponents[default]",
+            "tests/test_algebra.py::test_division_and_split_keep_every_row_product")),
     Mutant("weights indexed by label", ALGEBRA,
            "    def all_positive(self) -> bool:\n",
            "    def __getitem__(self, label):\n"

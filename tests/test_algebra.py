@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -211,18 +212,24 @@ def test_signed_products_are_the_fraction_products():
 
 
 # -- products of powers compared unexpanded ----------------------------------
-# ``products_equal`` against the materialized values, both ways round, at
-# the default threshold of its division-only pass, with that pass taking
-# every value (2 bits) and with gcds everywhere (None)
+# ``products_equal`` against the materialized values, both ways round:
+# "default", as shipped, division first and then the split; "none", the
+# split alone on the raw exponents, so that it is tested also where
+# division leaves nothing to split; "2", the split alone with the raw
+# values in the other order, so that it meets its pairs another way round
 
 
 def fp(*factors, primes=None) -> FactoredPoly:
     return FactoredPoly(primes, list(factors))
 
 
-@pytest.fixture(params=[algebra._DIVIDE_ONLY_BITS, 2, None], ids=["default", "2", "none"])
-def divide_only(request, monkeypatch):
-    monkeypatch.setattr(algebra, "_DIVIDE_ONLY_BITS", request.param)
+@pytest.fixture(params=["default", "none", "2"])
+def steps(request, monkeypatch):
+    if request.param != "default":
+        monkeypatch.setattr(algebra, "_divide_through", dict)
+    if request.param == "2":
+        split = algebra._coprime
+        monkeypatch.setattr(algebra, "_coprime", lambda exps: split(dict(reversed(exps.items()))))
 
 
 def assert_compares_as_materialized(left, right):
@@ -252,19 +259,23 @@ def regroup(product: FactoredPoly, rng) -> FactoredPoly:
     return fp(*factors)
 
 
-def test_products_equal_random_products_over_overlapping_bases(divide_only):
+# bases that share factors in many ways: small composites, Mersenne primes
+# and their products, a perfect power
+POOL = [2, 3, 6, 10, 12, 15, 35, 77, 91, 143, 2**61 - 1, 3 * (2**61 - 1), 2**89 - 1,
+        (2**61 - 1) * (2**89 - 1), 7**30, 10**40 + 1]
+
+
+def test_products_equal_random_products_over_overlapping_bases(steps):
     rng = random.Random(19)
-    pool = [2, 3, 6, 10, 12, 15, 35, 77, 91, 143, 2**61 - 1, 3 * (2**61 - 1), 2**89 - 1,
-            (2**61 - 1) * (2**89 - 1), 7**30, 10**40 + 1]
     equal = unequal = 0
     for _ in range(300):
         rows = rng.randint(1, 3)
-        left = [fp(*((rng.choice(pool), rng.randint(1, 5)) for _ in range(rng.randint(0, 5))),
+        left = [fp(*((rng.choice(POOL), rng.randint(1, 5)) for _ in range(rng.randint(0, 5))),
                    primes={p: rng.randint(0, 4) for p in (2, 3, 5)}) for _ in range(rows)]
         if rng.random() < 0.5:
             right = [regroup(p, rng) for p in left]
         else:
-            right = [fp(*((rng.choice(pool), rng.randint(1, 5)) for _ in range(rng.randint(0, 5))))
+            right = [fp(*((rng.choice(POOL), rng.randint(1, 5)) for _ in range(rng.randint(0, 5))))
                      for _ in range(rows)]
         if assert_compares_as_materialized(left, right):
             equal += 1
@@ -275,13 +286,13 @@ def test_products_equal_random_products_over_overlapping_bases(divide_only):
     equal = unequal = 0
     for _ in range(200):
         rows = rng.randint(1, 3)
-        left = [fp(*((rng.choice(pool), rng.choice((-1, 1)) * rng.randint(1, 5))
+        left = [fp(*((rng.choice(POOL), rng.choice((-1, 1)) * rng.randint(1, 5))
                      for _ in range(rng.randint(0, 5))),
                    primes={p: rng.randint(0, 4) for p in (2, 3, 5)}) for _ in range(rows)]
         if rng.random() < 0.5:
             right = [regroup(p, rng) for p in left]
         else:
-            right = [fp(*((rng.choice(pool), rng.choice((-1, 1)) * rng.randint(1, 5))
+            right = [fp(*((rng.choice(POOL), rng.choice((-1, 1)) * rng.randint(1, 5))
                           for _ in range(rng.randint(0, 5)))) for _ in range(rows)]
         if assert_compares_as_materialized(left, right):
             equal += 1
@@ -290,7 +301,7 @@ def test_products_equal_random_products_over_overlapping_bases(divide_only):
     assert equal > 60 and unequal > 60
 
 
-def test_products_equal_perfect_powers(divide_only):
+def test_products_equal_perfect_powers(steps):
     for e in (1, 2, 7, 3**5):
         assert assert_compares_as_materialized([fp((4, e))], [fp(primes={2: 2 * e})])
         assert assert_compares_as_materialized([fp((12, e))], [fp(primes={2: 2 * e, 3: e})])
@@ -303,7 +314,7 @@ def test_products_equal_perfect_powers(divide_only):
     assert not products_equal([fp((12, big))], [fp((2, 2 * big), (3, big - 1))])
 
 
-def test_products_equal_ones_zeros_and_signs(divide_only):
+def test_products_equal_ones_zeros_and_signs(steps):
     cases = [
         ([fp((1, 7))], [fp()]),
         ([fp((-1, 2))], [fp()]),
@@ -328,7 +339,7 @@ def test_products_equal_ones_zeros_and_signs(divide_only):
         assert_compares_as_materialized(left, right)
 
 
-def test_products_equal_with_a_base_shared_by_several_rows(divide_only):
+def test_products_equal_with_a_base_shared_by_several_rows(steps):
     x = 3**50 * (2**61 - 1)
     y = x * x
     left = [fp((x, 2)), fp((x, 3)), fp((x, 1), primes={5: 1})]
@@ -336,7 +347,7 @@ def test_products_equal_with_a_base_shared_by_several_rows(divide_only):
     assert not assert_compares_as_materialized(left, [fp((y, 1)), fp((y, 1)), fp((5 * x, 1))])
 
 
-def test_products_equal_swapped_and_shifted_exponents(divide_only):
+def test_products_equal_swapped_and_shifted_exponents(steps):
     p, q = 2**61 - 1, 2**89 - 1
     for a, b in ((1, 2), (3, 7), (5, 5)):
         assert assert_compares_as_materialized([fp((p, a), (q, b))], [fp((p, b), (q, a))]) is (a == b)
@@ -355,9 +366,9 @@ def test_products_equal_swapped_and_shifted_exponents(divide_only):
         assert not assert_compares_as_materialized(left, right)
 
 
-def test_products_equal_over_crossed_factorings(divide_only):
-    # no base divides another: only a gcd splits them, so at the default
-    # threshold the 1279- and 2203-bit bases go to the second pass
+def test_products_equal_over_crossed_factorings(steps):
+    # no base divides another: only a gcd splits them, so division leaves
+    # them all to the split
     p, q, r, s = 2**1279 - 1, 2**2203 - 1, 2**61 - 1, 2**89 - 1
     for e in (1, 4):
         assert assert_compares_as_materialized([fp((6, e), (10, e))], [fp((4, e), (15, e))])
@@ -367,6 +378,64 @@ def test_products_equal_over_crossed_factorings(divide_only):
                                                    [fp((p * r, e), (q * s, e + 1))])
     assert assert_compares_as_materialized([fp((p * q, 2)), fp((p * r, 1))],
                                            [fp((p, 2), (q, 2)), fp((r * p, 1))])
+
+
+def exponent_vectors(left, right) -> dict:
+    """value -> exponent vector over the rows, left minus right, for
+    products of positive bases (what products_equal hands its steps)."""
+    exps = {}
+    for r, pair in enumerate(zip(left, right)):
+        for p, sign in zip(pair, (1, -1)):
+            for b, e in [*p.primes.items(), *p.factors]:
+                if b != 1:
+                    exps.setdefault(b, [0] * len(left))[r] += sign * e
+    return exps
+
+
+def row_products(exps: dict, rows: int) -> list:
+    return [math.prod(Fraction(v) ** vec[r] for v, vec in exps.items()) for r in range(rows)]
+
+
+def test_division_and_split_keep_every_row_product():
+    rng = random.Random(29)
+    cancelled = split = 0
+    for trial in range(300):
+        rows = rng.randint(1, 3)
+        left = [fp(*((rng.choice(POOL), rng.randint(1, 5)) for _ in range(rng.randint(0, 5))),
+                   primes={p: rng.randint(0, 4) for p in (2, 3, 5)}) for _ in range(rows)]
+        if trial % 2:
+            right = [regroup(p, rng) for p in left]
+        else:
+            right = [fp(*((rng.choice(POOL), rng.randint(1, 5)) for _ in range(rng.randint(0, 5))))
+                     for _ in range(rows)]
+        exps = exponent_vectors(left, right)
+        given = {v: list(vec) for v, vec in exps.items()}
+        want = row_products(exps, rows)
+        divided = algebra._divide_through(exps)
+        assert exps == given
+        assert row_products(divided, rows) == want
+        assert all(any(vec) for vec in divided.values())
+        base = algebra._coprime(divided)
+        assert row_products(base, rows) == want
+        assert all(any(vec) for vec in base.values())
+        assert all(math.gcd(x, y) == 1 for x in base for y in base if x < y)
+        assert (not base) is (want == [1] * rows)
+        cancelled += not divided
+        split += bool(divided)
+    assert cancelled > 100 and split > 100
+
+
+def test_split_of_values_that_share_a_factor_and_divide_no_other():
+    # 6 and 10 share 2 and neither divides the other: division leaves both,
+    # and the split gives the coprime base 2, 3, 5
+    exps = {6: [1, 2], 10: [1, -1]}
+    assert algebra._divide_through(exps) == exps
+    base = algebra._coprime(exps)
+    assert base == {2: [2, 1], 3: [1, 2], 5: [1, -1]}
+    assert all(math.gcd(x, y) == 1 for x in base for y in base if x < y)
+    assert products_equal([fp((6, 1), (10, 1))], [fp((2, 2), (3, 1), (5, 1))])
+    assert not products_equal([fp((6, 1), (10, 1))], [fp((2, 1), (3, 1), (5, 1))])
+    assert not products_equal([fp((6, 2), (10, 1))], [fp((2, 2), (3, 1), (5, 1))])
 
 
 def test_divide_out_finds_the_multiplicity():
