@@ -32,7 +32,9 @@ the content of a run) goes through ``power_products``, which forms
 each product by one squaring chain: its multiplications of full-size
 numbers number two per bit of the largest exponent, however many bases
 the product has.  Where only the equality of two products of powers of
-integers is wanted, ``products_equal`` decides it with neither formed.
+integers is wanted, ``products_equal`` decides it with neither formed;
+``exact_text`` prints such products over a power of the lcm, reduced,
+with neither formed in binary.
 High-precision real work (logs of astronomically large exact values)
 goes through mpmath, which is imported only in the functions that do it,
 so the exact routes never load it.
@@ -40,6 +42,7 @@ so the exact routes never load it.
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from collections import namedtuple
@@ -65,6 +68,23 @@ EXPANSION_DEGREE_CAP = 60
 # formed term by term, a larger one packed into ints: over the products
 # that symbolic gf forms at levels 1-3, the total time was least here
 _SCHOOLBOOK_PAIRS = 200
+
+# exact_text finds the primes of a scale below this bound by trial
+# division, and splits what that leaves by gcds against the bases
+_TRIAL_BOUND = 1 << 10
+
+# exact_text prints a value whose numerator and denominator have at most
+# this many bits together by str(Fraction).  Over gf's components at levels
+# 3-10 of three families, at 1 2 3 and at 13/61 44/17 7/90, that cost what
+# the Decimal path costs at 2-6 kbit; below, the Decimal path's fixed
+# cost, 0.07-0.4 ms a request, is up to four times str(Fraction)'s
+_BINARY_BITS = 1 << 12
+
+# an int of up to this many bits goes to Decimal in one conversion, whose
+# cost is quadratic in its length; a longer one is split in halves
+# (_decimal).  Up to 20 kbit the two cost about the same; at 10^5 bits the
+# split is three times faster, at 10^6 bits eighteen times
+_DECIMAL_BITS = 1 << 12
 
 
 class Weights(namedtuple("Weights", VARS)):
@@ -548,10 +568,11 @@ def _power_product(bases, exps):
     the bases meet each other only while they are small.  A base whose
     exponent is 0 never enters, so 0**0 == 1 and the result keeps the
     type of the bases that do."""
+    powers = [(base, e) for base, e in zip(bases, exps) if e]
     value = 1
-    for bit in reversed(range(max(exps, default=0).bit_length())):
+    for bit in reversed(range(max((e for _, e in powers), default=0).bit_length())):
         step = 1
-        for base, e in zip(bases, exps):
+        for base, e in powers:
             if e >> bit & 1:
                 step = step * base
         value = value * value * step
@@ -650,35 +671,59 @@ def _divide_through(exps: dict) -> dict:
 
 def _coprime(exps: dict) -> dict:
     """The values of ``exps`` split into pairwise coprime ones, every row's
-    product kept: the values left with a nonzero vector.  Two values x
-    and y with g = gcd(x, y) > 1 become x/g^i, y/g^j and g, for the
-    largest such i and j, and g takes i times x's vector plus j times
-    y's, until no two share a factor.  Taking out each power of g at
-    once, rather than g alone, keeps a value that holds a high power of
-    a shared factor from going round once per power."""
-    done = {}
-    work = list(exps.items())
-    while work:
-        x, vec = work.pop()
-        if x == 1 or not any(vec):
+    product kept: the values left with a nonzero vector.  Each value joins
+    the pairwise coprime values kept so far once (``_join``)."""
+    kept = {}
+    for x, vec in exps.items():
+        if any(vec):
+            x = _join(kept, x, vec)
+            if x > 1:
+                kept[x] = vec
+    return kept
+
+
+def _join(kept: dict, x: int, vec: list) -> int:
+    """Split the pairwise coprime values of ``kept`` (value -> exponent
+    vector) against x to the power vec, and return what is left of x,
+    coprime to every kept value; the product of x^vec and the kept values
+    to their vectors is kept, row by row.
+
+    x meets each kept value y once.  Where g = gcd(x, y) > 1, x and y
+    become x/g^i, y/g^j and g, for the largest such i and j, and g takes i
+    times x's vector plus j times y's.  g and y/g^j divide y, so they are
+    coprime to every other kept value: they are made coprime to each
+    other and to what is left of x by the same join, on their own, and
+    what is left of x goes on to the kept values it has not met.  No pair
+    known to be coprime is compared again."""
+    for y in list(kept):
+        if x == 1:
+            break
+        g = math.gcd(x, y)
+        if g == 1:
             continue
-        for y in done:
-            g = math.gcd(x, y)
-            if g > 1:
-                y_vec = done.pop(y)
-                x, i = _divide_out(x, g)
-                y, j = _divide_out(y, g)
-                work += [(x, vec), (y, y_vec), (g, [i * a + j * b for a, b in zip(vec, y_vec)])]
-                break
-        else:
-            done[x] = vec
-    return done
+        y_vec = kept.pop(y)
+        x, i = _divide_out(x, g)
+        y, j = _divide_out(y, g)
+        g_vec = [i * a + j * b for a, b in zip(vec, y_vec)]
+        pieces = {g: g_vec} if any(g_vec) else {}
+        if y > 1:
+            y = _join(pieces, y, y_vec)
+            if y > 1:
+                pieces[y] = y_vec
+        x = _join(pieces, x, vec)
+        kept.update(pieces)
+    return x
 
 
-def _divide_out(x: int, y: int) -> tuple[int, int]:
-    """(x / y^k, k) for the largest k with y^k | x, for y > 1: x is
-    divided by y, y^2, y^4, ... while they divide it, then by the same
-    powers from the top down, so k costs about 2 log2(k) divisions."""
+def _divide_out(x, y) -> tuple:
+    """(x / y^k, k) for the largest k with y^k | x, for y > 1, x and y
+    both ints or both Decimals under an exact context.  x is divided by
+    y, y^2, y^4, ... while they divide it.  The remainder r of the first
+    power y^2^j that does not divide what is left of x is below y^2^j and
+    has its multiplicity of y, so the same powers from the top down find
+    that multiplicity on r, whose size is that of y^2^j, and what is left
+    of x is divided once by y to it.  So k costs about log2(k) divisions
+    of x's size, one more, and log2(k) of r's."""
     times, powers = 0, [y]
     while True:
         q, r = divmod(x, powers[-1])
@@ -686,11 +731,141 @@ def _divide_out(x: int, y: int) -> tuple[int, int]:
             break
         x, times = q, times + (1 << (len(powers) - 1))
         powers.append(powers[-1] * powers[-1])
+    k, divisor = 0, 1
     for j in reversed(range(len(powers) - 1)):
-        q, r = divmod(x, powers[j])
-        if not r:
-            x, times = q, times + (1 << j)
-    return x, times
+        q, t = divmod(r, powers[j])
+        if t:
+            r = t
+        else:
+            r, k, divisor = q, k + (1 << j), divisor * powers[j]
+    return (x // divisor if k else x), times + k
+
+
+def exact_text(values, scale: int, degrees, products=None) -> list[str]:
+    """``str(Fraction(v, scale**d))`` for each exact value v (an int or a
+    reduced Fraction) and degree d: as written for a value of at most
+    _BINARY_BITS, and for a larger one from a product of powers, with
+    neither the numerator nor the fraction's gcd formed in binary.
+    ``products``, where given, is a callable that returns the products of
+    the first values, FactoredPolys of ``int`` bases such as a run's
+    components (its contents to their powers times its primitive part,
+    ``families.Level.products``); it is called only if some value is
+    larger.  Any other larger value is one base, its numerator to the
+    power 1 and its denominator to the power -1.  A product's bases to
+    negative powers stand for a denominator coprime to the others, and a
+    product with a base 0 prints as 0.
+
+    The fraction's gcd is ``prod q^min(v_q(N), e_q d)`` over the pairwise
+    coprime factors q^e_q of scale (``_scale_factors``), and v_q(N) is the
+    sum of the bases' valuations at q times their exponents: so only the
+    bases are divided, each by the q, and nothing of N's size is.  Each
+    base goes to Decimal once (``_decimal``) and is stripped of the q
+    there, so that a large base, such as one value on its own, is divided
+    by a power of q in Decimal, whose division of large numbers is
+    Newton's, never in binary, whose division is quadratic.  Every
+    numerator and denominator is multiplied out in Decimal under an exact
+    context, whose products of large numbers are number-theoretic
+    transforms, and printed by ``str``, in time linear in its length; an
+    int prints in quadratic time before Python 3.12.  Products that
+    differ only in their last factor, as a run's components do, share
+    the powers of the others (``power_products``).
+    """
+    texts = ["0"] * len(values)
+    large = []
+    for k, v in enumerate(values):
+        if v.numerator.bit_length() + v.denominator.bit_length() <= _BINARY_BITS:
+            texts[k] = str(v if scale == 1 else Fraction(v, scale ** degrees[k]))
+        else:
+            large.append(k)
+    if not large:
+        return texts
+    given = products() if products is not None else ()
+    powers = {}  # index of a large value -> its product's (base, exponent) pairs
+    for k in large:
+        p = given[k] if k < len(given) else FactoredPoly(
+            None, [(values[k].numerator, 1), (values[k].denominator, -1)])
+        powers[k] = [(b, e) for b, e in (*p.primes.items(), *p.factors) if e]
+    live = [k for k in large if all(b for b, _ in powers[k])]
+    bases = {abs(b) for k in live for b, _ in powers[k]}
+    factors = _scale_factors(scale, bases)
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        twos = {}
+        qs = [decimal.Decimal(q) for q, _ in factors]
+        stripped = {}  # base -> (what is left of it, its valuation at each q)
+        for base in bases:
+            b, valuations = _decimal(base, twos), []
+            for q in qs:
+                b, v = _divide_out(b, q)
+                valuations.append(v)
+            stripped[base] = b, valuations
+        # the q first, then each stripped base above 1 once
+        columns = {q: t for t, q in enumerate(qs)}
+        for b, _ in stripped.values():
+            if b > 1:
+                columns.setdefault(b, len(columns))
+        groups = {}  # the factors but the last -> (index, sign, numerator row, denominator row)
+        for k in live:
+            num, den = [0] * len(columns), [0] * len(columns)
+            for b, e in powers[k]:
+                b, valuations = stripped[abs(b)]
+                row = num if e > 0 else den
+                if b > 1:
+                    row[columns[b]] += abs(e)
+                for t, v in enumerate(valuations):
+                    row[t] += abs(e) * v
+            for t, (_, e) in enumerate(factors):
+                cap = min(num[t], e * degrees[k])
+                num[t] -= cap
+                den[t] += e * degrees[k] - cap
+            sign = "-" if sum(e for b, e in powers[k] if b < 0) % 2 else ""
+            groups.setdefault(tuple(powers[k][:-1]), []).append((k, sign, num, den))
+        decimals = [*columns]
+        for rows in groups.values():
+            nums = power_products(decimals, [num for _, _, num, _ in rows])
+            dens = power_products(decimals, [den for *_, den in rows])
+            for (k, sign, _, den), a, b in zip(rows, nums, dens):
+                texts[k] = f"{sign}{a}/{b}" if any(den) else f"{sign}{a}"
+    return texts
+
+
+def _scale_factors(scale: int, bases) -> list[tuple[int, int]]:
+    """Pairwise coprime q > 1 with exponents e, scale = prod q^e, such
+    that the part of each base made of the primes of scale is a product
+    of powers of the q, as exact_text needs: the primes of scale below
+    _TRIAL_BOUND by trial division, and what that leaves, unless it is a
+    prime, split by gcds against the bases (``_join``), never against
+    their product."""
+    factors = []
+    p = 2
+    while p < _TRIAL_BOUND and p * p <= scale:
+        if scale % p == 0:
+            scale, e = _divide_out(scale, p)
+            factors.append((p, e))
+        p += 1 + (p > 2)
+    if scale > 1 and p * p <= scale:
+        kept = {scale: [1]}  # a value's vector: its power in scale
+        for b in bases:
+            _join(kept, b, [0])
+        factors += [(q, e) for q, [e] in kept.items()]
+    elif scale > 1:
+        factors.append((scale, 1))
+    return factors
+
+
+def _decimal(n: int, twos: dict) -> decimal.Decimal:
+    """An int n >= 0 as a Decimal, under an exact context: in one
+    conversion up to _DECIMAL_BITS bits, and above as ``hi * 2^k + lo``
+    for k the largest power of two below its length, each 2^k formed
+    once and kept in ``twos``."""
+    bits = n.bit_length()
+    if bits <= _DECIMAL_BITS:
+        return decimal.Decimal(n)
+    k = 1 << (bits - 1).bit_length() - 1
+    if k not in twos:
+        twos[k] = decimal.Decimal(2) ** k
+    return _decimal(n >> k, twos) * twos[k] + _decimal(n & ((1 << k) - 1), twos)
 
 
 def positive_weights(rng: random.Random) -> Weights:

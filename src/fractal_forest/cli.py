@@ -18,11 +18,10 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import stats as stat_mod
-from .algebra import DEFAULT_SEED, Weights
+from .algebra import DEFAULT_SEED, Weights, exact_text
 from .errors import CapabilityError, DecimationSingularError
 from .families import (
     FAMILIES, ONES, ROTATIONAL, ROUTES, Level, lookup, run_checks, symbolic_routes,
@@ -140,11 +139,6 @@ def run_gf(args) -> tuple[int, str]:
     # every route runs at integer weights; a value is reduced back to w
     # only to be printed, once per distinct value
     iw, scale = w.clear_denominators()
-
-    @cache
-    def show(value, component):
-        return str(family.unscaled(n, value, scale, component))
-
     level = Level(family, n)
     values = {}
     fallbacks = []
@@ -163,12 +157,26 @@ def run_gf(args) -> tuple[int, str]:
             else:
                 fallbacks.append(f"{name} failed ({exc}); used cofactor")
                 values[name] = ROUTES["cofactor"](level, iw)
-    if "recursion" in values:
-        report["components"] = {k: show(v, k) for k, v in zip(family.components, level.values(iw))}
+    # one printer call for every value shown: the recursion's components,
+    # each route's value that differs from the recursion's T, and each D,
+    # homogeneous of degree 6 in the decimation state; a large component is
+    # printed from the product of powers its run keeps
+    tree = values.get("recursion")
+    parts = level.values(iw) if "recursion" in values else ()
+    alone = [*dict.fromkeys(v for v in values.values() if v != tree)]
+    orbit = level.orbit if "schur" in values else []
+    texts = exact_text(
+        [*parts, *alone, *orbit], scale,
+        [*(family.degree(n, k) for k in family.components[:len(parts)]),
+         *[family.degree(n, "T")] * len(alone), *[6] * len(orbit)],
+        (lambda: level.products(iw)) if parts else None)
+    shown = dict(zip(alone, texts[len(parts):]))
+    if parts:
+        report["components"] = dict(zip(family.components, texts))
+        shown[tree] = texts[0]
     if "schur" in values:
-        # D is homogeneous of degree 6 in the decimation state
-        report["D_orbit"] = [str(Fraction(d, scale**6)) for d in level.orbit]
-    report["methods"] = {k: show(v, "T") for k, v in values.items()}
+        report["D_orbit"] = texts[len(parts) + len(alone):]
+    report["methods"] = {k: shown[v] for k, v in values.items()}
     report["skipped"] = skipped
     report["fallbacks"] = fallbacks
     report["agreement"] = len(set(values.values())) == 1

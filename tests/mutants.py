@@ -153,6 +153,19 @@ MUTANTS = (
            "",
            ("tests/test_algebra.py::test_products_equal_swapped_and_shifted_exponents[default]",
             "tests/test_algebra.py::test_division_and_split_keep_every_row_product")),
+    Mutant("valuation at a factor of the scale left uncapped", ALGEBRA,
+           "cap = min(num[t], e * degrees[k])",
+           "cap = num[t]",
+           ("tests/test_algebra.py::test_exact_text_is_the_reduced_fraction_string[decimal_only]",)),
+    Mutant("what is left of x not joined to the pieces of a split", ALGEBRA,
+           "        x = _join(pieces, x, vec)\n",
+           "",
+           ("tests/test_algebra.py::"
+            "test_split_where_what_is_left_of_a_value_shares_a_factor_with_the_gcd",)),
+    Mutant("each power found on the remainder counted once", ALGEBRA,
+           "r, k, divisor = q, k + (1 << j), divisor * powers[j]",
+           "r, k, divisor = q, k + 1, divisor * powers[j]",
+           ("tests/test_algebra.py::test_divide_out_finds_the_multiplicity",)),
     Mutant("weights indexed by label", ALGEBRA,
            "    def all_positive(self) -> bool:\n",
            "    def __getitem__(self, label):\n"

@@ -9,16 +9,17 @@ Each request runs ``cli.main`` in process, with FRACTAL_FOREST_SEED
 unset, and the corpus keeps its argv, exit code, the sha256 of its
 stdout and its stderr verbatim.  The requests cover every family: the
 symbolic ``gf`` routes (level 3 in every format), ``gf --method all`` at
-six weight triples (degenerate and signed ones included) and at levels
-6-10 at ``13/61 44/17 7/90``, each of a family's gf routes alone at
+six weight triples (degenerate and signed ones included), at levels
+6-10 at ``13/61 44/17 7/90`` and at levels 11-12 at ``1 2 3`` and
+``13/61 44/17 7/90``, each of a family's gf routes alone at
 levels 1-5 and the six weight triples (the explicit oracle on the
 27-edge graphs at ``1 1 1`` only), the ``schur`` method refused on the
 gaskets, ``stats`` on both sides of each statistics cap, the rotational
 normality gap at every level 1-20 for each label, ``verify`` (hanoi also
 at levels 7-9, with one and three draws), ``generate`` in every format,
-and the usage and capability errors the CLI raises itself.  No ``gf``
-request goes past level 10, and no ``verify`` or ``generate`` request
-past level 9, except the cap refusals.
+and the usage and capability errors the CLI raises itself.  No
+``verify`` or ``generate`` request goes past level 9, except the cap
+refusals.
 
 Errors that argparse reports (a missing or unknown option, a bad choice)
 are left out: their usage text differs between Python versions.  So is
@@ -72,9 +73,14 @@ def requests() -> list[list[str]]:
                 out.append(["gf", "--family", family, "--level", str(level),
                             "--weights", *triple, "--method", "all"])
     for family in FAMILIES:
-        for level in (6, 7, 9, 10):  # levels 9 and 10 take about 52 s together
+        for level in (6, 7, 9, 10):
             out.append(["gf", "--family", family, "--level", str(level),
                         "--weights", *TRIPLES[2], "--method", "all"])
+    for family in FAMILIES:
+        for level in ("11", "12"):  # about 25 s together; the tier-1 replay leaves them out
+            for triple in (TRIPLES[1], TRIPLES[2]):
+                out.append(["gf", "--family", family, "--level", level,
+                            "--weights", *triple, "--method", "all"])
     for family in FAMILIES:
         for method in ("recursion", "closed", "cofactor", "schur", "oracle"):
             if method == "oracle":

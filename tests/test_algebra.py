@@ -1,6 +1,8 @@
+import decimal
 import hashlib
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -438,10 +440,104 @@ def test_split_of_values_that_share_a_factor_and_divide_no_other():
     assert not products_equal([fp((6, 2), (10, 1))], [fp((2, 2), (3, 1), (5, 1))])
 
 
+def test_split_where_what_is_left_of_a_value_shares_a_factor_with_the_gcd():
+    # 18 meets 12: g = 6 leaves 3 of 18 and 2 of 12, each sharing a
+    # factor with 6, so both are joined to the pieces of the split
+    base = algebra._coprime({12: [1, 0], 18: [0, 1]})
+    assert base == {2: [2, 1], 3: [1, 2]}
+    assert algebra._coprime({12: [1, -1], 18: [1, -1], 6: [-3, 3]}) == {}
+    assert products_equal([fp((12, 1), (18, 1))], [fp((6, 3))])
+    assert not products_equal([fp((12, 1), (18, 1))], [fp((6, 2), (2, 1))])
+
+
 def test_divide_out_finds_the_multiplicity():
+    # on ints, and on Decimals under an exact context as exact_text runs it;
+    # 14 shares a factor with 10 and y + 1 with none
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
     for y in (2, 3, 10, 2**61 - 1):
-        for k in range(40):
-            assert algebra._divide_out(y**k * 7, y) == (7, k)
+        for left in (x for x in (7, 14, y + 1) if x % y):
+            for k in range(40):
+                assert algebra._divide_out(y**k * left, y) == (left, k)
+                with decimal.localcontext(exact):
+                    assert algebra._divide_out(Decimal(y**k * left), Decimal(y)) == (left, k)
+
+
+# scales for exact_text with their factors: L = 1, the weights' lcm of the
+# CLI's rational triples, a prime past the trial-division bound that trial
+# division proves prime and one it leaves unproved, and cofactors that it
+# leaves composite, which only gcds against the bases split
+EXACT_TEXT_SCALES = {
+    1: {},
+    93330: {2: 1, 3: 2, 5: 1, 17: 1, 61: 1},
+    2 * 1031: {2: 1, 1031: 1},
+    12 * 4294967311: {2: 2, 3: 1, 4294967311: 1},
+    1031 * 1033**2: {1031: 1, 1033: 2},
+    4294967311 * 4294967357: {4294967311: 1, 4294967357: 1},
+}
+
+
+def coprime_to(scale: int, bits: int, rng) -> int:
+    while True:
+        r = rng.getrandbits(bits) | 1
+        if math.gcd(r, scale) == 1:
+            return r
+
+
+def planted_run(scale: int, degree: int, rng, relations: set) -> list:
+    """Products as a run's components are: shared bases to their powers,
+    some holding factors of scale, times a last base of each component that
+    plants its valuation at each factor q^e of scale at e * degree, 3 above
+    or 3 below (where the shared bases leave room).  ``relations`` gains
+    the sign of each planted difference."""
+    shared = [(coprime_to(scale, 40, rng) * math.prod(q ** rng.randint(0, 2) for q in
+                                                      EXACT_TEXT_SCALES[scale]),
+               rng.randint(1, 3)) for _ in range(3)]
+    products = []
+    for _ in range(3):
+        last = coprime_to(scale, 60, rng)
+        for q, e in EXACT_TEXT_SCALES[scale].items():
+            have = sum(x * algebra._divide_out(b, q)[1] for b, x in shared)
+            want = max(have, e * degree + rng.choice((-3, 0, 3)))
+            relations.add((want > e * degree) - (want < e * degree))
+            last *= q ** (want - have)
+        products.append(fp(*shared, (last * rng.choice((1, -1)), 1)))
+    return products
+
+
+@pytest.mark.parametrize("binary_bits", [None, 0], ids=["default", "decimal_only"])
+def test_exact_text_is_the_reduced_fraction_string(monkeypatch, binary_bits):
+    # at the default bound the small values are printed by str(Fraction),
+    # and at 0 every value goes through the Decimal path
+    if binary_bits is not None:
+        monkeypatch.setattr(algebra, "_BINARY_BITS", binary_bits)
+    rng = random.Random(37)
+    relations = set()
+    for scale in EXACT_TEXT_SCALES:
+        for _ in range(8):
+            degree = rng.randint(1, 30)
+            # a run's components, a zero one, a negative base to an even and
+            # to an odd power, and no base at all, printed from their
+            # products; then a large value and a reduced fraction, each
+            # printed as one base
+            products = planted_run(scale, degree, rng, relations) + [
+                fp((0, 1), (7, 2)), fp((-5, 2), (6, 3)), fp((-5, 3), primes={2: 4}), fp()]
+            value = rng.getrandbits(9000) * 4294967311 ** rng.randint(0, 3)
+            fraction = Fraction(rng.getrandbits(5000) * 1031, coprime_to(scale, 90, rng) * 1033)
+            values = [*FactoredPoly.values(products), value, fraction]
+            degrees = [degree] * 4 + [rng.randint(0, 30) for _ in values[4:]]
+            want = [str(Fraction(v, scale**d)) for v, d in zip(values, degrees)]
+            got = algebra.exact_text(values, scale, degrees, lambda: products)
+            assert got == want, (scale, degree)
+            assert algebra.exact_text(values, scale, degrees) == want, (scale, degree)
+    assert relations == {-1, 0, 1}
+
+
+def test_scale_cofactors_split_by_the_bases_alone():
+    p, q = 4294967311, 4294967357
+    # no base holds p or q: the composite cofactor stays whole
+    assert algebra._scale_factors(6 * p * q, [35, 11]) == [(2, 1), (3, 1), (p * q, 1)]
+    # a base holding p to a higher power than q splits it
+    assert sorted(algebra._scale_factors(p * p * q, [p**3 * q * 7])) == [(p, 2), (q, 1)]
 
 
 def test_products_compare_only_with_products():
